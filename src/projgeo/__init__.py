@@ -35,8 +35,10 @@ from .geodesics import (
     exists_geodesic,
     geodesic_report,
     minimal_exponent,
+    minimal_geodesic,
     minimality_competitors,
     multi_geodesic_family,
+    sample_curve,
     segment_curve,
     unique_minimal_check,
     velocity,

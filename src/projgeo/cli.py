@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoGeodesic, ProjGeoError
-from .geodesics import evaluate, geodesic_report, minimal_exponent
+from .geodesics import minimal_geodesic, sample_curve, segment_curve
 from .numkernel import Tolerance, default_tolerance
 from .projections import (
     fivespace_report,
@@ -95,10 +95,10 @@ def cmd_gen(args) -> int:
     fs = halmos_decompose(p, q, tol)
     report = fivespace_report(fs)
     report["out"] = str(args.out)
-    ip = index_pair(p, q, tol)
-    if ip.d_plus != ip.d_minus:
+    d_plus, d_minus = report["index"]
+    if d_plus != d_minus:
         print(
-            f"warning: index mismatch ({ip.d_plus}, {ip.d_minus}); "
+            f"warning: index mismatch ({d_plus}, {d_minus}); "
             "the pair admits no geodesic",
             file=sys.stderr,
         )
@@ -115,26 +115,25 @@ def _write_samples(path, seg, samples: int) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for k in range(samples + 1):
-            t = k / samples
-            point = evaluate(seg, t)
-            row = [format(t, ".17g")]
-            for z in point.ravel():
-                row += [format(z.real, ".17g"), format(z.imag, ".17g")]
-            writer.writerow(row)
+        ts = [k / samples for k in range(samples + 1)]
+        for chunk, points in sample_curve(segment_curve(seg), ts):
+            for t, point in zip(chunk.tolist(), points):
+                row = [format(t, ".17g")]
+                for z in point.ravel():
+                    row += [format(z.real, ".17g"), format(z.imag, ".17g")]
+                writer.writerow(row)
 
 
 def cmd_geodesic(args) -> int:
     tol = _tolerance_from_args(args)
     p, q = read_pair(args.infile)
     try:
-        report = geodesic_report(p, q, samples=args.samples, tol=tol)
+        seg, report = minimal_geodesic(p, q, samples=args.samples, tol=tol)
     except NoGeodesic:
         ip = index_pair(p, q, tol)
         print(f"no geodesic: index ({ip.d_plus}, {ip.d_minus})", file=sys.stderr)
         return 2
     if args.csv:
-        seg = minimal_exponent(p, q, tol=tol)
         _write_samples(args.csv, seg, args.samples)
     _emit(args, report)
     return EXIT_OK

@@ -24,11 +24,11 @@ non-uniqueness, exposed through ``multi_geodesic_family``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import BadIndex, BadUnitarySize, NoGeodesic
+from .errors import BadIndex, BadUnitarySize, LogAtMinusOne, NoGeodesic
 from .numkernel import (
     HermEig,
     Tolerance,
@@ -41,6 +41,7 @@ from .numkernel import (
 )
 from .projections import (
     FiveSpace,
+    _decompose,
     halmos_decompose,
     index_pair,
     make_projection,
@@ -48,10 +49,15 @@ from .projections import (
     random_unitary,
 )
 
-NORMALIZED_SLACK = 1e-12
-
-# a curve is any map from [0, 1] into the projections
+# A curve is any map from [0, 1] into the projections.  The curves made by
+# ``segment_curve`` also map a 1-d array of k values of t to the (k, n, n)
+# stack of their points, which lets ``curve_length`` and ``sample_curve``
+# evaluate a grid in chunks instead of one call per point.
 Curve = Callable[[float], np.ndarray]
+
+# size of one stack of sampled points: bounds the memory a grid costs at
+# large n while keeping the per-call overhead low at small n
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -84,8 +90,13 @@ class UniquenessReport:
     witness_separation: float | None
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + _adjoint(m)) / 2
 
 
 def _skewize(m: np.ndarray) -> np.ndarray:
@@ -113,7 +124,11 @@ def _generic_exponent(fs: FiveSpace, tol: Tolerance) -> np.ndarray:
     v0 = polar_unitary(_hermitize(fs.p0 + fs.q0 - eye), tol)
     log = logm_unitary_principal(v0 @ (2 * fs.p0 - eye), tol)
     # in generic position the phases stay strictly inside (-pi/2, pi/2)
-    assert log.within_half_pi and not log.near_minus_one
+    if not log.within_half_pi or log.near_minus_one:
+        raise LogAtMinusOne(
+            "generic-part phases leave (-pi/2, pi/2): the compressed pair "
+            "is not in generic position"
+        )
     return log.skew
 
 
@@ -164,9 +179,18 @@ def minimal_exponent(
         If the crossed-intersection dimensions differ.
     """
     tol = tol or default_tolerance()
-    p = make_projection(p)
-    q = make_projection(q)
-    fs = halmos_decompose(p, q, tol)
+    fs = halmos_decompose(p, q, tol)  # validates both projections
+    return _segment(as_cmatrix(p), fs, pairing, tol)
+
+
+def _segment(
+    p: np.ndarray,
+    fs: FiveSpace,
+    pairing: np.ndarray | None,
+    tol: Tolerance,
+) -> GeodesicSegment:
+    """``minimal_exponent`` from a validated ``p`` and the five-space split
+    ``fs`` of the pair."""
     _, _, d10, d01, _ = fs.dims
     if d10 != d01:
         raise NoGeodesic(f"index pair ({d10}, {d01}) is unbalanced")
@@ -187,11 +211,18 @@ def _segment_eig(seg: GeodesicSegment) -> HermEig:
     return seg._eig
 
 
-def evaluate(seg: GeodesicSegment, t: float) -> np.ndarray:
-    """Point ``exp(tZ) P exp(-tZ)`` of the segment; ``t`` may leave [0, 1]."""
+def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
+    """Point ``exp(tZ) P exp(-tZ)`` of the segment; ``t`` may leave [0, 1].
+
+    ``t`` is a float, giving the ``(n, n)`` point, or a 1-d array of k
+    values, giving the ``(k, n, n)`` stack of the points.  Each matrix of
+    the stack is computed with the same arithmetic as the scalar call and
+    equals its result bit for bit.
+    """
     w, u = _segment_eig(seg)
-    rot = (u * np.exp(1j * t * w)) @ u.conj().T
-    x = rot @ seg.base @ rot.conj().T
+    t = np.asarray(t, dtype=float)
+    rot = (u * np.exp(1j * t[..., None] * w)[..., None, :]) @ u.conj().T
+    x = rot @ seg.base @ _adjoint(rot)
     return _hermitize(x)
 
 
@@ -204,9 +235,47 @@ def velocity(seg: GeodesicSegment, t: float) -> TangentVector:
     return TangentVector(at=evaluate(seg, t), value=_hermitize(x))
 
 
+class _SegmentCurve:
+    """A segment as a curve that also accepts a 1-d array of t."""
+
+    def __init__(self, seg: GeodesicSegment):
+        self.seg = seg
+
+    def __call__(self, t) -> np.ndarray:
+        return evaluate(self.seg, t)
+
+
 def segment_curve(seg: GeodesicSegment) -> Curve:
-    """The segment as a plain curve ``t -> projection``."""
-    return lambda t: evaluate(seg, t)
+    """The segment as a curve ``t -> projection``; like ``evaluate`` it maps
+    a 1-d array of t to the stack of the points."""
+    return _SegmentCurve(seg)
+
+
+def _points(gamma: Curve, ts: np.ndarray) -> np.ndarray:
+    """The ``(k, n, n)`` complex stack of ``gamma`` at the k values ``ts``."""
+    if isinstance(gamma, _SegmentCurve):
+        return gamma(ts)
+    return np.stack([as_cmatrix(gamma(float(t))) for t in ts])
+
+
+def sample_curve(gamma: Curve, ts) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Points of ``gamma`` at the 1-d array ``ts``, in order, as pairs of a
+    chunk of ``ts`` and the ``(k, n, n)`` stack of its points.
+
+    The first chunk holds ``ts[0]`` alone, since a plain curve reveals n
+    only through a point; the later ones hold as many points as fit in a
+    stack of about 1 MB, so a grid costs bounded memory at any n.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.size == 0:
+        return
+    first = _points(gamma, ts[:1])
+    yield ts[:1], first
+    n = first.shape[-1]
+    step = max(1, _CHUNK_BYTES // (first.itemsize * max(n * n, 1)))
+    for start in range(1, ts.size, step):
+        chunk = ts[start:start + step]
+        yield chunk, _points(gamma, chunk)
 
 
 def curve_length(gamma: Curve, grid: int) -> float:
@@ -215,17 +284,29 @@ def curve_length(gamma: Curve, grid: int) -> float:
 
     A lower sum: refining the partition (e.g. doubling ``grid``) never
     decreases it, and for a geodesic segment it increases to ``|Z|``.
+
+    The grid is evaluated in chunks of bounded memory (``sample_curve``),
+    and the chord norms of a chunk come from one stacked SVD.  The norms
+    are added from left to right, so the sum is the same bit for bit as
+    one ``op_norm`` per chord.
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
-    ts = np.linspace(0.0, 1.0, grid + 1)
     total = 0.0
-    prev = gamma(float(ts[0]))
-    for t in ts[1:]:
-        cur = gamma(float(t))
-        total += op_norm(cur - prev)
-        prev = cur
+    prev = None
+    for _, points in sample_curve(gamma, np.linspace(0.0, 1.0, grid + 1)):
+        if prev is not None:
+            chords = np.diff(np.concatenate((prev[-1:], points)), axis=0)
+            norms = np.linalg.svd(chords, compute_uv=False).max(axis=-1, initial=0.0)
+            for norm in norms.tolist():
+                total += norm
+        prev = points
     return total
+
+
+def _balanced(fs: FiveSpace) -> bool:
+    _, _, d10, d01, _ = fs.dims
+    return d10 == d01
 
 
 def _joinable_midpoint(
@@ -235,12 +316,17 @@ def _joinable_midpoint(
     seed,
     tol: Tolerance,
     attempts: int = 64,
-) -> np.ndarray:
+) -> tuple[FiveSpace, FiveSpace]:
+    """Five-space splits of ``(P, R)`` and ``(R, Q)`` for the first random
+    ``R`` that both pairs join by a geodesic."""
     n = p.shape[0]
     for attempt in range(attempts):
         r = random_projection(n, rank, (seed, attempt))
-        if exists_geodesic(p, r, tol) and exists_geodesic(r, q, tol):
-            return r
+        fs_pr = _decompose(p, r, tol)
+        if _balanced(fs_pr):
+            fs_rq = _decompose(r, q, tol)
+            if _balanced(fs_rq):
+                return fs_pr, fs_rq
     raise NoGeodesic(
         f"no joinable midpoint of rank {rank} found in {attempts} attempts"
     )
@@ -260,16 +346,16 @@ def minimality_competitors(
     tol = tol or default_tolerance()
     p = make_projection(p)
     q = make_projection(q)
-    if not exists_geodesic(p, q, tol):
-        ip = index_pair(p, q, tol)
+    ip = index_pair(p, q, tol)
+    if ip.d_plus != ip.d_minus:
         raise NoGeodesic(f"index pair {tuple(ip)} is unbalanced")
     rank = int(round(np.trace(p).real))
     lengths = []
     for i in range(trials):
-        r = _joinable_midpoint(p, q, rank, seed + i, tol)
-        leg1 = minimal_exponent(p, r, tol=tol)
-        leg2 = minimal_exponent(r, q, tol=tol)
-        lengths.append(op_norm(leg1.exponent) + op_norm(leg2.exponent))
+        fs_pr, fs_rq = _joinable_midpoint(p, q, rank, seed + i, tol)
+        leg1 = _assemble_exponent(fs_pr, None, tol)
+        leg2 = _assemble_exponent(fs_rq, None, tol)
+        lengths.append(op_norm(leg1) + op_norm(leg2))
     return lengths
 
 
@@ -289,16 +375,26 @@ def unique_minimal_check(p, q, tol: Tolerance | None = None) -> UniquenessReport
     tol = tol or default_tolerance()
     p = make_projection(p)
     q = make_projection(q)
-    ip = index_pair(p, q, tol)
-    if ip.d_plus != ip.d_minus:
-        raise NoGeodesic(f"index pair {tuple(ip)} is unbalanced")
-    seg = minimal_exponent(p, q, tol=tol)
-    if ip.d_plus == 0:
+    fs = _decompose(p, q, tol)
+    return _uniqueness(p, q, fs, _segment(p, fs, None, tol), tol)
+
+
+def _uniqueness(
+    p: np.ndarray,
+    q: np.ndarray,
+    fs: FiveSpace,
+    seg: GeodesicSegment,
+    tol: Tolerance,
+) -> UniquenessReport:
+    """``unique_minimal_check`` of a validated pair, given its five-space
+    split and its canonical segment."""
+    k = fs.dims[2]
+    if k == 0:
         n = p.shape[0]
         u = random_unitary(n, _REDERIVE_SEED)
         pc = make_projection(_hermitize(u.conj().T @ p @ u))
         qc = make_projection(_hermitize(u.conj().T @ q @ u))
-        seg_c = minimal_exponent(pc, qc, tol=tol)
+        seg_c = _segment(pc, _decompose(pc, qc, tol), None, tol)
         back = u @ seg_c.exponent @ u.conj().T
         err = op_norm(back - seg.exponent)
         return UniquenessReport(
@@ -307,10 +403,9 @@ def unique_minimal_check(p, q, tol: Tolerance | None = None) -> UniquenessReport
             rederivation_error=err,
             witness_separation=None,
         )
-    k = ip.d_plus
     twist = 1j * np.eye(k, dtype=np.complex128)  # exp(i pi/2) rotation of the pairing
-    family = multi_geodesic_family(p, q, [np.eye(k, dtype=np.complex128), twist], tol)
-    z1, z2 = family[0].exponent, family[1].exponent
+    # the canonical segment has the identity pairing
+    z1, z2 = seg.exponent, _assemble_exponent(fs, twist, tol)
     return UniquenessReport(
         unique=False,
         witness=(z1, z2),
@@ -332,9 +427,8 @@ def multi_geodesic_family(
     distinct exponents with identical endpoints and norm ``pi/2``.
     """
     tol = tol or default_tolerance()
-    p = make_projection(p)
-    q = make_projection(q)
-    fs = halmos_decompose(p, q, tol)
+    fs = halmos_decompose(p, q, tol)  # validates both projections
+    p = as_cmatrix(p)
     _, _, d10, d01, _ = fs.dims
     if d10 != d01 or d10 == 0:
         raise BadIndex(f"need index pair (k, k) with k >= 1, got ({d10}, {d01})")
@@ -350,6 +444,40 @@ def multi_geodesic_family(
     return segments
 
 
+def minimal_geodesic(
+    p,
+    q,
+    samples: int = 1000,
+    tol: Tolerance | None = None,
+) -> tuple[GeodesicSegment, dict]:
+    """The normalized segment from ``P`` to ``Q`` and its ``geodesic_report``.
+
+    The pair is validated and decomposed once; the report's index, segment
+    and uniqueness verdict all come from that one decomposition.
+
+    Raises
+    ------
+    NoGeodesic
+        If the crossed-intersection dimensions differ.
+    """
+    tol = tol or default_tolerance()
+    p = make_projection(p)
+    q = make_projection(q)
+    fs = _decompose(p, q, tol)
+    seg = _segment(p, fs, None, tol)
+    _, _, d10, d01, _ = fs.dims
+    endpoint_error = op_norm(evaluate(seg, 1.0) - q)
+    length = curve_length(segment_curve(seg), max(samples, 2))
+    uniqueness = _uniqueness(p, q, fs, seg, tol)
+    return seg, {
+        "norm_Z": op_norm(seg.exponent),
+        "index": [int(d10), int(d01)],
+        "endpoint_error": float(endpoint_error),
+        "length_estimate": float(length),
+        "unique": bool(uniqueness.unique),
+    }
+
+
 def geodesic_report(
     p,
     q,
@@ -357,18 +485,4 @@ def geodesic_report(
     tol: Tolerance | None = None,
 ) -> dict:
     """JSON-ready summary of the minimal segment joining a pair."""
-    tol = tol or default_tolerance()
-    p = make_projection(p)
-    q = make_projection(q)
-    ip = index_pair(p, q, tol)
-    seg = minimal_exponent(p, q, tol=tol)
-    endpoint_error = op_norm(evaluate(seg, 1.0) - q)
-    length = curve_length(segment_curve(seg), max(samples, 2))
-    report = unique_minimal_check(p, q, tol)
-    return {
-        "norm_Z": op_norm(seg.exponent),
-        "index": [int(ip.d_plus), int(ip.d_minus)],
-        "endpoint_error": float(endpoint_error),
-        "length_estimate": float(length),
-        "unique": bool(report.unique),
-    }
+    return minimal_geodesic(p, q, samples, tol)[1]

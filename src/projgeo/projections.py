@@ -196,8 +196,13 @@ def halmos_decompose(p, q, tol: Tolerance | None = None) -> FiveSpace:
     compression of ``P - Q``, which makes the output reproducible.
     """
     tol = tol or default_tolerance()
-    p = make_projection(p)
-    q = make_projection(q)
+    return _decompose(make_projection(p), make_projection(q), tol)
+
+
+def _decompose(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> FiveSpace:
+    """``halmos_decompose`` of a pair that ``make_projection`` already
+    accepted; callers that validate at their own boundary use this to
+    decompose each pair once."""
     n = _require_same_dim(p, q)
     eye = np.eye(n)
     diff = _hermitize(p - q)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from projgeo.blockmodel import BlockOperator, DiagonalSequence
 from projgeo.cli import main
+from projgeo.geodesics import evaluate, minimal_exponent
 from projgeo.serialize import (
     block_operator_from_json,
     block_operator_to_json,
@@ -171,6 +173,29 @@ class TestGeodesicCommand:
         assert len(lines) == 12  # header + 11 samples
         assert lines[0].split(",")[0] == "t"
         assert len(lines[0].split(",")) == 1 + 2 * 4
+
+    def test_csv_equals_per_point_reference(self, tmp_path, capsys):
+        # n = 32: a sampling chunk holds 64 points, so 131 points span four
+        pair = self.make_pair(tmp_path, "8,8,0,0,16", None, seed=4)
+        csv_path = tmp_path / "samples.csv"
+        samples = 130
+        rc = main(["geodesic", "--in", str(pair), "--samples", str(samples),
+                   "--csv", str(csv_path)])
+        assert rc == 0
+        seg = minimal_exponent(*read_pair(pair))
+        n = seg.base.shape[0]
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["t"] + [f"{part}_{i}_{j}" for i in range(n)
+                                     for j in range(n) for part in ("re", "im")])
+            for k in range(samples + 1):
+                t = k / samples
+                row = [format(t, ".17g")]
+                for z in evaluate(seg, t).ravel():
+                    row += [format(z.real, ".17g"), format(z.imag, ".17g")]
+                writer.writerow(row)
+        assert csv_path.read_bytes() == reference.read_bytes()
 
 
 class TestVerifyCommand:

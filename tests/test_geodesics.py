@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from projgeo.errors import BadIndex, BadUnitarySize, NoGeodesic
+from projgeo import geodesics
+from projgeo.errors import BadIndex, BadUnitarySize, LogAtMinusOne, NoGeodesic
 from projgeo.geodesics import (
     codiagonal_residual,
     curve_length,
@@ -9,13 +10,15 @@ from projgeo.geodesics import (
     exists_geodesic,
     geodesic_report,
     minimal_exponent,
+    minimal_geodesic,
     minimality_competitors,
     multi_geodesic_family,
+    sample_curve,
     segment_curve,
     unique_minimal_check,
     velocity,
 )
-from projgeo.numkernel import op_norm
+from projgeo.numkernel import PrincipalLog, herm_eig, op_norm
 from projgeo.projections import (
     index_pair,
     make_projection,
@@ -38,6 +41,41 @@ def rotation_point(theta, t):
     """The projection onto the line at angle t*theta."""
     c, s = np.cos(t * theta), np.sin(t * theta)
     return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
+
+
+def reference_curve(seg):
+    """The segment as a scalar curve, one matrix product chain per point."""
+    h = -1j * seg.exponent
+    w, u = herm_eig((h + h.conj().T) / 2)
+
+    def point(t):
+        rot = (u * np.exp(1j * t * w)) @ u.conj().T
+        x = rot @ seg.base @ rot.conj().T
+        return (x + x.conj().T) / 2
+
+    return point
+
+
+def reference_length(gamma, grid):
+    """Chordal length with one curve call and one op_norm per grid point."""
+    ts = np.linspace(0.0, 1.0, grid + 1)
+    total = 0.0
+    prev = gamma(float(ts[0]))
+    for t in ts[1:]:
+        cur = gamma(float(t))
+        total += op_norm(cur - prev)
+        prev = cur
+    return total
+
+
+@pytest.fixture(scope="module")
+def exactness_segments():
+    """Segments at n = 2, 16 and 128 (index (0,0), (2,2) and (0,0))."""
+    p2, q2 = rotation_pair(np.pi / 3)
+    rng = np.random.default_rng(8)
+    p16, q16 = pair_with_dims(2, 2, 2, 2, 8, rng.uniform(0.2, 1.3, 4), seed=16)
+    p128, q128 = pair_with_dims(32, 32, 0, 0, 64, rng.uniform(0.2, 1.3, 32), seed=128)
+    return [minimal_exponent(p, q) for p, q in ((p2, q2), (p16, q16), (p128, q128))]
 
 
 class TestExistsGeodesic:
@@ -96,6 +134,19 @@ class TestMinimalExponent:
             assert seg.normalized
             assert op_norm(evaluate(seg, 1.0) - q) <= 1e-9
 
+    @pytest.mark.parametrize("within_half_pi,near_minus_one", [(False, False), (True, True)])
+    def test_generic_phase_guard_is_typed(self, monkeypatch, within_half_pi, near_minus_one):
+        real_log = geodesics.logm_unitary_principal
+
+        def log_off_branch(w, tol=None, **kwargs):
+            skew = real_log(w, tol, **kwargs).skew
+            return PrincipalLog(skew, within_half_pi, near_minus_one)
+
+        monkeypatch.setattr(geodesics, "logm_unitary_principal", log_off_branch)
+        p, q = rotation_pair(np.pi / 3)
+        with pytest.raises(LogAtMinusOne):
+            minimal_exponent(p, q)
+
     def test_conjugation_equivariance(self):
         rng = np.random.default_rng(1)
         for trial in range(20):
@@ -131,6 +182,29 @@ class TestEvaluate:
         for t in np.linspace(-0.5, 1.5, 9):
             point = evaluate(seg, float(t))
             make_projection(point)  # raises if invariants fail
+
+
+class TestBatchedEvaluate:
+    def test_stack_equals_scalar_calls(self, exactness_segments):
+        ts = np.linspace(-0.5, 1.5, 23)
+        for seg in exactness_segments:
+            stack = evaluate(seg, ts)
+            n = seg.base.shape[0]
+            assert stack.shape == (len(ts), n, n)
+            scalar = np.stack([evaluate(seg, float(t)) for t in ts])
+            assert np.array_equal(stack, scalar)
+            reference = reference_curve(seg)
+            assert np.array_equal(scalar, np.stack([reference(float(t)) for t in ts]))
+
+    def test_sample_curve_chunks(self, exactness_segments):
+        ts = np.linspace(0.0, 1.0, 301)
+        for seg in exactness_segments:
+            chunks = list(sample_curve(segment_curve(seg), ts))
+            assert np.array_equal(np.concatenate([c for c, _ in chunks]), ts)
+            assert all(points.nbytes <= 1 << 20 for _, points in chunks)
+            points = np.concatenate([points for _, points in chunks])
+            assert np.array_equal(points, evaluate(seg, ts))
+        assert list(sample_curve(segment_curve(seg), [])) == []
 
 
 class TestVelocity:
@@ -171,6 +245,15 @@ class TestCurveLength:
     def test_constant_curve(self):
         p = random_projection(3, 1, 5)
         assert curve_length(lambda t: p, 100) == 0.0
+
+    # after the one-point first chunk, a chunk holds 256 points at n = 16
+    # and 4 at n = 128, so the last two grids also span several full chunks
+    @pytest.mark.parametrize("which,grid", [(0, 2), (0, 1000), (1, 500), (2, 21)])
+    def test_equals_per_point_sum(self, exactness_segments, which, grid):
+        seg = exactness_segments[which]
+        expected = reference_length(reference_curve(seg), grid)
+        assert curve_length(segment_curve(seg), grid) == expected
+        assert curve_length(lambda t: evaluate(seg, t), grid) == expected
 
     def test_rotation_length(self):
         theta = np.pi / 3
@@ -307,3 +390,24 @@ def test_geodesic_report_fields():
     assert abs(report["norm_Z"] - np.pi / 4) <= 1e-10
     assert report["index"] == [0, 0]
     assert report["unique"] is True
+
+
+@pytest.mark.parametrize("dims,index", [((1, 1, 0, 0, 4), [0, 0]), ((1, 0, 1, 1, 4), [1, 1])])
+def test_geodesic_report_equals_public_functions(dims, index):
+    p, q = pair_with_dims(*dims, [0.4, 1.1], seed=5)
+    seg, report = minimal_geodesic(p, q, samples=300)
+    standalone = minimal_exponent(p, q)
+    assert np.array_equal(seg.exponent, standalone.exponent)
+    assert report == geodesic_report(p, q, samples=300)
+    assert report["index"] == index == list(index_pair(p, q))
+    assert report["norm_Z"] == op_norm(standalone.exponent)
+    assert report["endpoint_error"] == op_norm(evaluate(standalone, 1.0) - q)
+    assert report["length_estimate"] == curve_length(segment_curve(standalone), 300)
+    assert report["unique"] is unique_minimal_check(p, q).unique is (index == [0, 0])
+
+
+def test_geodesic_report_unbalanced():
+    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    q = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(NoGeodesic):
+        geodesic_report(p, q)
