@@ -26,13 +26,15 @@ from .errors import (
     NoGeodesic,
     NormTooLarge,
     NoSpectralGap,
+    NotAProjection,
     NotCodiagonal,
-    NotProjection,
-    NotSelfadjoint,
+    NotHermitian,
 )
-from .geodesics import GeodesicSegment, evaluate, minimal_exponent
+from .geodesics import GeodesicSegment, codiagonal_residual, evaluate, minimal_exponent
 from .numkernel import (
     Tolerance,
+    _hermitize,
+    _skewize,
     as_cmatrix,
     default_tolerance,
     herm_eig,
@@ -179,8 +181,7 @@ def quotient(a: BlockOperator) -> np.ndarray:
 
 def _threshold_block(b: np.ndarray, tol: Tolerance) -> np.ndarray:
     w, u = herm_eig(b, tol)
-    p = (u * (w >= 0.5).astype(float)) @ u.conj().T
-    return (p + p.conj().T) / 2
+    return _hermitize((u * (w >= 0.5).astype(float)) @ u.conj().T)
 
 
 def lift_projection(t: BlockOperator, tol: Tolerance | None = None) -> BlockOperator:
@@ -193,22 +194,19 @@ def lift_projection(t: BlockOperator, tol: Tolerance | None = None) -> BlockOper
 
     Raises
     ------
-    NotSelfadjoint
+    NotHermitian
         If a block is not bitwise selfadjoint.
     NoSpectralGap
         If an exceptional eigenvalue falls inside the forbidden band,
         reporting the offending eigenvalue.
-    NotProjection
+    NotAProjection
         If the tail is not a projection within 1e-10.
     """
     tol = tol or default_tolerance()
     for i, b in enumerate((*t.exceptional, t.tail)):
         if not np.array_equal(b, b.conj().T):
-            raise NotSelfadjoint(f"block {i} is not selfadjoint")
-    try:
-        make_projection(t.tail)
-    except Exception as exc:
-        raise NotProjection(f"tail is not a projection: {exc}") from exc
+            raise NotHermitian(f"block {i} is not selfadjoint")
+    make_projection(t.tail)
     new_blocks = []
     for i, b in enumerate(t.exceptional):
         w, _ = herm_eig(b, tol)
@@ -325,22 +323,22 @@ def lift_geodesic(
     p = _as_block(p, d)
     z = _as_block(z, d)
     make_projection(p)
-    eye = np.eye(d)
     if op_norm(z + z.conj().T) > 1e-10:
         raise NotCodiagonal("exponent is not skew")
-    if max(op_norm(p @ z @ p), op_norm((eye - p) @ z @ (eye - p))) > 1e-10:
+    if codiagonal_residual(p, z) > 1e-10:
         raise NotCodiagonal("exponent is not codiagonal with respect to p")
     z_norm = op_norm(z)
     if z_norm > np.pi / 2 + 1e-12:
         raise NormTooLarge(f"|z| = {z_norm!r} exceeds pi/2")
     if not np.array_equal(lift_p.tail, p):
-        raise NotProjection("lift_p is not a lift of p: tails differ")
+        raise NotAProjection("lift_p is not a lift of p: tails differ")
     for b in lift_p.exceptional:
         make_projection(b)
+    eye = np.eye(d)
     blocks = []
     for b in lift_p.exceptional:
         corner = b @ z @ (eye - b) + (eye - b) @ z @ b
-        blocks.append((corner - corner.conj().T) / 2)
+        blocks.append(_skewize(corner))
     # the tail carries z itself, so the quotient of the lift is exact
     return BlockOperator(d, tuple(blocks), z)
 
@@ -418,8 +416,8 @@ def lifting_surgery(
         h = fs.h0
         rp = aligned + h @ fs.p0 @ h.conj().T
         rq = aligned + h @ fs.q0 @ h.conj().T
-        new_p.append(make_projection((rp + rp.conj().T) / 2))
-        new_q.append(make_projection((rq + rq.conj().T) / 2))
+        new_p.append(make_projection(_hermitize(rp)))
+        new_q.append(make_projection(_hermitize(rq)))
     return (
         BlockOperator(d, tuple(new_p), lift_p.tail),
         BlockOperator(d, tuple(new_q), lift_q.tail),
@@ -446,13 +444,8 @@ def existence_dichotomy(
     every block.
     """
     tol = tol or default_tolerance()
-    p = as_cmatrix(p)
-    q = as_cmatrix(q)
-    try:
-        make_projection(p)
-        make_projection(q)
-    except Exception as exc:
-        raise NotProjection(str(exc)) from exc
+    p = make_projection(p)
+    q = make_projection(q)
     d = p.shape[0]
     ip = index_pair(p, q, tol)
     if ip.d_plus == 0 and ip.d_minus == 0:
@@ -467,7 +460,7 @@ def existence_dichotomy(
     else:
         lp, lq = lifts
         if not (np.array_equal(lp.tail, p) and np.array_equal(lq.tail, q)):
-            raise NotProjection("supplied lifts do not have tails p, q")
+            raise NotAProjection("supplied lifts do not have tails p, q")
         for b in (*lp.exceptional, *lq.exceptional):
             make_projection(b)
 
@@ -527,9 +520,10 @@ def quotient_geodesic(
     block boundaries and leaves the periodic algebra; that case raises
     ``NoGeodesic`` here.
 
-    Uniqueness is decided by invertibility of ``p + q - 1`` at the rank
-    threshold, which in a matrix algebra is the same as its annihilator
-    being trivial.
+    The segment is unique when ``p + q - 1`` has trivial annihilator.  The
+    kernel of ``p + q - 1`` is the sum of the two crossed intersections, so
+    that holds exactly when the index pair is ``(0, 0)``: the FiniteFinite
+    case, decided by the same rank threshold as the existence dichotomy.
     """
     tol = tol or default_tolerance()
     dich = existence_dichotomy(p, q, tol=tol)
@@ -543,15 +537,12 @@ def quotient_geodesic(
             "crossed pairing is not block-periodic"
         )
     segment = minimal_exponent(p, q, tol=tol)
+    unique = dich.case is DichotomyCase.FINITE_FINITE
     commutation = None
-    if dich.case is DichotomyCase.FINITE_FINITE:
+    if unique:
         wp, wq = dich.witnesses
         tail_seg = minimal_exponent(quotient(wp), quotient(wq), tol=tol)
         commutation = op_norm(tail_seg.exponent - segment.exponent)
-    b_minus_one = (p + q) - np.eye(p.shape[0])
-    sing = np.linalg.svd(b_minus_one, compute_uv=False)
-    scale = float(sing[0]) if sing.size else 0.0
-    unique = bool(scale > 0.0 and float(sing[-1]) > tol.rank_rtol * scale)
     return QuotientGeodesic(
         segment=segment,
         unique=unique,

@@ -45,14 +45,14 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _tolerance_from_args(args) -> Tolerance:
     base = default_tolerance()
-    rank = args.tol_rank if getattr(args, "tol_rank", None) is not None else base.rank_rtol
-    recon = args.tol_recon if getattr(args, "tol_recon", None) is not None else base.recon_rtol
+    rank = args.tol_rank if args.tol_rank is not None else base.rank_rtol
+    recon = args.tol_recon if args.tol_recon is not None else base.recon_rtol
     return Tolerance(rank_rtol=rank, recon_rtol=recon)
 
 
 def _emit(args, payload: dict) -> None:
     text = dumps_canonical(payload) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)

@@ -70,10 +70,6 @@ class BlockDimMismatch(ProjGeoError):
     pass
 
 
-class NotSelfadjoint(ProjGeoError):
-    pass
-
-
 class NoSpectralGap(ProjGeoError):
     """An eigenvalue of an input block falls inside the forbidden band around
     1/2, so thresholding cannot separate the spectrum into a projection."""
@@ -84,8 +80,4 @@ class NotCodiagonal(ProjGeoError):
 
 
 class NormTooLarge(ProjGeoError):
-    pass
-
-
-class NotProjection(ProjGeoError):
     pass

@@ -32,6 +32,9 @@ from .errors import BadIndex, BadUnitarySize, LogAtMinusOne, NoGeodesic
 from .numkernel import (
     HermEig,
     Tolerance,
+    _adjoint,
+    _hermitize,
+    _skewize,
     as_cmatrix,
     default_tolerance,
     herm_eig,
@@ -62,15 +65,11 @@ _CHUNK_BYTES = 1 << 20
 
 @dataclass
 class GeodesicSegment:
-    """Base projection plus a skew, codiagonal exponent.
-
-    ``normalized`` records that ``|exponent| <= pi/2`` (+ slack), the regime
-    in which the segment is minimal for ``|t| <= 1``.
-    """
+    """Base projection plus a skew, codiagonal exponent; the segment is
+    minimal for ``|t| <= 1`` when ``|exponent| <= pi/2``."""
 
     base: np.ndarray
     exponent: np.ndarray
-    normalized: bool = True
     _eig: HermEig | None = field(default=None, repr=False, compare=False)
 
 
@@ -88,19 +87,6 @@ class UniquenessReport:
     witness: tuple[np.ndarray, np.ndarray] | None
     rederivation_error: float | None
     witness_separation: float | None
-
-
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(m.conj(), -1, -2)
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + _adjoint(m)) / 2
-
-
-def _skewize(m: np.ndarray) -> np.ndarray:
-    return (m - m.conj().T) / 2
 
 
 def codiagonal_residual(p: np.ndarray, z: np.ndarray) -> float:
@@ -201,7 +187,7 @@ def _segment(
                 f"pairing must be {d10}x{d10}, got {pairing.shape}"
             )
     z = _assemble_exponent(fs, pairing, tol)
-    return GeodesicSegment(base=p, exponent=z, normalized=True)
+    return GeodesicSegment(base=p, exponent=z)
 
 
 def _segment_eig(seg: GeodesicSegment) -> HermEig:
@@ -440,7 +426,7 @@ def multi_geodesic_family(
         if op_norm(u.conj().T @ u - np.eye(d10)) > tol.recon_rtol:
             raise ValueError("pairing twist is not unitary")
         z = _assemble_exponent(fs, u, tol)
-        segments.append(GeodesicSegment(base=p, exponent=z, normalized=True))
+        segments.append(GeodesicSegment(base=p, exponent=z))
     return segments
 
 
@@ -459,6 +445,8 @@ def minimal_geodesic(
     ------
     NoGeodesic
         If the crossed-intersection dimensions differ.
+    ValueError
+        If ``samples < 2``.
     """
     tol = tol or default_tolerance()
     p = make_projection(p)
@@ -467,7 +455,7 @@ def minimal_geodesic(
     seg = _segment(p, fs, None, tol)
     _, _, d10, d01, _ = fs.dims
     endpoint_error = op_norm(evaluate(seg, 1.0) - q)
-    length = curve_length(segment_curve(seg), max(samples, 2))
+    length = curve_length(segment_curve(seg), samples)
     uniqueness = _uniqueness(p, q, fs, seg, tol)
     return seg, {
         "norm_Z": op_norm(seg.exponent),

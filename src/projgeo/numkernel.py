@@ -68,6 +68,19 @@ def require_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    return (m + _adjoint(m)) / 2
+
+
+def _skewize(m: np.ndarray) -> np.ndarray:
+    return (m - _adjoint(m)) / 2
+
+
 def op_norm(a) -> float:
     """Operator (spectral) norm: the largest singular value."""
     m = as_cmatrix(a)
@@ -174,8 +187,7 @@ def polar_unitary(a, tol: Tolerance | None = None) -> np.ndarray:
     if scale == 0.0 or float(np.min(np.abs(w))) <= tol.rank_rtol * scale:
         raise SingularInput("polar factor undefined: input has a nullspace")
     signs = np.where(w >= 0.0, 1.0, -1.0)
-    v = (u * signs) @ u.conj().T
-    return (v + v.conj().T) / 2
+    return _hermitize((u * signs) @ u.conj().T)
 
 
 def _check_skew(m: np.ndarray, tol: Tolerance) -> None:
@@ -201,9 +213,7 @@ def expm_skew(z, tol: Tolerance | None = None) -> np.ndarray:
     m = as_cmatrix(z)
     require_square(m)
     _check_skew(m, tol)
-    h = -1j * m
-    h = (h + h.conj().T) / 2
-    w, u = herm_eig(h, tol)
+    w, u = herm_eig(_hermitize(-1j * m), tol)
     return (u * np.exp(1j * w)) @ u.conj().T
 
 
@@ -252,7 +262,6 @@ def logm_unitary_principal(
     near = bool(np.any(np.abs(lam + 1.0) <= tol.rank_rtol)) if n else False
     if require_interior and near:
         raise LogAtMinusOne("spectrum touches -1; no interior logarithm")
-    z = (u * (1j * phases)) @ u.conj().T
-    z = (z - z.conj().T) / 2
+    z = _skewize((u * (1j * phases)) @ u.conj().T)
     within = bool(np.all(np.abs(phases) <= np.pi / 2 + 1e-12)) if n else True
     return PrincipalLog(z, within, near)

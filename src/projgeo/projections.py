@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BadRank, DimMismatch, InconsistentDims, NotAProjection
 from .numkernel import (
     Tolerance,
+    _hermitize,
     as_cmatrix,
     default_tolerance,
     nullspace,
@@ -69,7 +70,7 @@ def random_projection(n: int, r: int, seed) -> np.ndarray:
         return np.eye(n, dtype=np.complex128)
     u = random_unitary(n, seed)
     p = u[:, :r] @ u[:, :r].conj().T
-    return make_projection((p + p.conj().T) / 2)
+    return make_projection(_hermitize(p))
 
 
 def pair_with_dims(
@@ -129,8 +130,8 @@ def pair_with_dims(
     p = u @ p0 @ u.conj().T
     q = u @ q0 @ u.conj().T
     return (
-        make_projection((p + p.conj().T) / 2),
-        make_projection((q + q.conj().T) / 2),
+        make_projection(_hermitize(p)),
+        make_projection(_hermitize(q)),
     )
 
 
@@ -175,10 +176,6 @@ def _orthogonal_complement(cols: np.ndarray, n: int) -> np.ndarray:
         return np.zeros((n, 0), dtype=np.complex128)
     u = np.linalg.svd(cols, full_matrices=True)[0]
     return u[:, k:]
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
 
 
 def _require_same_dim(p: np.ndarray, q: np.ndarray) -> int:
@@ -270,14 +267,16 @@ class DiffSum:
     """Difference and sum of a pair: ``a = P - Q``, ``b = P + Q``.
 
     They satisfy ``a^2 + b^2 = 2 b`` and ``(b-1)^2 = (1-a)(1+a)``; both
-    identities are verified at construction.
+    identities are verified at construction, and ``residual`` is the larger
+    of the two defects.
     """
 
     a: np.ndarray
     b: np.ndarray
+    residual: float
 
 
-def diff_sum(p, q, check_atol: float = 1e-11) -> DiffSum:
+def diff_sum(p, q) -> DiffSum:
     p = make_projection(p)
     q = make_projection(q)
     n = _require_same_dim(p, q)
@@ -286,8 +285,7 @@ def diff_sum(p, q, check_atol: float = 1e-11) -> DiffSum:
     eye = np.eye(n)
     r1 = op_norm(a @ a + b @ b - 2 * b)
     r2 = op_norm((b - eye) @ (b - eye) - (eye - a) @ (eye + a))
-    if r1 > check_atol or r2 > check_atol:
-        raise ValueError(
-            f"pair identities violated: residuals {r1:.3e}, {r2:.3e} > {check_atol:.1e}"
-        )
-    return DiffSum(a=a, b=b)
+    residual = max(r1, r2)
+    if residual > 1e-11:
+        raise ValueError(f"pair identities violated: residuals {r1:.3e}, {r2:.3e} > 1e-11")
+    return DiffSum(a=a, b=b, residual=residual)

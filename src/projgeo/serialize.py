@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockmodel import BlockOperator, DiagonalSequence
 from .numkernel import as_cmatrix
 
 
@@ -51,30 +50,6 @@ def write_pair(path, p, q) -> None:
 
 def read_pair(path) -> tuple[np.ndarray, np.ndarray]:
     return pair_from_json(json.loads(Path(path).read_text()))
-
-
-def block_operator_to_json(a: BlockOperator) -> dict:
-    return {
-        "block_dim": a.block_dim,
-        "exceptional": [matrix_to_json(b) for b in a.exceptional],
-        "tail": matrix_to_json(a.tail),
-    }
-
-
-def block_operator_from_json(obj: dict) -> BlockOperator:
-    return BlockOperator(
-        int(obj["block_dim"]),
-        tuple(matrix_from_json(b) for b in obj["exceptional"]),
-        matrix_from_json(obj["tail"]),
-    )
-
-
-def diagonal_sequence_to_json(d: DiagonalSequence) -> dict:
-    return {"prefix": list(d.prefix), "tail_cycle": list(d.tail_cycle)}
-
-
-def diagonal_sequence_from_json(obj: dict) -> DiagonalSequence:
-    return DiagonalSequence(tuple(obj["prefix"]), tuple(obj["tail_cycle"]))
 
 
 def _format_scalar(x) -> str:

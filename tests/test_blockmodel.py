@@ -24,11 +24,16 @@ from projgeo.errors import (
     NoGeodesic,
     NormTooLarge,
     NoSpectralGap,
+    NotAProjection,
     NotCodiagonal,
-    NotProjection,
-    NotSelfadjoint,
+    NotHermitian,
 )
-from projgeo.geodesics import GeodesicSegment, evaluate, minimal_exponent
+from projgeo.geodesics import (
+    GeodesicSegment,
+    evaluate,
+    minimal_exponent,
+    unique_minimal_check,
+)
 from projgeo.numkernel import op_norm
 from projgeo.projections import index_pair, pair_with_dims, random_projection
 from projgeo.suites import classify_by_truncation, random_projection_blocks
@@ -160,12 +165,12 @@ class TestLiftProjection:
             (np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),),
             np.diag([1.0, 0.0]).astype(complex),
         )
-        with pytest.raises(NotSelfadjoint):
+        with pytest.raises(NotHermitian):
             lift_projection(t)
 
     def test_rejects_non_projection_tail(self):
         t = BlockOperator(2, (), np.diag([0.7, 0.0]).astype(complex))
-        with pytest.raises(NotProjection):
+        with pytest.raises(NotAProjection):
             lift_projection(t)
 
     def test_quotient_commutes(self):
@@ -319,7 +324,7 @@ class TestLiftGeodesic:
         p = np.diag([1.0, 0.0]).astype(complex)
         other = np.diag([0.0, 1.0]).astype(complex)
         z = np.zeros((2, 2), complex)
-        with pytest.raises(NotProjection):
+        with pytest.raises(NotAProjection):
             lift_geodesic(p, z, BlockOperator(2, (), other))
 
 
@@ -344,7 +349,7 @@ class TestExistenceDichotomy:
         assert result.witnesses is None
 
     def test_rejects_non_projection(self):
-        with pytest.raises(NotProjection):
+        with pytest.raises(NotAProjection):
             existence_dichotomy(np.diag([0.5, 0.0]), np.diag([1.0, 0.0]))
 
     def test_surgery_balances_witnesses(self):
@@ -410,6 +415,22 @@ class TestQuotientGeodesic:
         b1 = p + q - np.eye(p.shape[0])
         assert float(np.linalg.svd(b1, compute_uv=False)[-1]) >= 0.1
         assert quotient_geodesic(p, q).unique
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            pair_with_dims(1, 1, 0, 0, 2, [0.7], seed=3),
+            pair_with_dims(1, 1, 0, 0, 2, [np.pi / 2 - 1e-6], seed=3),
+            (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+        ],
+        ids=["angle-0.7", "near-half-pi", "crossed"],
+    )
+    def test_uniqueness_agrees_with_index(self, pair):
+        # near pi/2 the index is not pinned: only the agreement is
+        p, q = pair
+        result = quotient_geodesic(p, q)
+        finite = result.case is DichotomyCase.FINITE_FINITE
+        assert result.unique == unique_minimal_check(p, q).unique == finite
 
     def test_balanced_crossed_quotient(self):
         p = np.diag([1.0, 0.0]).astype(complex)

@@ -4,14 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from projgeo.blockmodel import BlockOperator, DiagonalSequence
 from projgeo.cli import main
 from projgeo.geodesics import evaluate, minimal_exponent
 from projgeo.serialize import (
-    block_operator_from_json,
-    block_operator_to_json,
-    diagonal_sequence_from_json,
-    diagonal_sequence_to_json,
     dumps_canonical,
     matrix_from_json,
     matrix_to_json,
@@ -30,21 +25,6 @@ class TestSerialize:
     def test_matrix_schema(self):
         obj = matrix_to_json(np.array([[1.0 + 2.0j]]))
         assert obj == {"rows": 1, "cols": 1, "data": [[1.0, 2.0]]}
-
-    def test_block_operator_round_trip(self):
-        a = BlockOperator(
-            2,
-            (np.diag([5.0, 0.0]).astype(complex),),
-            np.diag([1.0, 0.0]).astype(complex),
-        )
-        back = block_operator_from_json(block_operator_to_json(a))
-        assert back.block_dim == 2
-        assert np.array_equal(back.tail, a.tail)
-        assert np.array_equal(back.exceptional[0], a.exceptional[0])
-
-    def test_diagonal_sequence_round_trip(self):
-        d = DiagonalSequence((1.5, -2.0), (0.25,))
-        assert diagonal_sequence_from_json(diagonal_sequence_to_json(d)) == d
 
     def test_dumps_is_valid_json(self):
         payload = {"a": 1, "b": [1.5, True, None, "x"], "c": {"d": np.pi}}
@@ -173,6 +153,17 @@ class TestGeodesicCommand:
         assert len(lines) == 12  # header + 11 samples
         assert lines[0].split(",")[0] == "t"
         assert len(lines[0].split(",")) == 1 + 2 * 4
+
+    @pytest.mark.parametrize("samples", [0, 1, -2])
+    def test_too_few_samples_is_usage_error(self, tmp_path, capsys, samples):
+        pair = self.make_pair(tmp_path, "0,0,0,0,2", "0.9")
+        csv_path = tmp_path / "samples.csv"
+        capsys.readouterr()
+        rc = main(["geodesic", "--in", str(pair), "--samples", str(samples),
+                   "--csv", str(csv_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not csv_path.exists()
 
     def test_csv_equals_per_point_reference(self, tmp_path, capsys):
         # n = 32: a sampling chunk holds 64 points, so 131 points span four

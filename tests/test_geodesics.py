@@ -131,7 +131,6 @@ class TestMinimalExponent:
             assert op_norm(z + z.conj().T) <= 1e-10
             assert codiagonal_residual(p, z) <= 1e-9
             assert op_norm(z) <= np.pi / 2 + 1e-12
-            assert seg.normalized
             assert op_norm(evaluate(seg, 1.0) - q) <= 1e-9
 
     @pytest.mark.parametrize("within_half_pi,near_minus_one", [(False, False), (True, True)])

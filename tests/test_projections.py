@@ -199,11 +199,11 @@ class TestDiffSum:
             q = random_projection(n, int(rng.integers(0, n + 1)), rng)
             ds = diff_sum(p, q)
             eye = np.eye(n)
-            assert op_norm(ds.a @ ds.a + ds.b @ ds.b - 2 * ds.b) <= 1e-11
-            assert (
-                op_norm((ds.b - eye) @ (ds.b - eye) - (eye - ds.a) @ (eye + ds.a))
-                <= 1e-11
-            )
+            r1 = op_norm(ds.a @ ds.a + ds.b @ ds.b - 2 * ds.b)
+            r2 = op_norm((ds.b - eye) @ (ds.b - eye) - (eye - ds.a) @ (eye + ds.a))
+            assert r1 <= 1e-11
+            assert r2 <= 1e-11
+            assert ds.residual == max(r1, r2)
 
 
 def test_distance_bounded_by_one():
