@@ -38,7 +38,7 @@ from .numkernel import (
     as_cmatrix,
     default_tolerance,
     herm_eig,
-    nullity,
+    nullspace,
     op_norm,
 )
 from .projections import IndexPair, halmos_decompose, index_pair, make_projection
@@ -485,12 +485,9 @@ def truncated_index_pairs(
         tp = lift_p.truncate(n_blocks)
         tq = lift_q.truncate(n_blocks)
         eye = np.eye(tp.shape[0])
-        out.append(
-            IndexPair(
-                d_plus=nullity(tp - tq - eye, tol, scale=1.0),
-                d_minus=nullity(tp - tq + eye, tol, scale=1.0),
-            )
-        )
+        ops = np.array([tp - tq - eye, tp - tq + eye])
+        plus, minus = nullspace(ops, tol, scale=1.0)
+        out.append(IndexPair(d_plus=plus.shape[1], d_minus=minus.shape[1]))
     return out
 
 

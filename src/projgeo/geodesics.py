@@ -45,10 +45,11 @@ from .numkernel import (
 from .projections import (
     FiveSpace,
     _decompose,
+    _decompose_all,
+    _random_projections,
     halmos_decompose,
     index_pair,
     make_projection,
-    random_projection,
     random_unitary,
 )
 
@@ -58,8 +59,9 @@ from .projections import (
 # evaluate a grid in chunks instead of one call per point.
 Curve = Callable[[float], np.ndarray]
 
-# size of one stack of sampled points: bounds the memory a grid costs at
-# large n while keeping the per-call overhead low at small n
+# size of one stack of sampled points or of competitor midpoints: bounds
+# the memory a grid or a competitor batch costs at large n while keeping
+# the per-call overhead low at small n
 _CHUNK_BYTES = 1 << 20
 
 
@@ -101,16 +103,14 @@ def exists_geodesic(p, q, tol: Tolerance | None = None) -> bool:
     return ip.d_plus == ip.d_minus
 
 
-def _generic_exponent(fs: FiveSpace, tol: Tolerance) -> np.ndarray:
-    """Exponent of the generic-part pair, in the h0 basis."""
-    m = fs.p0.shape[0]
-    if m == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    eye = np.eye(m)
-    v0 = polar_unitary(_hermitize(fs.p0 + fs.q0 - eye), tol)
-    log = logm_unitary_principal(v0 @ (2 * fs.p0 - eye), tol)
+def _generic_exponent(p0: np.ndarray, q0: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Exponents of a ``(g, m, m)`` stack of generic-part pairs ``(p0, q0)``,
+    in their h0 bases, with ``m > 0``."""
+    eye = np.eye(p0.shape[-1])
+    v0 = polar_unitary(_hermitize(p0 + q0 - eye), tol)
+    log = logm_unitary_principal(v0 @ (2 * p0 - eye), tol)
     # in generic position the phases stay strictly inside (-pi/2, pi/2)
-    if not log.within_half_pi or log.near_minus_one:
+    if not np.all(log.within_half_pi) or np.any(log.near_minus_one):
         raise LogAtMinusOne(
             "generic-part phases leave (-pi/2, pi/2): the compressed pair "
             "is not in generic position"
@@ -118,22 +118,33 @@ def _generic_exponent(fs: FiveSpace, tol: Tolerance) -> np.ndarray:
     return log.skew
 
 
-def _assemble_exponent(
-    fs: FiveSpace,
+def _assemble_exponents(
+    splits: list[FiveSpace],
     pairing: np.ndarray | None,
     tol: Tolerance,
 ) -> np.ndarray:
-    n = fs.m11.shape[0]
-    k = fs.m10.shape[1]
-    z = np.zeros((n, n), dtype=np.complex128)
-    if k:
-        if pairing is None:
-            pairing = np.eye(k, dtype=np.complex128)
-        v = fs.m10 @ pairing @ fs.m01.conj().T
-        z += 1j * (np.pi / 2) * (v + v.conj().T)
-    if fs.h0.shape[1]:
-        z0 = _generic_exponent(fs, tol)
-        z += fs.h0 @ z0 @ fs.h0.conj().T
+    """The ``(k, n, n)`` stack of the exponents of k five-space splits of
+    pairs of n x n projections.  Splits with equal dimensions share one
+    stacked polar factor and one stacked logarithm."""
+    n = splits[0].m11.shape[0]
+    z = np.zeros((len(splits), n, n), dtype=np.complex128)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, fs in enumerate(splits):
+        groups.setdefault(fs.dims, []).append(i)
+    for (_, _, k, _, m), idx in groups.items():
+        if k:
+            twist = np.eye(k, dtype=np.complex128) if pairing is None else pairing
+            for i in idx:
+                v = splits[i].m10 @ twist @ splits[i].m01.conj().T
+                z[i] += 1j * (np.pi / 2) * (v + v.conj().T)
+        if m:
+            h0 = np.array([splits[i].h0 for i in idx])
+            z0 = _generic_exponent(
+                np.array([splits[i].p0 for i in idx]),
+                np.array([splits[i].q0 for i in idx]),
+                tol,
+            )
+            z[idx] += h0 @ z0 @ _adjoint(h0)
     return _skewize(z)
 
 
@@ -186,7 +197,7 @@ def _segment(
             raise BadUnitarySize(
                 f"pairing must be {d10}x{d10}, got {pairing.shape}"
             )
-    z = _assemble_exponent(fs, pairing, tol)
+    z = _assemble_exponents([fs], pairing, tol)[0]
     return GeodesicSegment(base=p, exponent=z)
 
 
@@ -207,9 +218,16 @@ def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
     """
     w, u = _segment_eig(seg)
     t = np.asarray(t, dtype=float)
-    rot = (u * np.exp(1j * t[..., None] * w)[..., None, :]) @ u.conj().T
-    x = rot @ seg.base @ _adjoint(rot)
-    return _hermitize(x)
+    # the products of the formula, in order, in three stack-size buffers
+    scaled = u * np.exp(1j * t[..., None] * w)[..., None, :]
+    rot = scaled @ u.conj().T
+    rot_p = np.matmul(rot, seg.base, out=scaled)
+    rot_h = np.swapaxes(np.conjugate(rot, out=rot), -1, -2)
+    x = rot_p @ rot_h
+    x_h = np.swapaxes(np.conjugate(x, out=rot), -1, -2)
+    np.add(x, x_h, out=x)
+    x /= 2
+    return x
 
 
 def velocity(seg: GeodesicSegment, t: float) -> TangentVector:
@@ -279,14 +297,20 @@ def curve_length(gamma: Curve, grid: int) -> float:
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
     total = 0.0
-    prev = None
+    last = None
     for _, points in sample_curve(gamma, np.linspace(0.0, 1.0, grid + 1)):
-        if prev is not None:
-            chords = np.diff(np.concatenate((prev[-1:], points)), axis=0)
+        if last is not None:
+            # each chord is the point minus the one before it
+            chords = np.empty_like(points)
+            np.subtract(points[:1], last, out=chords[:1])
+            np.subtract(points[1:], points[:-1], out=chords[1:])
             norms = np.linalg.svd(chords, compute_uv=False).max(axis=-1, initial=0.0)
             for norm in norms.tolist():
                 total += norm
-        prev = points
+            del chords
+        last = points[-1:].copy()
+        # only the last point is kept while the next chunk is evaluated
+        del points
     return total
 
 
@@ -295,27 +319,39 @@ def _balanced(fs: FiveSpace) -> bool:
     return d10 == d01
 
 
-def _joinable_midpoint(
+def _joinable_midpoints(
     p: np.ndarray,
     q: np.ndarray,
     rank: int,
-    seed,
+    seeds: list,
     tol: Tolerance,
     attempts: int = 64,
-) -> tuple[FiveSpace, FiveSpace]:
-    """Five-space splits of ``(P, R)`` and ``(R, Q)`` for the first random
-    ``R`` that both pairs join by a geodesic."""
+) -> list[tuple[FiveSpace, FiveSpace]]:
+    """Five-space splits of ``(P, R)`` and ``(R, Q)`` per seed, for the
+    first random ``R`` that both pairs join by a geodesic.
+
+    The midpoints of ``seed`` are drawn from ``(seed, 0)``, ``(seed, 1)``,
+    ...; at each attempt the seeds still without one share one stack of
+    draws and one stacked decomposition per leg.
+    """
     n = p.shape[0]
+    found: list[tuple[FiveSpace, FiveSpace] | None] = [None] * len(seeds)
+    pending = list(range(len(seeds)))
     for attempt in range(attempts):
-        r = random_projection(n, rank, (seed, attempt))
-        fs_pr = _decompose(p, r, tol)
-        if _balanced(fs_pr):
-            fs_rq = _decompose(r, q, tol)
+        if not pending:
+            break
+        rs = _random_projections(n, rank, [(seeds[i], attempt) for i in pending])
+        fs_pr = _decompose_all(p, rs, tol)
+        ok = [j for j, fs in enumerate(fs_pr) if _balanced(fs)]
+        for j, fs_rq in zip(ok, _decompose_all(rs[ok], q, tol)):
             if _balanced(fs_rq):
-                return fs_pr, fs_rq
-    raise NoGeodesic(
-        f"no joinable midpoint of rank {rank} found in {attempts} attempts"
-    )
+                found[pending[j]] = (fs_pr[j], fs_rq)
+        pending = [i for i in pending if found[i] is None]
+    if pending:
+        raise NoGeodesic(
+            f"no joinable midpoint of rank {rank} found in {attempts} attempts"
+        )
+    return found
 
 
 def minimality_competitors(
@@ -328,6 +364,10 @@ def minimality_competitors(
     """Lengths of two-leg piecewise geodesics ``P -> R -> Q`` through random
     midpoints ``R``; each length is the sum of the two leg norms and never
     beats the direct segment.
+
+    The competitors are built as stacks of about 1 MB: each stack draws its
+    midpoints, splits and assembles its legs, and takes the leg norms from
+    one singular-value call.
     """
     tol = tol or default_tolerance()
     p = make_projection(p)
@@ -336,12 +376,14 @@ def minimality_competitors(
     if ip.d_plus != ip.d_minus:
         raise NoGeodesic(f"index pair {tuple(ip)} is unbalanced")
     rank = int(round(np.trace(p).real))
+    step = max(1, _CHUNK_BYTES // (p.itemsize * max(p.size, 1)))
     lengths = []
-    for i in range(trials):
-        fs_pr, fs_rq = _joinable_midpoint(p, q, rank, seed + i, tol)
-        leg1 = _assemble_exponent(fs_pr, None, tol)
-        leg2 = _assemble_exponent(fs_rq, None, tol)
-        lengths.append(op_norm(leg1) + op_norm(leg2))
+    for start in range(0, trials, step):
+        seeds = [seed + i for i in range(start, min(start + step, trials))]
+        splits = _joinable_midpoints(p, q, rank, seeds, tol)
+        legs = _assemble_exponents([fs for pair in splits for fs in pair], None, tol)
+        norms = op_norm(legs).reshape(-1, 2)
+        lengths.extend((norms[:, 0] + norms[:, 1]).tolist())
     return lengths
 
 
@@ -391,7 +433,7 @@ def _uniqueness(
         )
     twist = 1j * np.eye(k, dtype=np.complex128)  # exp(i pi/2) rotation of the pairing
     # the canonical segment has the identity pairing
-    z1, z2 = seg.exponent, _assemble_exponent(fs, twist, tol)
+    z1, z2 = seg.exponent, _assemble_exponents([fs], twist, tol)[0]
     return UniquenessReport(
         unique=False,
         witness=(z1, z2),
@@ -425,7 +467,7 @@ def multi_geodesic_family(
             raise BadUnitarySize(f"pairing twist must be {d10}x{d10}, got {u.shape}")
         if op_norm(u.conj().T @ u - np.eye(d10)) > tol.recon_rtol:
             raise ValueError("pairing twist is not unitary")
-        z = _assemble_exponent(fs, u, tol)
+        z = _assemble_exponents([fs], u, tol)[0]
         segments.append(GeodesicSegment(base=p, exponent=z))
     return segments
 

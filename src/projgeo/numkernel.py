@@ -6,10 +6,15 @@ bits are reproducible on a given platform.  Spectral routines sit on top
 of LAPACK's Hermitian eigensolver; the principal logarithm of a unitary
 uses a complex Schur factorization, which is a spectral decomposition
 whenever the input is normal.
+
+The spectral kernels, ``op_norm`` and ``nullspace`` also take a stack
+``(..., n, n)`` of matrices and factor it with one LAPACK call; each matrix
+of the stack gets the same bits as a call on that matrix alone.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,20 +57,31 @@ def default_tolerance() -> Tolerance:
     return Tolerance(rank_rtol=float(raw))
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array with finite entries."""
+def _as_complex(a, stack: bool) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.ndim < 2 or (m.ndim > 2 and not stack):
+        wanted = "a matrix or a stack of matrices" if stack else "a 2-d array"
+        raise ValueError(f"expected {wanted}, got shape {m.shape}")
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
 
+def as_cmatrix(a) -> np.ndarray:
+    """Coerce to a 2-d complex128 array with finite entries."""
+    return _as_complex(a, False)
+
+
+def as_cstack(a) -> np.ndarray:
+    """Coerce a matrix, or a stack ``(..., m, n)`` of matrices, to
+    complex128 with finite entries."""
+    return _as_complex(a, True)
+
+
 def require_square(m: np.ndarray) -> int:
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m.shape[0]
+    return m.shape[-1]
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -81,12 +97,18 @@ def _skewize(m: np.ndarray) -> np.ndarray:
     return (m - _adjoint(m)) / 2
 
 
-def op_norm(a) -> float:
-    """Operator (spectral) norm: the largest singular value."""
-    m = as_cmatrix(a)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+def op_norm(a):
+    """Operator (spectral) norm: the largest singular value.
+
+    For a stack ``(..., m, n)`` of matrices, the array of the norms of each
+    matrix, from one singular-value call.
+    """
+    m = as_cstack(a)
+    if m.shape[-1] == 0 or m.shape[-2] == 0:
+        norms = np.zeros(m.shape[:-2])
+    else:
+        norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(norms) if m.ndim == 2 else norms
 
 
 class HermEig(NamedTuple):
@@ -94,24 +116,34 @@ class HermEig(NamedTuple):
     eigenvectors: np.ndarray  # unitary, columns match eigenvalues
 
 
+def _first(flags: np.ndarray) -> int | None:
+    """Flat index of the first True entry of an array of flags."""
+    if not flags.any():
+        return None
+    return int(np.flatnonzero(flags)[0])
+
+
 def _check_hermitian(m: np.ndarray, tol: Tolerance) -> None:
-    # bitwise-symmetric inputs (the common case) skip the two SVDs
-    if np.array_equal(m, m.conj().T):
+    # bitwise-symmetric input (the common case) skips the norms
+    if np.array_equal(m, _adjoint(m)):
         return
-    norm = op_norm(m)
-    if op_norm(m - m.conj().T) > tol.recon_rtol * max(norm, 1e-300):
+    norms, defects = op_norm(np.array([m, m - _adjoint(m)]))
+    i = _first(defects > tol.recon_rtol * np.maximum(norms, 1e-300))
+    if i is not None:
         raise NotHermitian(
-            f"asymmetry {op_norm(m - m.conj().T):.3e} exceeds "
-            f"{tol.recon_rtol:.1e} * norm {norm:.3e}"
+            f"asymmetry {np.ravel(defects)[i]:.3e} exceeds "
+            f"{tol.recon_rtol:.1e} * norm {np.ravel(norms)[i]:.3e}"
         )
 
 
 def herm_eig(a, tol: Tolerance | None = None) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack.
 
     Parameters
     ----------
-    a : (n, n) array_like, Hermitian within ``tol.recon_rtol`` relative error.
+    a : (n, n) or (..., n, n) array_like, Hermitian within
+        ``tol.recon_rtol`` relative error.
     tol : Tolerance, optional
 
     Returns
@@ -123,12 +155,13 @@ def herm_eig(a, tol: Tolerance | None = None) -> HermEig:
     Raises
     ------
     NotHermitian
-        If the input fails the symmetry precondition.
+        If the input (the first offending matrix of a stack) fails the
+        symmetry precondition.
     NoConvergence
         If the underlying iteration fails to converge.
     """
     tol = tol or default_tolerance()
-    m = as_cmatrix(a)
+    m = as_cstack(a)
     require_square(m)
     _check_hermitian(m, tol)
     try:
@@ -138,8 +171,10 @@ def herm_eig(a, tol: Tolerance | None = None) -> HermEig:
     return HermEig(w, u)
 
 
-def nullspace(a, tol: Tolerance | None = None, *, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical nullspace of ``a``.
+def nullspace(a, tol: Tolerance | None = None, *, scale: float | None = None):
+    """Orthonormal basis (columns) of the numerical nullspace of ``a``; for
+    a stack ``(..., m, n)`` of matrices, the list of the bases of each
+    matrix, in order, from one SVD.
 
     A direction ``v`` belongs to the nullspace when ``|a v| <= rank_rtol *
     s * |v|``, where the reference ``s`` defaults to ``|a|`` itself.  The
@@ -152,26 +187,25 @@ def nullspace(a, tol: Tolerance | None = None, *, scale: float | None = None) ->
     to roundoff.
     """
     tol = tol or default_tolerance()
-    m = as_cmatrix(a)
-    cols = m.shape[1]
+    m = as_cstack(a)
+    cols = m.shape[-1]
+    stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
     if m.size == 0:
-        return np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    reference = float(s[0]) if scale is None else float(scale)
-    if reference == 0.0:
-        return np.eye(cols, dtype=np.complex128)
-    rank = int(np.sum(s > tol.rank_rtol * reference))
-    return vh[rank:].conj().T
-
-
-def nullity(a, tol: Tolerance | None = None, *, scale: float | None = None) -> int:
-    """Dimension of the numerical nullspace."""
-    return nullspace(a, tol, scale=scale).shape[1]
+        bases = [np.eye(cols, dtype=np.complex128)] * len(stack)
+    else:
+        _, s, vh = np.linalg.svd(stack, full_matrices=True)
+        reference = s[:, 0] if scale is None else np.full(len(stack), float(scale))
+        ranks = (s > tol.rank_rtol * reference[:, None]).sum(axis=-1)
+        bases = [
+            np.eye(cols, dtype=np.complex128) if ref == 0.0 else v[rank:].conj().T
+            for v, rank, ref in zip(vh, ranks.tolist(), reference.tolist())
+        ]
+    return bases[0] if m.ndim == 2 else bases
 
 
 def polar_unitary(a, tol: Tolerance | None = None) -> np.ndarray:
     """Unitary factor of the polar decomposition of an invertible Hermitian
-    matrix.
+    matrix, or of each matrix of a stack.
 
     For Hermitian ``a`` with trivial nullspace the factor is the spectral
     sign function: a symmetry ``V = V* = V^{-1}`` with ``a = V |a|``.
@@ -179,15 +213,17 @@ def polar_unitary(a, tol: Tolerance | None = None) -> np.ndarray:
     Raises
     ------
     SingularInput
-        If ``a`` has a numerical nullspace.
+        If ``a`` (any matrix of a stack) has a numerical nullspace.
     """
     tol = tol or default_tolerance()
     w, u = herm_eig(a, tol)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale == 0.0 or float(np.min(np.abs(w))) <= tol.rank_rtol * scale:
+    absw = np.abs(w)
+    scale = absw.max(axis=-1, initial=0.0)
+    smallest = absw.min(axis=-1, initial=np.inf)
+    if ((scale == 0.0) | (smallest <= tol.rank_rtol * scale)).any():
         raise SingularInput("polar factor undefined: input has a nullspace")
     signs = np.where(w >= 0.0, 1.0, -1.0)
-    return _hermitize((u * signs) @ u.conj().T)
+    return _hermitize((u * signs[..., None, :]) @ _adjoint(u))
 
 
 def _check_skew(m: np.ndarray, tol: Tolerance) -> None:
@@ -229,16 +265,18 @@ def logm_unitary_principal(
     *,
     require_interior: bool = False,
 ) -> PrincipalLog:
-    """Principal skew-Hermitian logarithm of a unitary matrix.
+    """Principal skew-Hermitian logarithm of a unitary matrix, or of each
+    matrix of a stack.
 
     Eigenvalue phases are taken with a two-argument arctangent, so they lie
     in ``(-pi, pi]`` with the branch closed at ``+pi``: a phase of exactly
     ``-pi`` is mapped to ``+pi``.  The result reports whether all phases fit
-    inside ``[-pi/2, pi/2]`` and whether the spectrum touches ``-1``.
+    inside ``[-pi/2, pi/2]`` and whether the spectrum touches ``-1``; for a
+    stack ``(..., n, n)`` both flags are boolean arrays of shape ``...``.
 
     Parameters
     ----------
-    w : (n, n) array_like, unitary within ``tol.recon_rtol``.
+    w : (n, n) or (..., n, n) array_like, unitary within ``tol.recon_rtol``.
     require_interior : bool
         When True, raise ``LogAtMinusOne`` if an eigenvalue sits within
         ``tol.rank_rtol`` of ``-1`` instead of silently using the closed
@@ -249,19 +287,27 @@ def logm_unitary_principal(
     NotUnitary, LogAtMinusOne
     """
     tol = tol or default_tolerance()
-    m = as_cmatrix(w)
+    m = as_cstack(w)
     n = require_square(m)
-    if op_norm(m.conj().T @ m - np.eye(n)) > tol.recon_rtol:
+    if np.any(op_norm(_adjoint(m) @ m - np.eye(n)) > tol.recon_rtol):
         raise NotUnitary("input is not unitary within recon_rtol")
     # complex Schur of a normal matrix is a spectral decomposition with an
-    # exactly unitary vector matrix
-    t, u = scipy.linalg.schur(m, output="complex")
-    lam = np.diagonal(t)
+    # exactly unitary vector matrix; SciPy factors a stack one matrix at a
+    # time, so the loop is explicit
+    factors = [
+        scipy.linalg.schur(x, output="complex")
+        for x in m.reshape((math.prod(m.shape[:-2]), n, n))
+    ]
+    t = np.array([f[0] for f in factors]).reshape(m.shape)
+    u = np.array([f[1] for f in factors]).reshape(m.shape)
+    lam = np.diagonal(t, axis1=-2, axis2=-1)
     phases = np.arctan2(lam.imag, lam.real)
     phases = np.where(phases == -np.pi, np.pi, phases)
-    near = bool(np.any(np.abs(lam + 1.0) <= tol.rank_rtol)) if n else False
-    if require_interior and near:
+    near = (np.abs(lam + 1.0) <= tol.rank_rtol).any(axis=-1)
+    if require_interior and near.any():
         raise LogAtMinusOne("spectrum touches -1; no interior logarithm")
-    z = _skewize((u * (1j * phases)) @ u.conj().T)
-    within = bool(np.all(np.abs(phases) <= np.pi / 2 + 1e-12)) if n else True
+    z = _skewize((u * (1j * phases)[..., None, :]) @ _adjoint(u))
+    within = (np.abs(phases) <= np.pi / 2 + 1e-12).all(axis=-1)
+    if m.ndim == 2:
+        return PrincipalLog(z, bool(within), bool(near))
     return PrincipalLog(z, within, near)

@@ -18,7 +18,15 @@ from projgeo.geodesics import (
     unique_minimal_check,
     velocity,
 )
-from projgeo.numkernel import PrincipalLog, herm_eig, op_norm
+from projgeo.numkernel import (
+    PrincipalLog,
+    default_tolerance,
+    herm_eig,
+    logm_unitary_principal,
+    nullspace,
+    op_norm,
+    polar_unitary,
+)
 from projgeo.projections import (
     index_pair,
     make_projection,
@@ -307,6 +315,174 @@ class TestMinimality:
         q = np.diag([1.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(NoGeodesic):
             minimality_competitors(p, q, 3, seed=0)
+
+
+def reference_split(p, q, tol):
+    """Five-space split of one pair, one matrix per call: the nullspaces of
+    P - Q -+ 1, P + Q - 2 and P + Q, their complement, the eigh ordering
+    and the two compression checks."""
+    n = p.shape[0]
+    eye = np.eye(n)
+    diff = (p - q + (p - q).conj().T) / 2
+    summ = (p + q + (p + q).conj().T) / 2
+    m10 = nullspace(diff - eye, tol, scale=1.0)
+    m01 = nullspace(diff + eye, tol, scale=1.0)
+    m11 = nullspace(summ - 2 * eye, tol, scale=1.0)
+    m00 = nullspace(summ, tol, scale=1.0)
+    cols = np.hstack([m11, m00, m10, m01])
+    k = cols.shape[1]
+    if k == 0:
+        h0 = np.eye(n, dtype=complex)
+    elif k >= n:
+        h0 = np.zeros((n, 0), dtype=complex)
+    else:
+        h0 = np.linalg.svd(cols, full_matrices=True)[0][:, k:]
+    p0 = q0 = None
+    if h0.shape[1]:
+        comp = h0.conj().T @ diff @ h0
+        _, vecs = np.linalg.eigh((comp + comp.conj().T) / 2)
+        h0 = h0 @ vecs
+        p0 = h0.conj().T @ p @ h0
+        q0 = h0.conj().T @ q @ h0
+        p0 = make_projection((p0 + p0.conj().T) / 2)
+        q0 = make_projection((q0 + q0.conj().T) / 2)
+    return m10, m01, h0, p0, q0
+
+
+def reference_leg(split, tol):
+    """Exponent of one split, one matrix per call."""
+    m10, m01, h0, p0, q0 = split
+    n = h0.shape[0]
+    z = np.zeros((n, n), dtype=complex)
+    k = m10.shape[1]
+    if k:
+        v = m10 @ np.eye(k, dtype=complex) @ m01.conj().T
+        z += 1j * (np.pi / 2) * (v + v.conj().T)
+    if h0.shape[1]:
+        eye = np.eye(h0.shape[1])
+        b = p0 + q0 - eye
+        v0 = polar_unitary((b + b.conj().T) / 2, tol)
+        z0 = logm_unitary_principal(v0 @ (2 * p0 - eye), tol).skew
+        z += h0 @ z0 @ h0.conj().T
+    return (z - z.conj().T) / 2
+
+
+def reference_competitors(p, q, trials, seed, replace=()):
+    """Competitor lengths one midpoint, one split and one leg at a time;
+    ``replace`` maps a draw ``(seed + i, attempt)`` to the midpoint used
+    in its place."""
+    tol = default_tolerance()
+    replace = dict(replace)
+    n = p.shape[0]
+    rank = int(round(np.trace(p).real))
+    lengths = []
+    for i in range(trials):
+        for attempt in range(64):
+            r = replace.get((seed + i, attempt))
+            if r is None:
+                r = random_projection(n, rank, (seed + i, attempt))
+            leg1 = reference_split(p, r, tol)
+            if leg1[0].shape[1] == leg1[1].shape[1]:
+                leg2 = reference_split(r, q, tol)
+                if leg2[0].shape[1] == leg2[1].shape[1]:
+                    break
+        else:
+            raise NoGeodesic("no midpoint")
+        lengths.append(op_norm(reference_leg(leg1, tol)) + op_norm(reference_leg(leg2, tol)))
+    return lengths
+
+
+def replace_midpoints(monkeypatch, replace):
+    """Make the competitor draws ``(seed, attempt)`` in ``replace`` return
+    the given projection instead of a random one."""
+    real = geodesics._random_projections
+
+    def draw(n, rank, seeds):
+        rs = real(n, rank, seeds)
+        for j, s in enumerate(seeds):
+            if s in replace:
+                rs[j] = replace[s]
+        return rs
+
+    monkeypatch.setattr(geodesics, "_random_projections", draw)
+
+
+class TestStackedCompetitors:
+    """The competitors of one call are built as stacks; each length must
+    equal the one-matrix-at-a-time reference bit for bit."""
+
+    def test_suite_sampler_pairs(self):
+        crossed = set()
+        for s in range(12):
+            p, q = random_equal_index_pair(s)
+            crossed.add(index_pair(p, q).d_plus > 0)
+            got = minimality_competitors(p, q, 10, s * 1000)
+            assert got == reference_competitors(p, q, 10, s * 1000)
+        assert crossed == {False, True}
+
+    @pytest.mark.parametrize("n,full", [(4, False), (4, True), (1, True)])
+    def test_rank_zero_and_full(self, n, full):
+        p = (np.eye(n) if full else np.zeros((n, n))).astype(complex)
+        got = minimality_competitors(p, p, 5, 3)
+        assert got == reference_competitors(p, p, 5, 3) == [0.0] * 5
+
+    def test_two_dims_groups(self, monkeypatch):
+        p, q = random_equal_index_pair(2)
+        # R = P puts the member into its own group of intersection
+        # dimensions: (P, P) has no generic part
+        replace = {(40 + 3, 0): p}
+        replace_midpoints(monkeypatch, replace)
+        got = minimality_competitors(p, q, 8, 40)
+        assert got == reference_competitors(p, q, 8, 40, replace)
+        assert got[3] == op_norm(minimal_exponent(p, q).exponent)
+
+    def test_unbalanced_midpoint_retries(self, monkeypatch):
+        p, q = random_equal_index_pair(5)
+        n, rank = p.shape[0], int(round(np.trace(p).real))
+        untouched = minimality_competitors(p, q, 8, 70)
+        # a midpoint of another rank is never joinable to P, so member 5
+        # moves on to its draw (75, 1)
+        replace = {(75, 0): random_projection(n, rank + 1, 123)}
+        replace_midpoints(monkeypatch, replace)
+        got = minimality_competitors(p, q, 8, 70)
+        assert got == reference_competitors(p, q, 8, 70, replace)
+        assert got[:5] == untouched[:5] and got[6:] == untouched[6:]
+        assert got[5] != untouched[5]
+
+    def test_no_joinable_midpoint(self, monkeypatch):
+        p, q = random_equal_index_pair(5)
+        n, rank = p.shape[0], int(round(np.trace(p).real))
+        other = random_projection(n, rank + 1, 123)
+        replace_midpoints(monkeypatch, {(72, a): other for a in range(64)})
+        with pytest.raises(NoGeodesic, match="in 64 attempts"):
+            minimality_competitors(p, q, 8, 70)
+
+    def test_chunk_boundary(self):
+        # n = 64: 16 competitors fill one 1 MB stack, so 20 take two
+        rng = np.random.default_rng(8)
+        p, q = pair_with_dims(10, 10, 2, 2, 40, rng.uniform(0.2, 1.3, 20), seed=8)
+        assert minimality_competitors(p, q, 20, 5) == reference_competitors(p, q, 20, 5)
+
+    def test_call_count_independent_of_competitors(self, monkeypatch):
+        p, q = random_equal_index_pair(3)
+        counts = {}
+        for name in ("svd", "eigh", "qr"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def calls(trials):
+            counts.clear()
+            minimality_competitors(p, q, trials, 17)
+            return sum(counts.values())
+
+        few, many = calls(10), calls(100)
+        assert few > 0
+        assert many <= few + 4
 
 
 class TestUniqueness:

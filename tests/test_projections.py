@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from projgeo import suites
+from projgeo.cli import main
 from projgeo.errors import BadRank, DimMismatch, InconsistentDims, NotAProjection
 from projgeo.numkernel import op_norm
 from projgeo.projections import (
@@ -42,6 +44,24 @@ class TestMakeProjection:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotAProjection):
             make_projection(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            np.array([[0, 1e-9], [0, 0]]),  # |P - P*| too large
+            np.diag([1e-9, 0]),  # |P^2 - P| too large
+        ],
+    )
+    def test_stack_names_first_bad_member(self, defect):
+        stack = np.stack([random_projection(5, 2, s) for s in range(6)])
+        stack[3, :2, :2] += defect
+        stack[5, :2, :2] += 3 * defect  # a later, larger defect
+        with pytest.raises(NotAProjection) as scalar:
+            make_projection(stack[3])
+        with pytest.raises(NotAProjection) as stacked:
+            make_projection(stack)
+        assert str(stacked.value) == str(scalar.value)
+        assert np.array_equal(make_projection(stack[:3]), stack[:3])
 
 
 class TestRandomProjection:
@@ -205,6 +225,26 @@ class TestDiffSum:
             assert r2 <= 1e-11
             assert ds.residual == max(r1, r2)
 
+
+    def test_defective_pair_reports_residual(self):
+        # both inputs pass make_projection's 1e-10; the identities miss by
+        # about 2 * 5e-11
+        p = np.diag([1.0 + 5e-11, 0.0])
+        ds = diff_sum(p, np.zeros((2, 2)))
+        assert ds.residual == pytest.approx(1e-10, rel=1e-3)
+
+    def test_defective_pair_fails_one_trial(self, monkeypatch, capsys):
+        def defective(n, rank, seed):
+            return np.diag([1.0 + 5e-11] + [0.0] * (n - 1)).astype(complex)
+
+        monkeypatch.setattr(suites, "random_projection", defective)
+        report = suites.run_suite("identities", 2, 0)
+        assert report.failures == 2
+        assert [r["ok"] for r in report.records] == [False, False]
+        assert report.worst_residual > 1e-11
+        rc = main(["verify", "--suite", "identities", "--trials", "1", "--seed", "0"])
+        assert rc == 1
+        assert '"ok": false' in capsys.readouterr().out
 
 def test_distance_bounded_by_one():
     rng = np.random.default_rng(13)
