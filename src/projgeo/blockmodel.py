@@ -144,9 +144,7 @@ class BlockOperator:
 
     def norm(self) -> float:
         """Exact operator norm: the largest block norm."""
-        norms = [op_norm(b) for b in self.exceptional]
-        norms.append(op_norm(self.tail))
-        return max(norms)
+        return float(op_norm(np.array([*self.exceptional, self.tail])).max())
 
     def is_compact(self) -> bool:
         """Zero tail: only finitely many nonzero blocks."""
@@ -179,8 +177,8 @@ def quotient(a: BlockOperator) -> np.ndarray:
 # -- projection lifting ------------------------------------------------------
 
 
-def _threshold_block(b: np.ndarray, tol: Tolerance) -> np.ndarray:
-    w, u = herm_eig(b, tol)
+def _threshold_block(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The block with eigenpairs ``(w, u)`` pushed through the step at 1/2."""
     return _hermitize((u * (w >= 0.5).astype(float)) @ u.conj().T)
 
 
@@ -209,7 +207,7 @@ def lift_projection(t: BlockOperator, tol: Tolerance | None = None) -> BlockOper
     make_projection(t.tail)
     new_blocks = []
     for i, b in enumerate(t.exceptional):
-        w, _ = herm_eig(b, tol)
+        w, u = herm_eig(b, tol)
         bad = np.abs(w - 0.5) < SPECTRAL_GAP
         if np.any(bad):
             offending = float(w[bad][0])
@@ -217,8 +215,8 @@ def lift_projection(t: BlockOperator, tol: Tolerance | None = None) -> BlockOper
                 f"eigenvalue {offending!r} of exceptional block {i} lies "
                 f"within {SPECTRAL_GAP} of 1/2"
             )
-        new_blocks.append(_threshold_block(b, tol))
-    new_tail = _threshold_block(t.tail, tol)
+        new_blocks.append(_threshold_block(w, u))
+    new_tail = _threshold_block(*herm_eig(t.tail, tol))
     return BlockOperator(t.block_dim, tuple(new_blocks), new_tail)
 
 
@@ -499,7 +497,6 @@ class QuotientGeodesic:
     segment: GeodesicSegment
     unique: bool
     case: DichotomyCase
-    lift_commutation_error: float | None
 
 
 def quotient_geodesic(
@@ -507,7 +504,7 @@ def quotient_geodesic(
     q: np.ndarray,
     tol: Tolerance | None = None,
 ) -> QuotientGeodesic:
-    """Minimal geodesic between quotient projections, with a lift check.
+    """Minimal geodesic between quotient projections.
 
     The exponent is computed on the ``d x d`` quotient matrices.  The
     block-periodic model realizes a quotient geodesic only when the tail
@@ -533,16 +530,8 @@ def quotient_geodesic(
             f"tail index {tuple(dich.quotient_index)} is unbalanced: the "
             "crossed pairing is not block-periodic"
         )
-    segment = minimal_exponent(p, q, tol=tol)
-    unique = dich.case is DichotomyCase.FINITE_FINITE
-    commutation = None
-    if unique:
-        wp, wq = dich.witnesses
-        tail_seg = minimal_exponent(quotient(wp), quotient(wq), tol=tol)
-        commutation = op_norm(tail_seg.exponent - segment.exponent)
     return QuotientGeodesic(
-        segment=segment,
-        unique=unique,
+        segment=minimal_exponent(p, q, tol=tol),
+        unique=dich.case is DichotomyCase.FINITE_FINITE,
         case=dich.case,
-        lift_commutation_error=commutation,
     )

@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import BadIndex, BadUnitarySize, LogAtMinusOne, NoGeodesic
+from .errors import BadIndex, BadUnitarySize, LogAtMinusOne, NoGeodesic, NotUnitary
 from .numkernel import (
     HermEig,
     Tolerance,
@@ -162,7 +162,8 @@ def minimal_exponent(
     pairing : (k, k) unitary, optional
         Pairing of the crossed intersections expressed in the canonical
         five-space bases; identity when omitted.  Only relevant when the
-        index pair is ``(k, k)`` with ``k > 0``.
+        index pair is ``(k, k)`` with ``k > 0``.  Unitary within
+        ``tol.recon_rtol``.
 
     Returns
     -------
@@ -174,6 +175,8 @@ def minimal_exponent(
     ------
     NoGeodesic
         If the crossed-intersection dimensions differ.
+    BadUnitarySize, NotUnitary
+        If ``pairing`` is not a ``k x k`` unitary.
     """
     tol = tol or default_tolerance()
     fs = halmos_decompose(p, q, tol)  # validates both projections
@@ -197,6 +200,8 @@ def _segment(
             raise BadUnitarySize(
                 f"pairing must be {d10}x{d10}, got {pairing.shape}"
             )
+        if op_norm(_adjoint(pairing) @ pairing - np.eye(d10)) > tol.recon_rtol:
+            raise NotUnitary("pairing is not unitary within recon_rtol")
     z = _assemble_exponents([fs], pairing, tol)[0]
     return GeodesicSegment(base=p, exponent=z)
 
@@ -290,9 +295,9 @@ def curve_length(gamma: Curve, grid: int) -> float:
     decreases it, and for a geodesic segment it increases to ``|Z|``.
 
     The grid is evaluated in chunks of bounded memory (``sample_curve``),
-    and the chord norms of a chunk come from one stacked SVD.  The norms
-    are added from left to right, so the sum is the same bit for bit as
-    one ``op_norm`` per chord.
+    and the chord norms of a chunk come from one stacked ``op_norm``.  The
+    norms are added from left to right, so the sum is the same bit for bit
+    as one ``op_norm`` per chord.
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
@@ -304,8 +309,7 @@ def curve_length(gamma: Curve, grid: int) -> float:
             chords = np.empty_like(points)
             np.subtract(points[:1], last, out=chords[:1])
             np.subtract(points[1:], points[:-1], out=chords[1:])
-            norms = np.linalg.svd(chords, compute_uv=False).max(axis=-1, initial=0.0)
-            for norm in norms.tolist():
+            for norm in op_norm(chords).tolist():
                 total += norm
             del chords
         last = points[-1:].copy()
@@ -404,18 +408,7 @@ def unique_minimal_check(p, q, tol: Tolerance | None = None) -> UniquenessReport
     p = make_projection(p)
     q = make_projection(q)
     fs = _decompose(p, q, tol)
-    return _uniqueness(p, q, fs, _segment(p, fs, None, tol), tol)
-
-
-def _uniqueness(
-    p: np.ndarray,
-    q: np.ndarray,
-    fs: FiveSpace,
-    seg: GeodesicSegment,
-    tol: Tolerance,
-) -> UniquenessReport:
-    """``unique_minimal_check`` of a validated pair, given its five-space
-    split and its canonical segment."""
+    seg = _segment(p, fs, None, tol)
     k = fs.dims[2]
     if k == 0:
         n = p.shape[0]
@@ -460,16 +453,7 @@ def multi_geodesic_family(
     _, _, d10, d01, _ = fs.dims
     if d10 != d01 or d10 == 0:
         raise BadIndex(f"need index pair (k, k) with k >= 1, got ({d10}, {d01})")
-    segments = []
-    for u in unitaries:
-        u = as_cmatrix(u)
-        if u.shape != (d10, d10):
-            raise BadUnitarySize(f"pairing twist must be {d10}x{d10}, got {u.shape}")
-        if op_norm(u.conj().T @ u - np.eye(d10)) > tol.recon_rtol:
-            raise ValueError("pairing twist is not unitary")
-        z = _assemble_exponents([fs], u, tol)[0]
-        segments.append(GeodesicSegment(base=p, exponent=z))
-    return segments
+    return [_segment(p, fs, u, tol) for u in unitaries]
 
 
 def minimal_geodesic(
@@ -481,7 +465,9 @@ def minimal_geodesic(
     """The normalized segment from ``P`` to ``Q`` and its ``geodesic_report``.
 
     The pair is validated and decomposed once; the report's index, segment
-    and uniqueness verdict all come from that one decomposition.
+    and uniqueness verdict all come from that one decomposition.  The
+    segment is unique exactly when the index pair is ``(0, 0)`` (see
+    ``unique_minimal_check``).
 
     Raises
     ------
@@ -498,13 +484,12 @@ def minimal_geodesic(
     _, _, d10, d01, _ = fs.dims
     endpoint_error = op_norm(evaluate(seg, 1.0) - q)
     length = curve_length(segment_curve(seg), samples)
-    uniqueness = _uniqueness(p, q, fs, seg, tol)
     return seg, {
         "norm_Z": op_norm(seg.exponent),
         "index": [int(d10), int(d01)],
         "endpoint_error": float(endpoint_error),
         "length_estimate": float(length),
-        "unique": bool(uniqueness.unique),
+        "unique": d10 == 0,
     }
 
 

@@ -227,14 +227,12 @@ def polar_unitary(a, tol: Tolerance | None = None) -> np.ndarray:
 
 
 def _check_skew(m: np.ndarray, tol: Tolerance) -> None:
-    if np.array_equal(m, -m.conj().T):
+    if np.array_equal(m, -_adjoint(m)):
         return
-    norm = op_norm(m)
-    if norm == 0.0:
-        return
-    if op_norm(m + m.conj().T) > tol.recon_rtol * norm:
+    norm, defect = op_norm(np.array([m, m + _adjoint(m)])).tolist()
+    if defect > tol.recon_rtol * norm:
         raise NotSkew(
-            f"skew defect {op_norm(m + m.conj().T):.3e} exceeds "
+            f"skew defect {defect:.3e} exceeds "
             f"{tol.recon_rtol:.1e} * norm {norm:.3e}"
         )
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from projgeo import geodesics
-from projgeo.errors import BadIndex, BadUnitarySize, LogAtMinusOne, NoGeodesic
+from projgeo import geodesics, projections
+from projgeo.errors import (
+    BadIndex,
+    BadUnitarySize,
+    LogAtMinusOne,
+    NoGeodesic,
+    NotUnitary,
+)
 from projgeo.geodesics import (
     codiagonal_residual,
     curve_length,
@@ -129,6 +135,14 @@ class TestMinimalExponent:
         q = np.diag([1.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(NoGeodesic):
             minimal_exponent(p, q)
+
+    def test_non_unitary_pairing(self):
+        p = np.diag([1.0, 0.0]).astype(complex)
+        q = np.diag([0.0, 1.0]).astype(complex)
+        with pytest.raises(NotUnitary):
+            minimal_exponent(p, q, pairing=[[2.0]])
+        with pytest.raises(NotUnitary):
+            multi_geodesic_family(p, q, [np.eye(1, dtype=complex), [[2.0]]])
 
     def test_segment_certificates(self):
         rng = np.random.default_rng(0)
@@ -579,6 +593,30 @@ def test_geodesic_report_equals_public_functions(dims, index):
     assert report["endpoint_error"] == op_norm(evaluate(standalone, 1.0) - q)
     assert report["length_estimate"] == curve_length(segment_curve(standalone), 300)
     assert report["unique"] is unique_minimal_check(p, q).unique is (index == [0, 0])
+
+
+@pytest.mark.parametrize("dims,index", [((1, 1, 0, 0, 4), [0, 0]), ((1, 0, 1, 1, 4), [1, 1])])
+def test_geodesic_report_solves_once(monkeypatch, dims, index):
+    p, q = pair_with_dims(*dims, [0.4, 1.1], seed=5)
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(projections, "_decompose_all")
+    count(projections, "_random_unitaries")
+    count(geodesics, "_assemble_exponents")
+    report = geodesic_report(p, q, samples=20)
+    assert report["index"] == index
+    assert report["unique"] is (index == [0, 0])
+    # one split and one exponent: no Haar draw and no second solve
+    assert counts == {"_decompose_all": 1, "_assemble_exponents": 1}
 
 
 def test_geodesic_report_unbalanced():
