@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
+from itertools import chain, cycle, islice
+from math import isfinite, lcm
 
 import numpy as np
 
@@ -30,9 +31,11 @@ from .errors import (
     NotCodiagonal,
     NotHermitian,
 )
-from .geodesics import GeodesicSegment, codiagonal_residual, evaluate, minimal_exponent
+from .geodesics import GeodesicSegment, evaluate, minimal_exponent
 from .numkernel import (
+    HALF_PI_BOUND,
     Tolerance,
+    _adjoint,
     _hermitize,
     _skewize,
     as_cmatrix,
@@ -41,7 +44,13 @@ from .numkernel import (
     nullspace,
     op_norm,
 )
-from .projections import IndexPair, halmos_decompose, index_pair, make_projection
+from .projections import (
+    PROJECTION_ATOL,
+    IndexPair,
+    halmos_decompose,
+    index_pair,
+    make_projection,
+)
 
 # keeps exact norm evaluation bounded
 MAX_EXCEPTIONAL = 64
@@ -138,8 +147,8 @@ class BlockOperator:
     def adjoint(self) -> "BlockOperator":
         return BlockOperator(
             self.block_dim,
-            tuple(b.conj().T for b in self.exceptional),
-            self.tail.conj().T,
+            tuple(_adjoint(b) for b in self.exceptional),
+            _adjoint(self.tail),
         )
 
     def norm(self) -> float:
@@ -149,14 +158,6 @@ class BlockOperator:
     def is_compact(self) -> bool:
         """Zero tail: only finitely many nonzero blocks."""
         return not np.any(self.tail)
-
-    def truncate(self, n_blocks: int) -> np.ndarray:
-        """Dense matrix of the first ``n_blocks`` blocks."""
-        d = self.block_dim
-        out = np.zeros((n_blocks * d, n_blocks * d), dtype=np.complex128)
-        for i in range(n_blocks):
-            out[i * d:(i + 1) * d, i * d:(i + 1) * d] = self.block_at(i)
-        return out
 
 
 def block_identity(d: int) -> BlockOperator:
@@ -179,7 +180,7 @@ def quotient(a: BlockOperator) -> np.ndarray:
 
 def _threshold_block(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The block with eigenpairs ``(w, u)`` pushed through the step at 1/2."""
-    return _hermitize((u * (w >= 0.5).astype(float)) @ u.conj().T)
+    return _hermitize((u * (w >= 0.5).astype(float)) @ _adjoint(u))
 
 
 def lift_projection(t: BlockOperator, tol: Tolerance | None = None) -> BlockOperator:
@@ -202,7 +203,7 @@ def lift_projection(t: BlockOperator, tol: Tolerance | None = None) -> BlockOper
     """
     tol = tol or default_tolerance()
     for i, b in enumerate((*t.exceptional, t.tail)):
-        if not np.array_equal(b, b.conj().T):
+        if not np.array_equal(b, _adjoint(b)):
             raise NotHermitian(f"block {i} is not selfadjoint")
     make_projection(t.tail)
     new_blocks = []
@@ -235,15 +236,14 @@ class DiagonalSequence:
     tail_cycle: tuple[float, ...]
 
     def __post_init__(self):
-        prefix = tuple(float(x) for x in self.prefix)
-        cycle = tuple(float(x) for x in self.tail_cycle)
-        if not cycle:
+        prefix = tuple(map(float, self.prefix))
+        tail = tuple(map(float, self.tail_cycle))
+        if not tail:
             raise ValueError("tail_cycle must be non-empty")
-        values = prefix + cycle
-        if not all(np.isfinite(values)):
+        if not all(map(isfinite, prefix + tail)):
             raise ValueError("sequence has non-finite entries")
         object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail_cycle", cycle)
+        object.__setattr__(self, "tail_cycle", tail)
 
     def value_at(self, n: int) -> float:
         if n < len(self.prefix):
@@ -251,21 +251,19 @@ class DiagonalSequence:
         return self.tail_cycle[(n - len(self.prefix)) % len(self.tail_cycle)]
 
     def limsup_abs(self) -> float:
-        return max(abs(x) for x in self.tail_cycle)
+        return max(map(abs, self.tail_cycle))
 
     def sup_abs(self) -> float:
-        return max(self.limsup_abs(), max((abs(x) for x in self.prefix), default=0.0))
+        return max(map(abs, self.prefix + self.tail_cycle))
 
     def __add__(self, other: "DiagonalSequence") -> "DiagonalSequence":
         if not isinstance(other, DiagonalSequence):
             return NotImplemented
         head = max(len(self.prefix), len(other.prefix))
-        cyc = lcm(len(self.tail_cycle), len(other.tail_cycle))
-        prefix = tuple(self.value_at(n) + other.value_at(n) for n in range(head))
-        cycle = tuple(
-            self.value_at(head + j) + other.value_at(head + j) for j in range(cyc)
-        )
-        return DiagonalSequence(prefix, cycle)
+        n = head + lcm(len(self.tail_cycle), len(other.tail_cycle))
+        a, b = (chain(s.prefix, cycle(s.tail_cycle)) for s in (self, other))
+        sums = [x + y for x, y in islice(zip(a, b), n)]
+        return DiagonalSequence(tuple(sums[:head]), tuple(sums[head:]))
 
 
 def _clip_correction(x: float, level: float) -> float:
@@ -316,29 +314,28 @@ def lift_geodesic(
     Compression cannot increase a norm while the tail pins it from below,
     so the lifted norm equals ``|z|``.
     """
-    tol = tol or default_tolerance()
     d = lift_p.block_dim
     p = _as_block(p, d)
     z = _as_block(z, d)
     make_projection(p)
-    if op_norm(z + z.conj().T) > 1e-10:
+    pc = np.eye(d) - p
+    stack = np.array([z + _adjoint(z), p @ z @ p, pc @ z @ pc, z])
+    skew, *diagonal, z_norm = op_norm(stack).tolist()
+    if skew > PROJECTION_ATOL:
         raise NotCodiagonal("exponent is not skew")
-    if codiagonal_residual(p, z) > 1e-10:
+    if max(diagonal) > PROJECTION_ATOL:
         raise NotCodiagonal("exponent is not codiagonal with respect to p")
-    z_norm = op_norm(z)
-    if z_norm > np.pi / 2 + 1e-12:
+    if z_norm > HALF_PI_BOUND:
         raise NormTooLarge(f"|z| = {z_norm!r} exceeds pi/2")
     if not np.array_equal(lift_p.tail, p):
         raise NotAProjection("lift_p is not a lift of p: tails differ")
-    for b in lift_p.exceptional:
-        make_projection(b)
-    eye = np.eye(d)
-    blocks = []
-    for b in lift_p.exceptional:
-        corner = b @ z @ (eye - b) + (eye - b) @ z @ b
-        blocks.append(_skewize(corner))
+    blocks = ()
+    if lift_p.exceptional:
+        b = make_projection(np.array(lift_p.exceptional))
+        bc = np.eye(d) - b
+        blocks = tuple(_skewize(b @ z @ bc + bc @ z @ b))
     # the tail carries z itself, so the quotient of the lift is exact
-    return BlockOperator(d, tuple(blocks), z)
+    return BlockOperator(d, blocks, z)
 
 
 def evaluate_block_geodesic(lift_p: BlockOperator, z: BlockOperator):
@@ -348,21 +345,15 @@ def evaluate_block_geodesic(lift_p: BlockOperator, z: BlockOperator):
     Each block evolves independently; in particular the tail of the curve
     is exactly the quotient geodesic of the tails.
     """
-    if lift_p.block_dim != z.block_dim:
-        raise BlockDimMismatch("block dims differ")
-    m = max(len(lift_p.exceptional), len(z.exceptional))
+    m = lift_p._aligned(z)
     segments = [
         GeodesicSegment(base=lift_p.block_at(i), exponent=z.block_at(i))
-        for i in range(m)
+        for i in range(m + 1)
     ]
-    tail_segment = GeodesicSegment(base=lift_p.tail, exponent=z.tail)
 
     def at(t: float) -> BlockOperator:
-        return BlockOperator(
-            lift_p.block_dim,
-            tuple(evaluate(s, t) for s in segments),
-            evaluate(tail_segment, t),
-        )
+        *blocks, tail = (evaluate(s, t) for s in segments)
+        return BlockOperator(lift_p.block_dim, tuple(blocks), tail)
 
     return at
 
@@ -398,27 +389,21 @@ def lifting_surgery(
     ``(0, 0)``.
     """
     tol = tol or default_tolerance()
-    if lift_p.block_dim != lift_q.block_dim:
-        raise BlockDimMismatch("block dims differ")
-    d = lift_p.block_dim
-    m = max(len(lift_p.exceptional), len(lift_q.exceptional))
+    m = lift_p._aligned(lift_q)
     new_p, new_q = [], []
     for i in range(m):
         bp, bq = lift_p.block_at(i), lift_q.block_at(i)
         fs = halmos_decompose(bp, bq, tol)
-        if fs.m10.shape[1] == 0 and fs.m01.shape[1] == 0:
-            new_p.append(bp)
-            new_q.append(bq)
-            continue
-        aligned = fs.m11 @ fs.m11.conj().T
-        h = fs.h0
-        rp = aligned + h @ fs.p0 @ h.conj().T
-        rq = aligned + h @ fs.q0 @ h.conj().T
-        new_p.append(make_projection(_hermitize(rp)))
-        new_q.append(make_projection(_hermitize(rq)))
+        if fs.m10.shape[1] or fs.m01.shape[1]:
+            aligned = fs.m11 @ _adjoint(fs.m11)
+            h = fs.h0
+            bp = make_projection(_hermitize(aligned + h @ fs.p0 @ _adjoint(h)))
+            bq = make_projection(_hermitize(aligned + h @ fs.q0 @ _adjoint(h)))
+        new_p.append(bp)
+        new_q.append(bq)
     return (
-        BlockOperator(d, tuple(new_p), lift_p.tail),
-        BlockOperator(d, tuple(new_q), lift_q.tail),
+        BlockOperator(lift_p.block_dim, tuple(new_p), lift_p.tail),
+        BlockOperator(lift_p.block_dim, tuple(new_q), lift_q.tail),
     )
 
 
@@ -459,8 +444,8 @@ def existence_dichotomy(
         lp, lq = lifts
         if not (np.array_equal(lp.tail, p) and np.array_equal(lq.tail, q)):
             raise NotAProjection("supplied lifts do not have tails p, q")
-        for b in (*lp.exceptional, *lq.exceptional):
-            make_projection(b)
+        if lp.exceptional or lq.exceptional:
+            make_projection(np.array([*lp.exceptional, *lq.exceptional]))
 
     if case is DichotomyCase.MIXED:
         return DichotomyResult(False, case, None, ip)
@@ -476,17 +461,29 @@ def truncated_index_pairs(
     lengths,
     tol: Tolerance | None = None,
 ) -> list[IndexPair]:
-    """Index pairs of dense truncations, one per truncation length."""
+    """Index pairs of the truncations to the first ``n`` blocks, for each
+    ``n`` in ``lengths``.
+
+    A truncation is block-diagonal, so its nullities of ``P - Q -+ 1`` are
+    exactly the sums of those of its blocks, and past the ``m`` exceptional
+    blocks it holds ``n - m`` copies of the tail: one stacked SVD of the
+    ``m + 1`` distinct blocks gives every length.  Different block dims
+    raise ``BlockDimMismatch``, a negative length ``ValueError``.
+    """
     tol = tol or default_tolerance()
-    out = []
-    for n_blocks in lengths:
-        tp = lift_p.truncate(n_blocks)
-        tq = lift_q.truncate(n_blocks)
-        eye = np.eye(tp.shape[0])
-        ops = np.array([tp - tq - eye, tp - tq + eye])
-        plus, minus = nullspace(ops, tol, scale=1.0)
-        out.append(IndexPair(d_plus=plus.shape[1], d_minus=minus.shape[1]))
-    return out
+    m = lift_p._aligned(lift_q)
+    lengths = list(lengths)
+    if any(n < 0 for n in lengths):
+        raise ValueError(f"truncation lengths must be non-negative, got {lengths}")
+    diff = np.array([lift_p.block_at(i) - lift_q.block_at(i) for i in range(m + 1)])
+    eye = np.eye(lift_p.block_dim)
+    bases = nullspace(np.array([diff - eye, diff + eye]), tol, scale=1.0)
+    nullities = np.array([b.shape[1] for b in bases]).reshape(2, m + 1)
+    head, tail = nullities[:, :m], nullities[:, m]
+    return [
+        IndexPair(*(head[:, :n].sum(axis=1) + max(n - m, 0) * tail).tolist())
+        for n in lengths
+    ]
 
 
 # -- quotient geodesics --------------------------------------------------------

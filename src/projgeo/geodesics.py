@@ -94,7 +94,7 @@ class UniquenessReport:
 def codiagonal_residual(p: np.ndarray, z: np.ndarray) -> float:
     """max(|PZP|, |(1-P)Z(1-P)|): zero for horizontal directions at P."""
     pc = np.eye(p.shape[0]) - p
-    return max(op_norm(p @ z @ p), op_norm(pc @ z @ pc))
+    return float(op_norm(np.array([p @ z @ p, pc @ z @ pc])).max())
 
 
 def exists_geodesic(p, q, tol: Tolerance | None = None) -> bool:

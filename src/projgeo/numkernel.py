@@ -32,6 +32,7 @@ from .errors import (
 )
 
 RANK_RTOL_ENV = "PROJGEO_TOL_RANK"
+HALF_PI_BOUND = np.pi / 2 + 1e-12  # pi/2 with slack for roundoff in phases and norms
 
 
 @dataclass(frozen=True)
@@ -305,7 +306,7 @@ def logm_unitary_principal(
     if require_interior and near.any():
         raise LogAtMinusOne("spectrum touches -1; no interior logarithm")
     z = _skewize((u * (1j * phases)[..., None, :]) @ _adjoint(u))
-    within = (np.abs(phases) <= np.pi / 2 + 1e-12).all(axis=-1)
+    within = (np.abs(phases) <= HALF_PI_BOUND).all(axis=-1)
     if m.ndim == 2:
         return PrincipalLog(z, bool(within), bool(near))
     return PrincipalLog(z, within, near)

@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo import blockmodel
+from projgeo import blockmodel, suites
 from projgeo.blockmodel import (
     BlockOperator,
     DiagonalSequence,
@@ -35,9 +39,21 @@ from projgeo.geodesics import (
     minimal_exponent,
     unique_minimal_check,
 )
-from projgeo.numkernel import herm_eig, op_norm
-from projgeo.projections import index_pair, pair_with_dims, random_projection
-from projgeo.suites import classify_by_truncation, random_projection_blocks
+from projgeo.numkernel import _skewize, herm_eig, nullspace, op_norm
+from projgeo.projections import (
+    IndexPair,
+    index_pair,
+    make_projection,
+    pair_with_dims,
+    random_projection,
+)
+from projgeo.serialize import dumps_canonical
+from projgeo.suites import (
+    classify_by_truncation,
+    random_projection_blocks,
+    random_quotient_pair,
+    run_suite,
+)
 
 
 def random_block_operator(rng, d, n_exceptional):
@@ -206,6 +222,10 @@ class TestLiftProjection:
             assert op_norm(got - b) <= 1e-12
 
 
+# finite entries whose pairwise sums stay finite
+FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
 class TestDiagonalSequence:
     def test_value_indexing(self):
         d = DiagonalSequence((5.0, -3.0), (1.0, 0.5))
@@ -226,6 +246,36 @@ class TestDiagonalSequence:
     def test_empty_cycle_rejected(self):
         with pytest.raises(ValueError):
             DiagonalSequence((1.0,), ())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a_prefix=st.lists(FINITE, max_size=8),
+        a_cycle=st.lists(FINITE, min_size=1, max_size=6),
+        b_prefix=st.lists(FINITE, max_size=8),
+        b_cycle=st.lists(FINITE, min_size=1, max_size=6),
+    )
+    def test_add_is_entrywise(self, a_prefix, a_cycle, b_prefix, b_cycle):
+        a = DiagonalSequence(tuple(a_prefix), tuple(a_cycle))
+        b = DiagonalSequence(tuple(b_prefix), tuple(b_cycle))
+        total = a + b
+        head = max(len(a_prefix), len(b_prefix))
+        assert len(total.prefix) == head
+        period = math.lcm(len(a_cycle), len(b_cycle))
+        for n in range(head + 2 * period):
+            assert total.value_at(n) == a.value_at(n) + b.value_at(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        prefix=st.lists(FINITE, max_size=8),
+        cycle=st.lists(FINITE, min_size=1, max_size=6),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        where=st.integers(min_value=0, max_value=13),
+    )
+    def test_non_finite_rejected(self, prefix, cycle, bad, where):
+        values = prefix + cycle
+        values[where % len(values)] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DiagonalSequence(tuple(values[:len(prefix)]), tuple(values[len(prefix):]))
 
 
 class TestMinimalNormLift:
@@ -276,6 +326,15 @@ class TestMinimalNormLift:
                     (0.0,),
                 )
                 assert (d + comp).sup_abs() >= level - 1e-15
+
+
+def per_block_lift(z, lift_p):
+    """One compression per exceptional block, as a plain loop."""
+    eye = np.eye(lift_p.block_dim)
+    blocks = tuple(
+        _skewize(b @ z @ (eye - b) + (eye - b) @ z @ b) for b in lift_p.exceptional
+    )
+    return BlockOperator(lift_p.block_dim, blocks, z)
 
 
 class TestLiftGeodesic:
@@ -350,6 +409,47 @@ class TestLiftGeodesic:
         with pytest.raises(NotAProjection):
             lift_geodesic(p, z, BlockOperator(2, (), other))
 
+    def test_stack_equals_per_block_reference(self):
+        for seed in range(40):
+            p, q, z, lift_p = suites._block_geodesic_instance(seed, None)
+            got = lift_geodesic(p, z, lift_p)
+            want = per_block_lift(z, lift_p)
+            assert len(lift_p.exceptional) >= 1
+            assert len(got.exceptional) == len(want.exceptional)
+            for x, y in zip((*got.exceptional, got.tail), (*want.exceptional, want.tail)):
+                assert np.array_equal(x, y)
+
+    def test_first_bad_block_named(self):
+        p, q, z = self.setup_pair()
+        good = np.diag([0.0, 1.0]).astype(complex)
+        not_idempotent = np.diag([0.7, 0.0]).astype(complex)
+        not_selfadjoint = np.array([[1.0, 1e-6], [0.0, 0.0]], dtype=complex)
+        blocks = (good, p, not_idempotent, not_selfadjoint, good)
+        with pytest.raises(NotAProjection) as alone:
+            make_projection(not_idempotent)
+        with pytest.raises(NotAProjection) as stacked:
+            lift_geodesic(p, z, BlockOperator(2, blocks, p))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_error_order(self):
+        # each input also fails every later check; the earliest one wins
+        p, q, z = self.setup_pair()
+        bad_block = (np.diag([0.7, 0.0]).astype(complex),)
+        wrong_tail = BlockOperator(2, bad_block, np.eye(2, dtype=complex))
+        right_tail = BlockOperator(2, bad_block, p)
+        not_skew = 2.0 * np.array([[1j, 1.0], [0.0, 0.0]], dtype=complex)
+        diagonal = np.array([[2j, 0.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(NotCodiagonal, match="not skew"):
+            lift_geodesic(p, not_skew, wrong_tail)
+        with pytest.raises(NotCodiagonal, match="codiagonal"):
+            lift_geodesic(p, diagonal, wrong_tail)
+        with pytest.raises(NormTooLarge):
+            lift_geodesic(p, 3.0 * z, wrong_tail)
+        with pytest.raises(NotAProjection, match="tails differ"):
+            lift_geodesic(p, z, wrong_tail)
+        with pytest.raises(NotAProjection, match="P\\^2"):
+            lift_geodesic(p, z, right_tail)
+
 
 class TestExistenceDichotomy:
     def test_equal_pair_finite(self):
@@ -416,6 +516,81 @@ class TestExistenceDichotomy:
                 BlockOperator(q.shape[0], (), q),
             )
             assert classify_by_truncation(*probe) is expected
+
+
+def dense_truncation(lift, n_blocks):
+    d = lift.block_dim
+    out = np.zeros((n_blocks * d, n_blocks * d), dtype=np.complex128)
+    for i in range(n_blocks):
+        out[i * d:(i + 1) * d, i * d:(i + 1) * d] = lift.block_at(i)
+    return out
+
+
+def dense_truncated_index_pairs(lift_p, lift_q, lengths):
+    """Nullities of dense truncations, one SVD per length."""
+    out = []
+    for n_blocks in lengths:
+        tp = dense_truncation(lift_p, n_blocks)
+        tq = dense_truncation(lift_q, n_blocks)
+        eye = np.eye(tp.shape[0])
+        plus, minus = nullspace(np.array([tp - tq - eye, tp - tq + eye]), scale=1.0)
+        out.append(IndexPair(d_plus=plus.shape[1], d_minus=minus.shape[1]))
+    return out
+
+
+class TestTruncatedIndexPairs:
+    def test_matches_dense_reference(self):
+        lengths = list(range(15))
+        seen = set()
+        for seed in range(200):
+            p, q, _ = random_quotient_pair(seed)
+            d = p.shape[0]
+            rng = np.random.default_rng((seed, 5))
+            lifts = (
+                BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 4))), p),
+                BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 4))), q),
+            )
+            got = truncated_index_pairs(*lifts, lengths)
+            assert got == dense_truncated_index_pairs(*lifts, lengths)
+            seen.add(max(len(lifts[0].exceptional), len(lifts[1].exceptional)))
+        assert seen == {0, 1, 2, 3}
+
+    def test_block_dim_mismatch(self):
+        with pytest.raises(BlockDimMismatch):
+            truncated_index_pairs(block_identity(2), block_identity(3), [4])
+
+    def test_negative_length(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            truncated_index_pairs(block_identity(2), block_zero(2), [3, -1])
+
+
+class TestQuotientSuites:
+    @pytest.mark.parametrize(
+        "suite, digest",
+        [
+            ("existence", "1bb3d3eb8f23ea81caf8b8836c811ea520e609b51109207548cb722ff59e6b23"),
+            ("normlift", "d2b7e0456649dd62c77f38c5d5e0235fc57a6f887abbf4219a0d6fd43ea50ad4"),
+        ],
+    )
+    def test_report_bytes_pinned(self, suite, digest):
+        # integer, string and pure-Python float records: no LAPACK bits
+        text = dumps_canonical(run_suite(suite, 40, 11).to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_oracle_catches_swapped_dichotomy(self, monkeypatch):
+        swap = {
+            DichotomyCase.FINITE_FINITE: DichotomyCase.INFINITE_INFINITE,
+            DichotomyCase.INFINITE_INFINITE: DichotomyCase.FINITE_FINITE,
+            DichotomyCase.MIXED: DichotomyCase.MIXED,
+        }
+
+        def swapped(*args, **kwargs):
+            result = existence_dichotomy(*args, **kwargs)
+            return dataclasses.replace(result, case=swap[result.case])
+
+        assert run_suite("existence", 40, 11).failures == 0
+        monkeypatch.setattr(suites, "existence_dichotomy", swapped)
+        assert run_suite("existence", 40, 11).failures > 0
 
 
 class TestQuotientGeodesic:
