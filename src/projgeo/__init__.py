@@ -3,15 +3,12 @@ exact block-periodic quotient model."""
 
 from .numkernel import (
     HermEig,
-    PrincipalLog,
     Tolerance,
     default_tolerance,
     expm_skew,
     herm_eig,
-    logm_unitary_principal,
     nullspace,
     op_norm,
-    polar_unitary,
 )
 from .projections import (
     DiffSum,

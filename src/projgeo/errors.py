@@ -23,15 +23,6 @@ class NotUnitary(ProjGeoError):
     pass
 
 
-class SingularInput(ProjGeoError):
-    pass
-
-
-class LogAtMinusOne(ProjGeoError):
-    """A unitary has spectrum at -1 while the caller demanded phases strictly
-    inside (-pi, pi); the normalized-geodesic construction is at its boundary."""
-
-
 # projections and pairs
 
 class NotAProjection(ProjGeoError):

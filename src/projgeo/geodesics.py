@@ -6,18 +6,20 @@ A geodesic through ``P`` is ``t -> exp(tZ) P exp(-tZ)`` with ``Z`` skew and
 smooth curve between its endpoints for the operator-norm length
 ``int |d/dt gamma| dt``.
 
-The exponent joining ``P`` to ``Q`` is assembled from the five-space
-decomposition of the pair:
+The exponent joining ``P`` to ``Q`` is read off the five-space split of the
+pair by its principal angles:
 
 * zero on the two aligned intersections;
 * ``i pi/2 (V + V*)`` on the crossed intersections, where ``V`` is an
   isometry pairing the second crossed space onto the first (canonically,
   basis index onto basis index) -- with this sign the exponential carries
   the second crossed space onto the first with phase ``i``;
-* on the generic part, the principal logarithm of ``V0 (2 P0 - 1)`` with
-  ``V0`` the polar (sign) factor of ``P0 + Q0 - 1``.
+* on the generic part, the rotation ``theta (g x* - x g*)`` of each plane
+  of a principal angle ``theta``, which turns ``x`` in ``R(P)`` towards
+  ``g`` in ``N(P)`` until it lies in ``R(Q)``.
 
-The crossed pairing ``V`` is free; that freedom is exactly the source of
+So ``|Z|`` is the largest angle, ``pi/2`` when a crossed part exists.  The
+crossed pairing ``V`` is free; that freedom is exactly the source of
 non-uniqueness, exposed through ``multi_geodesic_family``.
 """
 
@@ -28,24 +30,21 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import BadIndex, BadUnitarySize, LogAtMinusOne, NoGeodesic, NotUnitary
+from .errors import BadIndex, BadUnitarySize, NoGeodesic, NotUnitary
 from .numkernel import (
     HermEig,
     Tolerance,
     _adjoint,
     _hermitize,
-    _skewize,
     as_cmatrix,
     default_tolerance,
     herm_eig,
-    logm_unitary_principal,
+    min_singular_value,
     op_norm,
-    polar_unitary,
 )
 from .projections import (
     FiveSpace,
     _decompose,
-    _decompose_all,
     _random_projections,
     halmos_decompose,
     index_pair,
@@ -103,49 +102,18 @@ def exists_geodesic(p, q, tol: Tolerance | None = None) -> bool:
     return ip.d_plus == ip.d_minus
 
 
-def _generic_exponent(p0: np.ndarray, q0: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Exponents of a ``(g, m, m)`` stack of generic-part pairs ``(p0, q0)``,
-    in their h0 bases, with ``m > 0``."""
-    eye = np.eye(p0.shape[-1])
-    v0 = polar_unitary(_hermitize(p0 + q0 - eye), tol)
-    log = logm_unitary_principal(v0 @ (2 * p0 - eye), tol)
-    # in generic position the phases stay strictly inside (-pi/2, pi/2)
-    if not np.all(log.within_half_pi) or np.any(log.near_minus_one):
-        raise LogAtMinusOne(
-            "generic-part phases leave (-pi/2, pi/2): the compressed pair "
-            "is not in generic position"
-        )
-    return log.skew
-
-
-def _assemble_exponents(
-    splits: list[FiveSpace],
-    pairing: np.ndarray | None,
-    tol: Tolerance,
-) -> np.ndarray:
-    """The ``(k, n, n)`` stack of the exponents of k five-space splits of
-    pairs of n x n projections.  Splits with equal dimensions share one
-    stacked polar factor and one stacked logarithm."""
-    n = splits[0].m11.shape[0]
-    z = np.zeros((len(splits), n, n), dtype=np.complex128)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, fs in enumerate(splits):
-        groups.setdefault(fs.dims, []).append(i)
-    for (_, _, k, _, m), idx in groups.items():
-        if k:
-            twist = np.eye(k, dtype=np.complex128) if pairing is None else pairing
-            for i in idx:
-                v = splits[i].m10 @ twist @ splits[i].m01.conj().T
-                z[i] += 1j * (np.pi / 2) * (v + v.conj().T)
-        if m:
-            h0 = np.array([splits[i].h0 for i in idx])
-            z0 = _generic_exponent(
-                np.array([splits[i].p0 for i in idx]),
-                np.array([splits[i].q0 for i in idx]),
-                tol,
-            )
-            z[idx] += h0 @ z0 @ _adjoint(h0)
-    return _skewize(z)
+def _exponent(fs: FiveSpace, pairing: np.ndarray | None) -> np.ndarray:
+    """The exponent of a five-space split, with the crossed ``pairing``
+    (identity when ``None``)."""
+    x, g = fs.h0[:, 0::2], fs.h0[:, 1::2]
+    z = (g * fs.angles) @ _adjoint(x)
+    z = z - _adjoint(z)
+    k = fs.m10.shape[1]
+    if k:
+        twist = np.eye(k, dtype=np.complex128) if pairing is None else pairing
+        v = fs.m10 @ twist @ _adjoint(fs.m01)
+        z = z + 1j * (np.pi / 2) * (v + _adjoint(v))
+    return z
 
 
 def minimal_exponent(
@@ -202,8 +170,7 @@ def _segment(
             )
         if op_norm(_adjoint(pairing) @ pairing - np.eye(d10)) > tol.recon_rtol:
             raise NotUnitary("pairing is not unitary within recon_rtol")
-    z = _assemble_exponents([fs], pairing, tol)[0]
-    return GeodesicSegment(base=p, exponent=z)
+    return GeodesicSegment(base=p, exponent=_exponent(fs, pairing))
 
 
 def _segment_eig(seg: GeodesicSegment) -> HermEig:
@@ -318,40 +285,32 @@ def curve_length(gamma: Curve, grid: int) -> float:
     return total
 
 
-def _balanced(fs: FiveSpace) -> bool:
-    _, _, d10, d01, _ = fs.dims
-    return d10 == d01
-
-
 def _joinable_midpoints(
     p: np.ndarray,
-    q: np.ndarray,
     rank: int,
     seeds: list,
-    tol: Tolerance,
     attempts: int = 64,
-) -> list[tuple[FiveSpace, FiveSpace]]:
-    """Five-space splits of ``(P, R)`` and ``(R, Q)`` per seed, for the
-    first random ``R`` that both pairs join by a geodesic.
+) -> np.ndarray:
+    """The ``(k, n, n)`` stack of the first random midpoint ``R`` per seed
+    that ``P`` and ``Q`` (of rank ``rank``) both join by a geodesic.
 
-    The midpoints of ``seed`` are drawn from ``(seed, 0)``, ``(seed, 1)``,
-    ...; at each attempt the seeds still without one share one stack of
-    draws and one stacked decomposition per leg.
+    In finite dimension the index pair of a pair differs by the difference
+    of its ranks, so a midpoint is joinable exactly when its rank is
+    ``rank``.  The midpoints of ``seed`` are drawn from ``(seed, 0)``,
+    ``(seed, 1)``, ...; at each attempt the seeds still without one share
+    one stack of draws.
     """
     n = p.shape[0]
-    found: list[tuple[FiveSpace, FiveSpace] | None] = [None] * len(seeds)
-    pending = list(range(len(seeds)))
+    found = np.empty((len(seeds), n, n), dtype=np.complex128)
+    pending = np.arange(len(seeds))
     for attempt in range(attempts):
-        if not pending:
+        if not pending.size:
             break
         rs = _random_projections(n, rank, [(seeds[i], attempt) for i in pending])
-        fs_pr = _decompose_all(p, rs, tol)
-        ok = [j for j, fs in enumerate(fs_pr) if _balanced(fs)]
-        for j, fs_rq in zip(ok, _decompose_all(rs[ok], q, tol)):
-            if _balanced(fs_rq):
-                found[pending[j]] = (fs_pr[j], fs_rq)
-        pending = [i for i in pending if found[i] is None]
-    if pending:
+        ok = np.rint(np.trace(rs, axis1=-2, axis2=-1).real) == rank
+        found[pending[ok]] = rs[ok]
+        pending = pending[~ok]
+    if pending.size:
         raise NoGeodesic(
             f"no joinable midpoint of rank {rank} found in {attempts} attempts"
         )
@@ -368,10 +327,6 @@ def minimality_competitors(
     """Lengths of two-leg piecewise geodesics ``P -> R -> Q`` through random
     midpoints ``R``; each length is the sum of the two leg norms and never
     beats the direct segment.
-
-    The competitors are built as stacks of about 1 MB: each stack draws its
-    midpoints, splits and assembles its legs, and takes the leg norms from
-    one singular-value call.
     """
     tol = tol or default_tolerance()
     p = make_projection(p)
@@ -379,15 +334,33 @@ def minimality_competitors(
     ip = index_pair(p, q, tol)
     if ip.d_plus != ip.d_minus:
         raise NoGeodesic(f"index pair {tuple(ip)} is unbalanced")
+    return _competitor_lengths(p, q, trials, seed)
+
+
+def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list[float]:
+    """``minimality_competitors`` of a validated pair joined by a geodesic.
+
+    A leg is as long as its largest principal angle, ``atan2(|A - B|,
+    smin(V_A* V_B))`` for the range bases ``V_A, V_B`` of its ends.  The
+    competitors are built as stacks of about 1 MB: each stack draws its
+    midpoints and takes the two terms of all its legs from one stacked
+    eigendecomposition and two stacked singular-value calls.
+    """
+    n = p.shape[0]
     rank = int(round(np.trace(p).real))
-    step = max(1, _CHUNK_BYTES // (p.itemsize * max(p.size, 1)))
+    if rank in (0, n):
+        return [0.0] * trials  # P = Q = R
+    vp, vq = herm_eig(np.array([p, q])).eigenvectors[..., n - rank:]
+    step = max(1, _CHUNK_BYTES // (p.itemsize * p.size))
     lengths = []
     for start in range(0, trials, step):
         seeds = [seed + i for i in range(start, min(start + step, trials))]
-        splits = _joinable_midpoints(p, q, rank, seeds, tol)
-        legs = _assemble_exponents([fs for pair in splits for fs in pair], None, tol)
-        norms = op_norm(legs).reshape(-1, 2)
-        lengths.extend((norms[:, 0] + norms[:, 1]).tolist())
+        rs = _joinable_midpoints(p, rank, seeds)
+        vr = herm_eig(rs).eigenvectors[..., n - rank:]
+        cos = min_singular_value(np.concatenate([_adjoint(vp) @ vr, _adjoint(vr) @ vq]))
+        sin = op_norm(np.concatenate([p - rs, rs - q]))
+        legs = np.arctan2(sin, cos).reshape(2, -1)
+        lengths.extend((legs[0] + legs[1]).tolist())
     return lengths
 
 
@@ -426,7 +399,7 @@ def unique_minimal_check(p, q, tol: Tolerance | None = None) -> UniquenessReport
         )
     twist = 1j * np.eye(k, dtype=np.complex128)  # exp(i pi/2) rotation of the pairing
     # the canonical segment has the identity pairing
-    z1, z2 = seg.exponent, _assemble_exponents([fs], twist, tol)[0]
+    z1, z2 = seg.exponent, _exponent(fs, twist)
     return UniquenessReport(
         unique=False,
         witness=(z1, z2),

@@ -3,13 +3,14 @@
 Everything here operates on plain ``numpy`` complex arrays and is a
 deterministic function of its input: for a fixed input array the output
 bits are reproducible on a given platform.  Spectral routines sit on top
-of LAPACK's Hermitian eigensolver; the principal logarithm of a unitary
-uses a complex Schur factorization, which is a spectral decomposition
-whenever the input is normal.
+of LAPACK's Hermitian eigensolver; the principal angles of a subspace pair
+come from the CS decomposition of LAPACK's ``?uncsd``, which returns
+cosines and sines each accurate at its own end of ``[0, pi/2]``.
 
-The spectral kernels, ``op_norm`` and ``nullspace`` also take a stack
-``(..., n, n)`` of matrices and factor it with one LAPACK call; each matrix
-of the stack gets the same bits as a call on that matrix alone.
+The spectral kernels, the singular-value kernels and ``nullspace`` also
+take a stack ``(..., n, n)`` of matrices and factor it with one LAPACK
+call; each matrix of the stack gets the same bits as a call on that matrix
+alone.
 """
 
 from __future__ import annotations
@@ -22,17 +23,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    LogAtMinusOne,
-    NoConvergence,
-    NotHermitian,
-    NotSkew,
-    NotUnitary,
-    SingularInput,
-)
+from .errors import NoConvergence, NotHermitian, NotSkew
 
 RANK_RTOL_ENV = "PROJGEO_TOL_RANK"
-HALF_PI_BOUND = np.pi / 2 + 1e-12  # pi/2 with slack for roundoff in phases and norms
+HALF_PI_BOUND = np.pi / 2 + 1e-12  # pi/2 with slack for roundoff in norms
 
 
 @dataclass(frozen=True)
@@ -110,6 +104,14 @@ def op_norm(a):
     else:
         norms = np.linalg.svd(m, compute_uv=False)[..., 0]
     return float(norms) if m.ndim == 2 else norms
+
+
+def min_singular_value(a):
+    """Smallest singular value of a nonempty matrix; for a stack ``(..., m,
+    n)`` of matrices, the array of those of each matrix, from one call."""
+    m = as_cstack(a)
+    values = np.linalg.svd(m, compute_uv=False)[..., -1]
+    return float(values) if m.ndim == 2 else values
 
 
 class HermEig(NamedTuple):
@@ -204,27 +206,38 @@ def nullspace(a, tol: Tolerance | None = None, *, scale: float | None = None):
     return bases[0] if m.ndim == 2 else bases
 
 
-def polar_unitary(a, tol: Tolerance | None = None) -> np.ndarray:
-    """Unitary factor of the polar decomposition of an invertible Hermitian
-    matrix, or of each matrix of a stack.
+class CSFactors(NamedTuple):
+    u1: np.ndarray     # (p, p) unitary
+    u2: np.ndarray     # (n - p, n - p) unitary
+    theta: np.ndarray  # the k = min(p, n - p, q, n - q) angles, ascending
 
-    For Hermitian ``a`` with trivial nullspace the factor is the spectral
-    sign function: a symmetry ``V = V* = V^{-1}`` with ``a = V |a|``.
+
+def cs_decompose(x, p: int, q: int) -> CSFactors:
+    """Left factors and angles of the CS decomposition of an ``n x n``
+    unitary ``x`` split after row ``p`` and column ``q``, with
+    ``0 < p, q < n``.
+
+    ``x = diag(u1, u2) D diag(v1, v2)*``, where the ``p x q`` block of
+    ``D`` is ``diag(1, cos theta, 0)`` and its lower left block is
+    ``diag(0, sin theta, 1)``: column ``a + j`` of ``u1`` and column
+    ``b + j`` of ``u2`` span the plane of angle ``theta[j]``, with
+    ``a = max(0, p + q - n)`` and ``b = max(0, n - p - q)``.  The columns
+    before the angles' columns, and those after them, are the directions
+    that the block sizes force to angle 0 and to angle ``pi/2``.
 
     Raises
     ------
-    SingularInput
-        If ``a`` (any matrix of a stack) has a numerical nullspace.
+    NoConvergence
+        If the underlying iteration fails to converge.
     """
-    tol = tol or default_tolerance()
-    w, u = herm_eig(a, tol)
-    absw = np.abs(w)
-    scale = absw.max(axis=-1, initial=0.0)
-    smallest = absw.min(axis=-1, initial=np.inf)
-    if ((scale == 0.0) | (smallest <= tol.rank_rtol * scale)).any():
-        raise SingularInput("polar factor undefined: input has a nullspace")
-    signs = np.where(w >= 0.0, 1.0, -1.0)
-    return _hermitize((u * signs[..., None, :]) @ _adjoint(u))
+    m = as_cmatrix(x)
+    try:
+        (u1, u2), theta, _ = scipy.linalg.cossin(
+            m, p=p, q=q, separate=True, compute_vh=False
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return CSFactors(u1, u2, theta)
 
 
 def _check_skew(m: np.ndarray, tol: Tolerance) -> None:
@@ -250,63 +263,3 @@ def expm_skew(z, tol: Tolerance | None = None) -> np.ndarray:
     _check_skew(m, tol)
     w, u = herm_eig(_hermitize(-1j * m), tol)
     return (u * np.exp(1j * w)) @ u.conj().T
-
-
-class PrincipalLog(NamedTuple):
-    skew: np.ndarray        # skew-Hermitian logarithm
-    within_half_pi: bool    # all phases in [-pi/2, pi/2] (+ tiny slack)
-    near_minus_one: bool    # spectrum within rank_rtol of -1
-
-
-def logm_unitary_principal(
-    w,
-    tol: Tolerance | None = None,
-    *,
-    require_interior: bool = False,
-) -> PrincipalLog:
-    """Principal skew-Hermitian logarithm of a unitary matrix, or of each
-    matrix of a stack.
-
-    Eigenvalue phases are taken with a two-argument arctangent, so they lie
-    in ``(-pi, pi]`` with the branch closed at ``+pi``: a phase of exactly
-    ``-pi`` is mapped to ``+pi``.  The result reports whether all phases fit
-    inside ``[-pi/2, pi/2]`` and whether the spectrum touches ``-1``; for a
-    stack ``(..., n, n)`` both flags are boolean arrays of shape ``...``.
-
-    Parameters
-    ----------
-    w : (n, n) or (..., n, n) array_like, unitary within ``tol.recon_rtol``.
-    require_interior : bool
-        When True, raise ``LogAtMinusOne`` if an eigenvalue sits within
-        ``tol.rank_rtol`` of ``-1`` instead of silently using the closed
-        branch.
-
-    Raises
-    ------
-    NotUnitary, LogAtMinusOne
-    """
-    tol = tol or default_tolerance()
-    m = as_cstack(w)
-    n = require_square(m)
-    if np.any(op_norm(_adjoint(m) @ m - np.eye(n)) > tol.recon_rtol):
-        raise NotUnitary("input is not unitary within recon_rtol")
-    # complex Schur of a normal matrix is a spectral decomposition with an
-    # exactly unitary vector matrix; SciPy factors a stack one matrix at a
-    # time, so the loop is explicit
-    factors = [
-        scipy.linalg.schur(x, output="complex")
-        for x in m.reshape((math.prod(m.shape[:-2]), n, n))
-    ]
-    t = np.array([f[0] for f in factors]).reshape(m.shape)
-    u = np.array([f[1] for f in factors]).reshape(m.shape)
-    lam = np.diagonal(t, axis1=-2, axis2=-1)
-    phases = np.arctan2(lam.imag, lam.real)
-    phases = np.where(phases == -np.pi, np.pi, phases)
-    near = (np.abs(lam + 1.0) <= tol.rank_rtol).any(axis=-1)
-    if require_interior and near.any():
-        raise LogAtMinusOne("spectrum touches -1; no interior logarithm")
-    z = _skewize((u * (1j * phases)[..., None, :]) @ _adjoint(u))
-    within = (np.abs(phases) <= HALF_PI_BOUND).all(axis=-1)
-    if m.ndim == 2:
-        return PrincipalLog(z, bool(within), bool(near))
-    return PrincipalLog(z, within, near)

@@ -24,7 +24,9 @@ from .numkernel import (
     _hermitize,
     as_cmatrix,
     as_cstack,
+    cs_decompose,
     default_tolerance,
+    herm_eig,
     nullspace,
     op_norm,
     require_square,
@@ -165,8 +167,11 @@ class FiveSpace:
     """Orthonormal bases of the five reducing subspaces of a pair.
 
     ``m11, m00, m10, m01`` span the four intersections, ``h0`` the generic
-    part; ``p0, q0`` are the compressions of the pair to ``h0`` expressed in
-    the ``h0`` basis (a pair in generic position).
+    part, as the planes ``(x_j, g_j)`` of its principal angles ``angles``
+    (ascending) in consecutive columns: ``x_j`` in ``R(P)``, ``g_j`` in
+    ``N(P)``, and ``cos x_j + sin g_j`` in ``R(Q)``.  ``p0, q0`` are the
+    compressions of the pair to ``h0`` in the ``h0`` basis, the exact
+    2 x 2 blocks ``diag(1, 0)`` and ``[[c^2, cs], [cs, s^2]]`` per plane.
     """
 
     m11: np.ndarray
@@ -174,8 +179,7 @@ class FiveSpace:
     m10: np.ndarray
     m01: np.ndarray
     h0: np.ndarray
-    p0: np.ndarray
-    q0: np.ndarray
+    angles: np.ndarray
 
     @property
     def dims(self) -> tuple[int, int, int, int, int]:
@@ -187,17 +191,18 @@ class FiveSpace:
             self.h0.shape[1],
         )
 
+    @property
+    def p0(self) -> np.ndarray:
+        return np.diag(np.tile([1.0, 0.0], len(self.angles))).astype(np.complex128)
 
-def _orthogonal_complement(cols: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal bases of the complements of the column spans of a stack
-    ``(g, n, k)`` of orthonormal columns, as a ``(g, n, n - k)`` stack."""
-    g, _, k = cols.shape
-    if k == 0:
-        return np.broadcast_to(np.eye(n, dtype=np.complex128), (g, n, n))
-    if k >= n:
-        return np.zeros((g, n, 0), dtype=np.complex128)
-    u = np.linalg.svd(cols, full_matrices=True)[0]
-    return u[..., :, k:]
+    @property
+    def q0(self) -> np.ndarray:
+        c, s = np.cos(self.angles), np.sin(self.angles)
+        i = 2 * np.arange(len(c))
+        q0 = np.zeros((2 * len(c),) * 2, dtype=np.complex128)
+        q0[i, i], q0[i + 1, i + 1] = c * c, s * s
+        q0[i, i + 1] = q0[i + 1, i] = c * s
+        return q0
 
 
 def _require_same_dim(p: np.ndarray, q: np.ndarray) -> int:
@@ -206,13 +211,55 @@ def _require_same_dim(p: np.ndarray, q: np.ndarray) -> int:
     return p.shape[-1]
 
 
+class _Split(NamedTuple):
+    """How the principal directions of a pair fall into the five parts.
+
+    With ``r, s`` the ranks of ``P, Q``, the block sizes force ``a`` aligned
+    directions in ``R(P)``, ``b`` in ``N(P)``, ``c`` crossed ones in
+    ``R(P)`` and ``e`` in ``N(P)``; each of the other ``k`` directions of
+    ``R(P)`` shares the plane of one principal angle with a direction of
+    ``N(P)``.  Of those ``k`` angles, the ``aligned`` smallest and the
+    ``crossed`` largest lie in the intersections.
+    """
+
+    r: int
+    s: int
+    a: int
+    b: int
+    c: int
+    e: int
+    k: int
+    aligned: int
+    crossed: int
+
+
+def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
+    """The rank decisions of a pair, made once, at linear scale.
+
+    On the plane of a principal angle ``theta``, ``P - Q`` has singular
+    values ``sin theta`` and ``P + Q - 1`` has ``cos theta``, twice each;
+    on the forced aligned and crossed directions they are 0 and 1.  So one
+    stacked ``nullspace`` counts the angles with ``sin <= rank_rtol``
+    (aligned) and with ``cos <= rank_rtol`` (crossed).
+    """
+    n = _require_same_dim(p, q)
+    r, s = (int(round(np.trace(m).real)) for m in (p, q))
+    a, b, c, e = max(0, r + s - n), max(0, n - r - s), max(0, r - s), max(0, s - r)
+    k = r - a - c
+    same, opposite = nullspace(np.array([p - q, p + q - np.eye(n)]), tol, scale=1.0)
+    aligned = min(max((same.shape[1] - a - b) // 2, 0), k)
+    crossed = min(max((opposite.shape[1] - c - e) // 2, 0), k - aligned)
+    return _Split(r, s, a, b, c, e, k, aligned, crossed)
+
+
 def halmos_decompose(p, q, tol: Tolerance | None = None) -> FiveSpace:
     """Five-space decomposition of a projection pair.
 
-    The intersections are read off as nullspaces of ``P - Q -+ 1``,
-    ``P + Q`` and ``P + Q - 2``; the generic part is their joint orthogonal
-    complement.  Its basis is ordered by ascending eigenvalue of the
-    compression of ``P - Q``, which makes the output reproducible.
+    The pair is split once by its principal angles: bases of ``R(P)``,
+    ``N(P)``, ``R(Q)`` and ``N(Q)`` from one stacked eigendecomposition,
+    then one CS decomposition of the unitary between them.  The rank
+    decisions of ``_split`` pick which angles are aligned or crossed, so
+    the dimensions and the angles agree by construction.
     """
     tol = tol or default_tolerance()
     return _decompose(make_projection(p), make_projection(q), tol)
@@ -224,83 +271,42 @@ def _decompose(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> FiveSpace:
     decompose each pair once."""
     if p.ndim != 2 or q.ndim != 2:
         raise ValueError(f"expected 2-d arrays, got shapes {p.shape} and {q.shape}")
-    return _decompose_all(p, q, tol)[0]
-
-
-def _decompose_all(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> list[FiveSpace]:
-    """``_decompose`` of each pair of a stack: ``p`` and ``q`` are matrices
-    or ``(k, n, n)`` stacks that broadcast against each other.
-
-    The four intersection nullspaces of all pairs come from one
-    ``nullspace`` call, that is one stacked SVD.  The pairs are then
-    grouped by their intersection dimensions, and each group shares one
-    complement SVD, one ``eigh`` and one pair of compression checks.
-    """
-    n = _require_same_dim(p, q)
-    p = p if p.ndim == 3 else p[None]
-    q = q if q.ndim == 3 else q[None]
-    eye = np.eye(n)
-    diff = _hermitize(p - q)
-    summ = _hermitize(p + q)
-    # the nullspaces of P - Q - 1, P - Q + 1, P + Q - 2 and P + Q: the
-    # intersections m10, m01, m11 and m00.  These operators live at unit
-    # scale: threshold against it, so that an operator that is zero up to
-    # roundoff gets full nullity
-    k = diff.shape[0]
-    ops = np.array([diff - eye, diff + eye, summ - 2 * eye, summ])
-    flat = nullspace(ops.reshape((4 * k, n, n)), tol, scale=1.0)
-    splits = [flat[i::k] for i in range(k)]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, split in enumerate(splits):
-        groups.setdefault(tuple(b.shape[1] for b in split), []).append(i)
-    out: list[FiveSpace | None] = [None] * k
-    for idx in groups.values():
-        bases = [splits[i] for i in idx]
-        cols = np.array(
-            [np.hstack([m11, m00, m10, m01]) for m10, m01, m11, m00 in bases]
-        )
-        h0 = _orthogonal_complement(cols, n)
-        if h0.shape[-1]:
-            pg = p[idx] if p.shape[0] > 1 else p
-            qg = q[idx] if q.shape[0] > 1 else q
-            comp = _hermitize(_adjoint(h0) @ diff[idx] @ h0)
-            _, vecs = np.linalg.eigh(comp)
-            h0 = h0 @ vecs
-            p0 = make_projection(_hermitize(_adjoint(h0) @ pg @ h0))
-            q0 = make_projection(_hermitize(_adjoint(h0) @ qg @ h0))
-        else:
-            p0 = q0 = np.zeros((len(idx), 0, 0), dtype=np.complex128)
-        for g, (i, (m10, m01, m11, m00)) in enumerate(zip(idx, bases)):
-            out[i] = FiveSpace(
-                m11=m11, m00=m00, m10=m10, m01=m01, h0=h0[g], p0=p0[g], q0=q0[g]
-            )
-    return out
+    sp = _split(p, q, tol)
+    n = p.shape[0]
+    # eigenvectors with the ranges first
+    vp, vq = herm_eig(np.array([p, q]), tol).eigenvectors[..., ::-1]
+    if sp.k == 0:
+        # P or Q is 0 or 1: every direction is aligned or crossed
+        x1 = vq if sp.r == n else vp[:, :sp.r]
+        x2 = vq[:, ::-1] if sp.r == 0 else vp[:, sp.r:]
+        theta = np.zeros(0)
+    else:
+        u1, u2, theta = cs_decompose(_adjoint(vp) @ vq, sp.r, sp.s)
+        x1 = vp[:, :sp.r] @ u1
+        x2 = vp[:, sp.r:] @ u2
+    lo, hi = sp.aligned, sp.k - sp.crossed
+    planes = np.stack([x1[:, sp.a + lo:sp.a + hi], x2[:, sp.b + lo:sp.b + hi]], axis=-1)
+    return FiveSpace(
+        m11=x1[:, :sp.a + lo],
+        m00=x2[:, :sp.b + lo],
+        m10=x1[:, sp.a + hi:],
+        m01=x2[:, sp.b + hi:],
+        h0=planes.reshape(n, -1),
+        angles=theta[lo:hi],
+    )
 
 
 def index_pair(p, q, tol: Tolerance | None = None) -> IndexPair:
-    """Nullities of ``P - Q -+ 1``: the crossed-intersection dimensions."""
+    """Crossed-intersection dimensions, by the rank decisions of
+    ``halmos_decompose``."""
     tol = tol or default_tolerance()
-    p = as_cmatrix(p)
-    q = as_cmatrix(q)
-    n = _require_same_dim(p, q)
-    eye = np.eye(n)
-    diff = _hermitize(p - q)
-    plus, minus = nullspace(np.array([diff - eye, diff + eye]), tol, scale=1.0)
-    return IndexPair(d_plus=plus.shape[1], d_minus=minus.shape[1])
+    sp = _split(as_cmatrix(p), as_cmatrix(q), tol)
+    return IndexPair(d_plus=sp.c + sp.crossed, d_minus=sp.e + sp.crossed)
 
 
 def principal_angles(fs: FiveSpace) -> np.ndarray:
-    """Principal angles of the generic part, ascending, in radians.
-
-    On the generic part the spectrum of ``P - Q`` is ``+-sin(theta)`` per
-    angle; the positive half is inverted through ``arcsin``.
-    """
-    m = fs.p0.shape[0]
-    if m == 0:
-        return np.zeros(0)
-    w = np.linalg.eigvalsh(_hermitize(fs.p0 - fs.q0))
-    pos = np.sort(w[w > 0.0])
-    return np.arcsin(np.clip(pos, 0.0, 1.0))
+    """Principal angles of the generic part, ascending, in radians."""
+    return fs.angles
 
 
 def fivespace_report(fs: FiveSpace) -> dict:

@@ -25,10 +25,10 @@ from .blockmodel import (
 )
 from .geodesics import (
     GeodesicSegment,
+    _competitor_lengths,
     curve_length,
     evaluate,
     minimal_exponent,
-    minimality_competitors,
     multi_geodesic_family,
     segment_curve,
     unique_minimal_check,
@@ -100,18 +100,12 @@ def random_equal_index_pair(seed, n_max: int = 16):
 def random_generic_pair(seed, n_max: int = 16, min_sigma: float | None = None):
     """Index-(0,0) pair; optionally with ``smin(P + Q - 1) >= min_sigma``."""
     rng = np.random.default_rng(seed)
-    # cos(angle) bounds the smallest singular value of P + Q - 1 from below
+    # smin(P + Q - 1) is the cosine of the largest angle, here at least
+    # min_sigma + 0.02
     hi = np.arccos(min_sigma + 0.02) if min_sigma else np.pi / 2 - 0.15
-    for _ in range(64):
-        d11, d00, _, _, g = _balanced_dims(rng, n_max, crossed=0)
-        angles = rng.uniform(0.15, hi, g)
-        p, q = pair_with_dims(d11, d00, 0, 0, 2 * g, angles, seed=rng)
-        if min_sigma is None:
-            return p, q
-        b1 = p + q - np.eye(p.shape[0])
-        if float(np.linalg.svd(b1, compute_uv=False)[-1]) >= min_sigma:
-            return p, q
-    raise RuntimeError("failed to sample a pair with the requested gap")
+    d11, d00, _, _, g = _balanced_dims(rng, n_max, crossed=0)
+    angles = rng.uniform(0.15, hi, g)
+    return pair_with_dims(d11, d00, 0, 0, 2 * g, angles, seed=rng)
 
 
 def random_crossed_pair(seed, k: int | None = None, n_max: int = 16):
@@ -210,6 +204,21 @@ def classify_by_truncation(
 
 # -- suites ---------------------------------------------------------------------
 
+# acceptance bounds of the suites' trials: a trial fails when a residual
+# exceeds its bound (or, for the bounds named "min", falls below it)
+BOUNDS = {
+    "identities.residual": 1e-11,
+    "uniqueness.min_separation": 1e-8,
+    "uniqueness.endpoint": 1e-9,
+    "uniqueness.norm_error": 1e-10,
+    "uniqueness.rederivation": 1e-8,
+    "minimality.shortfall": 1e-6,
+    "minimality.chord_gap": 1e-4,
+    "lifting.norm_gap": 1e-12,
+    "lifting.fiber_norm_gap": 1e-12,
+    "normlift.min_margin": -1e-15,
+}
+
 
 def _suite_identities(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
     report = SuiteReport("identities", trials)
@@ -222,7 +231,7 @@ def _suite_identities(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
         report.add(
             {"trial": i, "seed": seed + i, "n": n},
             residual,
-            residual <= 1e-11,
+            residual <= BOUNDS["identities.residual"],
         )
     return report
 
@@ -276,7 +285,11 @@ def _suite_uniqueness(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
             )
             endpoint = max(op_norm(evaluate(s, 1.0) - q) for s in segments)
             norm_err = max(abs(op_norm(s.exponent) - np.pi / 2) for s in segments)
-            ok = sep > 1e-8 and endpoint <= 1e-9 and norm_err <= 1e-10
+            ok = (
+                sep > BOUNDS["uniqueness.min_separation"]
+                and endpoint <= BOUNDS["uniqueness.endpoint"]
+                and norm_err <= BOUNDS["uniqueness.norm_error"]
+            )
             record.update(
                 {"kind": "family", "n": p.shape[0], "k": k, "separation": float(sep)}
             )
@@ -286,7 +299,8 @@ def _suite_uniqueness(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
             check = unique_minimal_check(p, q, tol)
             residual = check.rederivation_error
             record.update({"kind": "rederive", "n": p.shape[0]})
-            report.add(record, residual, check.unique and residual <= 1e-8)
+            ok = check.unique and residual <= BOUNDS["uniqueness.rederivation"]
+            report.add(record, residual, ok)
     return report
 
 
@@ -300,13 +314,16 @@ def _suite_minimality(
     report = SuiteReport("minimality", trials)
     for i in range(trials):
         p, q = random_equal_index_pair(seed + i)
-        seg = minimal_exponent(p, q, tol=tol)
+        seg = minimal_exponent(p, q, tol=tol)  # validates the pair
         norm_z = op_norm(seg.exponent)
-        lengths = minimality_competitors(p, q, competitors, (seed + i) * 1000, tol)
+        lengths = _competitor_lengths(p, q, competitors, (seed + i) * 1000)
         shortfall = max(0.0, norm_z - min(lengths)) if lengths else 0.0
         chord = curve_length(segment_curve(seg), grid)
         chord_gap = abs(chord - norm_z)
-        ok = shortfall <= 1e-6 and chord_gap <= 1e-4
+        ok = (
+            shortfall <= BOUNDS["minimality.shortfall"]
+            and chord_gap <= BOUNDS["minimality.chord_gap"]
+        )
         report.add(
             {
                 "trial": i,
@@ -359,9 +376,13 @@ def _suite_lifting(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
                 d, random_projection_blocks(rng, d, int(rng.integers(0, 4))), p
             )
             lifted = lift_geodesic(p, z, other, tol)
-            fiber_ok = fiber_ok and abs(lifted.norm() - norm_z) <= 1e-12
+            fiber_gap = abs(lifted.norm() - norm_z)
+            fiber_ok = fiber_ok and fiber_gap <= BOUNDS["lifting.fiber_norm_gap"]
         ok = (
-            norm_gap <= 1e-12 and quotient_exact and tails_exact and fiber_ok
+            norm_gap <= BOUNDS["lifting.norm_gap"]
+            and quotient_exact
+            and tails_exact
+            and fiber_ok
         )
         report.add(
             {"trial": i, "seed": seed + i, "d": d, "norm_z": norm_z},
@@ -388,7 +409,7 @@ def _suite_normlift(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
                 (0.0,),
             )
             margin = min(margin, (d + comp).sup_abs() - level)
-        ok = exact and margin >= -1e-15
+        ok = exact and margin >= BOUNDS["normlift.min_margin"]
         report.add(
             {
                 "trial": i,

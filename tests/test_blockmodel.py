@@ -614,19 +614,21 @@ class TestQuotientGeodesic:
         assert quotient_geodesic(p, q).unique
 
     @pytest.mark.parametrize(
-        "pair",
+        "pair,index",
         [
-            pair_with_dims(1, 1, 0, 0, 2, [0.7], seed=3),
-            pair_with_dims(1, 1, 0, 0, 2, [np.pi / 2 - 1e-6], seed=3),
-            (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+            (pair_with_dims(1, 1, 0, 0, 2, [0.7], seed=3), (0, 0)),
+            (pair_with_dims(1, 1, 0, 0, 2, [np.pi / 2 - 1e-6], seed=3), (0, 0)),
+            ((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)), (1, 1)),
         ],
         ids=["angle-0.7", "near-half-pi", "crossed"],
     )
-    def test_uniqueness_agrees_with_index(self, pair):
-        # near pi/2 the index is not pinned: only the agreement is
+    def test_uniqueness_agrees_with_index(self, pair, index):
+        # cos(pi/2 - 1e-6) = 1e-6 clears rank_rtol, so that pair is generic
         p, q = pair
         result = quotient_geodesic(p, q)
         finite = result.case is DichotomyCase.FINITE_FINITE
+        assert index_pair(p, q) == index
+        assert finite is (index == (0, 0))
         assert result.unique == unique_minimal_check(p, q).unique == finite
 
     def test_balanced_crossed_quotient(self):

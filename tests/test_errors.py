@@ -1,5 +1,6 @@
 """Static guards over the package source: every typed error is raised
-somewhere, and no check relies on an ``assert`` that ``-O`` strips."""
+somewhere, no check relies on an ``assert`` that ``-O`` strips, and only
+the kernel layer imports SciPy."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,22 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _imported_modules(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_only_numkernel_imports_scipy():
+    importers = sorted(
+        name
+        for name, tree in TREES.items()
+        if any(m.split(".")[0] == "scipy" for m in _imported_modules(tree))
+    )
+    assert importers == ["numkernel.py"]

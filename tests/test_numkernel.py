@@ -1,24 +1,27 @@
 import numpy as np
 import pytest
 
-from projgeo.errors import (
-    LogAtMinusOne,
-    NotHermitian,
-    NotSkew,
-    NotUnitary,
-    SingularInput,
-)
+from projgeo.errors import NotHermitian, NotSkew, NotUnitary
 from projgeo.numkernel import (
     Tolerance,
+    cs_decompose,
     default_tolerance,
     expm_skew,
     herm_eig,
-    logm_unitary_principal,
+    min_singular_value,
     nullspace,
     op_norm,
-    polar_unitary,
 )
 from projgeo.projections import random_unitary
+
+# the polar factor and the principal logarithm are no longer package
+# kernels; they remain as the old-pipeline reference, tested here
+from reference_pipeline import (
+    LogAtMinusOne,
+    SingularInput,
+    logm_unitary_principal,
+    polar_unitary,
+)
 
 
 def random_hermitian(n, rng):
@@ -114,6 +117,46 @@ class TestNullspace:
         basis = nullspace(a.T @ a)  # rank-deficient gram matrix
         assert basis.shape[1] >= 1
         assert op_norm((a.T @ a) @ basis) <= 1e-9 * op_norm(a.T @ a)
+
+
+class TestMinSingularValue:
+    def test_diagonal_and_stack(self):
+        a = np.diag([3.0, -0.5, 2.0]).astype(complex)
+        assert min_singular_value(a) == 0.5
+        got = min_singular_value(np.array([a, np.eye(3), np.zeros((3, 3))]))
+        assert got.tolist() == [0.5, 1.0, 0.0]
+
+
+class TestCSDecompose:
+    @pytest.mark.parametrize("n,p,q", [(6, 2, 3), (6, 4, 3), (7, 5, 5), (5, 1, 4), (8, 4, 4)])
+    def test_structure(self, n, p, q):
+        x = random_unitary(n, n + 10 * p + q)
+        u1, u2, theta = cs_decompose(x, p, q)
+        k = min(p, n - p, q, n - q)
+        a, b = max(0, p + q - n), max(0, n - p - q)
+        assert theta.shape == (k,)
+        assert np.all(np.diff(theta) >= 0) and theta[0] >= 0 and theta[-1] <= np.pi / 2
+        assert op_norm(u1.conj().T @ u1 - np.eye(p)) <= 1e-12
+        assert op_norm(u2.conj().T @ u2 - np.eye(n - p)) <= 1e-12
+        # the first q columns of x, seen from u1 and u2, hold the identity
+        # block, then cos and sin of the angles, then zeros
+        c11 = u1.conj().T @ x[:p, :q]
+        c21 = u2.conj().T @ x[p:, :q]
+        sv11 = np.linalg.svd(c11[a:a + k], compute_uv=False)
+        sv21 = np.linalg.svd(c21[b:b + k], compute_uv=False)
+        assert np.allclose(np.sort(sv11), np.sort(np.cos(theta)), atol=1e-12)
+        assert np.allclose(np.sort(sv21), np.sort(np.sin(theta)), atol=1e-12)
+        assert op_norm(c11[a + k:]) <= 1e-12 and op_norm(c21[:b]) <= 1e-12
+
+    def test_angles_ascending_with_exact_edges(self):
+        # R(P) = span(e0, e2, e4) meets R(Q) = span(e0, e3, c e4 + s e5) at
+        # the angles 0, pi/2 and 0.3, listed out of order
+        c, s = np.cos(0.3), np.sin(0.3)
+        e = np.eye(6)
+        v = e[:, [0, 2, 4, 1, 3, 5]]
+        w = np.column_stack([c * e[4] + s * e[5], e[3], e[0], e[2], c * e[5] - s * e[4], e[1]])
+        _, _, theta = cs_decompose(v.T @ w, 3, 3)
+        assert np.allclose(theta, [0.0, 0.3, np.pi / 2], atol=1e-15)
 
 
 class TestPolarUnitary:
