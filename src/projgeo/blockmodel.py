@@ -382,11 +382,11 @@ def lifting_surgery(
 ) -> tuple[BlockOperator, BlockOperator]:
     """Remove crossed intersections from every exceptional block pair.
 
-    Each exceptional pair ``(P_i, Q_i)`` is replaced by its restriction to
-    the aligned intersection plus the generic part, dropping the two
-    crossed intersections.  This changes nothing modulo the ideal (the
-    tails are untouched) and leaves every exceptional pair with index
-    ``(0, 0)``.
+    Each exceptional pair ``(P_i, Q_i)`` with a crossed intersection is
+    replaced by ``(P_i - M10 M10*, Q_i - M01 M01*)``, for the bases ``M10,
+    M01`` of its crossed intersections ``R(P_i) & N(Q_i)`` and ``N(P_i) &
+    R(Q_i)``.  This changes nothing modulo the ideal (the tails are
+    untouched) and leaves every exceptional pair with index ``(0, 0)``.
     """
     tol = tol or default_tolerance()
     m = lift_p._aligned(lift_q)
@@ -395,10 +395,11 @@ def lifting_surgery(
         bp, bq = lift_p.block_at(i), lift_q.block_at(i)
         fs = halmos_decompose(bp, bq, tol)
         if fs.m10.shape[1] or fs.m01.shape[1]:
-            aligned = fs.m11 @ _adjoint(fs.m11)
-            h = fs.h0
-            bp = make_projection(_hermitize(aligned + h @ fs.p0 @ _adjoint(h)))
-            bq = make_projection(_hermitize(aligned + h @ fs.q0 @ _adjoint(h)))
+            # M01 may miss R(Q_i) by the cosine of a plane counted as
+            # crossed; the range of Q_i M01 lies in R(Q_i)
+            y = np.linalg.qr(fs.q @ fs.m01)[0]
+            crossed = np.array([fs.m10 @ _adjoint(fs.m10), y @ _adjoint(y)])
+            bp, bq = make_projection(_hermitize(np.array([fs.p, fs.q]) - crossed))
         new_p.append(bp)
         new_q.append(bq)
     return (
@@ -464,22 +465,28 @@ def truncated_index_pairs(
     """Index pairs of the truncations to the first ``n`` blocks, for each
     ``n`` in ``lengths``.
 
-    A truncation is block-diagonal, so its nullities of ``P - Q -+ 1`` are
-    exactly the sums of those of its blocks, and past the ``m`` exceptional
-    blocks it holds ``n - m`` copies of the tail: one stacked SVD of the
-    ``m + 1`` distinct blocks gives every length.  Different block dims
-    raise ``BlockDimMismatch``, a negative length ``ValueError``.
+    A block's crossed directions span the kernel ``K`` of ``P + Q - 1``
+    (singular values ``cos theta``, so decided at linear scale), on which
+    ``P - Q`` is positive on ``R(P) & N(Q)`` and negative on ``N(P) &
+    R(Q)``.  A truncation sums the index pairs of its blocks, and past the
+    ``m`` exceptional ones holds ``n - m`` tails: one stacked SVD and one
+    small eigensolve per distinct block give every length.  Different
+    block dims raise ``BlockDimMismatch``, a negative length ``ValueError``.
     """
     tol = tol or default_tolerance()
     m = lift_p._aligned(lift_q)
     lengths = list(lengths)
     if any(n < 0 for n in lengths):
         raise ValueError(f"truncation lengths must be non-negative, got {lengths}")
-    diff = np.array([lift_p.block_at(i) - lift_q.block_at(i) for i in range(m + 1)])
+    blocks = [(lift_p.block_at(i), lift_q.block_at(i)) for i in range(m + 1)]
     eye = np.eye(lift_p.block_dim)
-    bases = nullspace(np.array([diff - eye, diff + eye]), tol, scale=1.0)
-    nullities = np.array([b.shape[1] for b in bases]).reshape(2, m + 1)
-    head, tail = nullities[:, :m], nullities[:, m]
+    kernels = nullspace(np.array([bp + bq - eye for bp, bq in blocks]), tol, scale=1.0)
+    signs = [
+        herm_eig(_hermitize(_adjoint(k) @ (bp - bq) @ k), tol).eigenvalues
+        for k, (bp, bq) in zip(kernels, blocks)
+    ]
+    crossed = np.array([[(w > 0).sum(), (w < 0).sum()] for w in signs]).T
+    head, tail = crossed[:, :m], crossed[:, m]
     return [
         IndexPair(*(head[:, :n].sum(axis=1) + max(n - m, 0) * tail).tolist())
         for n in lengths

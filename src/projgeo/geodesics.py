@@ -44,8 +44,8 @@ from .numkernel import (
 )
 from .projections import (
     FiveSpace,
-    _decompose,
     _random_projections,
+    _rank,
     halmos_decompose,
     index_pair,
     make_projection,
@@ -147,18 +147,16 @@ def minimal_exponent(
         If ``pairing`` is not a ``k x k`` unitary.
     """
     tol = tol or default_tolerance()
-    fs = halmos_decompose(p, q, tol)  # validates both projections
-    return _segment(as_cmatrix(p), fs, pairing, tol)
+    return _segment(halmos_decompose(p, q, tol), pairing, tol)
 
 
 def _segment(
-    p: np.ndarray,
     fs: FiveSpace,
     pairing: np.ndarray | None,
     tol: Tolerance,
 ) -> GeodesicSegment:
-    """``minimal_exponent`` from a validated ``p`` and the five-space split
-    ``fs`` of the pair."""
+    """``minimal_exponent`` from the five-space split ``fs`` of the pair;
+    the segment starts at ``fs.p``."""
     _, _, d10, d01, _ = fs.dims
     if d10 != d01:
         raise NoGeodesic(f"index pair ({d10}, {d01}) is unbalanced")
@@ -170,7 +168,7 @@ def _segment(
             )
         if op_norm(_adjoint(pairing) @ pairing - np.eye(d10)) > tol.recon_rtol:
             raise NotUnitary("pairing is not unitary within recon_rtol")
-    return GeodesicSegment(base=p, exponent=_exponent(fs, pairing))
+    return GeodesicSegment(base=fs.p, exponent=_exponent(fs, pairing))
 
 
 def _segment_eig(seg: GeodesicSegment) -> HermEig:
@@ -307,7 +305,7 @@ def _joinable_midpoints(
         if not pending.size:
             break
         rs = _random_projections(n, rank, [(seeds[i], attempt) for i in pending])
-        ok = np.rint(np.trace(rs, axis1=-2, axis2=-1).real) == rank
+        ok = _rank(rs) == rank
         found[pending[ok]] = rs[ok]
         pending = pending[~ok]
     if pending.size:
@@ -347,7 +345,7 @@ def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list
     eigendecomposition and two stacked singular-value calls.
     """
     n = p.shape[0]
-    rank = int(round(np.trace(p).real))
+    rank = _rank(p)
     if rank in (0, n):
         return [0.0] * trials  # P = Q = R
     vp, vq = herm_eig(np.array([p, q])).eigenvectors[..., n - rank:]
@@ -378,17 +376,13 @@ def unique_minimal_check(p, q, tol: Tolerance | None = None) -> UniquenessReport
     crossed pairings are returned as a witness.
     """
     tol = tol or default_tolerance()
-    p = make_projection(p)
-    q = make_projection(q)
-    fs = _decompose(p, q, tol)
-    seg = _segment(p, fs, None, tol)
+    fs = halmos_decompose(p, q, tol)
+    seg = _segment(fs, None, tol)
     k = fs.dims[2]
     if k == 0:
-        n = p.shape[0]
-        u = random_unitary(n, _REDERIVE_SEED)
-        pc = make_projection(_hermitize(u.conj().T @ p @ u))
-        qc = make_projection(_hermitize(u.conj().T @ q @ u))
-        seg_c = _segment(pc, _decompose(pc, qc, tol), None, tol)
+        u = random_unitary(fs.p.shape[0], _REDERIVE_SEED)
+        pc, qc = (_hermitize(u.conj().T @ m @ u) for m in (fs.p, fs.q))
+        seg_c = _segment(halmos_decompose(pc, qc, tol), None, tol)
         back = u @ seg_c.exponent @ u.conj().T
         err = op_norm(back - seg.exponent)
         return UniquenessReport(
@@ -421,12 +415,11 @@ def multi_geodesic_family(
     distinct exponents with identical endpoints and norm ``pi/2``.
     """
     tol = tol or default_tolerance()
-    fs = halmos_decompose(p, q, tol)  # validates both projections
-    p = as_cmatrix(p)
+    fs = halmos_decompose(p, q, tol)
     _, _, d10, d01, _ = fs.dims
     if d10 != d01 or d10 == 0:
         raise BadIndex(f"need index pair (k, k) with k >= 1, got ({d10}, {d01})")
-    return [_segment(p, fs, u, tol) for u in unitaries]
+    return [_segment(fs, u, tol) for u in unitaries]
 
 
 def minimal_geodesic(
@@ -450,12 +443,10 @@ def minimal_geodesic(
         If ``samples < 2``.
     """
     tol = tol or default_tolerance()
-    p = make_projection(p)
-    q = make_projection(q)
-    fs = _decompose(p, q, tol)
-    seg = _segment(p, fs, None, tol)
+    fs = halmos_decompose(p, q, tol)
+    seg = _segment(fs, None, tol)
     _, _, d10, d01, _ = fs.dims
-    endpoint_error = op_norm(evaluate(seg, 1.0) - q)
+    endpoint_error = op_norm(evaluate(seg, 1.0) - fs.q)
     length = curve_length(segment_curve(seg), samples)
     return seg, {
         "norm_Z": op_norm(seg.exponent),

@@ -131,7 +131,7 @@ def _check_hermitian(m: np.ndarray, tol: Tolerance) -> None:
     if np.array_equal(m, _adjoint(m)):
         return
     norms, defects = op_norm(np.array([m, m - _adjoint(m)]))
-    i = _first(defects > tol.recon_rtol * np.maximum(norms, 1e-300))
+    i = _first(defects > tol.recon_rtol * norms)
     if i is not None:
         raise NotHermitian(
             f"asymmetry {np.ravel(defects)[i]:.3e} exceeds "

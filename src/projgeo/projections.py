@@ -37,25 +37,32 @@ from .numkernel import (
 PROJECTION_ATOL = 1e-10
 
 
-def make_projection(m, tol: float = PROJECTION_ATOL) -> np.ndarray:
+def make_projection(m) -> np.ndarray:
     """Validate that ``m`` is a selfadjoint projection and return it.
 
     ``m`` is a matrix or a stack ``(..., n, n)`` of matrices; both defect
     norms of every matrix come from one singular-value call.  No repair is
     attempted: a matrix that violates ``P = P*`` or ``P^2 = P`` beyond
-    ``tol`` raises ``NotAProjection`` with the violated bound (for a stack,
-    that of the first such matrix).
+    ``PROJECTION_ATOL`` raises ``NotAProjection`` with the violated bound
+    (for a stack, that of the first such matrix).
     """
     p = as_cstack(m)
     require_square(p)
     sym_defects, idem_defects = op_norm(np.array([p - _adjoint(p), p @ p - p]))
-    i = _first((sym_defects > tol) | (idem_defects > tol))
+    i = _first((sym_defects > PROJECTION_ATOL) | (idem_defects > PROJECTION_ATOL))
     if i is not None:
         sym_defect, idem_defect = np.ravel(sym_defects)[i], np.ravel(idem_defects)[i]
-        if sym_defect > tol:
-            raise NotAProjection(f"|P - P*| = {sym_defect:.3e} > {tol:.1e}")
-        raise NotAProjection(f"|P^2 - P| = {idem_defect:.3e} > {tol:.1e}")
+        if sym_defect > PROJECTION_ATOL:
+            raise NotAProjection(f"|P - P*| = {sym_defect:.3e} > {PROJECTION_ATOL:.1e}")
+        raise NotAProjection(f"|P^2 - P| = {idem_defect:.3e} > {PROJECTION_ATOL:.1e}")
     return p
+
+
+def _rank(p: np.ndarray):
+    """Rank of a projection, its trace rounded; for a stack ``(..., n, n)``,
+    the integer array of the ranks of each projection."""
+    ranks = np.rint(np.trace(p, axis1=-2, axis2=-1).real)
+    return int(ranks) if p.ndim == 2 else ranks.astype(int)
 
 
 def _random_unitaries(n: int, seeds) -> np.ndarray:
@@ -164,16 +171,17 @@ class IndexPair(NamedTuple):
 
 @dataclass(frozen=True)
 class FiveSpace:
-    """Orthonormal bases of the five reducing subspaces of a pair.
+    """A validated pair and orthonormal bases of its five reducing subspaces.
 
-    ``m11, m00, m10, m01`` span the four intersections, ``h0`` the generic
-    part, as the planes ``(x_j, g_j)`` of its principal angles ``angles``
-    (ascending) in consecutive columns: ``x_j`` in ``R(P)``, ``g_j`` in
-    ``N(P)``, and ``cos x_j + sin g_j`` in ``R(Q)``.  ``p0, q0`` are the
-    compressions of the pair to ``h0`` in the ``h0`` basis, the exact
-    2 x 2 blocks ``diag(1, 0)`` and ``[[c^2, cs], [cs, s^2]]`` per plane.
+    ``p, q`` are the pair as ``make_projection`` returned it.  ``m11, m00,
+    m10, m01`` span the four intersections, ``h0`` the generic part, as the
+    planes ``(x_j, g_j)`` of its principal angles ``angles`` (ascending) in
+    consecutive columns: ``x_j`` in ``R(P)``, ``g_j`` in ``N(P)``, and
+    ``cos x_j + sin g_j`` in ``R(Q)``.
     """
 
+    p: np.ndarray
+    q: np.ndarray
     m11: np.ndarray
     m00: np.ndarray
     m10: np.ndarray
@@ -190,19 +198,6 @@ class FiveSpace:
             self.m01.shape[1],
             self.h0.shape[1],
         )
-
-    @property
-    def p0(self) -> np.ndarray:
-        return np.diag(np.tile([1.0, 0.0], len(self.angles))).astype(np.complex128)
-
-    @property
-    def q0(self) -> np.ndarray:
-        c, s = np.cos(self.angles), np.sin(self.angles)
-        i = 2 * np.arange(len(c))
-        q0 = np.zeros((2 * len(c),) * 2, dtype=np.complex128)
-        q0[i, i], q0[i + 1, i + 1] = c * c, s * s
-        q0[i, i + 1] = q0[i + 1, i] = c * s
-        return q0
 
 
 def _require_same_dim(p: np.ndarray, q: np.ndarray) -> int:
@@ -243,7 +238,7 @@ def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     (aligned) and with ``cos <= rank_rtol`` (crossed).
     """
     n = _require_same_dim(p, q)
-    r, s = (int(round(np.trace(m).real)) for m in (p, q))
+    r, s = _rank(p), _rank(q)
     a, b, c, e = max(0, r + s - n), max(0, n - r - s), max(0, r - s), max(0, s - r)
     k = r - a - c
     same, opposite = nullspace(np.array([p - q, p + q - np.eye(n)]), tol, scale=1.0)
@@ -253,22 +248,18 @@ def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
 
 
 def halmos_decompose(p, q, tol: Tolerance | None = None) -> FiveSpace:
-    """Five-space decomposition of a projection pair.
+    """Validate a projection pair and split it into its five parts.
 
-    The pair is split once by its principal angles: bases of ``R(P)``,
-    ``N(P)``, ``R(Q)`` and ``N(Q)`` from one stacked eigendecomposition,
-    then one CS decomposition of the unitary between them.  The rank
-    decisions of ``_split`` pick which angles are aligned or crossed, so
-    the dimensions and the angles agree by construction.
+    Both matrices go through ``make_projection`` here, once; the split
+    carries them as ``fs.p`` and ``fs.q``.  The pair is split once by its
+    principal angles: bases of ``R(P)``, ``N(P)``, ``R(Q)`` and ``N(Q)``
+    from one stacked eigendecomposition, then one CS decomposition of the
+    unitary between them.  The rank decisions of ``_split`` pick which
+    angles are aligned or crossed, so the dimensions and the angles agree
+    by construction.
     """
     tol = tol or default_tolerance()
-    return _decompose(make_projection(p), make_projection(q), tol)
-
-
-def _decompose(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> FiveSpace:
-    """``halmos_decompose`` of a pair that ``make_projection`` already
-    accepted; callers that validate at their own boundary use this to
-    decompose each pair once."""
+    p, q = make_projection(p), make_projection(q)
     if p.ndim != 2 or q.ndim != 2:
         raise ValueError(f"expected 2-d arrays, got shapes {p.shape} and {q.shape}")
     sp = _split(p, q, tol)
@@ -287,6 +278,8 @@ def _decompose(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> FiveSpace:
     lo, hi = sp.aligned, sp.k - sp.crossed
     planes = np.stack([x1[:, sp.a + lo:sp.a + hi], x2[:, sp.b + lo:sp.b + hi]], axis=-1)
     return FiveSpace(
+        p=p,
+        q=q,
         m11=x1[:, :sp.a + lo],
         m00=x2[:, :sp.b + lo],
         m10=x1[:, sp.a + hi:],

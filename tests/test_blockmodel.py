@@ -39,7 +39,7 @@ from projgeo.geodesics import (
     minimal_exponent,
     unique_minimal_check,
 )
-from projgeo.numkernel import _skewize, herm_eig, nullspace, op_norm
+from projgeo.numkernel import Tolerance, _skewize, herm_eig, nullspace, op_norm
 from projgeo.projections import (
     IndexPair,
     index_pair,
@@ -496,6 +496,20 @@ class TestExistenceDichotomy:
         assert np.array_equal(result.witnesses[0].tail, p)
         assert np.array_equal(result.witnesses[1].tail, q)
 
+    def test_surgery_near_pi_half(self):
+        # a plane within rank_rtol of pi/2 counts as crossed; the surgery
+        # must still leave projections with balanced index
+        p, q = random_projection(4, 2, 13), random_projection(4, 2, 14)
+        tol = Tolerance(rank_rtol=1e-6)
+        bad_p, bad_q = pair_with_dims(1, 0, 0, 1, 2, [np.arccos(1e-7)], seed=3)
+        lifts = (BlockOperator(4, (bad_p,), p), BlockOperator(4, (bad_q,), q))
+        result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
+        assert result.case is DichotomyCase.FINITE_FINITE
+        witness_p, witness_q = (w.exceptional[0] for w in result.witnesses)
+        assert truncated_index_pairs(*result.witnesses, [8], tol)[0] == (0, 0)
+        for block in (witness_p, witness_q):
+            assert op_norm(block @ block - block) <= 1e-14
+
     def test_truncation_oracle_agreement(self):
         rng = np.random.default_rng(15)
         cases = {
@@ -516,6 +530,29 @@ class TestExistenceDichotomy:
                 BlockOperator(q.shape[0], (), q),
             )
             assert classify_by_truncation(*probe) is expected
+
+
+def dichotomy_and_oracle(p, q):
+    """The dichotomy's case and the truncation oracle's on its probe."""
+    result = existence_dichotomy(p, q)
+    d = p.shape[0]
+    probe = result.witnesses or (BlockOperator(d, (), p), BlockOperator(d, (), q))
+    return result.case, classify_by_truncation(*probe)
+
+
+class TestTruncationOracleNearEdges:
+    def test_generic_pair_near_pi_half(self):
+        p, q = pair_with_dims(1, 1, 0, 0, 2, [np.pi / 2 - 1e-6], seed=3)
+        assert dichotomy_and_oracle(p, q) == (DichotomyCase.FINITE_FINITE,) * 2
+
+    @pytest.mark.parametrize("dims", [(1, 1, 0, 0, 2), (0, 0, 1, 1, 2), (1, 0, 0, 1, 2)])
+    @pytest.mark.parametrize("theta", [1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("edge", ["zero", "half_pi"])
+    def test_oracle_agrees_with_dichotomy(self, dims, theta, edge):
+        angle = theta if edge == "zero" else np.pi / 2 - theta
+        p, q = pair_with_dims(*dims, [angle], seed=3)
+        case, oracle = dichotomy_and_oracle(p, q)
+        assert oracle is case
 
 
 def dense_truncation(lift, n_blocks):

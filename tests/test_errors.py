@@ -1,6 +1,7 @@
 """Static guards over the package source: every typed error is raised
-somewhere, no check relies on an ``assert`` that ``-O`` strips, and only
-the kernel layer imports SciPy."""
+somewhere, no check relies on an ``assert`` that ``-O`` strips, every
+tolerance literal sits in a named home, and only the kernel layer imports
+SciPy."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,42 @@ def _imported_modules(tree) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module)
     return names
+
+
+# the named constants where a tolerance literal may stand, besides the
+# field defaults of ``Tolerance``
+TOLERANCE_HOMES = {
+    ("numkernel.py", "HALF_PI_BOUND"),
+    ("projections.py", "PROJECTION_ATOL"),
+    ("suites.py", "BOUNDS"),
+}
+
+
+def _checked_parts(module: str, stmt) -> list:
+    """The parts of a module-level statement that may hold no tolerance
+    literal."""
+    if isinstance(stmt, ast.ClassDef) and stmt.name == "Tolerance":
+        # the field defaults may
+        return [node for node in stmt.body if not isinstance(node, ast.AnnAssign)]
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+        if isinstance(target, ast.Name) and (module, target.id) in TOLERANCE_HOMES:
+            return []
+    return [stmt]
+
+
+def test_tolerance_literals_have_homes():
+    found = [
+        f"{module}:{node.lineno} {node.value!r}"
+        for module, tree in TREES.items()
+        for stmt in tree.body
+        for part in _checked_parts(module, stmt)
+        for node in ast.walk(part)
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0.0 < node.value < 1e-2
+    ]
+    assert found == []
 
 
 def test_only_numkernel_imports_scipy():

@@ -606,6 +606,29 @@ def test_geodesic_report_solves_once(monkeypatch, dims, index):
     assert counts == {"_split": 1, "cs_decompose": 1, "_exponent": 1}
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p, q: minimal_geodesic(p, q, samples=20),
+        lambda p, q: multi_geodesic_family(p, q, [np.eye(1), 1j * np.eye(1)]),
+    ],
+    ids=["minimal_geodesic", "multi_geodesic_family"],
+)
+def test_validates_each_projection_once(monkeypatch, entry):
+    p, q = pair_with_dims(1, 0, 1, 1, 2, [0.7], seed=6)
+    calls = []
+    real = projections.make_projection
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(projections, "make_projection", counted)
+    monkeypatch.setattr(geodesics, "make_projection", counted)
+    entry(p, q)
+    assert len(calls) == 2
+
+
 def test_geodesic_report_unbalanced():
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
     q = np.diag([1.0, 0.0, 0.0]).astype(complex)

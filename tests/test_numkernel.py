@@ -57,6 +57,11 @@ class TestHermEig:
         with pytest.raises(NotHermitian):
             herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_rejects_tiny_non_hermitian(self):
+        # relative asymmetry 1.0, however small the matrix
+        with pytest.raises(NotHermitian):
+            herm_eig(np.array([[0, 1e-320], [0, 0]], dtype=complex))
+
     def test_invariant_battery(self):
         rng = np.random.default_rng(7)
         for trial in range(1000):

@@ -4,7 +4,7 @@ import pytest
 from projgeo import suites
 from projgeo.cli import main
 from projgeo.errors import BadRank, DimMismatch, InconsistentDims, NotAProjection
-from projgeo.numkernel import op_norm
+from projgeo.numkernel import _hermitize, op_norm
 from projgeo.projections import (
     diff_sum,
     fivespace_report,
@@ -159,9 +159,20 @@ class TestHalmosDecompose:
                 assert op_norm(p @ pi - pi @ p) <= 1e-9
                 assert op_norm(q @ pi - pi @ q) <= 1e-9
             # compressions are in generic position
-            assert index_pair(fs.p0, fs.q0) == (0, 0)
-            sub = halmos_decompose(fs.p0, fs.q0)
-            assert sub.dims == (0, 0, 0, 0, fs.p0.shape[0])
+            p0, q0 = (_hermitize(fs.h0.conj().T @ m @ fs.h0) for m in (p, q))
+            assert index_pair(p0, q0) == (0, 0)
+            sub = halmos_decompose(p0, q0)
+            assert sub.dims == (0, 0, 0, 0, p0.shape[0])
+
+    def test_carries_validated_pair(self):
+        p, q = pair_with_dims(1, 0, 1, 1, 2, [0.6], seed=4)
+        fs = halmos_decompose(p, q)
+        assert np.array_equal(fs.p, p) and np.array_equal(fs.q, q)
+        assert fs.p.dtype == fs.q.dtype == np.complex128
+        # real input comes back as the complex matrix that was validated
+        real = np.diag([1.0, 0.0])
+        fs = halmos_decompose(real, real)
+        assert fs.p.dtype == np.complex128 and np.array_equal(fs.p, real)
 
     def test_report_shape(self):
         p, q = two_by_two_generic(0.7)
