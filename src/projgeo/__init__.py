@@ -36,7 +36,6 @@ from .geodesics import (
     minimality_competitors,
     multi_geodesic_family,
     sample_curve,
-    segment_curve,
     unique_minimal_check,
     velocity,
 )

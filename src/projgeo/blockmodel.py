@@ -31,7 +31,7 @@ from .errors import (
     NotCodiagonal,
     NotHermitian,
 )
-from .geodesics import GeodesicSegment, evaluate, minimal_exponent
+from .geodesics import GeodesicSegment, _segment, evaluate
 from .numkernel import (
     HALF_PI_BOUND,
     Tolerance,
@@ -47,8 +47,9 @@ from .numkernel import (
 from .projections import (
     PROJECTION_ATOL,
     IndexPair,
+    _pair,
+    _split,
     halmos_decompose,
-    index_pair,
     make_projection,
 )
 
@@ -367,6 +368,15 @@ class DichotomyCase(Enum):
     MIXED = "Mixed"
 
 
+def _dichotomy_case(ip: IndexPair) -> DichotomyCase:
+    """Both crossed nullities trivial, both nontrivial, or one of each."""
+    if not any(ip):
+        return DichotomyCase.FINITE_FINITE
+    if all(ip):
+        return DichotomyCase.INFINITE_INFINITE
+    return DichotomyCase.MIXED
+
+
 @dataclass(frozen=True)
 class DichotomyResult:
     exists: bool
@@ -428,16 +438,10 @@ def existence_dichotomy(
     every block.
     """
     tol = tol or default_tolerance()
-    p = make_projection(p)
-    q = make_projection(q)
+    p, q = _pair(p, q)
     d = p.shape[0]
-    ip = index_pair(p, q, tol)
-    if ip.d_plus == 0 and ip.d_minus == 0:
-        case = DichotomyCase.FINITE_FINITE
-    elif ip.d_plus > 0 and ip.d_minus > 0:
-        case = DichotomyCase.INFINITE_INFINITE
-    else:
-        case = DichotomyCase.MIXED
+    ip = _split(p, q, tol).index
+    case = _dichotomy_case(ip)
 
     if lifts is None:
         lifts = (BlockOperator(d, (), p), BlockOperator(d, (), q))
@@ -521,21 +525,19 @@ def quotient_geodesic(
     The segment is unique when ``p + q - 1`` has trivial annihilator.  The
     kernel of ``p + q - 1`` is the sum of the two crossed intersections, so
     that holds exactly when the index pair is ``(0, 0)``: the FiniteFinite
-    case, decided by the same rank threshold as the existence dichotomy.
+    case, read off the one split of the pair that also gives the segment.
     """
     tol = tol or default_tolerance()
-    dich = existence_dichotomy(p, q, tol=tol)
-    if not dich.exists:
-        raise NoGeodesic(
-            f"no geodesic: index {tuple(dich.quotient_index)} has mixed character"
-        )
-    if dich.quotient_index.d_plus != dich.quotient_index.d_minus:
-        raise NoGeodesic(
-            f"tail index {tuple(dich.quotient_index)} is unbalanced: the "
-            "crossed pairing is not block-periodic"
-        )
+    fs = halmos_decompose(p, q, tol)
+    ip = IndexPair(*fs.dims[2:4])
+    case = _dichotomy_case(ip)
+    if case is DichotomyCase.MIXED:
+        raise NoGeodesic(f"no geodesic: index {tuple(ip)} has mixed character")
+    if ip.d_plus != ip.d_minus:
+        raise NoGeodesic(f"tail index {tuple(ip)} is unbalanced: the crossed "
+                         "pairing is not block-periodic")
     return QuotientGeodesic(
-        segment=minimal_exponent(p, q, tol=tol),
-        unique=dich.case is DichotomyCase.FINITE_FINITE,
-        case=dich.case,
+        segment=_segment(fs, None, tol),
+        unique=case is DichotomyCase.FINITE_FINITE,
+        case=case,
     )

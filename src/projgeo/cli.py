@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoGeodesic, ProjGeoError
-from .geodesics import minimal_geodesic, sample_curve, segment_curve
+from .geodesics import minimal_geodesic, sample_curve
 from .numkernel import Tolerance, default_tolerance
 from .projections import (
     fivespace_report,
@@ -116,7 +116,7 @@ def _write_samples(path, seg, samples: int) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         ts = [k / samples for k in range(samples + 1)]
-        for chunk, points in sample_curve(segment_curve(seg), ts):
+        for chunk, points in sample_curve(seg, ts):
             for t, point in zip(chunk.tolist(), points):
                 row = [format(t, ".17g")]
                 for z in point.ravel():
@@ -132,7 +132,7 @@ def cmd_geodesic(args) -> int:
     except NoGeodesic:
         ip = index_pair(p, q, tol)
         print(f"no geodesic: index ({ip.d_plus}, {ip.d_minus})", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     if args.csv:
         _write_samples(args.csv, seg, args.samples)
     _emit(args, report)
@@ -157,6 +157,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.failures == 0 else EXIT_FAILURES
 
 
+def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags read by ``_tolerance_from_args``, last in every subcommand."""
+    parser.add_argument("--tol-rank", type=float, default=None)
+    parser.add_argument("--tol-recon", type=float, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projgeo",
@@ -174,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="principal angles (radians), one per generic 2-plane")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", type=str, default="pair.json")
-    gen.add_argument("--tol-rank", type=float, default=None)
-    gen.add_argument("--tol-recon", type=float, default=None)
+    _add_tolerance_flags(gen)
     gen.set_defaults(func=cmd_gen)
 
     geo = sub.add_parser("geodesic", help="minimal geodesic of a stored pair")
@@ -185,8 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--csv", type=str, default=None,
                      help="write sampled curve points to this CSV file")
     geo.add_argument("--out", type=str, default=None)
-    geo.add_argument("--tol-rank", type=float, default=None)
-    geo.add_argument("--tol-recon", type=float, default=None)
+    _add_tolerance_flags(geo)
     geo.set_defaults(func=cmd_geodesic)
 
     ver = sub.add_parser("verify", help="run a verification suite")
@@ -194,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", type=str, default=None)
-    ver.add_argument("--tol-rank", type=float, default=None)
-    ver.add_argument("--tol-recon", type=float, default=None)
+    _add_tolerance_flags(ver)
     ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -26,7 +26,7 @@ non-uniqueness, exposed through ``multi_geodesic_family``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -44,23 +44,18 @@ from .numkernel import (
 )
 from .projections import (
     FiveSpace,
+    _pair,
     _random_projections,
     _rank,
+    _split,
     halmos_decompose,
     index_pair,
-    make_projection,
     random_unitary,
 )
 
-# A curve is any map from [0, 1] into the projections.  The curves made by
-# ``segment_curve`` also map a 1-d array of k values of t to the (k, n, n)
-# stack of their points, which lets ``curve_length`` and ``sample_curve``
-# evaluate a grid in chunks instead of one call per point.
-Curve = Callable[[float], np.ndarray]
-
-# size of one stack of sampled points or of competitor midpoints: bounds
-# the memory a grid or a competitor batch costs at large n while keeping
-# the per-call overhead low at small n
+# size of one stack of the points of a segment's grid or of competitor
+# midpoints: bounds the memory a grid or a competitor batch costs at large n
+# while keeping the per-call overhead low at small n
 _CHUNK_BYTES = 1 << 20
 
 
@@ -209,55 +204,26 @@ def velocity(seg: GeodesicSegment, t: float) -> TangentVector:
     return TangentVector(at=evaluate(seg, t), value=_hermitize(x))
 
 
-class _SegmentCurve:
-    """A segment as a curve that also accepts a 1-d array of t."""
+def sample_curve(seg: GeodesicSegment, ts) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Points of the segment at the 1-d array ``ts``, in order, as pairs of
+    a chunk of ``ts`` and the ``(k, n, n)`` stack of its points.
 
-    def __init__(self, seg: GeodesicSegment):
-        self.seg = seg
-
-    def __call__(self, t) -> np.ndarray:
-        return evaluate(self.seg, t)
-
-
-def segment_curve(seg: GeodesicSegment) -> Curve:
-    """The segment as a curve ``t -> projection``; like ``evaluate`` it maps
-    a 1-d array of t to the stack of the points."""
-    return _SegmentCurve(seg)
-
-
-def _points(gamma: Curve, ts: np.ndarray) -> np.ndarray:
-    """The ``(k, n, n)`` complex stack of ``gamma`` at the k values ``ts``."""
-    if isinstance(gamma, _SegmentCurve):
-        return gamma(ts)
-    return np.stack([as_cmatrix(gamma(float(t))) for t in ts])
-
-
-def sample_curve(gamma: Curve, ts) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Points of ``gamma`` at the 1-d array ``ts``, in order, as pairs of a
-    chunk of ``ts`` and the ``(k, n, n)`` stack of its points.
-
-    The first chunk holds ``ts[0]`` alone, since a plain curve reveals n
-    only through a point; the later ones hold as many points as fit in a
-    stack of about 1 MB, so a grid costs bounded memory at any n.
+    A chunk holds as many points as fit in a stack of about 1 MB, so a grid
+    costs bounded memory at any n.
     """
     ts = np.asarray(ts, dtype=float)
-    if ts.size == 0:
-        return
-    first = _points(gamma, ts[:1])
-    yield ts[:1], first
-    n = first.shape[-1]
-    step = max(1, _CHUNK_BYTES // (first.itemsize * max(n * n, 1)))
-    for start in range(1, ts.size, step):
+    step = max(1, _CHUNK_BYTES // max(seg.base.nbytes, 1))
+    for start in range(0, ts.size, step):
         chunk = ts[start:start + step]
-        yield chunk, _points(gamma, chunk)
+        yield chunk, evaluate(seg, chunk)
 
 
-def curve_length(gamma: Curve, grid: int) -> float:
+def curve_length(seg: GeodesicSegment, grid: int) -> float:
     """Chordal length: sum of ``|gamma(t_{i+1}) - gamma(t_i)|`` over the
     uniform partition of [0, 1] into ``grid`` pieces.
 
     A lower sum: refining the partition (e.g. doubling ``grid``) never
-    decreases it, and for a geodesic segment it increases to ``|Z|``.
+    decreases it, and it increases to ``|Z|``.
 
     The grid is evaluated in chunks of bounded memory (``sample_curve``),
     and the chord norms of a chunk come from one stacked ``op_norm``.  The
@@ -268,15 +234,16 @@ def curve_length(gamma: Curve, grid: int) -> float:
         raise ValueError(f"grid must be >= 2, got {grid}")
     total = 0.0
     last = None
-    for _, points in sample_curve(gamma, np.linspace(0.0, 1.0, grid + 1)):
-        if last is not None:
-            # each chord is the point minus the one before it
-            chords = np.empty_like(points)
-            np.subtract(points[:1], last, out=chords[:1])
-            np.subtract(points[1:], points[:-1], out=chords[1:])
-            for norm in op_norm(chords).tolist():
-                total += norm
-            del chords
+    for _, points in sample_curve(seg, np.linspace(0.0, 1.0, grid + 1)):
+        if last is None:
+            last = points[:1]  # a zero first chord, which adds exactly 0.0
+        # each chord is the point minus the one before it
+        chords = np.empty_like(points)
+        np.subtract(points[:1], last, out=chords[:1])
+        np.subtract(points[1:], points[:-1], out=chords[1:])
+        for norm in op_norm(chords).tolist():
+            total += norm
+        del chords
         last = points[-1:].copy()
         # only the last point is kept while the next chunk is evaluated
         del points
@@ -327,9 +294,8 @@ def minimality_competitors(
     beats the direct segment.
     """
     tol = tol or default_tolerance()
-    p = make_projection(p)
-    q = make_projection(q)
-    ip = index_pair(p, q, tol)
+    p, q = _pair(p, q)
+    ip = _split(p, q, tol).index
     if ip.d_plus != ip.d_minus:
         raise NoGeodesic(f"index pair {tuple(ip)} is unbalanced")
     return _competitor_lengths(p, q, trials, seed)
@@ -447,7 +413,7 @@ def minimal_geodesic(
     seg = _segment(fs, None, tol)
     _, _, d10, d01, _ = fs.dims
     endpoint_error = op_norm(evaluate(seg, 1.0) - fs.q)
-    length = curve_length(segment_curve(seg), samples)
+    length = curve_length(seg, samples)
     return seg, {
         "norm_Z": op_norm(seg.exponent),
         "index": [int(d10), int(d01)],

@@ -200,10 +200,13 @@ class FiveSpace:
         )
 
 
-def _require_same_dim(p: np.ndarray, q: np.ndarray) -> int:
-    if p.shape[-2:] != q.shape[-2:]:
+def _pair(p, q) -> np.ndarray:
+    """The way a pair enters the library: both as matrices of one shape,
+    validated as one ``(2, n, n)`` stack by ``make_projection``."""
+    p, q = as_cmatrix(p), as_cmatrix(q)
+    if p.shape != q.shape:
         raise DimMismatch(f"shapes {p.shape} and {q.shape} differ")
-    return p.shape[-1]
+    return make_projection(np.array([p, q]))
 
 
 class _Split(NamedTuple):
@@ -227,6 +230,10 @@ class _Split(NamedTuple):
     aligned: int
     crossed: int
 
+    @property
+    def index(self) -> IndexPair:
+        return IndexPair(self.c + self.crossed, self.e + self.crossed)
+
 
 def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     """The rank decisions of a pair, made once, at linear scale.
@@ -237,7 +244,7 @@ def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     stacked ``nullspace`` counts the angles with ``sin <= rank_rtol``
     (aligned) and with ``cos <= rank_rtol`` (crossed).
     """
-    n = _require_same_dim(p, q)
+    n = p.shape[0]
     r, s = _rank(p), _rank(q)
     a, b, c, e = max(0, r + s - n), max(0, n - r - s), max(0, r - s), max(0, s - r)
     k = r - a - c
@@ -250,8 +257,8 @@ def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
 def halmos_decompose(p, q, tol: Tolerance | None = None) -> FiveSpace:
     """Validate a projection pair and split it into its five parts.
 
-    Both matrices go through ``make_projection`` here, once; the split
-    carries them as ``fs.p`` and ``fs.q``.  The pair is split once by its
+    The pair is validated here, once, by ``_pair``; the split carries it
+    as ``fs.p`` and ``fs.q``.  The pair is split once by its
     principal angles: bases of ``R(P)``, ``N(P)``, ``R(Q)`` and ``N(Q)``
     from one stacked eigendecomposition, then one CS decomposition of the
     unitary between them.  The rank decisions of ``_split`` pick which
@@ -259,9 +266,7 @@ def halmos_decompose(p, q, tol: Tolerance | None = None) -> FiveSpace:
     by construction.
     """
     tol = tol or default_tolerance()
-    p, q = make_projection(p), make_projection(q)
-    if p.ndim != 2 or q.ndim != 2:
-        raise ValueError(f"expected 2-d arrays, got shapes {p.shape} and {q.shape}")
+    p, q = _pair(p, q)
     sp = _split(p, q, tol)
     n = p.shape[0]
     # eigenvectors with the ranges first
@@ -290,11 +295,9 @@ def halmos_decompose(p, q, tol: Tolerance | None = None) -> FiveSpace:
 
 
 def index_pair(p, q, tol: Tolerance | None = None) -> IndexPair:
-    """Crossed-intersection dimensions, by the rank decisions of
-    ``halmos_decompose``."""
+    """Crossed-intersection dimensions, by the rank decisions of ``_split``."""
     tol = tol or default_tolerance()
-    sp = _split(as_cmatrix(p), as_cmatrix(q), tol)
-    return IndexPair(d_plus=sp.c + sp.crossed, d_minus=sp.e + sp.crossed)
+    return _split(*_pair(p, q), tol).index
 
 
 def principal_angles(fs: FiveSpace) -> np.ndarray:
@@ -326,9 +329,8 @@ class DiffSum:
 
 
 def diff_sum(p, q) -> DiffSum:
-    p = make_projection(p)
-    q = make_projection(q)
-    n = _require_same_dim(p, q)
+    p, q = _pair(p, q)
+    n = p.shape[0]
     a = _hermitize(p - q)
     b = _hermitize(p + q)
     eye = np.eye(n)

@@ -25,14 +25,23 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ValueError(
-            f"matrix data has {len(data)} entries, expected {rows * cols}"
-        )
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of an object in the schema above; a ``ValueError`` names
+    the first way ``obj`` departs from it."""
+    if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= obj.keys():
+        raise ValueError("a matrix must be an object with rows, cols and data")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if not all(type(v) is int and v >= 0 for v in (rows, cols)):
+        raise ValueError(f"rows and cols must be ints >= 0, got {rows!r} and {cols!r}")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise ValueError(f"matrix data must be a list of {rows * cols} entries")
+    try:
+        pairs = np.array(data or np.zeros((0, 2)))
+    except ValueError:  # ragged entries
+        pairs = np.zeros(0)
+    if pairs.shape != (rows * cols, 2) or pairs.dtype.kind not in "iuf":
+        raise ValueError("matrix data entries must be [re, im] pairs of numbers")
+    flat = np.ascontiguousarray(pairs, dtype=float).view(np.complex128)
     return as_cmatrix(flat.reshape(rows, cols))
 
 
@@ -40,7 +49,9 @@ def pair_to_json(p, q) -> dict:
     return {"P": matrix_to_json(p), "Q": matrix_to_json(q)}
 
 
-def pair_from_json(obj: dict) -> tuple[np.ndarray, np.ndarray]:
+def pair_from_json(obj) -> tuple[np.ndarray, np.ndarray]:
+    if not isinstance(obj, dict) or not {"P", "Q"} <= obj.keys():
+        raise ValueError("a pair must be an object with P and Q")
     return matrix_from_json(obj["P"]), matrix_from_json(obj["Q"])
 
 

@@ -30,12 +30,12 @@ from .geodesics import (
     evaluate,
     minimal_exponent,
     multi_geodesic_family,
-    segment_curve,
     unique_minimal_check,
 )
 from .numkernel import Tolerance, default_tolerance, op_norm
 from .projections import (
     diff_sum,
+    index_pair,
     pair_with_dims,
     random_projection,
     random_unitary,
@@ -318,7 +318,7 @@ def _suite_minimality(
         norm_z = op_norm(seg.exponent)
         lengths = _competitor_lengths(p, q, competitors, (seed + i) * 1000)
         shortfall = max(0.0, norm_z - min(lengths)) if lengths else 0.0
-        chord = curve_length(segment_curve(seg), grid)
+        chord = curve_length(seg, grid)
         chord_gap = abs(chord - norm_z)
         ok = (
             shortfall <= BOUNDS["minimality.shortfall"]
@@ -343,7 +343,7 @@ def _block_geodesic_instance(seed: int, tol: Tolerance):
     rng = np.random.default_rng(seed)
     for attempt in range(64):
         p, q, which = random_quotient_pair((seed, attempt))
-        ip = blockmodel.index_pair(p, q, tol)
+        ip = index_pair(p, q, tol)
         if ip.d_plus == ip.d_minus:
             break
     else:

@@ -27,7 +27,6 @@ from projgeo.geodesics import (
     minimal_exponent,
     minimality_competitors,
     multi_geodesic_family,
-    segment_curve,
 )
 from projgeo.numkernel import default_tolerance, op_norm
 from projgeo.projections import (
@@ -109,7 +108,7 @@ def test_criterion_3_minimality():
         norm_z = op_norm(seg.exponent)
         lengths = minimality_competitors(p, q, 100, seed=trial * 7919)
         worst_shortfall = max(worst_shortfall, norm_z - min(lengths))
-        chord = curve_length(segment_curve(seg), 2000)
+        chord = curve_length(seg, 2000)
         worst_chord = max(worst_chord, abs(chord - norm_z))
     elapsed = time.perf_counter() - start
     ok = worst_shortfall <= 1e-6 and worst_chord <= 1e-4 and elapsed <= 120.0

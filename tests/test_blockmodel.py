@@ -42,6 +42,7 @@ from projgeo.geodesics import (
 from projgeo.numkernel import Tolerance, _skewize, herm_eig, nullspace, op_norm
 from projgeo.projections import (
     IndexPair,
+    halmos_decompose,
     index_pair,
     make_projection,
     pair_with_dims,
@@ -681,9 +682,9 @@ class TestQuotientGeodesic:
 
         def counted(p, q, *args, **kwargs):
             calls.append((p, q))
-            return minimal_exponent(p, q, *args, **kwargs)
+            return halmos_decompose(p, q, *args, **kwargs)
 
-        monkeypatch.setattr(blockmodel, "minimal_exponent", counted)
+        monkeypatch.setattr(blockmodel, "halmos_decompose", counted)
         p, q = pair_with_dims(1, 1, 0, 0, 2, [0.7], seed=3)
         result = quotient_geodesic(p, q)
         assert result.unique

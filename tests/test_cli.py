@@ -188,6 +188,25 @@ class TestGeodesicCommand:
                 writer.writerow(row)
         assert csv_path.read_bytes() == reference.read_bytes()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"P": {"rows": 1, "cols": 1, "data": [1.0]},'
+            ' "Q": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
+            '{"P": {"rows": null, "cols": 1, "data": [[1.0, 0.0]]},'
+            ' "Q": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
+        ],
+        ids=["empty-list", "bare-number-entry", "null-rows"],
+    )
+    def test_malformed_pair_file_is_usage_error(self, tmp_path, capsys, text):
+        pair = tmp_path / "pair.json"
+        pair.write_text(text)
+        rc = main(["geodesic", "--in", str(pair)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestVerifyCommand:
     def test_identities_suite(self, capsys):

@@ -16,7 +16,6 @@ from projgeo.geodesics import (
     minimality_competitors,
     multi_geodesic_family,
     sample_curve,
-    segment_curve,
     unique_minimal_check,
     velocity,
 )
@@ -273,12 +272,12 @@ class TestBatchedEvaluate:
     def test_sample_curve_chunks(self, exactness_segments):
         ts = np.linspace(0.0, 1.0, 301)
         for seg in exactness_segments:
-            chunks = list(sample_curve(segment_curve(seg), ts))
+            chunks = list(sample_curve(seg, ts))
             assert np.array_equal(np.concatenate([c for c, _ in chunks]), ts)
             assert all(points.nbytes <= 1 << 20 for _, points in chunks)
             points = np.concatenate([points for _, points in chunks])
             assert np.array_equal(points, evaluate(seg, ts))
-        assert list(sample_curve(segment_curve(seg), [])) == []
+        assert list(sample_curve(seg, [])) == []
 
 
 class TestVelocity:
@@ -318,35 +317,33 @@ class TestVelocity:
 class TestCurveLength:
     def test_constant_curve(self):
         p = random_projection(3, 1, 5)
-        assert curve_length(lambda t: p, 100) == 0.0
+        assert curve_length(minimal_exponent(p, p), 100) == 0.0
 
-    # after the one-point first chunk, a chunk holds 256 points at n = 16
-    # and 4 at n = 128, so the last two grids also span several full chunks
+    # a chunk holds 256 points at n = 16 and 4 at n = 128, so the last two
+    # grids span several full chunks
     @pytest.mark.parametrize("which,grid", [(0, 2), (0, 1000), (1, 500), (2, 21)])
     def test_equals_per_point_sum(self, exactness_segments, which, grid):
         seg = exactness_segments[which]
         expected = reference_length(reference_curve(seg), grid)
-        assert curve_length(segment_curve(seg), grid) == expected
-        assert curve_length(lambda t: evaluate(seg, t), grid) == expected
+        assert curve_length(seg, grid) == expected
 
     def test_rotation_length(self):
         theta = np.pi / 3
         p, q = rotation_pair(theta)
         seg = minimal_exponent(p, q)
-        assert abs(curve_length(segment_curve(seg), 1000) - theta) <= 1e-5
+        assert abs(curve_length(seg, 1000) - theta) <= 1e-5
 
     def test_monotone_under_refinement(self):
         p, q = random_equal_index_pair(31)
         seg = minimal_exponent(p, q)
-        curve = segment_curve(seg)
-        lengths = [curve_length(curve, m) for m in (2, 4, 8, 16, 64, 256)]
+        lengths = [curve_length(seg, m) for m in (2, 4, 8, 16, 64, 256)]
         for coarse, fine in zip(lengths, lengths[1:]):
             assert fine >= coarse - 1e-12
 
     def test_never_exceeds_norm(self):
         p, q = random_equal_index_pair(37)
         seg = minimal_exponent(p, q)
-        length = curve_length(segment_curve(seg), 2000)
+        length = curve_length(seg, 2000)
         norm_z = op_norm(seg.exponent)
         assert norm_z - 1e-4 <= length <= norm_z + 1e-12
 
@@ -576,7 +573,7 @@ def test_geodesic_report_equals_public_functions(dims, index):
     assert report["index"] == index == list(index_pair(p, q))
     assert report["norm_Z"] == op_norm(standalone.exponent)
     assert report["endpoint_error"] == op_norm(evaluate(standalone, 1.0) - q)
-    assert report["length_estimate"] == curve_length(segment_curve(standalone), 300)
+    assert report["length_estimate"] == curve_length(standalone, 300)
     assert report["unique"] is unique_minimal_check(p, q).unique is (index == [0, 0])
 
 
@@ -624,9 +621,10 @@ def test_validates_each_projection_once(monkeypatch, entry):
         return real(m)
 
     monkeypatch.setattr(projections, "make_projection", counted)
-    monkeypatch.setattr(geodesics, "make_projection", counted)
     entry(p, q)
-    assert len(calls) == 2
+    # one call, on the pair as one stack
+    assert len(calls) == 1
+    assert calls[0].shape == (2, *p.shape)
 
 
 def test_geodesic_report_unbalanced():
