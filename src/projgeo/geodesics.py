@@ -25,6 +25,7 @@ non-uniqueness, exposed through ``multi_geodesic_family``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -225,29 +226,17 @@ def curve_length(seg: GeodesicSegment, grid: int) -> float:
     A lower sum: refining the partition (e.g. doubling ``grid``) never
     decreases it, and it increases to ``|Z|``.
 
-    The grid is evaluated in chunks of bounded memory (``sample_curve``),
-    and the chord norms of a chunk come from one stacked ``op_norm``.  The
-    norms are added from left to right, so the sum is the same bit for bit
-    as one ``op_norm`` per chord.
+    Every chord of the grid is a unitary conjugate of the first,
+    ``exp(tZ) (gamma(h) - P) exp(-tZ)``, so they all have the norm of the
+    first and the sum is ``grid`` times it: one stacked ``evaluate`` of two
+    points and one ``op_norm``.  For ``|Z| <= pi/2`` that is
+    ``grid sin(|Z| / grid)``.
     """
+    grid = operator.index(grid)
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
-    total = 0.0
-    last = None
-    for _, points in sample_curve(seg, np.linspace(0.0, 1.0, grid + 1)):
-        if last is None:
-            last = points[:1]  # a zero first chord, which adds exactly 0.0
-        # each chord is the point minus the one before it
-        chords = np.empty_like(points)
-        np.subtract(points[:1], last, out=chords[:1])
-        np.subtract(points[1:], points[:-1], out=chords[1:])
-        for norm in op_norm(chords).tolist():
-            total += norm
-        del chords
-        last = points[-1:].copy()
-        # only the last point is kept while the next chunk is evaluated
-        del points
-    return total
+    start, step = evaluate(seg, [0.0, 1.0 / grid])
+    return grid * op_norm(step - start)
 
 
 def _joinable_midpoints(

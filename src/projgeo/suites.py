@@ -214,6 +214,7 @@ BOUNDS = {
     "uniqueness.rederivation": 1e-8,
     "minimality.shortfall": 1e-6,
     "minimality.chord_gap": 1e-4,
+    "minimality.chord_identity": 1e-12,
     "lifting.norm_gap": 1e-12,
     "lifting.fiber_norm_gap": 1e-12,
     "normlift.min_margin": -1e-15,
@@ -320,9 +321,12 @@ def _suite_minimality(
         shortfall = max(0.0, norm_z - min(lengths)) if lengths else 0.0
         chord = curve_length(seg, grid)
         chord_gap = abs(chord - norm_z)
+        # the chord sum of a segment with |Z| <= pi/2 is grid sin(|Z| / grid)
+        chord_identity = abs(chord - grid * np.sin(norm_z / grid))
         ok = (
             shortfall <= BOUNDS["minimality.shortfall"]
             and chord_gap <= BOUNDS["minimality.chord_gap"]
+            and chord_identity <= BOUNDS["minimality.chord_identity"]
         )
         report.add(
             {

@@ -319,13 +319,44 @@ class TestCurveLength:
         p = random_projection(3, 1, 5)
         assert curve_length(minimal_exponent(p, p), 100) == 0.0
 
-    # a chunk holds 256 points at n = 16 and 4 at n = 128, so the last two
-    # grids span several full chunks
     @pytest.mark.parametrize("which,grid", [(0, 2), (0, 1000), (1, 500), (2, 21)])
     def test_equals_per_point_sum(self, exactness_segments, which, grid):
+        """``grid`` times the first chord, exactly; and the per-point sum of
+        all chords within ``grid`` rounding errors of it."""
         seg = exactness_segments[which]
-        expected = reference_length(reference_curve(seg), grid)
-        assert curve_length(seg, grid) == expected
+        gamma = reference_curve(seg)
+        length = curve_length(seg, grid)
+        assert length == grid * op_norm(gamma(1.0 / grid) - gamma(0.0))
+        eps = np.finfo(float).eps
+        assert abs(length - reference_length(gamma, grid)) <= grid * 4 * eps
+
+    @pytest.mark.parametrize("grid", [2, 500, 10**6])
+    def test_one_chord_of_work(self, monkeypatch, grid):
+        seg = minimal_exponent(*random_equal_index_pair(41))
+        evaluated, normed = [], []
+        real_evaluate, real_op_norm = geodesics.evaluate, geodesics.op_norm
+
+        def counted_evaluate(s, t):
+            evaluated.append(np.size(t))
+            return real_evaluate(s, t)
+
+        def counted_op_norm(a):
+            normed.append(np.shape(a))
+            return real_op_norm(a)
+
+        monkeypatch.setattr(geodesics, "evaluate", counted_evaluate)
+        monkeypatch.setattr(geodesics, "op_norm", counted_op_norm)
+        curve_length(seg, grid)
+        n = seg.base.shape[0]
+        assert evaluated == [2]
+        assert normed == [(n, n)]
+
+    def test_grid_must_be_an_integer_of_at_least_two(self):
+        seg = minimal_exponent(*rotation_pair(np.pi / 3))
+        with pytest.raises(TypeError):
+            curve_length(seg, 2.5)
+        with pytest.raises(ValueError):
+            curve_length(seg, 1)
 
     def test_rotation_length(self):
         theta = np.pi / 3
@@ -346,6 +377,30 @@ class TestCurveLength:
         length = curve_length(seg, 2000)
         norm_z = op_norm(seg.exponent)
         assert norm_z - 1e-4 <= length <= norm_z + 1e-12
+
+
+# log10 of an angle's distance to 0 or pi/2: from 1e-12 up to 1e-1
+CHORD_EDGE_GAPS = st.floats(min_value=-12.0, max_value=-1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.sampled_from([(1, 1, 0, 0, 4), (0, 0, 1, 1, 4), (2, 1, 2, 2, 6), (0, 0, 0, 0, 8)]),
+    data=st.data(),
+    grid=st.integers(2, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chord_length_at_the_edges(dims, data, grid, seed):
+    """Angles near 0 and pi/2, crossed parts included: the chord sum is
+    ``grid sin(|Z| / grid)`` within ``4 grid`` rounding errors of the chord,
+    plus 64 for those of ``|Z|`` itself (they dominate at small grids:
+    50 eps measured at grid 4)."""
+    gaps = data.draw(st.lists(CHORD_EDGE_GAPS, min_size=dims[4] // 2, max_size=dims[4] // 2))
+    near_zero = data.draw(st.lists(st.booleans(), min_size=len(gaps), max_size=len(gaps)))
+    angles = [10.0**x if low else np.pi / 2 - 10.0**x for x, low in zip(gaps, near_zero)]
+    seg = minimal_exponent(*pair_with_dims(*dims, angles, seed=seed))
+    expected = grid * np.sin(op_norm(seg.exponent) / grid)
+    assert abs(curve_length(seg, grid) - expected) <= (4 * grid + 64) * np.finfo(float).eps
 
 
 class TestMinimality:
