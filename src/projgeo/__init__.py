@@ -5,7 +5,6 @@ from .numkernel import (
     HermEig,
     Tolerance,
     default_tolerance,
-    expm_skew,
     herm_eig,
     nullspace,
     op_norm,
@@ -19,25 +18,21 @@ from .projections import (
     index_pair,
     make_projection,
     pair_with_dims,
-    principal_angles,
     random_projection,
     random_unitary,
 )
 from .geodesics import (
     GeodesicSegment,
-    TangentVector,
     UniquenessReport,
     curve_length,
     evaluate,
     exists_geodesic,
-    geodesic_report,
     minimal_exponent,
     minimal_geodesic,
     minimality_competitors,
     multi_geodesic_family,
     sample_curve,
     unique_minimal_check,
-    velocity,
 )
 from .blockmodel import (
     BlockOperator,
@@ -45,8 +40,6 @@ from .blockmodel import (
     DichotomyCase,
     DichotomyResult,
     QuotientGeodesic,
-    block_identity,
-    block_zero,
     evaluate_block_geodesic,
     existence_dichotomy,
     lift_geodesic,

@@ -30,6 +30,7 @@ from .errors import (
     NotAProjection,
     NotCodiagonal,
     NotHermitian,
+    NotPeriodic,
 )
 from .geodesics import GeodesicSegment, _segment, evaluate
 from .numkernel import (
@@ -159,14 +160,6 @@ class BlockOperator:
     def is_compact(self) -> bool:
         """Zero tail: only finitely many nonzero blocks."""
         return not np.any(self.tail)
-
-
-def block_identity(d: int) -> BlockOperator:
-    return BlockOperator(d, (), np.eye(d, dtype=np.complex128))
-
-
-def block_zero(d: int) -> BlockOperator:
-    return BlockOperator(d, (), np.zeros((d, d), dtype=np.complex128))
 
 
 def quotient(a: BlockOperator) -> np.ndarray:
@@ -303,7 +296,6 @@ def lift_geodesic(
     p: np.ndarray,
     z: np.ndarray,
     lift_p: BlockOperator,
-    tol: Tolerance | None = None,
 ) -> BlockOperator:
     """Lift a quotient geodesic exponent without increasing its norm.
 
@@ -520,7 +512,7 @@ def quotient_geodesic(
     unequal the dichotomy still reports existence (the crossed spaces are
     both infinite-dimensional), yet any pairing between them must cross
     block boundaries and leaves the periodic algebra; that case raises
-    ``NoGeodesic`` here.
+    ``NotPeriodic`` here.
 
     The segment is unique when ``p + q - 1`` has trivial annihilator.  The
     kernel of ``p + q - 1`` is the sum of the two crossed intersections, so
@@ -534,8 +526,8 @@ def quotient_geodesic(
     if case is DichotomyCase.MIXED:
         raise NoGeodesic(f"no geodesic: index {tuple(ip)} has mixed character")
     if ip.d_plus != ip.d_minus:
-        raise NoGeodesic(f"tail index {tuple(ip)} is unbalanced: the crossed "
-                         "pairing is not block-periodic")
+        raise NotPeriodic(f"tail index {tuple(ip)} is unbalanced: the crossed "
+                          "pairing is not block-periodic")
     return QuotientGeodesic(
         segment=_segment(fs, None, tol),
         unique=case is DichotomyCase.FINITE_FINITE,

@@ -15,10 +15,6 @@ class NoConvergence(ProjGeoError):
     pass
 
 
-class NotSkew(ProjGeoError):
-    pass
-
-
 class NotUnitary(ProjGeoError):
     pass
 
@@ -72,3 +68,8 @@ class NotCodiagonal(ProjGeoError):
 
 class NormTooLarge(ProjGeoError):
     pass
+
+
+class NotPeriodic(ProjGeoError):
+    """A minimal geodesic exists, but the block-periodic model cannot
+    represent it: its crossed pairing would cross block boundaries."""

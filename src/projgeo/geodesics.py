@@ -71,14 +71,6 @@ class GeodesicSegment:
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    """Hermitian tangent direction ``x`` at a projection: ``x = px + xp``."""
-
-    at: np.ndarray
-    value: np.ndarray
-
-
-@dataclass(frozen=True)
 class UniquenessReport:
     unique: bool
     witness: tuple[np.ndarray, np.ndarray] | None
@@ -194,15 +186,6 @@ def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
     np.add(x, x_h, out=x)
     x /= 2
     return x
-
-
-def velocity(seg: GeodesicSegment, t: float) -> TangentVector:
-    """Derivative ``exp(tZ) [Z, P] exp(-tZ)``; its norm is constant in t."""
-    w, u = _segment_eig(seg)
-    rot = (u * np.exp(1j * t * w)) @ u.conj().T
-    comm = seg.exponent @ seg.base - seg.base @ seg.exponent
-    x = rot @ comm @ rot.conj().T
-    return TangentVector(at=evaluate(seg, t), value=_hermitize(x))
 
 
 def sample_curve(seg: GeodesicSegment, ts) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -383,7 +366,7 @@ def minimal_geodesic(
     samples: int = 1000,
     tol: Tolerance | None = None,
 ) -> tuple[GeodesicSegment, dict]:
-    """The normalized segment from ``P`` to ``Q`` and its ``geodesic_report``.
+    """The normalized segment from ``P`` to ``Q`` and its JSON-ready report.
 
     The pair is validated and decomposed once; the report's index, segment
     and uniqueness verdict all come from that one decomposition.  The
@@ -410,13 +393,3 @@ def minimal_geodesic(
         "length_estimate": float(length),
         "unique": d10 == 0,
     }
-
-
-def geodesic_report(
-    p,
-    q,
-    samples: int = 1000,
-    tol: Tolerance | None = None,
-) -> dict:
-    """JSON-ready summary of the minimal segment joining a pair."""
-    return minimal_geodesic(p, q, samples, tol)[1]

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergence, NotHermitian, NotSkew
+from .errors import NoConvergence, NotHermitian
 
 RANK_RTOL_ENV = "PROJGEO_TOL_RANK"
 HALF_PI_BOUND = np.pi / 2 + 1e-12  # pi/2 with slack for roundoff in norms
@@ -238,28 +238,3 @@ def cs_decompose(x, p: int, q: int) -> CSFactors:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return CSFactors(u1, u2, theta)
-
-
-def _check_skew(m: np.ndarray, tol: Tolerance) -> None:
-    if np.array_equal(m, -_adjoint(m)):
-        return
-    norm, defect = op_norm(np.array([m, m + _adjoint(m)])).tolist()
-    if defect > tol.recon_rtol * norm:
-        raise NotSkew(
-            f"skew defect {defect:.3e} exceeds "
-            f"{tol.recon_rtol:.1e} * norm {norm:.3e}"
-        )
-
-
-def expm_skew(z, tol: Tolerance | None = None) -> np.ndarray:
-    """Unitary exponential of a skew-Hermitian matrix.
-
-    Computed spectrally: with ``-i z = U diag(theta) U*`` the result is
-    ``U diag(exp(i theta)) U*``, unitary to working precision.
-    """
-    tol = tol or default_tolerance()
-    m = as_cmatrix(z)
-    require_square(m)
-    _check_skew(m, tol)
-    w, u = herm_eig(_hermitize(-1j * m), tol)
-    return (u * np.exp(1j * w)) @ u.conj().T

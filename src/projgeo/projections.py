@@ -300,18 +300,13 @@ def index_pair(p, q, tol: Tolerance | None = None) -> IndexPair:
     return _split(*_pair(p, q), tol).index
 
 
-def principal_angles(fs: FiveSpace) -> np.ndarray:
-    """Principal angles of the generic part, ascending, in radians."""
-    return fs.angles
-
-
 def fivespace_report(fs: FiveSpace) -> dict:
     """JSON-ready summary: integer dimensions plus generic-part angles."""
     d11, d00, d10, d01, dgen = fs.dims
     return {
         "dims": {"m11": d11, "m00": d00, "m10": d10, "m01": d01, "generic": dgen},
         "index": [d10, d01],
-        "angles": [float(a) for a in principal_angles(fs)],
+        "angles": [float(a) for a in fs.angles],
     }
 
 

@@ -21,8 +21,10 @@ from .blockmodel import (
     lift_geodesic,
     minimal_norm_lift,
     quotient,
+    quotient_geodesic,
     truncated_index_pairs,
 )
+from .errors import NoGeodesic, NotPeriodic
 from .geodesics import (
     GeodesicSegment,
     _competitor_lengths,
@@ -35,7 +37,6 @@ from .geodesics import (
 from .numkernel import Tolerance, default_tolerance, op_norm
 from .projections import (
     diff_sum,
-    index_pair,
     pair_with_dims,
     random_projection,
     random_unitary,
@@ -346,13 +347,14 @@ def _block_geodesic_instance(seed: int, tol: Tolerance):
     """Quotient pair with balanced tail index, its exponent, a random lift."""
     rng = np.random.default_rng(seed)
     for attempt in range(64):
-        p, q, which = random_quotient_pair((seed, attempt))
-        ip = index_pair(p, q, tol)
-        if ip.d_plus == ip.d_minus:
-            break
+        p, q, _ = random_quotient_pair((seed, attempt))
+        try:
+            z = quotient_geodesic(p, q, tol).segment.exponent
+        except (NoGeodesic, NotPeriodic):
+            continue
+        break
     else:
         raise RuntimeError("no balanced quotient pair found")
-    z = minimal_exponent(p, q, tol=tol).exponent
     d = p.shape[0]
     lift_p = BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(1, 4))), p)
     return p, q, z, lift_p
@@ -364,7 +366,7 @@ def _suite_lifting(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
         p, q, z, lift_p = _block_geodesic_instance(seed + i, tol)
         d = p.shape[0]
         norm_z = op_norm(z)
-        big_z = lift_geodesic(p, z, lift_p, tol)
+        big_z = lift_geodesic(p, z, lift_p)
         norm_gap = abs(big_z.norm() - norm_z)
         quotient_exact = np.array_equal(quotient(big_z), z)
         delta = blockmodel.evaluate_block_geodesic(lift_p, big_z)
@@ -379,7 +381,7 @@ def _suite_lifting(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
             other = BlockOperator(
                 d, random_projection_blocks(rng, d, int(rng.integers(0, 4))), p
             )
-            lifted = lift_geodesic(p, z, other, tol)
+            lifted = lift_geodesic(p, z, other)
             fiber_gap = abs(lifted.norm() - norm_z)
             fiber_ok = fiber_ok and fiber_gap <= BOUNDS["lifting.fiber_norm_gap"]
         ok = (

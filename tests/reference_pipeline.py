@@ -9,6 +9,9 @@ compression of ``P - Q``; its exponent is the principal logarithm of
 singular values these thresholds read are quadratic in the distance of an
 angle to 0 or pi/2, so the reference is only trusted for angles well inside
 (0, pi/2).  Every function takes one matrix at a time.
+
+``expm_skew``, the unitary exponential of a skew matrix, is the inverse the
+logarithm's tests check against.
 """
 
 from typing import NamedTuple
@@ -17,7 +20,14 @@ import numpy as np
 import scipy.linalg
 
 from projgeo.errors import NoGeodesic, NotUnitary
-from projgeo.numkernel import default_tolerance, herm_eig, nullspace, op_norm
+from projgeo.numkernel import (
+    as_cmatrix,
+    default_tolerance,
+    herm_eig,
+    nullspace,
+    op_norm,
+    require_square,
+)
 from projgeo.projections import make_projection, random_projection
 
 HALF_PI_BOUND = np.pi / 2 + 1e-12
@@ -28,6 +38,10 @@ class SingularInput(ValueError):
 
 
 class LogAtMinusOne(ValueError):
+    pass
+
+
+class NotSkew(ValueError):
     pass
 
 
@@ -44,6 +58,31 @@ def polar_unitary(a, tol=None):
     if absw.max(initial=0.0) == 0.0 or absw.min() <= tol.rank_rtol * absw.max():
         raise SingularInput("polar factor undefined: input has a nullspace")
     return _herm((u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T)
+
+
+def _check_skew(m, tol):
+    if np.array_equal(m, -m.conj().T):
+        return
+    norm, defect = op_norm(np.array([m, m + m.conj().T])).tolist()
+    if defect > tol.recon_rtol * norm:
+        raise NotSkew(
+            f"skew defect {defect:.3e} exceeds "
+            f"{tol.recon_rtol:.1e} * norm {norm:.3e}"
+        )
+
+
+def expm_skew(z, tol=None):
+    """Unitary exponential of a skew-Hermitian matrix.
+
+    Computed spectrally: with ``-i z = U diag(theta) U*`` the result is
+    ``U diag(exp(i theta)) U*``, unitary to working precision.
+    """
+    tol = tol or default_tolerance()
+    m = as_cmatrix(z)
+    require_square(m)
+    _check_skew(m, tol)
+    w, u = herm_eig(_herm(-1j * m), tol)
+    return (u * np.exp(1j * w)) @ u.conj().T
 
 
 class PrincipalLog(NamedTuple):

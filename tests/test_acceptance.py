@@ -192,7 +192,7 @@ def test_criterion_6_lifting_suite():
     for trial in range(100):
         p, q, z, lift_p = _block_geodesic_instance(40_000 + trial, tol)
         d = p.shape[0]
-        big = lift_geodesic(p, z, lift_p, tol)
+        big = lift_geodesic(p, z, lift_p)
         worst_norm = max(worst_norm, abs(big.norm() - op_norm(z)))
         curve = evaluate_block_geodesic(lift_p, big)
         small = GeodesicSegment(base=p, exponent=z)
@@ -205,7 +205,7 @@ def test_criterion_6_lifting_suite():
             fiber = BlockOperator(
                 d, random_projection_blocks(rng, d, int(rng.integers(0, 4))), p
             )
-            lifted = lift_geodesic(p, z, fiber, tol)
+            lifted = lift_geodesic(p, z, fiber)
             fibers_ok = fibers_ok and abs(lifted.norm() - op_norm(z)) <= 1e-12
     ok = worst_norm <= 1e-12 and tails_exact and fibers_ok
     report(

@@ -13,8 +13,6 @@ from projgeo.blockmodel import (
     DiagonalSequence,
     DichotomyCase,
     SPECTRAL_GAP,
-    block_identity,
-    block_zero,
     evaluate_block_geodesic,
     existence_dichotomy,
     lift_geodesic,
@@ -32,6 +30,7 @@ from projgeo.errors import (
     NotAProjection,
     NotCodiagonal,
     NotHermitian,
+    NotPeriodic,
 )
 from projgeo.geodesics import (
     GeodesicSegment,
@@ -67,7 +66,7 @@ class TestBlockAlgebra:
     def test_additive_identity(self):
         rng = np.random.default_rng(0)
         a = random_block_operator(rng, 3, 2)
-        total = a + block_zero(3)
+        total = a + BlockOperator(3, (), np.zeros((3, 3)))
         assert np.array_equal(total.tail, a.tail)
         assert all(
             np.array_equal(x, y) for x, y in zip(total.exceptional, a.exceptional)
@@ -104,7 +103,7 @@ class TestBlockAlgebra:
 
     def test_block_dim_mismatch(self):
         with pytest.raises(BlockDimMismatch):
-            block_identity(2) + block_identity(3)
+            BlockOperator(2, (), np.eye(2)) + BlockOperator(3, (), np.eye(3))
 
     def test_ideal_property(self):
         rng = np.random.default_rng(2)
@@ -595,11 +594,15 @@ class TestTruncatedIndexPairs:
 
     def test_block_dim_mismatch(self):
         with pytest.raises(BlockDimMismatch):
-            truncated_index_pairs(block_identity(2), block_identity(3), [4])
+            truncated_index_pairs(
+                BlockOperator(2, (), np.eye(2)), BlockOperator(3, (), np.eye(3)), [4]
+            )
 
     def test_negative_length(self):
         with pytest.raises(ValueError, match="non-negative"):
-            truncated_index_pairs(block_identity(2), block_zero(2), [3, -1])
+            truncated_index_pairs(
+                BlockOperator(2, (), np.eye(2)), BlockOperator(2, (), np.zeros((2, 2))), [3, -1]
+            )
 
 
 class TestQuotientSuites:
@@ -702,5 +705,5 @@ class TestQuotientGeodesic:
         # yet no block-periodic pairing exists
         p, q = pair_with_dims(0, 0, 2, 1, 0, [], seed=25)
         assert existence_dichotomy(p, q).exists
-        with pytest.raises(NoGeodesic):
+        with pytest.raises(NotPeriodic):
             quotient_geodesic(p, q)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from projgeo import projections
 from projgeo.blockmodel import existence_dichotomy, quotient_geodesic
-from projgeo.errors import DimMismatch, NoGeodesic, NotAProjection
+from projgeo.errors import DimMismatch, NoGeodesic, NotAProjection, NotPeriodic
 from projgeo.geodesics import (
     exists_geodesic,
     minimal_exponent,
@@ -103,12 +103,14 @@ def projection_pairs(draw):
     return random_projection(n, r, seed), random_projection(n, s, (seed, 1))
 
 
-def _raises_no_geodesic(call) -> bool:
+def _raised(call):
+    """The class of the ``NoGeodesic`` or ``NotPeriodic`` a call raises, or
+    ``None`` when it returns."""
     try:
         call()
-    except NoGeodesic:
-        return True
-    return False
+    except (NoGeodesic, NotPeriodic) as exc:
+        return type(exc)
+    return None
 
 
 @settings(max_examples=80, deadline=None)
@@ -119,9 +121,17 @@ def test_one_index_everywhere(pair):
     ranks = [round(np.trace(m).real) for m in (p, q)]
     assert ip.d_plus - ip.d_minus == ranks[0] - ranks[1]
     assert halmos_decompose(p, q).dims[2:4] == tuple(ip)
-    assert existence_dichotomy(p, q).quotient_index == ip
+    dichotomy = existence_dichotomy(p, q)
+    assert dichotomy.quotient_index == ip
     balanced = ip.d_plus == ip.d_minus
     assert exists_geodesic(p, q) is balanced
-    assert _raises_no_geodesic(lambda: minimal_exponent(p, q)) is not balanced
-    assert _raises_no_geodesic(lambda: minimality_competitors(p, q, 1, 0)) is not balanced
-    assert _raises_no_geodesic(lambda: quotient_geodesic(p, q)) is not balanced
+    matrix_outcome = None if balanced else NoGeodesic
+    assert _raised(lambda: minimal_exponent(p, q)) is matrix_outcome
+    assert _raised(lambda: minimality_competitors(p, q, 1, 0)) is matrix_outcome
+    # in the quotient, an unbalanced pair of infinite crossed nullities has a
+    # geodesic that the block-periodic model cannot represent
+    if balanced:
+        quotient_outcome = None
+    else:
+        quotient_outcome = NotPeriodic if dichotomy.exists else NoGeodesic
+    assert _raised(lambda: quotient_geodesic(p, q)) is quotient_outcome

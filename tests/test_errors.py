@@ -1,7 +1,7 @@
 """Static guards over the package source: every typed error is raised
 somewhere, no check relies on an ``assert`` that ``-O`` strips, every
-tolerance literal sits in a named home, and only the kernel layer imports
-SciPy."""
+tolerance literal sits in a named home, only the kernel layer imports
+SciPy, and every exported name has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -101,3 +101,35 @@ def test_only_numkernel_imports_scipy():
         if any(m.split(".")[0] == "scipy" for m in _imported_modules(tree))
     )
     assert importers == ["numkernel.py"]
+
+
+# exported names that no package module calls, each with the reason it stays
+TEST_ONLY_EXPORTS = {
+    "minimality_competitors": "acceptance criterion 3 calls it",
+    "lift_projection": "it states the paper's first claim: a Calkin "
+    "projection lifts to a projection",
+    "exists_geodesic": "the documented predicate of the existence criterion",
+}
+
+
+def _loaded_names(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller():
+    exported = {
+        alias.asname or alias.name
+        for node in TREES["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    loaded = set().union(
+        *(_loaded_names(tree) for name, tree in TREES.items() if name != "__init__.py")
+    )
+    assert sorted(exported - loaded) == sorted(TEST_ONLY_EXPORTS)

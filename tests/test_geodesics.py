@@ -10,14 +10,12 @@ from projgeo.geodesics import (
     curve_length,
     evaluate,
     exists_geodesic,
-    geodesic_report,
     minimal_exponent,
     minimal_geodesic,
     minimality_competitors,
     multi_geodesic_family,
     sample_curve,
     unique_minimal_check,
-    velocity,
 )
 from projgeo.numkernel import default_tolerance, herm_eig, op_norm
 from projgeo.projections import (
@@ -278,40 +276,6 @@ class TestBatchedEvaluate:
             points = np.concatenate([points for _, points in chunks])
             assert np.array_equal(points, evaluate(seg, ts))
         assert list(sample_curve(seg, [])) == []
-
-
-class TestVelocity:
-    def test_zero_exponent(self):
-        p = random_projection(4, 2, 2)
-        seg = minimal_exponent(p, p)
-        assert op_norm(velocity(seg, 0.3).value) <= 1e-12
-
-    def test_initial_speed(self):
-        theta = np.pi / 3
-        p, q = rotation_pair(theta)
-        seg = minimal_exponent(p, q)
-        v = velocity(seg, 0.0)
-        # oracle: |[Z, P]| computed directly
-        comm = seg.exponent @ p - p @ seg.exponent
-        assert abs(op_norm(v.value) - op_norm(comm)) <= 1e-12
-        assert abs(op_norm(v.value) - theta) <= 1e-10
-
-    def test_finite_difference_oracle(self):
-        p, q = random_equal_index_pair(23)
-        seg = minimal_exponent(p, q)
-        t, h = 0.37, 1e-5
-        fd = (evaluate(seg, t + h) - evaluate(seg, t - h)) / (2 * h)
-        assert op_norm(velocity(seg, t).value - fd) <= 1e-6
-
-    def test_tangency_and_constant_speed(self):
-        p, q = random_equal_index_pair(29)
-        seg = minimal_exponent(p, q)
-        speed = op_norm(seg.exponent)
-        for t in np.linspace(0.0, 1.0, 10):
-            v = velocity(seg, float(t))
-            x, at = v.value, v.at
-            assert op_norm(x - (at @ x + x @ at)) <= 1e-9
-            assert abs(op_norm(x) - speed) <= 1e-9
 
 
 class TestCurveLength:
@@ -611,7 +575,7 @@ class TestMultiGeodesicFamily:
 
 def test_geodesic_report_fields():
     p, q = rotation_pair(np.pi / 4)
-    report = geodesic_report(p, q, samples=500)
+    report = minimal_geodesic(p, q, samples=500)[1]
     assert set(report) == {"norm_Z", "index", "endpoint_error", "length_estimate", "unique"}
     assert abs(report["norm_Z"] - np.pi / 4) <= 1e-10
     assert report["index"] == [0, 0]
@@ -624,7 +588,6 @@ def test_geodesic_report_equals_public_functions(dims, index):
     seg, report = minimal_geodesic(p, q, samples=300)
     standalone = minimal_exponent(p, q)
     assert np.array_equal(seg.exponent, standalone.exponent)
-    assert report == geodesic_report(p, q, samples=300)
     assert report["index"] == index == list(index_pair(p, q))
     assert report["norm_Z"] == op_norm(standalone.exponent)
     assert report["endpoint_error"] == op_norm(evaluate(standalone, 1.0) - q)
@@ -650,7 +613,7 @@ def test_geodesic_report_solves_once(monkeypatch, dims, index):
     count(projections, "cs_decompose")
     count(projections, "_random_unitaries")
     count(geodesics, "_exponent")
-    report = geodesic_report(p, q, samples=20)
+    report = minimal_geodesic(p, q, samples=20)[1]
     assert report["index"] == index
     assert report["unique"] is (index == [0, 0])
     # one rank decision, one CS split and one exponent: no Haar draw and
@@ -686,4 +649,4 @@ def test_geodesic_report_unbalanced():
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
     q = np.diag([1.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(NoGeodesic):
-        geodesic_report(p, q)
+        minimal_geodesic(p, q)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from projgeo.errors import NotHermitian, NotSkew, NotUnitary
+from projgeo.errors import NotHermitian, NotUnitary
 from projgeo.numkernel import (
     Tolerance,
     cs_decompose,
     default_tolerance,
-    expm_skew,
     herm_eig,
     min_singular_value,
     nullspace,
@@ -14,11 +13,14 @@ from projgeo.numkernel import (
 )
 from projgeo.projections import random_unitary
 
-# the polar factor and the principal logarithm are no longer package
-# kernels; they remain as the old-pipeline reference, tested here
+# the polar factor, the principal logarithm and the skew exponential are no
+# longer package kernels; they remain as the old-pipeline reference, tested
+# here
 from reference_pipeline import (
     LogAtMinusOne,
+    NotSkew,
     SingularInput,
+    expm_skew,
     logm_unitary_principal,
     polar_unitary,
 )

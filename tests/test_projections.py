@@ -12,7 +12,6 @@ from projgeo.projections import (
     index_pair,
     make_projection,
     pair_with_dims,
-    principal_angles,
     random_projection,
     random_unitary,
 )
@@ -117,8 +116,7 @@ class TestPairWithDims:
             p, q = pair_with_dims(d11, d00, d10, d01, 2 * g, angles, seed=trial)
             fs = halmos_decompose(p, q)
             assert fs.dims == (d11, d00, d10, d01, 2 * g)
-            got = principal_angles(fs)
-            assert np.allclose(np.sort(angles), got, atol=1e-9)
+            assert np.allclose(np.sort(angles), fs.angles, atol=1e-9)
 
 
 class TestHalmosDecompose:

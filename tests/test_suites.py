@@ -1,6 +1,6 @@
 import numpy as np
 
-from projgeo import suites
+from projgeo import blockmodel, geodesics, projections, suites
 from projgeo.suites import random_generic_pair
 
 
@@ -23,3 +23,23 @@ def test_minimality_fails_a_chord_off_the_sine_identity(monkeypatch):
     report = suites.run_suite("minimality", 1, seed=123)
     assert report.failures == 1
     assert report.worst_residual <= suites.BOUNDS["minimality.chord_gap"]
+
+
+def test_lifting_validates_each_draw_once(monkeypatch):
+    counts = {"_pair": 0, "random_quotient_pair": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    for module in (projections, geodesics, blockmodel):
+        counted(module, "_pair")
+    counted(suites, "random_quotient_pair")
+    suites.run_suite("lifting", 40, 11)
+    # one validation per drawn pair, accepted or rejected
+    assert counts["_pair"] == counts["random_quotient_pair"] > 40
