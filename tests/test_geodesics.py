@@ -278,6 +278,46 @@ class TestBatchedEvaluate:
         assert list(sample_curve(seg, [])) == []
 
 
+def _velocity(seg, t):
+    """The point ``gamma(t)`` of the segment and the curve's derivative
+    there: for ``gamma(t) = exp(tZ) P exp(-tZ)`` it is ``[Z, gamma(t)]``."""
+    at = evaluate(seg, t)
+    return at, seg.exponent @ at - at @ seg.exponent
+
+
+class TestVelocity:
+    def test_zero_exponent(self):
+        p = random_projection(4, 2, 2)
+        seg = minimal_exponent(p, p)
+        assert op_norm(_velocity(seg, 0.3)[1]) <= 1e-12
+
+    def test_initial_speed(self):
+        theta = np.pi / 3
+        p, q = rotation_pair(theta)
+        seg = minimal_exponent(p, q)
+        _, v = _velocity(seg, 0.0)
+        # oracle: |[Z, P]| computed directly
+        comm = seg.exponent @ p - p @ seg.exponent
+        assert abs(op_norm(v) - op_norm(comm)) <= 1e-12
+        assert abs(op_norm(v) - theta) <= 1e-10
+
+    def test_finite_difference_oracle(self):
+        p, q = random_equal_index_pair(23)
+        seg = minimal_exponent(p, q)
+        t, h = 0.37, 1e-5
+        fd = (evaluate(seg, t + h) - evaluate(seg, t - h)) / (2 * h)
+        assert op_norm(_velocity(seg, t)[1] - fd) <= 1e-6
+
+    def test_tangency_and_constant_speed(self):
+        p, q = random_equal_index_pair(29)
+        seg = minimal_exponent(p, q)
+        speed = op_norm(seg.exponent)
+        for t in np.linspace(0.0, 1.0, 10):
+            at, x = _velocity(seg, float(t))
+            assert op_norm(x - (at @ x + x @ at)) <= 1e-9
+            assert abs(op_norm(x) - speed) <= 1e-9
+
+
 class TestCurveLength:
     def test_constant_curve(self):
         p = random_projection(3, 1, 5)
