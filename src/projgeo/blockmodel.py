@@ -401,7 +401,7 @@ def lifting_surgery(
             # crossed; the range of Q_i M01 lies in R(Q_i)
             y = np.linalg.qr(fs.q @ fs.m01)[0]
             crossed = np.array([fs.m10 @ _adjoint(fs.m10), y @ _adjoint(y)])
-            bp, bq = make_projection(_hermitize(np.array([fs.p, fs.q]) - crossed))
+            bp, bq = _hermitize(np.array([fs.p, fs.q]) - crossed)
         new_p.append(bp)
         new_q.append(bq)
     return (
@@ -430,19 +430,22 @@ def existence_dichotomy(
     every block.
     """
     tol = tol or default_tolerance()
-    p, q = _pair(p, q)
-    d = p.shape[0]
-    ip = _split(p, q, tol).index
+    pair = _pair(p, q)
+    d = pair.shape[-1]
+    ip = _split(*pair, tol).index
     case = _dichotomy_case(ip)
 
     if lifts is None:
-        lifts = (BlockOperator(d, (), p), BlockOperator(d, (), q))
+        lifts = tuple(BlockOperator(d, (), m) for m in pair)
     else:
         lp, lq = lifts
+        # the caller's tails, not the door's Hermitian part of them
         if not (np.array_equal(lp.tail, p) and np.array_equal(lq.tail, q)):
             raise NotAProjection("supplied lifts do not have tails p, q")
-        if lp.exceptional or lq.exceptional:
-            make_projection(np.array([*lp.exceptional, *lq.exceptional]))
+        # in the FiniteFinite case lifting_surgery validates each block pair
+        blocks = [*lp.exceptional, *lq.exceptional]
+        if blocks and case is not DichotomyCase.FINITE_FINITE:
+            make_projection(np.array(blocks))
 
     if case is DichotomyCase.MIXED:
         return DichotomyResult(False, case, None, ip)

@@ -104,22 +104,9 @@ def _exponent(fs: FiveSpace, pairing: np.ndarray | None) -> np.ndarray:
     return z
 
 
-def minimal_exponent(
-    p,
-    q,
-    pairing: np.ndarray | None = None,
-    tol: Tolerance | None = None,
-) -> GeodesicSegment:
-    """Normalized geodesic segment from ``P`` to ``Q``.
-
-    Parameters
-    ----------
-    p, q : projection arrays with equal index pair.
-    pairing : (k, k) unitary, optional
-        Pairing of the crossed intersections expressed in the canonical
-        five-space bases; identity when omitted.  Only relevant when the
-        index pair is ``(k, k)`` with ``k > 0``.  Unitary within
-        ``tol.recon_rtol``.
+def minimal_exponent(p, q, tol: Tolerance | None = None) -> GeodesicSegment:
+    """Normalized geodesic segment from ``P`` to ``Q``, with the canonical
+    crossed pairing (``multi_geodesic_family`` takes other pairings).
 
     Returns
     -------
@@ -131,11 +118,9 @@ def minimal_exponent(
     ------
     NoGeodesic
         If the crossed-intersection dimensions differ.
-    BadUnitarySize, NotUnitary
-        If ``pairing`` is not a ``k x k`` unitary.
     """
     tol = tol or default_tolerance()
-    return _segment(halmos_decompose(p, q, tol), pairing, tol)
+    return _segment(halmos_decompose(p, q, tol), None, tol)
 
 
 def _segment(
@@ -143,8 +128,8 @@ def _segment(
     pairing: np.ndarray | None,
     tol: Tolerance,
 ) -> GeodesicSegment:
-    """``minimal_exponent`` from the five-space split ``fs`` of the pair;
-    the segment starts at ``fs.p``."""
+    """The segment of the five-space split ``fs`` of the pair, with the
+    crossed ``pairing`` (canonical when ``None``); it starts at ``fs.p``."""
     _, _, d10, d01, _ = fs.dims
     if d10 != d01:
         raise NoGeodesic(f"index pair ({d10}, {d01}) is unbalanced")
@@ -222,38 +207,6 @@ def curve_length(seg: GeodesicSegment, grid: int) -> float:
     return grid * op_norm(step - start)
 
 
-def _joinable_midpoints(
-    p: np.ndarray,
-    rank: int,
-    seeds: list,
-    attempts: int = 64,
-) -> np.ndarray:
-    """The ``(k, n, n)`` stack of the first random midpoint ``R`` per seed
-    that ``P`` and ``Q`` (of rank ``rank``) both join by a geodesic.
-
-    In finite dimension the index pair of a pair differs by the difference
-    of its ranks, so a midpoint is joinable exactly when its rank is
-    ``rank``.  The midpoints of ``seed`` are drawn from ``(seed, 0)``,
-    ``(seed, 1)``, ...; at each attempt the seeds still without one share
-    one stack of draws.
-    """
-    n = p.shape[0]
-    found = np.empty((len(seeds), n, n), dtype=np.complex128)
-    pending = np.arange(len(seeds))
-    for attempt in range(attempts):
-        if not pending.size:
-            break
-        rs = _random_projections(n, rank, [(seeds[i], attempt) for i in pending])
-        ok = _rank(rs) == rank
-        found[pending[ok]] = rs[ok]
-        pending = pending[~ok]
-    if pending.size:
-        raise NoGeodesic(
-            f"no joinable midpoint of rank {rank} found in {attempts} attempts"
-        )
-    return found
-
-
 def minimality_competitors(
     p,
     q,
@@ -278,7 +231,10 @@ def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list
 
     A leg is as long as its largest principal angle, ``atan2(|A - B|,
     smin(V_A* V_B))`` for the range bases ``V_A, V_B`` of its ends.  The
-    competitors are built as stacks of about 1 MB: each stack draws its
+    midpoint of competitor ``i`` is ``random_projection(n, rank P, (seed +
+    i, 0))``; in finite dimension a pair's index pair differs by the
+    difference of its ranks, so both legs are balanced by construction.
+    The competitors are built as stacks of about 1 MB: each stack draws its
     midpoints and takes the two terms of all its legs from one stacked
     eigendecomposition and two stacked singular-value calls.
     """
@@ -291,7 +247,7 @@ def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list
     lengths = []
     for start in range(0, trials, step):
         seeds = [seed + i for i in range(start, min(start + step, trials))]
-        rs = _joinable_midpoints(p, rank, seeds)
+        rs = _random_projections(n, rank, [(s, 0) for s in seeds])
         vr = herm_eig(rs).eigenvectors[..., n - rank:]
         cos = min_singular_value(np.concatenate([_adjoint(vp) @ vr, _adjoint(vr) @ vq]))
         sin = op_norm(np.concatenate([p - rs, rs - q]))

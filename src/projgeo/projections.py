@@ -38,13 +38,17 @@ PROJECTION_ATOL = 1e-10
 
 
 def make_projection(m) -> np.ndarray:
-    """Validate that ``m`` is a selfadjoint projection and return it.
+    """Validate that ``m`` is a selfadjoint projection and return its exact
+    Hermitian part.
 
     ``m`` is a matrix or a stack ``(..., n, n)`` of matrices; both defect
-    norms of every matrix come from one singular-value call.  No repair is
-    attempted: a matrix that violates ``P = P*`` or ``P^2 = P`` beyond
-    ``PROJECTION_ATOL`` raises ``NotAProjection`` with the violated bound
-    (for a stack, that of the first such matrix).
+    norms of every matrix come from one singular-value call.  A matrix that
+    violates ``P = P*`` or ``P^2 = P`` beyond ``PROJECTION_ATOL`` raises
+    ``NotAProjection`` with the violated bound (for a stack, that of the
+    first such matrix).  An accepted matrix is returned as its exact
+    Hermitian part ``(P + P*) / 2``, so every check past this door sees a
+    bitwise Hermitian matrix; on a bitwise Hermitian input that changes no
+    value.  Nothing else is repaired.
     """
     p = as_cstack(m)
     require_square(p)
@@ -55,7 +59,7 @@ def make_projection(m) -> np.ndarray:
         if sym_defect > PROJECTION_ATOL:
             raise NotAProjection(f"|P - P*| = {sym_defect:.3e} > {PROJECTION_ATOL:.1e}")
         raise NotAProjection(f"|P^2 - P| = {idem_defect:.3e} > {PROJECTION_ATOL:.1e}")
-    return p
+    return _hermitize(p)
 
 
 def _rank(p: np.ndarray):
@@ -84,8 +88,8 @@ def random_unitary(n: int, seed) -> np.ndarray:
 
 
 def _random_projections(n: int, r: int, seeds) -> np.ndarray:
-    """Stack of ``random_projection(n, r, seed)`` over ``seeds``, validated
-    as one stack."""
+    """Stack of ``random_projection(n, r, seed)`` over ``seeds``, with one
+    QR call; each is a rank-``r`` projection by construction."""
     if not 0 <= r <= n:
         raise BadRank(f"rank {r} outside [0, {n}]")
     k = len(seeds)
@@ -94,7 +98,7 @@ def _random_projections(n: int, r: int, seeds) -> np.ndarray:
     if r == n:
         return np.broadcast_to(np.eye(n, dtype=np.complex128), (k, n, n)).copy()
     u = _random_unitaries(n, seeds)[..., :r]
-    return make_projection(_hermitize(u @ _adjoint(u)))
+    return _hermitize(u @ _adjoint(u))
 
 
 def random_projection(n: int, r: int, seed) -> np.ndarray:
@@ -158,10 +162,7 @@ def pair_with_dims(
     u = random_unitary(n, seed)
     p = u @ p0 @ u.conj().T
     q = u @ q0 @ u.conj().T
-    return (
-        make_projection(_hermitize(p)),
-        make_projection(_hermitize(q)),
-    )
+    return _hermitize(p), _hermitize(q)
 
 
 class IndexPair(NamedTuple):

@@ -475,6 +475,24 @@ class TestExistenceDichotomy:
         with pytest.raises(NotAProjection):
             existence_dichotomy(np.diag([0.5, 0.0]), np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize(
+        "dims,case",
+        [((1, 1, 0, 0, 0), DichotomyCase.FINITE_FINITE),
+         ((0, 0, 1, 1, 0), DichotomyCase.INFINITE_INFINITE),
+         ((0, 1, 1, 0, 0), DichotomyCase.MIXED)],
+    )
+    def test_rejects_a_bad_lift_in_every_case(self, dims, case, side):
+        p, q = pair_with_dims(*dims, [], seed=4)
+        assert existence_dichotomy(p, q).case is case
+        good = random_projection(2, 1, 5)
+        bad = np.diag([0.5, 0.0]).astype(complex)
+        blocks = [(good,), (good,)]
+        blocks[side] = (good, bad)
+        lifts = (BlockOperator(2, blocks[0], p), BlockOperator(2, blocks[1], q))
+        with pytest.raises(NotAProjection, match="P\\^2"):
+            existence_dichotomy(p, q, lifts=lifts)
+
     def test_surgery_balances_witnesses(self):
         rng = np.random.default_rng(12)
         p = random_projection(4, 2, 13)

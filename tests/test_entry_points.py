@@ -2,14 +2,23 @@
 both matrices of one shape, validated as one stack, and every answer about
 the index pair read off the same rank decisions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from projgeo import projections
-from projgeo.blockmodel import existence_dichotomy, quotient_geodesic
-from projgeo.errors import DimMismatch, NoGeodesic, NotAProjection, NotPeriodic
+from projgeo.blockmodel import BlockOperator, existence_dichotomy, quotient_geodesic
+from projgeo.errors import (
+    DimMismatch,
+    NoGeodesic,
+    NotAProjection,
+    NotHermitian,
+    NotPeriodic,
+    ProjGeoError,
+)
 from projgeo.geodesics import (
     exists_geodesic,
     minimal_exponent,
@@ -85,6 +94,76 @@ def test_index_pair_of_a_non_projection_raises():
         index_pair(np.diag([0.5, 0.0]), np.diag([1.0, 0.0]))
     with pytest.raises(NotAProjection):
         exists_geodesic(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
+
+
+def near_hermitian_pair(dims=(1, 1, 1, 1, 2)):
+    """A pair that passes ``make_projection`` with ``P`` off Hermitian by
+    3e-11, and its Hermitian twin: ``(raw, twin)``."""
+    raw = [m.copy() for m in pair_with_dims(*dims, [0.4], seed=1)]
+    raw[0][0, 1] += 3e-11
+    return raw, [(m + m.conj().T) / 2 for m in raw]
+
+
+def _outcome(call):
+    """What a call gives: its value, or the class and text of its typed
+    error."""
+    try:
+        return "value", call()
+    except ProjGeoError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _same(a, b) -> bool:
+    """Equality of results built from arrays, dataclasses, tuples, lists,
+    dicts and scalars."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a)
+            if f.compare
+        )
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_accepted_pair_answers_as_its_hermitian_twin(entry):
+    # make_projection accepts |P - P*| <= 1e-10; the kernels' 1e-12
+    # symmetry check must not reject the pair once it is past the door
+    raw, twin = near_hermitian_pair()
+    got, want = _outcome(lambda: entry(*raw)), _outcome(lambda: entry(*twin))
+    assert NotHermitian not in got + want
+    assert _same(got, want)
+
+
+@pytest.mark.parametrize(
+    "dims,case",
+    [((1, 1, 0, 0, 2), "FiniteFinite"), ((1, 1, 1, 1, 2), "InfiniteInfinite"),
+     ((1, 1, 1, 0, 2), "Mixed")],
+)
+def test_supplied_lifts_keep_the_callers_tails(dims, case):
+    raw, twin = near_hermitian_pair(dims)
+    d = raw[0].shape[0]
+    blocks = tuple(random_projection(d, r, 20 + r) for r in range(3))
+
+    def lifts(pair):
+        return tuple(BlockOperator(d, blocks[i:], m) for i, m in enumerate(pair))
+
+    got = existence_dichotomy(*raw, lifts=lifts(raw))
+    want = existence_dichotomy(*twin, lifts=lifts(twin))
+    assert got.case.value == want.case.value == case
+    assert (got.exists, got.quotient_index) == (want.exists, want.quotient_index)
+    if got.witnesses is None:
+        assert want.witnesses is None
+        return
+    for witness, twin_witness, tail in zip(got.witnesses, want.witnesses, raw):
+        assert np.array_equal(witness.tail, tail)
+        assert _same(witness.exceptional, twin_witness.exceptional)
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Static guards over the package source: every typed error is raised
 somewhere, no check relies on an ``assert`` that ``-O`` strips, every
-tolerance literal sits in a named home, only the kernel layer imports
-SciPy, and every exported name has a caller in the package."""
+tolerance literal sits in a named home, projections are validated only
+where they enter, only the kernel layer imports SciPy, and every exported
+name has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -92,6 +93,32 @@ def test_tolerance_literals_have_homes():
         and 0.0 < node.value < 1e-2
     ]
     assert found == []
+
+
+# projections enter the library through these functions, each the door of
+# a public entry point; the library's own constructions are projections by
+# construction and are not validated again
+VALIDATING_FUNCTIONS = {"_pair", "lift_projection", "lift_geodesic", "existence_dichotomy"}
+
+
+def _functions_calling(tree, name: str) -> set[str]:
+    callers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and name in (
+                    getattr(call.func, "id", None),
+                    getattr(call.func, "attr", None),
+                ):
+                    callers.add(node.name)
+    return callers
+
+
+def test_projections_are_validated_where_they_enter():
+    callers = set().union(
+        *(_functions_calling(tree, "make_projection") for tree in TREES.values())
+    )
+    assert sorted(callers - VALIDATING_FUNCTIONS) == []
 
 
 def test_only_numkernel_imports_scipy():

@@ -130,7 +130,7 @@ class TestMinimalExponent:
         p = np.diag([1.0, 0.0]).astype(complex)
         q = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(NotUnitary):
-            minimal_exponent(p, q, pairing=[[2.0]])
+            multi_geodesic_family(p, q, [[[2.0]]])
         with pytest.raises(NotUnitary):
             multi_geodesic_family(p, q, [np.eye(1, dtype=complex), [[2.0]]])
 
@@ -455,6 +455,20 @@ def replace_midpoints(monkeypatch, replace):
     monkeypatch.setattr(geodesics, "_random_projections", draw)
 
 
+def record_midpoints(monkeypatch) -> list:
+    """Record, unchanged, every midpoint the competitors draw."""
+    real = geodesics._random_projections
+    drawn = []
+
+    def draw(n, rank, seeds):
+        rs = real(n, rank, seeds)
+        drawn.extend(rs)
+        return rs
+
+    monkeypatch.setattr(geodesics, "_random_projections", draw)
+    return drawn
+
+
 def assert_matches_reference(got, ref):
     assert len(got) == len(ref)
     assert np.max(np.abs(np.subtract(got, ref)), initial=0.0) <= REFERENCE_ATOL
@@ -490,26 +504,29 @@ class TestStackedCompetitors:
         assert_matches_reference(got, reference_competitors(p, q, 8, 40, replace))
         assert abs(got[3] - op_norm(minimal_exponent(p, q).exponent)) <= REFERENCE_ATOL
 
-    def test_unbalanced_midpoint_retries(self, monkeypatch):
+    def test_midpoints_are_first_draws(self, monkeypatch):
+        # competitor i takes its first draw (70 + i, 0), the midpoint the
+        # reference's retry loop accepts first
         p, q = random_equal_index_pair(5)
         n, rank = p.shape[0], int(round(np.trace(p).real))
-        untouched = minimality_competitors(p, q, 8, 70)
-        # a midpoint of another rank is never joinable to P, so member 5
-        # moves on to its draw (75, 1)
-        replace = {(75, 0): random_projection(n, rank + 1, 123)}
-        replace_midpoints(monkeypatch, replace)
+        drawn = record_midpoints(monkeypatch)
         got = minimality_competitors(p, q, 8, 70)
-        assert_matches_reference(got, reference_competitors(p, q, 8, 70, replace))
-        assert got[:5] == untouched[:5] and got[6:] == untouched[6:]
-        assert got[5] != untouched[5]
+        assert len(drawn) == 8
+        for i, r in enumerate(drawn):
+            assert np.array_equal(r, random_projection(n, rank, (70 + i, 0)))
+        assert_matches_reference(got, reference_competitors(p, q, 8, 70))
 
-    def test_no_joinable_midpoint(self, monkeypatch):
-        p, q = random_equal_index_pair(5)
-        n, rank = p.shape[0], int(round(np.trace(p).real))
-        other = random_projection(n, rank + 1, 123)
-        replace_midpoints(monkeypatch, {(72, a): other for a in range(64)})
-        with pytest.raises(NoGeodesic, match="in 64 attempts"):
-            minimality_competitors(p, q, 8, 70)
+    def test_every_midpoint_is_joinable(self, monkeypatch):
+        # drawn with the rank of P, every midpoint gives two balanced legs
+        drawn = record_midpoints(monkeypatch)
+        for s in range(20):
+            p, q = random_equal_index_pair(s)
+            drawn.clear()
+            minimality_competitors(p, q, 3, s * 1000)
+            assert len(drawn) == 3
+            for r in drawn:
+                for leg in index_pair(p, r), index_pair(r, q):
+                    assert leg.d_plus == leg.d_minus
 
     def test_chunk_boundary(self):
         # n = 64: 16 competitors fill one 1 MB stack, so 20 take two

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projgeo import suites
 from projgeo.cli import main
 from projgeo.errors import BadRank, DimMismatch, InconsistentDims, NotAProjection
-from projgeo.numkernel import _hermitize, op_norm
+from projgeo.numkernel import _adjoint, _hermitize, op_norm
 from projgeo.projections import (
+    _random_projections,
     diff_sum,
     fivespace_report,
     halmos_decompose,
@@ -61,6 +64,56 @@ class TestMakeProjection:
             make_projection(stack)
         assert str(stacked.value) == str(scalar.value)
         assert np.array_equal(make_projection(stack[:3]), stack[:3])
+
+    def test_returns_exact_hermitian_part(self):
+        p = random_projection(5, 2, 3)
+        off = p.copy()
+        off[0, 1] += 3e-11
+        got = make_projection(off)
+        assert np.array_equal(got, _adjoint(got))
+        assert np.array_equal(got, _hermitize(off))
+        # a projection the library built comes back bit for bit
+        assert np.array_equal(make_projection(p).view(float), p.view(float))
+
+
+# the constructions return projections without checking them at run time;
+# these hold them to the defects they must meet, far inside PROJECTION_ATOL
+CONSTRUCTION_ATOL = 1e-13
+
+
+def assert_built_projection(p):
+    assert np.array_equal(p, _adjoint(p))
+    assert np.max(op_norm(p @ p - p), initial=0.0) <= CONSTRUCTION_ATOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 128), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_random_projections_are_projections(n, data, seed):
+    r = data.draw(st.integers(0, n))
+    k = data.draw(st.integers(1, 3))
+    stack = _random_projections(n, r, [(seed, i) for i in range(k)])
+    assert stack.shape == (k, n, n)
+    assert_built_projection(stack)
+    assert np.all(np.rint(np.trace(stack, axis1=1, axis2=2).real) == r)
+    p = random_projection(n, r, (seed, 0))
+    assert np.array_equal(p, stack[0])
+    assert_built_projection(p)
+
+
+# log10 of an angle's distance to 0 or pi/2: from 1e-12 up to about 0.6
+EDGE_GAPS = st.floats(min_value=-12.0, max_value=-0.2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(0, 3)] * 4),
+    gaps=st.lists(st.tuples(EDGE_GAPS, st.booleans()), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairs_with_dims_are_projections(dims, gaps, seed):
+    angles = [10.0**x if low else np.pi / 2 - 10.0**x for x, low in gaps]
+    for m in pair_with_dims(*dims, 2 * len(angles), angles, seed=seed):
+        assert_built_projection(m)
 
 
 class TestRandomProjection:
