@@ -157,10 +157,6 @@ class BlockOperator:
         """Exact operator norm: the largest block norm."""
         return float(op_norm(np.array([*self.exceptional, self.tail])).max())
 
-    def is_compact(self) -> bool:
-        """Zero tail: only finitely many nonzero blocks."""
-        return not np.any(self.tail)
-
 
 def quotient(a: BlockOperator) -> np.ndarray:
     """Quotient map: the tail block.  A *-homomorphism, exactly: products,
@@ -239,11 +235,6 @@ class DiagonalSequence:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail_cycle", tail)
 
-    def value_at(self, n: int) -> float:
-        if n < len(self.prefix):
-            return self.prefix[n]
-        return self.tail_cycle[(n - len(self.prefix)) % len(self.tail_cycle)]
-
     def limsup_abs(self) -> float:
         return max(map(abs, self.tail_cycle))
 
@@ -292,6 +283,12 @@ def minimal_norm_lift(d: DiagonalSequence) -> DiagonalSequence:
 # -- geodesic lifting ---------------------------------------------------------
 
 
+def _compress(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``B z (1-B) + (1-B) z B`` for each projection ``B`` of a stack."""
+    bc = np.eye(z.shape[0]) - b
+    return _skewize(b @ z @ bc + bc @ z @ b)
+
+
 def lift_geodesic(
     p: np.ndarray,
     z: np.ndarray,
@@ -324,9 +321,7 @@ def lift_geodesic(
         raise NotAProjection("lift_p is not a lift of p: tails differ")
     blocks = ()
     if lift_p.exceptional:
-        b = make_projection(np.array(lift_p.exceptional))
-        bc = np.eye(d) - b
-        blocks = tuple(_skewize(b @ z @ bc + bc @ z @ b))
+        blocks = tuple(_compress(make_projection(np.array(lift_p.exceptional)), z))
     # the tail carries z itself, so the quotient of the lift is exact
     return BlockOperator(d, blocks, z)
 
@@ -336,16 +331,14 @@ def evaluate_block_geodesic(lift_p: BlockOperator, z: BlockOperator):
     BlockOperators.
 
     Each block evolves independently; in particular the tail of the curve
-    is exactly the quotient geodesic of the tails.
+    is exactly the quotient geodesic of the tails.  The distinct blocks
+    form one segment of stacks, so a point of the curve is one ``evaluate``.
     """
-    m = lift_p._aligned(z)
-    segments = [
-        GeodesicSegment(base=lift_p.block_at(i), exponent=z.block_at(i))
-        for i in range(m + 1)
-    ]
+    indices = range(lift_p._aligned(z) + 1)
+    stack = GeodesicSegment(*(np.array([a.block_at(i) for i in indices]) for a in (lift_p, z)))
 
     def at(t: float) -> BlockOperator:
-        *blocks, tail = (evaluate(s, t) for s in segments)
+        *blocks, tail = evaluate(stack, t)
         return BlockOperator(lift_p.block_dim, tuple(blocks), tail)
 
     return at

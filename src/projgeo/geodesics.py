@@ -155,15 +155,15 @@ def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
     """Point ``exp(tZ) P exp(-tZ)`` of the segment; ``t`` may leave [0, 1].
 
     ``t`` is a float, giving the ``(n, n)`` point, or a 1-d array of k
-    values, giving the ``(k, n, n)`` stack of the points.  Each matrix of
-    the stack is computed with the same arithmetic as the scalar call and
-    equals its result bit for bit.
+    values, giving the ``(k, n, n)`` stack of the points; a stack of k
+    segments (base and exponent ``(k, n, n)``) at a float ``t`` gives their
+    k points.  Each matrix of a stack equals its scalar call bit for bit.
     """
     w, u = _segment_eig(seg)
     t = np.asarray(t, dtype=float)
     # the products of the formula, in order, in three stack-size buffers
     scaled = u * np.exp(1j * t[..., None] * w)[..., None, :]
-    rot = scaled @ u.conj().T
+    rot = scaled @ _adjoint(u)
     rot_p = np.matmul(rot, seg.base, out=scaled)
     rot_h = np.swapaxes(np.conjugate(rot, out=rot), -1, -2)
     x = rot_p @ rot_h

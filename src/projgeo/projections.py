@@ -69,22 +69,27 @@ def _rank(p: np.ndarray):
     return int(ranks) if p.ndim == 2 else ranks.astype(int)
 
 
-def _random_unitaries(n: int, seeds) -> np.ndarray:
-    """Stack of ``random_unitary(n, seed)`` over ``seeds``, with one QR call."""
-    draws = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        draws.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    g = np.array(draws) / np.sqrt(2)
-    q, r = np.linalg.qr(g)
+def _gaussian(n: int, rng) -> np.ndarray:
+    """The complex Gaussian of one Haar unitary, drawn from ``rng``."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _haar(draws) -> np.ndarray:
+    """Haar unitaries from a stack of ``_gaussian`` draws, with one QR call."""
+    q, r = np.linalg.qr(np.array(draws) / np.sqrt(2))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d = np.where(np.abs(d) == 0.0, 1.0, d / np.abs(d))
     return q * d[..., None, :]
 
 
+def _range_projection(u: np.ndarray, r: int) -> np.ndarray:
+    """Projection onto the first ``r`` columns of a unitary, or of each of a stack."""
+    return _hermitize(u[..., :r] @ _adjoint(u[..., :r]))
+
+
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed unitary (QR of a complex Gaussian, phases fixed)."""
-    return _random_unitaries(n, [seed])[0]
+    return _haar([_gaussian(n, np.random.default_rng(seed))])[0]
 
 
 def _random_projections(n: int, r: int, seeds) -> np.ndarray:
@@ -97,8 +102,7 @@ def _random_projections(n: int, r: int, seeds) -> np.ndarray:
         return np.zeros((k, n, n), dtype=np.complex128)
     if r == n:
         return np.broadcast_to(np.eye(n, dtype=np.complex128), (k, n, n)).copy()
-    u = _random_unitaries(n, seeds)[..., :r]
-    return _hermitize(u @ _adjoint(u))
+    return _range_projection(_haar([_gaussian(n, np.random.default_rng(s)) for s in seeds]), r)
 
 
 def random_projection(n: int, r: int, seed) -> np.ndarray:

@@ -12,6 +12,10 @@ angle to 0 or pi/2, so the reference is only trusted for angles well inside
 
 ``expm_skew``, the unitary exponential of a skew matrix, is the inverse the
 logarithm's tests check against.
+
+``reference_projection_blocks`` is the suites' block sampler drawn one
+block, and one QR, at a time: the stacked sampler must give its blocks and
+leave its generator in the same state.
 """
 
 from typing import NamedTuple
@@ -184,3 +188,13 @@ def reference_competitors(p, q, trials, seed, replace=()):
             raise NoGeodesic("no midpoint")
         lengths.append(op_norm(reference_leg(leg1, tol)) + op_norm(reference_leg(leg2, tol)))
     return lengths
+
+
+def reference_projection_blocks(rng, d, count):
+    """``count`` blocks, each its rank from ``rng`` and then its own
+    ``random_projection`` draw from ``rng``."""
+    blocks = []
+    for _ in range(count):
+        rank = int(rng.integers(0, d + 1))
+        blocks.append(random_projection(d, rank, rng))
+    return tuple(blocks)

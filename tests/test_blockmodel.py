@@ -62,6 +62,18 @@ def random_block_operator(rng, d, n_exceptional):
     return BlockOperator(d, tuple(block() for _ in range(n_exceptional)), block())
 
 
+def is_compact(a: BlockOperator) -> bool:
+    """Zero tail: only finitely many nonzero blocks."""
+    return not np.any(a.tail)
+
+
+def value_at(d: DiagonalSequence, n: int) -> float:
+    """The ``n``-th entry of the sequence."""
+    if n < len(d.prefix):
+        return d.prefix[n]
+    return d.tail_cycle[(n - len(d.prefix)) % len(d.tail_cycle)]
+
+
 class TestBlockAlgebra:
     def test_additive_identity(self):
         rng = np.random.default_rng(0)
@@ -113,8 +125,8 @@ class TestBlockAlgebra:
             (rng.standard_normal((3, 3)) + 0j,),
             np.zeros((3, 3), dtype=complex),
         )
-        assert (a * compact).is_compact()
-        assert (compact * a).is_compact()
+        assert is_compact(a * compact)
+        assert is_compact(compact * a)
 
     def test_exceptional_cap(self):
         tail = np.zeros((1, 1), dtype=complex)
@@ -127,7 +139,7 @@ class TestQuotient:
     def test_compact_maps_to_zero(self):
         a = BlockOperator(2, (np.eye(2, dtype=complex),), np.zeros((2, 2), complex))
         assert np.all(quotient(a) == 0)
-        assert a.is_compact()
+        assert is_compact(a)
 
     def test_star_homomorphism_exact(self):
         rng = np.random.default_rng(3)
@@ -229,7 +241,7 @@ FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 class TestDiagonalSequence:
     def test_value_indexing(self):
         d = DiagonalSequence((5.0, -3.0), (1.0, 0.5))
-        assert [d.value_at(i) for i in range(6)] == [5.0, -3.0, 1.0, 0.5, 1.0, 0.5]
+        assert [value_at(d, i) for i in range(6)] == [5.0, -3.0, 1.0, 0.5, 1.0, 0.5]
 
     def test_limsup_ignores_prefix(self):
         d = DiagonalSequence((100.0,), (0.25,))
@@ -241,7 +253,7 @@ class TestDiagonalSequence:
         b = DiagonalSequence((), (10.0, 20.0, 30.0))
         total = a + b
         for n in range(12):
-            assert total.value_at(n) == a.value_at(n) + b.value_at(n)
+            assert value_at(total, n) == value_at(a, n) + value_at(b, n)
 
     def test_empty_cycle_rejected(self):
         with pytest.raises(ValueError):
@@ -262,7 +274,7 @@ class TestDiagonalSequence:
         assert len(total.prefix) == head
         period = math.lcm(len(a_cycle), len(b_cycle))
         for n in range(head + 2 * period):
-            assert total.value_at(n) == a.value_at(n) + b.value_at(n)
+            assert value_at(total, n) == value_at(a, n) + value_at(b, n)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from projgeo import geodesics, projections
 from projgeo.errors import BadIndex, BadUnitarySize, NoGeodesic, NotUnitary, ProjGeoError
 from projgeo.geodesics import (
+    GeodesicSegment,
     codiagonal_residual,
     curve_length,
     evaluate,
@@ -266,6 +267,21 @@ class TestBatchedEvaluate:
             assert np.array_equal(stack, scalar)
             reference = reference_curve(seg)
             assert np.array_equal(scalar, np.stack([reference(float(t)) for t in ts]))
+
+    def test_segment_stack_equals_lone_segments(self):
+        dims = [(1, 1, 0, 0, 4), (0, 0, 1, 1, 4), (2, 2, 1, 1, 0), (6, 0, 0, 0, 0)]
+        segments = [
+            minimal_exponent(*pair_with_dims(*dim, [0.3, 1.2][:dim[4] // 2], seed=i))
+            for i, dim in enumerate(dims)
+        ]
+        stack = GeodesicSegment(
+            base=np.array([s.base for s in segments]),
+            exponent=np.array([s.exponent for s in segments]),
+        )
+        for t in (-0.5, 0.0, 0.25, 1.0, 1.5):
+            points = evaluate(stack, t)
+            assert points.shape == (len(dims), 6, 6)
+            assert np.array_equal(points, np.stack([evaluate(s, t) for s in segments]))
 
     def test_sample_curve_chunks(self, exactness_segments):
         ts = np.linspace(0.0, 1.0, 301)
@@ -668,7 +684,7 @@ def test_geodesic_report_solves_once(monkeypatch, dims, index):
 
     count(projections, "_split")
     count(projections, "cs_decompose")
-    count(projections, "_random_unitaries")
+    count(projections, "_haar")
     count(geodesics, "_exponent")
     report = minimal_geodesic(p, q, samples=20)[1]
     assert report["index"] == index

@@ -1,7 +1,12 @@
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from projgeo import blockmodel, geodesics, projections, suites
-from projgeo.suites import random_generic_pair
+from projgeo.blockmodel import BlockOperator, lift_geodesic
+from projgeo.numkernel import default_tolerance, op_norm
+from projgeo.suites import random_generic_pair, random_projection_blocks
+from reference_pipeline import reference_projection_blocks
 
 
 def test_generic_pair_gap_holds_at_first_draw():
@@ -43,3 +48,62 @@ def test_lifting_validates_each_draw_once(monkeypatch):
     suites.run_suite("lifting", 40, 11)
     # one validation per drawn pair, accepted or rejected
     assert counts["_pair"] == counts["random_quotient_pair"] > 40
+
+
+def test_lifting_lifts_once_and_factors_once_per_sampler_call(monkeypatch):
+    counts = {"lift_geodesic": 0, "qr": 0}
+    qr_per_sampler_call = []
+    real_lift, real_qr = blockmodel.lift_geodesic, np.linalg.qr
+    real_blocks = suites.random_projection_blocks
+
+    def lift(*args, **kwargs):
+        counts["lift_geodesic"] += 1
+        return real_lift(*args, **kwargs)
+
+    def qr(*args, **kwargs):
+        counts["qr"] += 1
+        return real_qr(*args, **kwargs)
+
+    def blocks(*args, **kwargs):
+        before = counts["qr"]
+        drawn = real_blocks(*args, **kwargs)
+        qr_per_sampler_call.append(counts["qr"] - before)
+        return drawn
+
+    for module in (suites, blockmodel):
+        monkeypatch.setattr(module, "lift_geodesic", lift)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    monkeypatch.setattr(suites, "random_projection_blocks", blocks)
+    suites.run_suite("lifting", 40, 11)
+    # the main lift of each trial; its 10 fiber lifts are one stack
+    assert counts["lift_geodesic"] == 40
+    # one sampler call per lift, each factoring all its blocks at once
+    assert len(qr_per_sampler_call) == 40 * 11
+    assert set(qr_per_sampler_call) == {0, 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 6), count=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+@example(d=1, count=4, seed=0)  # every rank is 0 or d
+def test_projection_blocks_match_the_sequential_draws(d, count, seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    blocks = random_projection_blocks(rng, d, count)
+    reference = reference_projection_blocks(reference_rng, d, count)
+    assert len(blocks) == len(reference) == count
+    assert all(np.array_equal(b, r) for b, r in zip(blocks, reference))
+    assert rng.random() == reference_rng.random()
+
+
+def test_fiber_norms_equal_the_lone_lifts():
+    tol = default_tolerance()
+    # at seed 1391 a fiber block is bitwise p, so the lift absorbs it in its tail
+    for seed in [*range(11, 51), 1391]:
+        p, _, z, _ = suites._block_geodesic_instance(seed, tol)
+        d = p.shape[0]
+        norms = suites._fiber_norms(p, z, op_norm(z), np.random.default_rng((seed, 2)))
+        rng = np.random.default_rng((seed, 2))
+        lone = []
+        for _ in range(10):
+            fiber = reference_projection_blocks(rng, d, int(rng.integers(0, 4)))
+            lone.append(lift_geodesic(p, z, BlockOperator(d, fiber, p)).norm())
+        assert norms.tolist() == lone
