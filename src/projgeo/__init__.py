@@ -4,7 +4,6 @@ exact block-periodic quotient model."""
 from .numkernel import (
     HermEig,
     Tolerance,
-    default_tolerance,
     herm_eig,
     nullspace,
     op_norm,

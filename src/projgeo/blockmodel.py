@@ -40,7 +40,6 @@ from .numkernel import (
     _hermitize,
     _skewize,
     as_cmatrix,
-    default_tolerance,
     herm_eig,
     nullspace,
     op_norm,
@@ -173,7 +172,7 @@ def _threshold_block(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _hermitize((u * (w >= 0.5).astype(float)) @ _adjoint(u))
 
 
-def lift_projection(t: BlockOperator, tol: Tolerance | None = None) -> BlockOperator:
+def lift_projection(t: BlockOperator, tol: Tolerance = Tolerance()) -> BlockOperator:
     """Spectral-threshold lift of an almost-projection to a projection.
 
     Each block is pushed through the step function that sends eigenvalues
@@ -191,7 +190,6 @@ def lift_projection(t: BlockOperator, tol: Tolerance | None = None) -> BlockOper
     NotAProjection
         If the tail is not a projection within 1e-10.
     """
-    tol = tol or default_tolerance()
     for i, b in enumerate((*t.exceptional, t.tail)):
         if not np.array_equal(b, _adjoint(b)):
             raise NotHermitian(f"block {i} is not selfadjoint")
@@ -373,7 +371,7 @@ class DichotomyResult:
 def lifting_surgery(
     lift_p: BlockOperator,
     lift_q: BlockOperator,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> tuple[BlockOperator, BlockOperator]:
     """Remove crossed intersections from every exceptional block pair.
 
@@ -383,7 +381,6 @@ def lifting_surgery(
     R(Q_i)``.  This changes nothing modulo the ideal (the tails are
     untouched) and leaves every exceptional pair with index ``(0, 0)``.
     """
-    tol = tol or default_tolerance()
     m = lift_p._aligned(lift_q)
     new_p, new_q = [], []
     for i in range(m):
@@ -408,7 +405,7 @@ def existence_dichotomy(
     q: np.ndarray,
     *,
     lifts: tuple[BlockOperator, BlockOperator] | None = None,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> DichotomyResult:
     """Classify a quotient pair by the nullities of ``p - q -+ 1``.
 
@@ -422,7 +419,6 @@ def existence_dichotomy(
     ``lifting_surgery`` so the returned witnesses have balanced index on
     every block.
     """
-    tol = tol or default_tolerance()
     pair = _pair(p, q)
     d = pair.shape[-1]
     ip = _split(*pair, tol).index
@@ -452,7 +448,7 @@ def truncated_index_pairs(
     lift_p: BlockOperator,
     lift_q: BlockOperator,
     lengths,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> list[IndexPair]:
     """Index pairs of the truncations to the first ``n`` blocks, for each
     ``n`` in ``lengths``.
@@ -465,14 +461,13 @@ def truncated_index_pairs(
     small eigensolve per distinct block give every length.  Different
     block dims raise ``BlockDimMismatch``, a negative length ``ValueError``.
     """
-    tol = tol or default_tolerance()
     m = lift_p._aligned(lift_q)
     lengths = list(lengths)
     if any(n < 0 for n in lengths):
         raise ValueError(f"truncation lengths must be non-negative, got {lengths}")
     blocks = [(lift_p.block_at(i), lift_q.block_at(i)) for i in range(m + 1)]
     eye = np.eye(lift_p.block_dim)
-    kernels = nullspace(np.array([bp + bq - eye for bp, bq in blocks]), tol, scale=1.0)
+    kernels = nullspace(np.array([bp + bq - eye for bp, bq in blocks]), tol)
     signs = [
         herm_eig(_hermitize(_adjoint(k) @ (bp - bq) @ k), tol).eigenvalues
         for k, (bp, bq) in zip(kernels, blocks)
@@ -498,7 +493,7 @@ class QuotientGeodesic:
 def quotient_geodesic(
     p: np.ndarray,
     q: np.ndarray,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> QuotientGeodesic:
     """Minimal geodesic between quotient projections.
 
@@ -515,7 +510,6 @@ def quotient_geodesic(
     that holds exactly when the index pair is ``(0, 0)``: the FiniteFinite
     case, read off the one split of the pair that also gives the segment.
     """
-    tol = tol or default_tolerance()
     fs = halmos_decompose(p, q, tol)
     ip = IndexPair(*fs.dims[2:4])
     case = _dichotomy_case(ip)

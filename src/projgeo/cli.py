@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoGeodesic, ProjGeoError
 from .geodesics import minimal_geodesic, sample_curve
-from .numkernel import Tolerance, default_tolerance
+from .numkernel import Tolerance
 from .projections import (
     fivespace_report,
     halmos_decompose,
@@ -44,10 +44,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _tolerance_from_args(args) -> Tolerance:
-    base = default_tolerance()
-    rank = args.tol_rank if args.tol_rank is not None else base.rank_rtol
-    recon = args.tol_recon if args.tol_recon is not None else base.recon_rtol
-    return Tolerance(rank_rtol=rank, recon_rtol=recon)
+    return Tolerance(rank_rtol=args.tol_rank, recon_rtol=args.tol_recon)
 
 
 def _emit(args, payload: dict) -> None:
@@ -159,8 +156,10 @@ def cmd_verify(args) -> int:
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     """The flags read by ``_tolerance_from_args``, last in every subcommand."""
-    parser.add_argument("--tol-rank", type=float, default=None)
-    parser.add_argument("--tol-recon", type=float, default=None)
+    parser.add_argument("--tol-rank", type=float, default=Tolerance.rank_rtol,
+                        help="rank-decision threshold (default %(default)g)")
+    parser.add_argument("--tol-recon", type=float, default=Tolerance.recon_rtol,
+                        help="symmetry-check threshold (default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,7 +38,6 @@ from .numkernel import (
     _adjoint,
     _hermitize,
     as_cmatrix,
-    default_tolerance,
     herm_eig,
     min_singular_value,
     op_norm,
@@ -84,7 +83,7 @@ def codiagonal_residual(p: np.ndarray, z: np.ndarray) -> float:
     return float(op_norm(np.array([p @ z @ p, pc @ z @ pc])).max())
 
 
-def exists_geodesic(p, q, tol: Tolerance | None = None) -> bool:
+def exists_geodesic(p, q, tol: Tolerance = Tolerance()) -> bool:
     """True when the two crossed-intersection dimensions agree."""
     ip = index_pair(p, q, tol)
     return ip.d_plus == ip.d_minus
@@ -104,7 +103,7 @@ def _exponent(fs: FiveSpace, pairing: np.ndarray | None) -> np.ndarray:
     return z
 
 
-def minimal_exponent(p, q, tol: Tolerance | None = None) -> GeodesicSegment:
+def minimal_exponent(p, q, tol: Tolerance = Tolerance()) -> GeodesicSegment:
     """Normalized geodesic segment from ``P`` to ``Q``, with the canonical
     crossed pairing (``multi_geodesic_family`` takes other pairings).
 
@@ -119,7 +118,6 @@ def minimal_exponent(p, q, tol: Tolerance | None = None) -> GeodesicSegment:
     NoGeodesic
         If the crossed-intersection dimensions differ.
     """
-    tol = tol or default_tolerance()
     return _segment(halmos_decompose(p, q, tol), None, tol)
 
 
@@ -212,13 +210,12 @@ def minimality_competitors(
     q,
     trials: int,
     seed,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> list[float]:
     """Lengths of two-leg piecewise geodesics ``P -> R -> Q`` through random
     midpoints ``R``; each length is the sum of the two leg norms and never
     beats the direct segment.
     """
-    tol = tol or default_tolerance()
     p, q = _pair(p, q)
     ip = _split(p, q, tol).index
     if ip.d_plus != ip.d_minus:
@@ -261,7 +258,7 @@ def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list
 _REDERIVE_SEED = 0x5EED
 
 
-def unique_minimal_check(p, q, tol: Tolerance | None = None) -> UniquenessReport:
+def unique_minimal_check(p, q, tol: Tolerance = Tolerance()) -> UniquenessReport:
     """Uniqueness of the normalized segment, decided by the index pair.
 
     Index ``(0, 0)``: unique; the exponent is re-derived from conjugated
@@ -269,7 +266,6 @@ def unique_minimal_check(p, q, tol: Tolerance | None = None) -> UniquenessReport
     with ``k > 0``: not unique; two distinct exponents obtained from two
     crossed pairings are returned as a witness.
     """
-    tol = tol or default_tolerance()
     fs = halmos_decompose(p, q, tol)
     seg = _segment(fs, None, tol)
     k = fs.dims[2]
@@ -300,7 +296,7 @@ def multi_geodesic_family(
     p,
     q,
     unitaries,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> list[GeodesicSegment]:
     """Distinct normalized segments from ``P`` to ``Q``, one per pairing.
 
@@ -308,7 +304,6 @@ def multi_geodesic_family(
     twists the canonical crossed pairing; distinct unitaries produce
     distinct exponents with identical endpoints and norm ``pi/2``.
     """
-    tol = tol or default_tolerance()
     fs = halmos_decompose(p, q, tol)
     _, _, d10, d01, _ = fs.dims
     if d10 != d01 or d10 == 0:
@@ -320,7 +315,7 @@ def minimal_geodesic(
     p,
     q,
     samples: int = 1000,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> tuple[GeodesicSegment, dict]:
     """The normalized segment from ``P`` to ``Q`` and its JSON-ready report.
 
@@ -336,7 +331,6 @@ def minimal_geodesic(
     ValueError
         If ``samples < 2``.
     """
-    tol = tol or default_tolerance()
     fs = halmos_decompose(p, q, tol)
     seg = _segment(fs, None, tol)
     _, _, d10, d01, _ = fs.dims

@@ -16,7 +16,6 @@ alone.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +24,6 @@ import scipy.linalg
 
 from .errors import NoConvergence, NotHermitian
 
-RANK_RTOL_ENV = "PROJGEO_TOL_RANK"
 HALF_PI_BOUND = np.pi / 2 + 1e-12  # pi/2 with slack for roundoff in norms
 
 
@@ -42,14 +40,6 @@ class Tolerance:
             value = getattr(self, name)
             if not (0.0 < value < 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2), got {value!r}")
-
-
-def default_tolerance() -> Tolerance:
-    """Default thresholds; ``PROJGEO_TOL_RANK`` overrides the rank threshold."""
-    raw = os.environ.get(RANK_RTOL_ENV)
-    if raw is None:
-        return Tolerance()
-    return Tolerance(rank_rtol=float(raw))
 
 
 def _as_complex(a, stack: bool) -> np.ndarray:
@@ -139,7 +129,7 @@ def _check_hermitian(m: np.ndarray, tol: Tolerance) -> None:
         )
 
 
-def herm_eig(a, tol: Tolerance | None = None) -> HermEig:
+def herm_eig(a, tol: Tolerance = Tolerance()) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a
     stack.
 
@@ -163,7 +153,6 @@ def herm_eig(a, tol: Tolerance | None = None) -> HermEig:
     NoConvergence
         If the underlying iteration fails to converge.
     """
-    tol = tol or default_tolerance()
     m = as_cstack(a)
     require_square(m)
     _check_hermitian(m, tol)
@@ -174,35 +163,22 @@ def herm_eig(a, tol: Tolerance | None = None) -> HermEig:
     return HermEig(w, u)
 
 
-def nullspace(a, tol: Tolerance | None = None, *, scale: float | None = None):
+def nullspace(a, tol: Tolerance = Tolerance()):
     """Orthonormal basis (columns) of the numerical nullspace of ``a``; for
     a stack ``(..., m, n)`` of matrices, the list of the bases of each
     matrix, in order, from one SVD.
 
     A direction ``v`` belongs to the nullspace when ``|a v| <= rank_rtol *
-    s * |v|``, where the reference ``s`` defaults to ``|a|`` itself.  The
-    zero matrix has the whole space as its nullspace; a matrix of full
+    |v|``.  The rule is absolute, for operators of natural scale 1 such as
+    expressions in projections and the identity: a matrix that is zero up
+    to roundoff has the whole space as its nullspace, and a matrix of full
     rank yields a basis with zero columns.
-
-    Callers whose operators have a known natural scale (e.g. expressions
-    in projections and the identity) should pass ``scale`` explicitly:
-    a purely relative reference cannot recognize a matrix that is zero up
-    to roundoff.
     """
-    tol = tol or default_tolerance()
     m = as_cstack(a)
-    cols = m.shape[-1]
     stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
-    if m.size == 0:
-        bases = [np.eye(cols, dtype=np.complex128)] * len(stack)
-    else:
-        _, s, vh = np.linalg.svd(stack, full_matrices=True)
-        reference = s[:, 0] if scale is None else np.full(len(stack), float(scale))
-        ranks = (s > tol.rank_rtol * reference[:, None]).sum(axis=-1)
-        bases = [
-            np.eye(cols, dtype=np.complex128) if ref == 0.0 else v[rank:].conj().T
-            for v, rank, ref in zip(vh, ranks.tolist(), reference.tolist())
-        ]
+    _, s, vh = np.linalg.svd(stack, full_matrices=True)
+    ranks = (s > tol.rank_rtol).sum(axis=-1)
+    bases = [v[rank:].conj().T for v, rank in zip(vh, ranks.tolist())]
     return bases[0] if m.ndim == 2 else bases
 
 

@@ -25,7 +25,6 @@ from .numkernel import (
     as_cmatrix,
     as_cstack,
     cs_decompose,
-    default_tolerance,
     herm_eig,
     nullspace,
     op_norm,
@@ -137,7 +136,7 @@ def pair_with_dims(
             f"need {dimgen // 2} angles for generic dimension {dimgen}, "
             f"got {len(angles)}"
         )
-    if np.any(angles <= 0.0) or np.any(angles >= np.pi / 2):
+    if not ((angles > 0.0) & (angles < np.pi / 2)).all():
         raise InconsistentDims("principal angles must lie strictly in (0, pi/2)")
     n = sum(dims)
     if n == 0:
@@ -206,11 +205,13 @@ class FiveSpace:
 
 
 def _pair(p, q) -> np.ndarray:
-    """The way a pair enters the library: both as matrices of one shape,
-    validated as one ``(2, n, n)`` stack by ``make_projection``."""
+    """The way a pair enters the library: both as nonempty matrices of one
+    shape, validated as one ``(2, n, n)`` stack by ``make_projection``."""
     p, q = as_cmatrix(p), as_cmatrix(q)
     if p.shape != q.shape:
         raise DimMismatch(f"shapes {p.shape} and {q.shape} differ")
+    if p.shape == (0, 0):
+        raise InconsistentDims("total dimension is zero")
     return make_projection(np.array([p, q]))
 
 
@@ -253,13 +254,13 @@ def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     r, s = _rank(p), _rank(q)
     a, b, c, e = max(0, r + s - n), max(0, n - r - s), max(0, r - s), max(0, s - r)
     k = r - a - c
-    same, opposite = nullspace(np.array([p - q, p + q - np.eye(n)]), tol, scale=1.0)
+    same, opposite = nullspace(np.array([p - q, p + q - np.eye(n)]), tol)
     aligned = min(max((same.shape[1] - a - b) // 2, 0), k)
     crossed = min(max((opposite.shape[1] - c - e) // 2, 0), k - aligned)
     return _Split(r, s, a, b, c, e, k, aligned, crossed)
 
 
-def halmos_decompose(p, q, tol: Tolerance | None = None) -> FiveSpace:
+def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
     """Validate a projection pair and split it into its five parts.
 
     The pair is validated here, once, by ``_pair``; the split carries it
@@ -270,7 +271,6 @@ def halmos_decompose(p, q, tol: Tolerance | None = None) -> FiveSpace:
     angles are aligned or crossed, so the dimensions and the angles agree
     by construction.
     """
-    tol = tol or default_tolerance()
     p, q = _pair(p, q)
     sp = _split(p, q, tol)
     n = p.shape[0]
@@ -299,9 +299,8 @@ def halmos_decompose(p, q, tol: Tolerance | None = None) -> FiveSpace:
     )
 
 
-def index_pair(p, q, tol: Tolerance | None = None) -> IndexPair:
+def index_pair(p, q, tol: Tolerance = Tolerance()) -> IndexPair:
     """Crossed-intersection dimensions, by the rank decisions of ``_split``."""
-    tol = tol or default_tolerance()
     return _split(*_pair(p, q), tol).index
 
 

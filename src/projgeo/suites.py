@@ -34,7 +34,7 @@ from .geodesics import (
     multi_geodesic_family,
     unique_minimal_check,
 )
-from .numkernel import Tolerance, default_tolerance, op_norm
+from .numkernel import Tolerance, op_norm
 from .projections import (
     _gaussian,
     _haar,
@@ -184,7 +184,7 @@ def classify_by_truncation(
     lift_p: BlockOperator,
     lift_q: BlockOperator,
     max_blocks: int = 12,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> DichotomyCase | None:
     """Brute-force classification from truncated index pairs, summed
     exactly from per-block nullities by ``truncated_index_pairs``.
@@ -395,7 +395,10 @@ def _suite_lifting(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
             np.array_equal(quotient(delta(t)), evaluate(small, t))
             for t in (0.25, 0.5, 1.0)
         )
-        fiber_norms = _fiber_norms(p, z, norm_z, np.random.default_rng((seed + i, 2)))
+        # a non-zero third word keeps the fibers off the sampler's (seed,
+        # attempt) streams; a trailing zero word would not change the stream
+        fiber_rng = np.random.default_rng((seed + i, 2, 1))
+        fiber_norms = _fiber_norms(p, z, norm_z, fiber_rng)
         fiber_ok = all(abs(fiber_norms - norm_z) <= BOUNDS["lifting.fiber_norm_gap"])
         ok = (
             norm_gap <= BOUNDS["lifting.norm_gap"]
@@ -456,11 +459,10 @@ def run_suite(
     name: str,
     trials: int,
     seed: int,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    tol = tol or default_tolerance()
     return SUITES[name](trials, seed, tol)

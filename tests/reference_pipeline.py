@@ -25,8 +25,8 @@ import scipy.linalg
 
 from projgeo.errors import NoGeodesic, NotUnitary
 from projgeo.numkernel import (
+    Tolerance,
     as_cmatrix,
-    default_tolerance,
     herm_eig,
     nullspace,
     op_norm,
@@ -53,10 +53,9 @@ def _herm(m):
     return (m + m.conj().T) / 2
 
 
-def polar_unitary(a, tol=None):
+def polar_unitary(a, tol=Tolerance()):
     """Unitary factor of the polar decomposition of an invertible Hermitian
     matrix: the spectral sign function."""
-    tol = tol or default_tolerance()
     w, u = herm_eig(a, tol)
     absw = np.abs(w)
     if absw.max(initial=0.0) == 0.0 or absw.min() <= tol.rank_rtol * absw.max():
@@ -75,13 +74,12 @@ def _check_skew(m, tol):
         )
 
 
-def expm_skew(z, tol=None):
+def expm_skew(z, tol=Tolerance()):
     """Unitary exponential of a skew-Hermitian matrix.
 
     Computed spectrally: with ``-i z = U diag(theta) U*`` the result is
     ``U diag(exp(i theta)) U*``, unitary to working precision.
     """
-    tol = tol or default_tolerance()
     m = as_cmatrix(z)
     require_square(m)
     _check_skew(m, tol)
@@ -95,10 +93,9 @@ class PrincipalLog(NamedTuple):
     near_minus_one: bool    # spectrum within rank_rtol of -1
 
 
-def logm_unitary_principal(w, tol=None, *, require_interior=False):
+def logm_unitary_principal(w, tol=Tolerance(), *, require_interior=False):
     """Principal skew-Hermitian logarithm of a unitary matrix, with the
     branch closed at ``+pi``, from a complex Schur factorization."""
-    tol = tol or default_tolerance()
     m = np.asarray(w, dtype=complex)
     n = m.shape[0]
     if op_norm(m.conj().T @ m - np.eye(n)) > tol.recon_rtol:
@@ -122,10 +119,10 @@ def reference_split(p, q, tol):
     eye = np.eye(n)
     diff = _herm(p - q)
     summ = _herm(p + q)
-    m10 = nullspace(diff - eye, tol, scale=1.0)
-    m01 = nullspace(diff + eye, tol, scale=1.0)
-    m11 = nullspace(summ - 2 * eye, tol, scale=1.0)
-    m00 = nullspace(summ, tol, scale=1.0)
+    m10 = nullspace(diff - eye, tol)
+    m01 = nullspace(diff + eye, tol)
+    m11 = nullspace(summ - 2 * eye, tol)
+    m00 = nullspace(summ, tol)
     cols = np.hstack([m11, m00, m10, m01])
     k = cols.shape[1]
     if k == 0:
@@ -159,9 +156,8 @@ def reference_leg(split, tol):
     return (z - z.conj().T) / 2
 
 
-def reference_exponent(p, q, tol=None):
+def reference_exponent(p, q, tol=Tolerance()):
     """Minimal exponent of one pair by the old pipeline."""
-    tol = tol or default_tolerance()
     return reference_leg(reference_split(p, q, tol), tol)
 
 
@@ -169,7 +165,7 @@ def reference_competitors(p, q, trials, seed, replace=()):
     """Competitor lengths one midpoint, one split and one leg at a time;
     ``replace`` maps a draw ``(seed + i, attempt)`` to the midpoint used
     in its place."""
-    tol = default_tolerance()
+    tol = Tolerance()
     replace = dict(replace)
     n = p.shape[0]
     rank = int(round(np.trace(p).real))

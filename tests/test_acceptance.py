@@ -28,7 +28,7 @@ from projgeo.geodesics import (
     minimality_competitors,
     multi_geodesic_family,
 )
-from projgeo.numkernel import default_tolerance, op_norm
+from projgeo.numkernel import Tolerance, op_norm
 from projgeo.projections import (
     diff_sum,
     make_projection,
@@ -122,7 +122,7 @@ def test_criterion_3_minimality():
 
 
 def test_criterion_4_existence_dichotomy():
-    tol = default_tolerance()
+    tol = Tolerance()
     agreements = 0
     for trial in range(200):
         rng = np.random.default_rng((20_000, trial))
@@ -185,7 +185,7 @@ def test_criterion_5_uniqueness():
 
 
 def test_criterion_6_lifting_suite():
-    tol = default_tolerance()
+    tol = Tolerance()
     worst_norm = 0.0
     tails_exact = True
     fibers_ok = True

@@ -221,7 +221,7 @@ class TestLiftProjection:
     def test_one_eigensolve_per_block(self, monkeypatch, n_exceptional):
         calls = []
 
-        def counted(b, tol=None):
+        def counted(b, tol):
             calls.append(b)
             return herm_eig(b, tol)
 
@@ -423,7 +423,7 @@ class TestLiftGeodesic:
 
     def test_stack_equals_per_block_reference(self):
         for seed in range(40):
-            p, q, z, lift_p = suites._block_geodesic_instance(seed, None)
+            p, q, z, lift_p = suites._block_geodesic_instance(seed, Tolerance())
             got = lift_geodesic(p, z, lift_p)
             want = per_block_lift(z, lift_p)
             assert len(lift_p.exceptional) >= 1
@@ -600,7 +600,7 @@ def dense_truncated_index_pairs(lift_p, lift_q, lengths):
         tp = dense_truncation(lift_p, n_blocks)
         tq = dense_truncation(lift_q, n_blocks)
         eye = np.eye(tp.shape[0])
-        plus, minus = nullspace(np.array([tp - tq - eye, tp - tq + eye]), scale=1.0)
+        plus, minus = nullspace(np.array([tp - tq - eye, tp - tq + eye]))
         out.append(IndexPair(d_plus=plus.shape[1], d_minus=minus.shape[1]))
     return out
 

@@ -89,6 +89,18 @@ class TestGen:
         assert abs(np.trace(p).real - 2) <= 1e-12
         assert abs(np.trace(q).real - 3) <= 1e-12
 
+    def test_nan_angle_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "pair.json"
+        rc = main(["gen", "--dims", "0,0,0,0,2", "--angles", "nan", "--out", str(out)])
+        assert rc == 2
+        assert "strictly in (0, pi/2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_pair_exits_two(self, tmp_path, capsys):
+        rc = main(["gen", "--dim", "0", "--ranks", "0,0", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "total dimension is zero" in capsys.readouterr().err
+
     def test_inconsistent_flags(self, tmp_path, capsys):
         rc = main(["gen", "--dims", "1,2,3", "--out", str(tmp_path / "x.json")])
         assert rc != 0
@@ -233,11 +245,6 @@ class TestVerifyCommand:
         assert main(base + ["--out", str(out1)]) == 0
         assert main(base + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_env_rank_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PROJGEO_TOL_RANK", "1e-8")
-        rc = main(["verify", "--suite", "identities", "--trials", "5", "--seed", "0"])
-        assert rc == 0
 
 
 class TestSuites:

@@ -13,6 +13,7 @@ from projgeo import projections
 from projgeo.blockmodel import BlockOperator, existence_dichotomy, quotient_geodesic
 from projgeo.errors import (
     DimMismatch,
+    InconsistentDims,
     NoGeodesic,
     NotAProjection,
     NotHermitian,
@@ -67,6 +68,11 @@ class TestOneWayIn:
         # the shapes are checked before either matrix is validated
         with pytest.raises(DimMismatch):
             entry(HALF, np.eye(3))
+
+    def test_rejects_the_empty_pair(self, entry):
+        empty = np.zeros((0, 0), dtype=complex)
+        with pytest.raises(InconsistentDims, match="total dimension is zero"):
+            entry(empty, empty)
 
     def test_validates_the_pair_once_as_a_stack(self, monkeypatch, entry):
         p, q = pair_with_dims(1, 0, 1, 1, 2, [0.7], seed=6)

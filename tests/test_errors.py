@@ -1,8 +1,8 @@
 """Static guards over the package source: every typed error is raised
 somewhere, no check relies on an ``assert`` that ``-O`` strips, every
 tolerance literal sits in a named home, projections are validated only
-where they enter, only the kernel layer imports SciPy, and every exported
-name has a caller in the package."""
+where they enter, only the kernel layer imports SciPy, no module reads
+the environment, and every exported name has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -128,6 +128,21 @@ def test_only_numkernel_imports_scipy():
         if any(m.split(".")[0] == "scipy" for m in _imported_modules(tree))
     )
     assert importers == ["numkernel.py"]
+
+
+def test_no_module_reads_the_environment():
+    # thresholds come from a Tolerance, never from the process environment
+    found = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(m.split(".")[0] == "os" for m in _imported_modules(node))
+        )
+        or getattr(node, "id", getattr(node, "attr", None)) in ("environ", "getenv")
+    )
+    assert found == []
 
 
 # public names (exports, module functions and methods of exported classes)

@@ -18,7 +18,7 @@ from projgeo.geodesics import (
     sample_curve,
     unique_minimal_check,
 )
-from projgeo.numkernel import default_tolerance, herm_eig, op_norm
+from projgeo.numkernel import Tolerance, herm_eig, op_norm
 from projgeo.projections import (
     index_pair,
     make_projection,
@@ -170,7 +170,7 @@ def test_exponent_matches_reference():
 
 def clears_rank_rtol(angles, factor=10.0):
     """Every angle has sin and cos at least ``factor * rank_rtol``."""
-    floor = factor * default_tolerance().rank_rtol
+    floor = factor * Tolerance().rank_rtol
     return all(min(np.sin(a), np.cos(a)) >= floor for a in angles)
 
 
@@ -197,7 +197,7 @@ def test_edge_pair(theta):
         assert report["endpoint_error"] <= 1e-12
     else:
         assert dims == ((2, 2, 0, 0, 2) if theta < 1 else (1, 1, 1, 1, 2))
-        assert report["endpoint_error"] <= 2 * default_tolerance().rank_rtol
+        assert report["endpoint_error"] <= 2 * Tolerance().rank_rtol
 
 
 # log10 of an angle's distance to the edge: from 1e-12 up to 0.15
@@ -228,7 +228,7 @@ def test_near_edge_pairs(intersections, near_zero, near_half_pi, seed):
         if clear:
             assert isinstance(exc, NoGeodesic) and d10 != d01
         return
-    assert report["endpoint_error"] <= 2 * default_tolerance().rank_rtol
+    assert report["endpoint_error"] <= 2 * Tolerance().rank_rtol
     if clear:
         assert report["index"] == [d10, d01]
         assert report["unique"] is (d10 == d01 == 0)

@@ -5,7 +5,6 @@ from projgeo.errors import NotHermitian, NotUnitary
 from projgeo.numkernel import (
     Tolerance,
     cs_decompose,
-    default_tolerance,
     herm_eig,
     min_singular_value,
     nullspace,
@@ -268,9 +267,4 @@ def test_tolerance_validation():
         Tolerance(rank_rtol=0.5)
     with pytest.raises(ValueError):
         Tolerance(recon_rtol=-1e-9)
-    assert default_tolerance().rank_rtol == 1e-10
-
-
-def test_rank_env_override(monkeypatch):
-    monkeypatch.setenv("PROJGEO_TOL_RANK", "1e-6")
-    assert default_tolerance().rank_rtol == 1e-6
+    assert Tolerance().rank_rtol == 1e-10

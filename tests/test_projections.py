@@ -156,6 +156,8 @@ class TestPairWithDims:
             pair_with_dims(0, 0, 0, 0, 2, [], seed=0)
         with pytest.raises(InconsistentDims):
             pair_with_dims(0, 0, 0, 0, 2, [np.pi / 2], seed=0)
+        with pytest.raises(InconsistentDims, match="strictly in"):
+            pair_with_dims(0, 0, 0, 0, 2, [float("nan")], seed=1)
 
     def test_round_trip_battery(self):
         rng = np.random.default_rng(42)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from projgeo import blockmodel, geodesics, projections, suites
 from projgeo.blockmodel import BlockOperator, lift_geodesic
-from projgeo.numkernel import default_tolerance, op_norm
+from projgeo.numkernel import Tolerance, op_norm
 from projgeo.suites import random_generic_pair, random_projection_blocks
 from reference_pipeline import reference_projection_blocks
 
@@ -94,8 +94,26 @@ def test_projection_blocks_match_the_sequential_draws(d, count, seed):
     assert rng.random() == reference_rng.random()
 
 
+def test_fiber_stream_is_none_of_the_samplers(monkeypatch):
+    # the sampler draws attempt a of trial seed s from default_rng((s, a));
+    # a trailing zero key word would give one of those streams again
+    seen = []
+    real = suites._fiber_norms
+
+    def record(p, z, norm_z, rng):
+        seen.append(rng.bit_generator.state)
+        return real(p, z, norm_z, rng)
+
+    monkeypatch.setattr(suites, "_fiber_norms", record)
+    suites.run_suite("lifting", 3, 11)
+    assert len(seen) == 3
+    for s, state in enumerate(seen, start=11):
+        for a in range(64):
+            assert state != np.random.default_rng((s, a)).bit_generator.state
+
+
 def test_fiber_norms_equal_the_lone_lifts():
-    tol = default_tolerance()
+    tol = Tolerance()
     # at seed 1391 a fiber block is bitwise p, so the lift absorbs it in its tail
     for seed in [*range(11, 51), 1391]:
         p, _, z, _ = suites._block_geodesic_instance(seed, tol)
