@@ -25,7 +25,7 @@ from .projections import (
     index_pair,
     random_projection,
 )
-from .serialize import dumps_canonical, read_pair, write_pair
+from .serialize import csv_rows, dumps_canonical, read_pair, write_pair
 from .suites import SUITES, run_suite
 from . import projections
 
@@ -110,15 +110,11 @@ def _write_samples(path, seg, samples: int) -> None:
         for j in range(n):
             header += [f"re_{i}_{j}", f"im_{i}_{j}"]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        csv.writer(handle).writerow(header)
         ts = [k / samples for k in range(samples + 1)]
         for chunk, points in sample_curve(seg, ts):
-            for t, point in zip(chunk.tolist(), points):
-                row = [format(t, ".17g")]
-                for z in point.ravel():
-                    row += [format(z.real, ".17g"), format(z.imag, ".17g")]
-                writer.writerow(row)
+            values = points.reshape(chunk.size, -1).view(np.float64)
+            handle.write(csv_rows(np.column_stack([chunk, values])))
 
 
 def cmd_geodesic(args) -> int:

@@ -3,12 +3,15 @@
 Matrix schema: ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with the
 entries row-major.  Reports are emitted through ``dumps_canonical``, which
 formats every float with 17 significant digits so identical inputs produce
-byte-identical output.
+byte-identical output.  A float array renders in one ``%`` call, through a
+template built once from its shape, to the same bytes as its ``tolist()``;
+``csv_rows`` formats sample rows the same way.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +24,16 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in m.ravel()],
+        "data": np.ascontiguousarray(m).view(np.float64).reshape(-1, 2),
     }
+
+
+def _holds_bool(data: list, pairs: np.ndarray) -> bool:
+    """Whether a boolean stands among the entries of ``data``.  Numbers
+    promote booleans to 0 and 1, so ``pairs`` passes the dtype test, and only
+    its rows holding a 0 or a 1 are looked at."""
+    suspects = np.flatnonzero(((pairs == 0) | (pairs == 1)).any(axis=1)).tolist()
+    return bool in set(map(type, chain.from_iterable(map(data.__getitem__, suspects))))
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -39,7 +50,11 @@ def matrix_from_json(obj) -> np.ndarray:
         pairs = np.array(data or np.zeros((0, 2)))
     except ValueError:  # ragged entries
         pairs = np.zeros(0)
-    if pairs.shape != (rows * cols, 2) or pairs.dtype.kind not in "iuf":
+    if (
+        pairs.shape != (rows * cols, 2)
+        or pairs.dtype.kind not in "iuf"
+        or _holds_bool(data, pairs)
+    ):
         raise ValueError("matrix data entries must be [re, im] pairs of numbers")
     flat = np.ascontiguousarray(pairs, dtype=float).view(np.complex128)
     return as_cmatrix(flat.reshape(rows, cols))
@@ -63,6 +78,9 @@ def read_pair(path) -> tuple[np.ndarray, np.ndarray]:
     return pair_from_json(json.loads(Path(path).read_text()))
 
 
+_FLOAT = "%.17g"
+
+
 def _format_scalar(x) -> str:
     if isinstance(x, bool) or isinstance(x, np.bool_):
         return "true" if x else "false"
@@ -71,7 +89,7 @@ def _format_scalar(x) -> str:
     if isinstance(x, (float, np.floating)):
         if not np.isfinite(x):
             raise ValueError(f"cannot serialize non-finite float {x!r}")
-        return format(float(x), ".17g")
+        return _FLOAT % float(x)
     if isinstance(x, str):
         return json.dumps(x)
     if x is None:
@@ -79,12 +97,36 @@ def _format_scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
+def _array_template(shape: tuple, indent: int) -> str:
+    """The text ``dumps_canonical`` gives a nested list of this shape, with
+    a float placeholder for each entry."""
+    if not shape:
+        return _FLOAT
+    if not shape[0]:
+        return "[]"
+    item = " " * (indent + 2) + _array_template(shape[1:], indent + 2)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + " " * indent + "]"
+
+
+def csv_rows(rows: np.ndarray) -> str:
+    """The lines ``csv.writer`` writes for the rows of a 2-d float array
+    formatted with 17 significant digits."""
+    line = ",".join([_FLOAT] * rows.shape[1]) + "\r\n"
+    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
 def dumps_canonical(obj, indent: int = 0) -> str:
     """JSON text with floats pinned to 17 significant digits.
 
     Dict insertion order is preserved, so a report built the same way
-    serializes to the same bytes.
+    serializes to the same bytes.  A real float ``ndarray`` renders as its
+    ``tolist()`` would.
     """
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        finite = np.isfinite(obj)
+        if not finite.all():
+            _format_scalar(obj[~finite][0].item())  # raises
+        return _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, dict):

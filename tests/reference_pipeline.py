@@ -16,8 +16,14 @@ logarithm's tests check against.
 ``reference_projection_blocks`` is the suites' block sampler drawn one
 block, and one QR, at a time: the stacked sampler must give its blocks and
 leave its generator in the same state.
+
+``reference_dumps`` is the JSON dumper that walks a payload one list and
+one scalar at a time, and ``reference_pair_json`` the pair payload of
+nested lists it was given: the array renderer of ``dumps_canonical`` must
+write the same bytes.
 """
 
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -194,3 +200,49 @@ def reference_projection_blocks(rng, d, count):
         rank = int(rng.integers(0, d + 1))
         blocks.append(random_projection(d, rank, rng))
     return tuple(blocks)
+
+
+def reference_pair_json(p, q):
+    return {
+        name: {
+            "rows": m.shape[0],
+            "cols": m.shape[1],
+            "data": [[float(z.real), float(z.imag)] for z in m.ravel()],
+        }
+        for name, m in (("P", p), ("Q", q))
+    }
+
+
+def _reference_scalar(x):
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        if not np.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite float {x!r}")
+        return format(float(x), ".17g")
+    if isinstance(x, str):
+        return json.dumps(x)
+    if x is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+def reference_dumps(obj, indent=0):
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {reference_dumps(v, indent + 2)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        items = [f"{inner}{reference_dumps(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return _reference_scalar(obj)

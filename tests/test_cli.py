@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from projgeo.cli import main
 from projgeo.geodesics import evaluate, minimal_exponent
@@ -13,18 +16,66 @@ from projgeo.serialize import (
     read_pair,
 )
 from projgeo.suites import run_suite
+from reference_pipeline import reference_dumps, reference_pair_json
+
+BIG = 1.7976931348623157e308
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, BIG, -BIG, 1e-300, 1e16, 1e17]
+# every shape from 0x0 up to 12x12, 0xk among them
+FLOAT_ARRAYS = arrays(
+    np.float64,
+    st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(EDGE_FLOATS),
+        st.integers(-(10**6), 10**6).map(float),
+    ),
+)
 
 
 class TestSerialize:
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        back = matrix_from_json(matrix_to_json(m))
+        back = matrix_from_json(json.loads(dumps_canonical(matrix_to_json(m))))
         assert np.array_equal(back, m)
 
     def test_matrix_schema(self):
-        obj = matrix_to_json(np.array([[1.0 + 2.0j]]))
+        obj = json.loads(dumps_canonical(matrix_to_json(np.array([[1.0 + 2.0j]]))))
         assert obj == {"rows": 1, "cols": 1, "data": [[1.0, 2.0]]}
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[True, 0.0]],
+            [[1, False]],
+            [[True, False]],
+            [[0.5, 0.25], [1, 0], [0.5, False], [0.75, 0.5]],
+        ],
+    )
+    def test_boolean_entries_are_rejected(self, data):
+        with pytest.raises(ValueError, match="pairs of numbers"):
+            matrix_from_json({"rows": 1, "cols": len(data), "data": data})
+
+    @settings(max_examples=150, deadline=None)
+    @given(FLOAT_ARRAYS)
+    def test_float_array_renders_as_its_list(self, a):
+        assert dumps_canonical(a) == reference_dumps(a.tolist())
+        payload = {"x": [1, {"data": a}], "y": a.T}
+        expected = {"x": [1, {"data": a.tolist()}], "y": a.T.tolist()}
+        assert dumps_canonical(payload) == reference_dumps(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(FLOAT_ARRAYS, st.data())
+    def test_non_finite_entry_raises_as_reference(self, a, data):
+        assume(a.size)
+        for _ in range(data.draw(st.integers(1, 3))):
+            index = data.draw(st.integers(0, a.size - 1))
+            a.flat[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError) as ours:
+            dumps_canonical({"data": a})
+        with pytest.raises(ValueError) as reference:
+            reference_dumps({"data": a.tolist()})
+        assert str(ours.value) == str(reference.value)
 
     def test_dumps_is_valid_json(self):
         payload = {"a": 1, "b": [1.5, True, None, "x"], "c": {"d": np.pi}}
@@ -88,6 +139,17 @@ class TestGen:
         p, q = read_pair(out)
         assert abs(np.trace(p).real - 2) <= 1e-12
         assert abs(np.trace(q).real - 3) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dims", "2,1,1,1,6", "--seed", "4"], ["--dim", "6", "--ranks", "2,3", "--seed", "4"]],
+        ids=["dims", "ranks"],
+    )
+    def test_pair_file_equals_reference_dumper(self, tmp_path, capsys, flags):
+        out = tmp_path / "pair.json"
+        assert main(["gen", *flags, "--out", str(out)]) == 0
+        expected = reference_dumps(reference_pair_json(*read_pair(out))) + "\n"
+        assert out.read_text() == expected
 
     def test_nan_angle_exits_two(self, tmp_path, capsys):
         out = tmp_path / "pair.json"
@@ -177,11 +239,16 @@ class TestGeodesicCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not csv_path.exists()
 
-    def test_csv_equals_per_point_reference(self, tmp_path, capsys):
-        # n = 32: a sampling chunk holds 64 points, so 131 points span four
-        pair = self.make_pair(tmp_path, "8,8,0,0,16", None, seed=4)
+    @pytest.mark.parametrize(
+        "dims,samples",
+        # a sampling chunk holds 64 points at n = 32 and 16 at n = 64, so
+        # 131 points span three chunks and 21 span two
+        [("8,8,0,0,16", 130), ("16,16,0,0,32", 20)],
+        ids=["n32", "n64"],
+    )
+    def test_csv_equals_per_point_reference(self, tmp_path, capsys, dims, samples):
+        pair = self.make_pair(tmp_path, dims, None, seed=4)
         csv_path = tmp_path / "samples.csv"
-        samples = 130
         rc = main(["geodesic", "--in", str(pair), "--samples", str(samples),
                    "--csv", str(csv_path)])
         assert rc == 0
@@ -208,8 +275,10 @@ class TestGeodesicCommand:
             ' "Q": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
             '{"P": {"rows": null, "cols": 1, "data": [[1.0, 0.0]]},'
             ' "Q": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
+            '{"P": {"rows": 1, "cols": 1, "data": [[true, 0.0]]},'
+            ' "Q": {"rows": 1, "cols": 1, "data": [[1, false]]}}',
         ],
-        ids=["empty-list", "bare-number-entry", "null-rows"],
+        ids=["empty-list", "bare-number-entry", "null-rows", "boolean-entries"],
     )
     def test_malformed_pair_file_is_usage_error(self, tmp_path, capsys, text):
         pair = tmp_path / "pair.json"

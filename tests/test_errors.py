@@ -1,8 +1,9 @@
 """Static guards over the package source: every typed error is raised
 somewhere, no check relies on an ``assert`` that ``-O`` strips, every
-tolerance literal sits in a named home, projections are validated only
-where they enter, only the kernel layer imports SciPy, no module reads
-the environment, and every exported name has a caller in the package."""
+tolerance literal sits in a named home, the 17-digit float format is
+spelled only in ``serialize``, projections are validated only where they
+enter, only the kernel layer imports SciPy, no module reads the
+environment, and every exported name has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -93,6 +94,19 @@ def test_tolerance_literals_have_homes():
         and 0.0 < node.value < 1e-2
     ]
     assert found == []
+
+
+def test_float_format_is_spelled_only_in_serialize():
+    # every float the package writes goes through serialize's one spec
+    spelled = {
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and ".17g" in node.value
+    }
+    assert spelled == {"serialize.py"}
 
 
 # projections enter the library through these functions, each the door of
