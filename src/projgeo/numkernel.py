@@ -3,9 +3,9 @@
 Everything here operates on plain ``numpy`` complex arrays and is a
 deterministic function of its input: for a fixed input array the output
 bits are reproducible on a given platform.  Spectral routines sit on top
-of LAPACK's Hermitian eigensolver; the principal angles of a subspace pair
-come from the CS decomposition of LAPACK's ``?uncsd``, which returns
-cosines and sines each accurate at its own end of ``[0, pi/2]``.
+of LAPACK's Hermitian eigensolver and SVD, whose failures to converge
+raise ``NoConvergence``; the principal angles of a subspace pair come from
+two SVDs, with cosines and sines each accurate at its own end of ``[0, pi/2]``.
 
 The spectral kernels, the singular-value kernels and ``nullspace`` also
 take a stack ``(..., n, n)`` of matrices and factor it with one LAPACK
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoConvergence, NotHermitian
 
@@ -82,6 +81,14 @@ def _skewize(m: np.ndarray) -> np.ndarray:
     return (m - _adjoint(m)) / 2
 
 
+def _svd(m: np.ndarray, **kwargs):
+    """``numpy.linalg.svd``, a failure to converge raised as ``NoConvergence``."""
+    try:
+        return np.linalg.svd(m, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def op_norm(a):
     """Operator (spectral) norm: the largest singular value.
 
@@ -89,10 +96,7 @@ def op_norm(a):
     matrix, from one singular-value call.
     """
     m = as_cstack(a)
-    if m.shape[-1] == 0 or m.shape[-2] == 0:
-        norms = np.zeros(m.shape[:-2])
-    else:
-        norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    norms = _svd(m, compute_uv=False).max(axis=-1, initial=0.0)  # 0 when empty
     return float(norms) if m.ndim == 2 else norms
 
 
@@ -100,7 +104,7 @@ def min_singular_value(a):
     """Smallest singular value of a nonempty matrix; for a stack ``(..., m,
     n)`` of matrices, the array of those of each matrix, from one call."""
     m = as_cstack(a)
-    values = np.linalg.svd(m, compute_uv=False)[..., -1]
+    values = _svd(m, compute_uv=False)[..., -1]
     return float(values) if m.ndim == 2 else values
 
 
@@ -176,22 +180,17 @@ def nullspace(a, tol: Tolerance = Tolerance()):
     """
     m = as_cstack(a)
     stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
-    _, s, vh = np.linalg.svd(stack, full_matrices=True)
+    _, s, vh = _svd(stack)
     ranks = (s > tol.rank_rtol).sum(axis=-1)
     bases = [v[rank:].conj().T for v, rank in zip(vh, ranks.tolist())]
     return bases[0] if m.ndim == 2 else bases
 
 
-class CSFactors(NamedTuple):
-    u1: np.ndarray     # (p, p) unitary
-    u2: np.ndarray     # (n - p, n - p) unitary
-    theta: np.ndarray  # the k = min(p, n - p, q, n - q) angles, ascending
-
-
-def cs_decompose(x, p: int, q: int) -> CSFactors:
-    """Left factors and angles of the CS decomposition of an ``n x n``
-    unitary ``x`` split after row ``p`` and column ``q``, with
-    ``0 < p, q < n``.
+def cs_decompose(x, p: int, q: int):
+    """Left factors ``(u1, u2, theta)`` of the CS decomposition of an
+    ``n x n`` unitary ``x`` split after row ``p`` and column ``q``, with
+    ``0 <= p, q <= n``: unitaries ``u1``, ``u2`` of orders ``p``, ``n - p``
+    and the ``k = min(p, n - p, q, n - q)`` angles ``theta``, ascending.
 
     ``x = diag(u1, u2) D diag(v1, v2)*``, where the ``p x q`` block of
     ``D`` is ``diag(1, cos theta, 0)`` and its lower left block is
@@ -201,16 +200,24 @@ def cs_decompose(x, p: int, q: int) -> CSFactors:
     before the angles' columns, and those after them, are the directions
     that the block sizes force to angle 0 and to angle ``pi/2``.
 
-    Raises
-    ------
-    NoConvergence
-        If the underlying iteration fails to converge.
+    Two SVDs (Bjorck & Golub, Math. Comp. 27, 1973): that of ``x11`` gives
+    the cosines below ``1/sqrt(2)``, that of ``x21`` on the rest the sines.
+    An SVD that fails to converge raises ``NoConvergence``.
     """
     m = as_cmatrix(x)
-    try:
-        (u1, u2), theta, _ = scipy.linalg.cossin(
-            m, p=p, q=q, separate=True, compute_vh=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return CSFactors(u1, u2, theta)
+    n = require_square(m)
+    x11, x21 = m[:p, :q], m[p:, :q]
+    u, c, wh = _svd(x11)
+    ns = int(np.count_nonzero(c * c >= 0.5))  # the small angles come first
+    g = x21 @ _adjoint(wh[ns:])  # the large angles' partners, then the crossed
+    norms = np.linalg.norm(g, axis=0)
+    g /= norms
+    basis = g[:, :0] if g.shape[1] == n - p else np.linalg.qr(g, "complete")[0][:, g.shape[1]:]
+    v2, s, rh = _svd(_adjoint(basis) @ (x21 @ _adjoint(wh[:ns])))
+    h = x11 @ _adjoint(rh @ wh[:ns])
+    cos = np.linalg.norm(h, axis=0)
+    sin = np.concatenate([s, np.zeros(ns - len(s))])  # forced zeros last
+    small, large = np.arctan2(sin, cos)[::-1], np.arctan2(norms[:len(c) - ns], c[ns:])
+    u1 = np.hstack([(h / cos)[:, ::-1], u[:, ns:]])
+    u2 = np.hstack([(basis @ v2)[:, ::-1], g])
+    return u1, u2, np.concatenate([small, large])[max(0, p + q - n):]

@@ -273,18 +273,11 @@ def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
     """
     p, q = _pair(p, q)
     sp = _split(p, q, tol)
-    n = p.shape[0]
     # eigenvectors with the ranges first
     vp, vq = herm_eig(np.array([p, q]), tol).eigenvectors[..., ::-1]
-    if sp.k == 0:
-        # P or Q is 0 or 1: every direction is aligned or crossed
-        x1 = vq if sp.r == n else vp[:, :sp.r]
-        x2 = vq[:, ::-1] if sp.r == 0 else vp[:, sp.r:]
-        theta = np.zeros(0)
-    else:
-        u1, u2, theta = cs_decompose(_adjoint(vp) @ vq, sp.r, sp.s)
-        x1 = vp[:, :sp.r] @ u1
-        x2 = vp[:, sp.r:] @ u2
+    u1, u2, theta = cs_decompose(_adjoint(vp) @ vq, sp.r, sp.s)
+    x1 = vp[:, :sp.r] @ u1
+    x2 = vp[:, sp.r:] @ u2
     lo, hi = sp.aligned, sp.k - sp.crossed
     planes = np.stack([x1[:, sp.a + lo:sp.a + hi], x2[:, sp.b + lo:sp.b + hi]], axis=-1)
     return FiveSpace(
@@ -294,7 +287,7 @@ def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
         m00=x2[:, :sp.b + lo],
         m10=x1[:, sp.a + hi:],
         m01=x2[:, sp.b + hi:],
-        h0=planes.reshape(n, -1),
+        h0=planes.reshape(p.shape[0], -1),
         angles=theta[lo:hi],
     )
 

@@ -2,10 +2,13 @@
 somewhere, no check relies on an ``assert`` that ``-O`` strips, every
 tolerance literal sits in a named home, the 17-digit float format is
 spelled only in ``serialize``, projections are validated only where they
-enter, only the kernel layer imports SciPy, no module reads the
-environment, and every exported name has a caller in the package."""
+enter, no module imports SciPy (nor does ``import projgeo`` load it), no
+module reads the environment, and every exported name has a caller in the
+package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import projgeo
@@ -135,13 +138,23 @@ def test_projections_are_validated_where_they_enter():
     assert sorted(callers - VALIDATING_FUNCTIONS) == []
 
 
-def test_only_numkernel_imports_scipy():
+def test_no_module_imports_scipy():
     importers = sorted(
         name
         for name, tree in TREES.items()
         if any(m.split(".")[0] == "scipy" for m in _imported_modules(tree))
     )
-    assert importers == ["numkernel.py"]
+    assert importers == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # a fresh interpreter, so that no other test's import of scipy counts
+    src = str(Path(projgeo.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import projgeo; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_no_module_reads_the_environment():

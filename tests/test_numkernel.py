@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from projgeo.errors import NotHermitian, NotUnitary
+from projgeo.errors import NoConvergence, NotHermitian, NotUnitary
 from projgeo.numkernel import (
     Tolerance,
     cs_decompose,
@@ -133,6 +134,44 @@ class TestMinSingularValue:
         assert got.tolist() == [0.5, 1.0, 0.0]
 
 
+def _cs_residual(x, p, q, u1, u2, theta) -> float:
+    """Largest defect of ``(u1, u2, theta)`` as the left factors and angles
+    of the CS decomposition of ``x`` split at ``(p, q)``: unitarity, the
+    diagonal Gram matrices ``diag(1, cos^2, 0)`` and ``diag(0, sin^2, 1)`` of
+    the two blocks' rows, and each angle's two rows on one right vector."""
+    n = x.shape[0]
+    k, a, b = min(p, n - p, q, n - q), max(0, p + q - n), max(0, n - p - q)
+    c11, c21 = u1.conj().T @ x[:p, :q], u2.conj().T @ x[p:, :q]
+    cos2 = np.concatenate([np.ones(a), np.cos(theta) ** 2, np.zeros(p - a - k)])
+    sin2 = np.concatenate([np.zeros(b), np.sin(theta) ** 2, np.ones(n - p - b - k)])
+    defects = [
+        u1.conj().T @ u1 - np.eye(p),
+        u2.conj().T @ u2 - np.eye(n - p),
+        c11 @ c11.conj().T - np.diag(cos2),
+        c21 @ c21.conj().T - np.diag(sin2),
+        np.sin(theta)[:, None] * c11[a:a + k] - np.cos(theta)[:, None] * c21[b:b + k],
+    ]
+    return max((np.abs(d).max() for d in defects if d.size), default=0.0)
+
+
+def _unitary_with_angles(n, p, q, theta, seed):
+    """``diag(u1, u2) D diag(v1, v2)*`` with Haar factors and the CS middle
+    factor ``D`` of the given angles (``len(theta) == min(p, n-p, q, n-q)``)."""
+    k, a, b = len(theta), max(0, p + q - n), max(0, n - p - q)
+    c, s = np.cos(theta), np.sin(theta)
+    d = np.zeros((n, n))
+    # R(Q)'s columns: a aligned, k in the planes, the rest crossed into N(P)
+    d[:a, :a] = np.eye(a)
+    d[a + np.arange(k), a + np.arange(k)] = c
+    d[p + b + np.arange(k), a + np.arange(k)] = s
+    d[p + b + k:, a + k:q] = np.eye(q - a - k)
+    # N(Q)'s columns complete it to a unitary
+    d[:, q:] = np.linalg.qr(d[:, :q], mode="complete")[0][:, q:]
+    u = scipy.linalg.block_diag(random_unitary(p, seed), random_unitary(n - p, seed + 1))
+    v = scipy.linalg.block_diag(random_unitary(q, seed + 2), random_unitary(n - q, seed + 3))
+    return u @ d @ v.conj().T
+
+
 class TestCSDecompose:
     @pytest.mark.parametrize("n,p,q", [(6, 2, 3), (6, 4, 3), (7, 5, 5), (5, 1, 4), (8, 4, 4)])
     def test_structure(self, n, p, q):
@@ -163,6 +202,54 @@ class TestCSDecompose:
         w = np.column_stack([c * e[4] + s * e[5], e[3], e[0], e[2], c * e[5] - s * e[4], e[1]])
         _, _, theta = cs_decompose(v.T @ w, 3, 3)
         assert np.allclose(theta, [0.0, 0.3, np.pi / 2], atol=1e-15)
+
+    @pytest.mark.parametrize("n,p,q", [(6, 2, 3), (6, 4, 3), (7, 5, 5), (5, 1, 4), (8, 4, 4)])
+    def test_against_cossin(self, n, p, q):
+        x = random_unitary(n, n + 10 * p + q)
+        u1, u2, theta = cs_decompose(x, p, q)
+        _, reference, _ = scipy.linalg.cossin(x, p=p, q=q, separate=True, compute_vh=False)
+        assert np.abs(theta - reference).max() <= 1e-14
+        assert _cs_residual(x, p, q, u1, u2, theta) <= 1e-13
+
+    @pytest.mark.parametrize("p,q", [(0, 0), (0, 2), (0, 5), (5, 0), (5, 3), (5, 5), (2, 0), (2, 5)])
+    def test_trivial_blocks(self, p, q):
+        # scipy's cossin requires 0 < p, q < n; here every direction is
+        # forced aligned or crossed, and there is no angle
+        x = random_unitary(5, 10 * p + q)
+        u1, u2, theta = cs_decompose(x, p, q)
+        assert (u1.shape, u2.shape, theta.shape) == ((p, p), (5 - p, 5 - p), (0,))
+        assert _cs_residual(x, p, q, u1, u2, theta) <= 1e-13
+
+    @pytest.mark.parametrize("n,p,q", [(12, 5, 5), (12, 5, 8), (12, 7, 5), (13, 6, 6)])
+    def test_angles_near_both_edges(self, n, p, q):
+        k = min(p, n - p, q, n - q)
+        edges = [3e-10, 1e-9, np.pi / 2 - 1e-9, np.pi / 2 - 3e-10]
+        angles = np.sort(np.concatenate([edges, np.linspace(0.2, 1.4, k - 4)]))
+        x = _unitary_with_angles(n, p, q, angles, seed=n + p + q)
+        u1, u2, theta = cs_decompose(x, p, q)
+        _, reference, _ = scipy.linalg.cossin(x, p=p, q=q, separate=True, compute_vh=False)
+        assert np.abs(theta - reference).max() <= 1e-14
+        assert np.abs(theta - angles).max() <= 1e-14
+        assert _cs_residual(x, p, q, u1, u2, theta) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        op_norm,
+        min_singular_value,
+        nullspace,
+        lambda m: cs_decompose(m, 2, 2),
+    ],
+    ids=["op_norm", "min_singular_value", "nullspace", "cs_decompose"],
+)
+def test_svd_failure_is_no_convergence(monkeypatch, kernel):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        kernel(random_unitary(4, 0))
 
 
 class TestPolarUnitary:
