@@ -172,7 +172,7 @@ def _threshold_block(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _hermitize((u * (w >= 0.5).astype(float)) @ _adjoint(u))
 
 
-def lift_projection(t: BlockOperator, tol: Tolerance = Tolerance()) -> BlockOperator:
+def lift_projection(t: BlockOperator) -> BlockOperator:
     """Spectral-threshold lift of an almost-projection to a projection.
 
     Each block is pushed through the step function that sends eigenvalues
@@ -196,7 +196,7 @@ def lift_projection(t: BlockOperator, tol: Tolerance = Tolerance()) -> BlockOper
     make_projection(t.tail)
     new_blocks = []
     for i, b in enumerate(t.exceptional):
-        w, u = herm_eig(b, tol)
+        w, u = herm_eig(b)
         bad = np.abs(w - 0.5) < SPECTRAL_GAP
         if np.any(bad):
             offending = float(w[bad][0])
@@ -205,7 +205,7 @@ def lift_projection(t: BlockOperator, tol: Tolerance = Tolerance()) -> BlockOper
                 f"within {SPECTRAL_GAP} of 1/2"
             )
         new_blocks.append(_threshold_block(w, u))
-    new_tail = _threshold_block(*herm_eig(t.tail, tol))
+    new_tail = _threshold_block(*herm_eig(t.tail))
     return BlockOperator(t.block_dim, tuple(new_blocks), new_tail)
 
 
@@ -469,7 +469,7 @@ def truncated_index_pairs(
     eye = np.eye(lift_p.block_dim)
     kernels = nullspace(np.array([bp + bq - eye for bp, bq in blocks]), tol)
     signs = [
-        herm_eig(_hermitize(_adjoint(k) @ (bp - bq) @ k), tol).eigenvalues
+        herm_eig(_hermitize(_adjoint(k) @ (bp - bq) @ k)).eigenvalues
         for k, (bp, bq) in zip(kernels, blocks)
     ]
     crossed = np.array([[(w > 0).sum(), (w < 0).sum()] for w in signs]).T
@@ -519,7 +519,7 @@ def quotient_geodesic(
         raise NotPeriodic(f"tail index {tuple(ip)} is unbalanced: the crossed "
                           "pairing is not block-periodic")
     return QuotientGeodesic(
-        segment=_segment(fs, None, tol),
+        segment=_segment(fs, None),
         unique=case is DichotomyCase.FINITE_FINITE,
         case=case,
     )

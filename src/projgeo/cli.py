@@ -44,7 +44,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _tolerance_from_args(args) -> Tolerance:
-    return Tolerance(rank_rtol=args.tol_rank, recon_rtol=args.tol_recon)
+    return Tolerance(rank_rtol=args.tol_rank)
 
 
 def _emit(args, payload: dict) -> None:
@@ -88,8 +88,8 @@ def cmd_gen(args) -> int:
         print("error: provide either --dims or --ranks", file=sys.stderr)
         return EXIT_USAGE
 
+    fs = halmos_decompose(p, q, tol)  # a pair it rejects leaves no file
     write_pair(args.out, p, q)
-    fs = halmos_decompose(p, q, tol)
     report = fivespace_report(fs)
     report["out"] = str(args.out)
     d_plus, d_minus = report["index"]
@@ -151,11 +151,9 @@ def cmd_verify(args) -> int:
 
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags read by ``_tolerance_from_args``, last in every subcommand."""
+    """The flag read by ``_tolerance_from_args``, last in every subcommand."""
     parser.add_argument("--tol-rank", type=float, default=Tolerance.rank_rtol,
                         help="rank-decision threshold (default %(default)g)")
-    parser.add_argument("--tol-recon", type=float, default=Tolerance.recon_rtol,
-                        help="symmetry-check threshold (default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import BadIndex, BadUnitarySize, NoGeodesic, NotUnitary
 from .numkernel import (
+    RECON_RTOL,
     HermEig,
     Tolerance,
     _adjoint,
@@ -118,14 +119,10 @@ def minimal_exponent(p, q, tol: Tolerance = Tolerance()) -> GeodesicSegment:
     NoGeodesic
         If the crossed-intersection dimensions differ.
     """
-    return _segment(halmos_decompose(p, q, tol), None, tol)
+    return _segment(halmos_decompose(p, q, tol), None)
 
 
-def _segment(
-    fs: FiveSpace,
-    pairing: np.ndarray | None,
-    tol: Tolerance,
-) -> GeodesicSegment:
+def _segment(fs: FiveSpace, pairing: np.ndarray | None) -> GeodesicSegment:
     """The segment of the five-space split ``fs`` of the pair, with the
     crossed ``pairing`` (canonical when ``None``); it starts at ``fs.p``."""
     _, _, d10, d01, _ = fs.dims
@@ -137,8 +134,8 @@ def _segment(
             raise BadUnitarySize(
                 f"pairing must be {d10}x{d10}, got {pairing.shape}"
             )
-        if op_norm(_adjoint(pairing) @ pairing - np.eye(d10)) > tol.recon_rtol:
-            raise NotUnitary("pairing is not unitary within recon_rtol")
+        if op_norm(_adjoint(pairing) @ pairing - np.eye(d10)) > RECON_RTOL:
+            raise NotUnitary(f"pairing is not unitary within {RECON_RTOL:.1e}")
     return GeodesicSegment(base=fs.p, exponent=_exponent(fs, pairing))
 
 
@@ -267,12 +264,12 @@ def unique_minimal_check(p, q, tol: Tolerance = Tolerance()) -> UniquenessReport
     crossed pairings are returned as a witness.
     """
     fs = halmos_decompose(p, q, tol)
-    seg = _segment(fs, None, tol)
+    seg = _segment(fs, None)
     k = fs.dims[2]
     if k == 0:
         u = random_unitary(fs.p.shape[0], _REDERIVE_SEED)
         pc, qc = (_hermitize(u.conj().T @ m @ u) for m in (fs.p, fs.q))
-        seg_c = _segment(halmos_decompose(pc, qc, tol), None, tol)
+        seg_c = _segment(halmos_decompose(pc, qc, tol), None)
         back = u @ seg_c.exponent @ u.conj().T
         err = op_norm(back - seg.exponent)
         return UniquenessReport(
@@ -308,7 +305,7 @@ def multi_geodesic_family(
     _, _, d10, d01, _ = fs.dims
     if d10 != d01 or d10 == 0:
         raise BadIndex(f"need index pair (k, k) with k >= 1, got ({d10}, {d01})")
-    return [_segment(fs, u, tol) for u in unitaries]
+    return [_segment(fs, u) for u in unitaries]
 
 
 def minimal_geodesic(
@@ -332,7 +329,7 @@ def minimal_geodesic(
         If ``samples < 2``.
     """
     fs = halmos_decompose(p, q, tol)
-    seg = _segment(fs, None, tol)
+    seg = _segment(fs, None)
     _, _, d10, d01, _ = fs.dims
     endpoint_error = op_norm(evaluate(seg, 1.0) - fs.q)
     length = curve_length(seg, samples)

@@ -24,21 +24,20 @@ import numpy as np
 from .errors import NoConvergence, NotHermitian
 
 HALF_PI_BOUND = np.pi / 2 + 1e-12  # pi/2 with slack for roundoff in norms
+# relative threshold of the symmetry and unitarity checks on kernel inputs
+RECON_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical thresholds: ``rank_rtol`` governs rank/nullity decisions,
-    ``recon_rtol`` governs reconstruction and symmetry checks."""
+    """The threshold a caller sets: ``rank_rtol`` governs every rank and
+    nullity decision, and so the index pair and the five-space split."""
 
     rank_rtol: float = 1e-10
-    recon_rtol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rank_rtol", "recon_rtol"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1e-2):
-                raise ValueError(f"{name} must lie in (0, 1e-2), got {value!r}")
+        if not (0.0 < self.rank_rtol < 1e-2):
+            raise ValueError(f"rank_rtol must lie in (0, 1e-2), got {self.rank_rtol!r}")
 
 
 def _as_complex(a, stack: bool) -> np.ndarray:
@@ -120,28 +119,27 @@ def _first(flags: np.ndarray) -> int | None:
     return int(np.flatnonzero(flags)[0])
 
 
-def _check_hermitian(m: np.ndarray, tol: Tolerance) -> None:
+def _check_hermitian(m: np.ndarray) -> None:
     # bitwise-symmetric input (the common case) skips the norms
     if np.array_equal(m, _adjoint(m)):
         return
     norms, defects = op_norm(np.array([m, m - _adjoint(m)]))
-    i = _first(defects > tol.recon_rtol * norms)
+    i = _first(defects > RECON_RTOL * norms)
     if i is not None:
         raise NotHermitian(
             f"asymmetry {np.ravel(defects)[i]:.3e} exceeds "
-            f"{tol.recon_rtol:.1e} * norm {np.ravel(norms)[i]:.3e}"
+            f"{RECON_RTOL:.1e} * norm {np.ravel(norms)[i]:.3e}"
         )
 
 
-def herm_eig(a, tol: Tolerance = Tolerance()) -> HermEig:
+def herm_eig(a) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a
     stack.
 
     Parameters
     ----------
-    a : (n, n) or (..., n, n) array_like, Hermitian within
-        ``tol.recon_rtol`` relative error.
-    tol : Tolerance, optional
+    a : (n, n) or (..., n, n) array_like, Hermitian within ``RECON_RTOL``
+        relative error.
 
     Returns
     -------
@@ -159,7 +157,7 @@ def herm_eig(a, tol: Tolerance = Tolerance()) -> HermEig:
     """
     m = as_cstack(a)
     require_square(m)
-    _check_hermitian(m, tol)
+    _check_hermitian(m)
     try:
         w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

@@ -31,7 +31,7 @@ from .numkernel import (
     require_square,
 )
 
-# construction tolerance, deliberately looser than the kernel recon_rtol so
+# construction tolerance, deliberately looser than the kernel's RECON_RTOL so
 # that conjugated/compressed projections still validate
 PROJECTION_ATOL = 1e-10
 
@@ -274,7 +274,7 @@ def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
     p, q = _pair(p, q)
     sp = _split(p, q, tol)
     # eigenvectors with the ranges first
-    vp, vq = herm_eig(np.array([p, q]), tol).eigenvectors[..., ::-1]
+    vp, vq = herm_eig(np.array([p, q])).eigenvectors[..., ::-1]
     u1, u2, theta = cs_decompose(_adjoint(vp) @ vq, sp.r, sp.s)
     x1 = vp[:, :sp.r] @ u1
     x2 = vp[:, sp.r:] @ u2

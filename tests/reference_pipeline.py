@@ -31,6 +31,7 @@ import scipy.linalg
 
 from projgeo.errors import NoGeodesic, NotUnitary
 from projgeo.numkernel import (
+    RECON_RTOL,
     Tolerance,
     as_cmatrix,
     herm_eig,
@@ -62,25 +63,25 @@ def _herm(m):
 def polar_unitary(a, tol=Tolerance()):
     """Unitary factor of the polar decomposition of an invertible Hermitian
     matrix: the spectral sign function."""
-    w, u = herm_eig(a, tol)
+    w, u = herm_eig(a)
     absw = np.abs(w)
     if absw.max(initial=0.0) == 0.0 or absw.min() <= tol.rank_rtol * absw.max():
         raise SingularInput("polar factor undefined: input has a nullspace")
     return _herm((u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T)
 
 
-def _check_skew(m, tol):
+def _check_skew(m):
     if np.array_equal(m, -m.conj().T):
         return
     norm, defect = op_norm(np.array([m, m + m.conj().T])).tolist()
-    if defect > tol.recon_rtol * norm:
+    if defect > RECON_RTOL * norm:
         raise NotSkew(
             f"skew defect {defect:.3e} exceeds "
-            f"{tol.recon_rtol:.1e} * norm {norm:.3e}"
+            f"{RECON_RTOL:.1e} * norm {norm:.3e}"
         )
 
 
-def expm_skew(z, tol=Tolerance()):
+def expm_skew(z):
     """Unitary exponential of a skew-Hermitian matrix.
 
     Computed spectrally: with ``-i z = U diag(theta) U*`` the result is
@@ -88,8 +89,8 @@ def expm_skew(z, tol=Tolerance()):
     """
     m = as_cmatrix(z)
     require_square(m)
-    _check_skew(m, tol)
-    w, u = herm_eig(_herm(-1j * m), tol)
+    _check_skew(m)
+    w, u = herm_eig(_herm(-1j * m))
     return (u * np.exp(1j * w)) @ u.conj().T
 
 
@@ -104,8 +105,8 @@ def logm_unitary_principal(w, tol=Tolerance(), *, require_interior=False):
     branch closed at ``+pi``, from a complex Schur factorization."""
     m = np.asarray(w, dtype=complex)
     n = m.shape[0]
-    if op_norm(m.conj().T @ m - np.eye(n)) > tol.recon_rtol:
-        raise NotUnitary("input is not unitary within recon_rtol")
+    if op_norm(m.conj().T @ m - np.eye(n)) > RECON_RTOL:
+        raise NotUnitary(f"input is not unitary within {RECON_RTOL:.1e}")
     t, u = scipy.linalg.schur(m, output="complex")
     lam = np.diagonal(t)
     phases = np.arctan2(lam.imag, lam.real)

@@ -221,9 +221,9 @@ class TestLiftProjection:
     def test_one_eigensolve_per_block(self, monkeypatch, n_exceptional):
         calls = []
 
-        def counted(b, tol):
+        def counted(b):
             calls.append(b)
-            return herm_eig(b, tol)
+            return herm_eig(b)
 
         monkeypatch.setattr(blockmodel, "herm_eig", counted)
         blocks = tuple(random_projection(3, 1, 30 + i) for i in range(n_exceptional))

@@ -159,9 +159,11 @@ class TestGen:
         assert not out.exists()
 
     def test_empty_pair_exits_two(self, tmp_path, capsys):
-        rc = main(["gen", "--dim", "0", "--ranks", "0,0", "--out", str(tmp_path / "x.json")])
+        out = tmp_path / "x.json"
+        rc = main(["gen", "--dim", "0", "--ranks", "0,0", "--out", str(out)])
         assert rc == 2
-        assert "total dimension is zero" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: total dimension is zero\n"
+        assert not out.exists()
 
     def test_inconsistent_flags(self, tmp_path, capsys):
         rc = main(["gen", "--dims", "1,2,3", "--out", str(tmp_path / "x.json")])
@@ -287,6 +289,41 @@ class TestGeodesicCommand:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+
+class TestToleranceFlag:
+    # an angle of 1e-7 is generic at the default rank threshold of 1e-10 and
+    # aligned at 1e-6: the pair then splits into R(P) & R(Q) and N(P) & N(Q)
+    def make_pair(self, tmp_path, flags):
+        out = tmp_path / "pair.json"
+        args = ["gen", "--dims", "1,1,0,0,2", "--angles", "1e-7", "--seed", "1",
+                "--out", str(out), *flags]
+        assert main(args) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "flags,dims,norm_z",
+        [([], {"m11": 1, "m00": 1, "m10": 0, "m01": 0, "generic": 2}, 1e-7),
+         (["--tol-rank", "1e-6"], {"m11": 2, "m00": 2, "m10": 0, "m01": 0, "generic": 0}, 0.0)],
+        ids=["default", "tol-rank"],
+    )
+    def test_tol_rank_reaches_gen_and_geodesic(self, tmp_path, capsys, flags, dims, norm_z):
+        pair = self.make_pair(tmp_path, flags)
+        assert json.loads(capsys.readouterr().out)["dims"] == dims
+        assert main(["geodesic", "--in", str(pair), *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["norm_Z"] == pytest.approx(norm_z, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "--dims", "0,0,0,0,2"], ["geodesic", "--in", "pair.json"],
+         ["verify", "--suite", "identities"]],
+        ids=["gen", "geodesic", "verify"],
+    )
+    def test_tol_recon_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--tol-recon", "1e-12"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tol-recon" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -67,6 +67,7 @@ def _imported_modules(tree) -> set[str]:
 # field defaults of ``Tolerance``
 TOLERANCE_HOMES = {
     ("numkernel.py", "HALF_PI_BOUND"),
+    ("numkernel.py", "RECON_RTOL"),
     ("projections.py", "PROJECTION_ATOL"),
     ("suites.py", "BOUNDS"),
 }

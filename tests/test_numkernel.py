@@ -353,5 +353,5 @@ def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(rank_rtol=0.5)
     with pytest.raises(ValueError):
-        Tolerance(recon_rtol=-1e-9)
+        Tolerance(rank_rtol=-1e-9)
     assert Tolerance().rank_rtol == 1e-10

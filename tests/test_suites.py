@@ -111,6 +111,23 @@ def test_fiber_stream_is_none_of_the_samplers(monkeypatch):
         for a in range(64):
             assert state != np.random.default_rng((s, a)).bit_generator.state
 
+    # every generator that the trials of existence and lifting seed, the
+    # samplers' among them, is a stream of its own
+    real_rng = np.random.default_rng
+
+    def seeded(key=None):
+        rng = real_rng(key)
+        if rng is not key:
+            streams.append(repr(rng.bit_generator.state))
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", seeded)
+    for suite in ("existence", "lifting"):
+        streams = []
+        suites.run_suite(suite, 3, 11)
+        assert len(streams) >= 6
+        assert len(set(streams)) == len(streams), suite
+
 
 def test_fiber_norms_equal_the_lone_lifts():
     tol = Tolerance()
