@@ -7,10 +7,10 @@ of LAPACK's Hermitian eigensolver and SVD, whose failures to converge
 raise ``NoConvergence``; the principal angles of a subspace pair come from
 two SVDs, with cosines and sines each accurate at its own end of ``[0, pi/2]``.
 
-The spectral kernels, the singular-value kernels and ``nullspace`` also
-take a stack ``(..., n, n)`` of matrices and factor it with one LAPACK
-call; each matrix of the stack gets the same bits as a call on that matrix
-alone.
+The spectral and singular-value kernels also take a stack ``(..., n, n)``
+of matrices, ``nullspace`` a stack ``(..., m, n)``, and factor it with one
+LAPACK call; each matrix of the stack gets the same bits as a call on that
+matrix alone.
 """
 
 from __future__ import annotations

@@ -223,7 +223,8 @@ class _Split(NamedTuple):
     ``R(P)`` and ``e`` in ``N(P)``; each of the other ``k`` directions of
     ``R(P)`` shares the plane of one principal angle with a direction of
     ``N(P)``.  Of those ``k`` angles, the ``aligned`` smallest and the
-    ``crossed`` largest lie in the intersections.
+    ``crossed`` largest lie in the intersections.  ``vp`` and ``x = vp* vq``
+    are what ``_split`` factored, for the CS split to reuse.
     """
 
     r: int
@@ -235,6 +236,8 @@ class _Split(NamedTuple):
     k: int
     aligned: int
     crossed: int
+    vp: np.ndarray
+    x: np.ndarray
 
     @property
     def index(self) -> IndexPair:
@@ -244,40 +247,44 @@ class _Split(NamedTuple):
 def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     """The rank decisions of a pair, made once, at linear scale.
 
-    On the plane of a principal angle ``theta``, ``P - Q`` has singular
-    values ``sin theta`` and ``P + Q - 1`` has ``cos theta``, twice each;
-    on the forced aligned and crossed directions they are 0 and 1.  So one
-    stacked ``nullspace`` counts the angles with ``sin <= rank_rtol``
-    (aligned) and with ``cos <= rank_rtol`` (crossed).
+    One stacked eigendecomposition gives bases ``vp``, ``vq``, ranges
+    first.  Of ``x = vp* vq``, the upper left ``r x s`` block has singular
+    values ``cos theta`` and the lower left one ``sin theta`` (Bjorck &
+    Golub 1973), forced directions of ``R(Q)`` included.  So one stacked
+    ``nullspace`` of the two blocks, zero-padded to one height (which keeps
+    the singular values and right null vectors), counts the angles with
+    ``cos <= rank_rtol`` (crossed) and with ``sin <= rank_rtol`` (aligned).
     """
     n = p.shape[0]
     r, s = _rank(p), _rank(q)
     a, b, c, e = max(0, r + s - n), max(0, n - r - s), max(0, r - s), max(0, s - r)
     k = r - a - c
-    same, opposite = nullspace(np.array([p - q, p + q - np.eye(n)]), tol)
-    aligned = min(max((same.shape[1] - a - b) // 2, 0), k)
-    crossed = min(max((opposite.shape[1] - c - e) // 2, 0), k - aligned)
-    return _Split(r, s, a, b, c, e, k, aligned, crossed)
+    vp, vq = herm_eig(np.array([p, q])).eigenvectors[..., ::-1]
+    x = _adjoint(vp) @ vq
+    blocks = np.zeros((2, max(r, n - r), s), dtype=np.complex128)
+    blocks[0, :r], blocks[1, :n - r] = x[:r, :s], x[r:, :s]
+    cos_null, sin_null = nullspace(blocks, tol)
+    aligned = min(max(sin_null.shape[1] - a, 0), k)
+    crossed = min(max(cos_null.shape[1] - e, 0), k - aligned)
+    return _Split(r, s, a, b, c, e, k, aligned, crossed, vp, x)
 
 
 def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
     """Validate a projection pair and split it into its five parts.
 
     The pair is validated here, once, by ``_pair``; the split carries it
-    as ``fs.p`` and ``fs.q``.  The pair is split once by its
-    principal angles: bases of ``R(P)``, ``N(P)``, ``R(Q)`` and ``N(Q)``
-    from one stacked eigendecomposition, then one CS decomposition of the
-    unitary between them.  The rank decisions of ``_split`` pick which
-    angles are aligned or crossed, so the dimensions and the angles agree
-    by construction.
+    as ``fs.p`` and ``fs.q``.  The pair is split once by its principal
+    angles: ``_split`` eigendecomposes it once and makes the rank
+    decisions, and one CS decomposition of its unitary ``x`` gives the
+    bases and the angles.  The rank decisions pick which angles are
+    aligned or crossed, so the dimensions and the angles agree by
+    construction.
     """
     p, q = _pair(p, q)
     sp = _split(p, q, tol)
-    # eigenvectors with the ranges first
-    vp, vq = herm_eig(np.array([p, q])).eigenvectors[..., ::-1]
-    u1, u2, theta = cs_decompose(_adjoint(vp) @ vq, sp.r, sp.s)
-    x1 = vp[:, :sp.r] @ u1
-    x2 = vp[:, sp.r:] @ u2
+    u1, u2, theta = cs_decompose(sp.x, sp.r, sp.s)
+    x1 = sp.vp[:, :sp.r] @ u1
+    x2 = sp.vp[:, sp.r:] @ u2
     lo, hi = sp.aligned, sp.k - sp.crossed
     planes = np.stack([x1[:, sp.a + lo:sp.a + hi], x2[:, sp.b + lo:sp.b + hi]], axis=-1)
     return FiveSpace(
@@ -293,7 +300,8 @@ def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
 
 
 def index_pair(p, q, tol: Tolerance = Tolerance()) -> IndexPair:
-    """Crossed-intersection dimensions, by the rank decisions of ``_split``."""
+    """Crossed-intersection dimensions, by the rank decisions of ``_split``:
+    the nullities of the two blocks of ``V_P* V_Q``, as in ``halmos_decompose``."""
     return _split(*_pair(p, q), tol).index
 
 

@@ -125,7 +125,7 @@ def test_criterion_4_existence_dichotomy():
     tol = Tolerance()
     agreements = 0
     for trial in range(200):
-        rng = np.random.default_rng((20_000, trial))
+        rng = np.random.default_rng((20_000, trial, 1))
         p, q, _ = random_quotient_pair((20_000, trial))
         d = p.shape[0]
         lifts = (

@@ -685,13 +685,18 @@ def test_geodesic_report_solves_once(monkeypatch, dims, index):
     count(projections, "_split")
     count(projections, "cs_decompose")
     count(projections, "_haar")
+    count(projections, "herm_eig")
+    count(projections, "nullspace")
     count(geodesics, "_exponent")
+    count(geodesics, "herm_eig")
     report = minimal_geodesic(p, q, samples=20)[1]
     assert report["index"] == index
     assert report["unique"] is (index == [0, 0])
     # one rank decision, one CS split and one exponent: no Haar draw and
-    # no second solve
-    assert counts == {"_split": 1, "cs_decompose": 1, "_exponent": 1}
+    # no second solve; the pair is eigendecomposed once (the other
+    # eigendecomposition is the segment's)
+    assert counts == {"_split": 1, "cs_decompose": 1, "_exponent": 1,
+                      "herm_eig": 2, "nullspace": 1}
 
 
 @pytest.mark.parametrize(

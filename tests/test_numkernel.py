@@ -125,6 +125,27 @@ class TestNullspace:
         assert basis.shape[1] >= 1
         assert op_norm((a.T @ a) @ basis) <= 1e-9 * op_norm(a.T @ a)
 
+    def test_empty_blocks(self):
+        # no columns: a basis of width 0; no rows: the whole space
+        assert [b.shape for b in nullspace(np.zeros((2, 3, 0)))] == [(0, 0), (0, 0)]
+        assert [b.shape for b in nullspace(np.zeros((2, 0, 3)))] == [(3, 3), (3, 3)]
+
+    @pytest.mark.parametrize("rows,cols,rank", [(3, 5, 2), (5, 3, 2), (4, 4, 0), (2, 6, 2)])
+    def test_zero_padding_keeps_the_basis(self, rows, cols, rank):
+        rng = np.random.default_rng(10 * rows + cols)
+
+        def gaussian(m, k):
+            return rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+
+        block = gaussian(rows, rank) @ gaussian(rank, cols)
+        padded = np.zeros((2, rows + 3, cols), dtype=complex)
+        padded[0, :rows], padded[1, 3:] = block, block
+        bare = nullspace(block)
+        assert bare.shape == (cols, cols - rank)
+        for basis in nullspace(padded):
+            assert basis.shape == bare.shape
+            assert op_norm(basis @ basis.conj().T - bare @ bare.conj().T) <= 1e-10
+
 
 class TestMinSingularValue:
     def test_diagonal_and_stack(self):

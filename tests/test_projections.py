@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from projgeo import suites
 from projgeo.cli import main
 from projgeo.errors import BadRank, DimMismatch, InconsistentDims, NotAProjection
-from projgeo.numkernel import _adjoint, _hermitize, op_norm
+from projgeo.numkernel import Tolerance, _adjoint, _hermitize, op_norm
 from projgeo.projections import (
     _random_projections,
     diff_sum,
@@ -18,6 +18,7 @@ from projgeo.projections import (
     random_projection,
     random_unitary,
 )
+from reference_pipeline import reference_split
 
 
 def two_by_two_generic(theta):
@@ -233,6 +234,112 @@ class TestHalmosDecompose:
         assert report["dims"]["generic"] == 2
         assert report["index"] == [0, 0]
         assert abs(report["angles"][0] - 0.7) <= 1e-9
+
+
+def _reference_dims(p, q):
+    """Five-space dimensions by the reference rule: the nullspaces of
+    ``P - Q -+ 1``, ``P + Q - 2`` and ``P + Q``, and the ranks."""
+    m10, m01, h0, _, _ = reference_split(p, q, Tolerance())
+    n, r = p.shape[0], int(round(np.trace(p).real))
+    d10, d01, dgen = m10.shape[1], m01.shape[1], h0.shape[1]
+    d11 = r - d10 - dgen // 2
+    return (d11, n - d11 - d10 - d01 - dgen, d10, d01, dgen)
+
+
+def _assert_split(p, q, expected=None, reference=True):
+    """``index_pair`` agrees with ``halmos_decompose``, whose dimensions are
+    ``expected`` (unless None) and, when ``reference``, the reference's."""
+    fs = halmos_decompose(p, q)
+    assert index_pair(p, q) == fs.dims[2:4]
+    if expected is not None:
+        assert fs.dims == expected
+    if reference:
+        assert fs.dims == _reference_dims(p, q)
+
+
+# log10 of an angle's distance to 0 or pi/2
+RULE_GAPS = st.lists(st.floats(min_value=-12.0, max_value=-0.5), max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    intersections=st.tuples(*[st.integers(0, 6)] * 4),
+    near_zero=RULE_GAPS,
+    near_half_pi=RULE_GAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_rule_matches_reference(intersections, near_zero, near_half_pi, seed):
+    """The nullities of the blocks of ``V_P* V_Q`` (n up to 64) give the
+    constructed dimensions wherever every angle clears rank_rtol by 10x,
+    and the reference's wherever the reference is decided: its nullspaces
+    see an angle at distance ``d`` from the edge as ``1 - cos d ~ d^2 / 2``,
+    so it splits the angles with ``d <= rank_rtol / 10`` and ``d^2 / 2 >= 10
+    rank_rtol`` as the linear rule does, and no others."""
+    gaps = [10.0**x for x in near_zero + near_half_pi]
+    if sum(intersections) + len(gaps) == 0:
+        return
+    angles = gaps[:len(near_zero)] + [np.pi / 2 - g for g in gaps[len(near_zero):]]
+    p, q = pair_with_dims(*intersections, 2 * len(angles), angles, seed=seed)
+    rtol = Tolerance().rank_rtol
+    clear = all(g >= 10 * rtol for g in gaps)
+    _assert_split(
+        p, q,
+        expected=(*intersections, 2 * len(angles)) if clear else None,
+        reference=all(g <= rtol / 10 or g * g / 2 >= 10 * rtol for g in gaps),
+    )
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (0, 3, 0, 0, 0),  # r = s = 0
+        (3, 0, 0, 0, 0),  # r = s = n
+        (0, 0, 3, 0, 0),  # r = n, s = 0
+        (0, 0, 0, 3, 0),  # r = 0, s = n
+        (2, 0, 0, 3, 0),  # r = 2, s = n
+        (0, 2, 3, 0, 0),  # r = 3, s = 0
+        (3, 1, 2, 0, 4),  # r = 7 against n - r = 3: padded, non-square blocks
+        (0, 5, 1, 2, 2),  # r = 2 against n - r = 8
+    ],
+)
+def test_rank_rule_on_empty_and_padded_blocks(dims):
+    p, q = pair_with_dims(*dims, [0.6] * (dims[4] // 2), seed=sum(dims))
+    _assert_split(p, q, dims)
+
+
+def test_pair_whose_full_svd_did_not_converge():
+    """A near-edge pair (n = 42) on which the SVD with vectors of the ``n x
+    n`` stack ``[P - Q, P + Q - 1]`` raised ``NoConvergence`` (numpy 2.4);
+    the blocks of ``V_P* V_Q`` split it.  Two of its gaps fall below
+    rank_rtol: one aligned, one crossed plane."""
+    near_zero = [0.0011331291683913166, 1.6015278271669035e-10, 3.1005455477266394e-10,
+                 3.239242684468558e-08, 0.08257190895494715, 5.778254655934364e-12,
+                 1.0130080601951835e-10]
+    near_half_pi = [1.0048952392954845e-12, 4.613823606186546e-09, 3.421227173502622e-10,
+                    2.8444361189053964e-05, 4.849544822823541e-07, 3.7167823825385206e-08,
+                    2.2873167279363498e-10]
+    angles = near_zero + [np.pi / 2 - g for g in near_half_pi]
+    p, q = pair_with_dims(3, 0, 6, 5, 28, angles, seed=491)
+    _assert_split(p, q, (4, 1, 7, 6, 24), reference=False)
+
+
+def test_split_factors_no_n_by_n_matrix(monkeypatch):
+    """The rank decisions and the CS split factor blocks of ``V_P* V_Q``: no
+    SVD with vectors of a matrix larger than ``max(r, n - r) x s``."""
+    n, r, s = 32, 16, 16
+    p, q = pair_with_dims(2, 2, 1, 1, 26, np.linspace(0.1, 1.4, 13), seed=9)
+    shapes = []
+    real = np.linalg.svd
+
+    def recorded(m, full_matrices=True, compute_uv=True, **kwargs):
+        if compute_uv:
+            shapes.append(np.shape(m)[-2:])
+        return real(m, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    assert halmos_decompose(p, q).dims == (2, 2, 1, 1, 26)
+    assert shapes
+    assert all(rows <= max(r, n - r) and cols <= s for rows, cols in shapes), shapes
 
 
 class TestIndexPair:
