@@ -226,7 +226,9 @@ def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list
     A leg is as long as its largest principal angle, ``atan2(|A - B|,
     smin(V_A* V_B))`` for the range bases ``V_A, V_B`` of its ends.  The
     midpoint of competitor ``i`` is ``random_projection(n, rank P, (seed +
-    i, 0))``; in finite dimension a pair's index pair differs by the
+    i, 5, 1))``: a key with a non-zero last word is a stream of its own,
+    where ``(s, 0)`` would be ``default_rng(s)``, the stream of a suite's
+    pair sampler.  In finite dimension a pair's index pair differs by the
     difference of its ranks, so both legs are balanced by construction.
     The competitors are built as stacks of about 1 MB: each stack draws its
     midpoints and takes the two terms of all its legs from one stacked
@@ -241,7 +243,7 @@ def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list
     lengths = []
     for start in range(0, trials, step):
         seeds = [seed + i for i in range(start, min(start + step, trials))]
-        rs = _random_projections(n, rank, [(s, 0) for s in seeds])
+        rs = _random_projections(n, rank, [(s, 5, 1) for s in seeds])
         vr = herm_eig(rs).eigenvectors[..., n - rank:]
         cos = min_singular_value(np.concatenate([_adjoint(vp) @ vr, _adjoint(vr) @ vq]))
         sin = op_norm(np.concatenate([p - rs, rs - q]))

@@ -51,7 +51,12 @@ def make_projection(m) -> np.ndarray:
     """
     p = as_cstack(m)
     require_square(p)
-    sym_defects, idem_defects = op_norm(np.array([p - _adjoint(p), p @ p - p]))
+    if np.array_equal(p, _adjoint(p)):
+        # a bitwise Hermitian stack has no symmetry defect to measure
+        idem_defects = op_norm(p @ p - p)
+        sym_defects = np.zeros_like(idem_defects)
+    else:
+        sym_defects, idem_defects = op_norm(np.array([p - _adjoint(p), p @ p - p]))
     i = _first((sym_defects > PROJECTION_ATOL) | (idem_defects > PROJECTION_ATOL))
     if i is not None:
         sym_defect, idem_defect = np.ravel(sym_defects)[i], np.ravel(idem_defects)[i]

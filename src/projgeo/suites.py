@@ -9,6 +9,7 @@ the suite tolerance; the suite passes when no trial fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -372,10 +373,13 @@ def _block_geodesic_instance(seed: int, tol: Tolerance):
 
 def _fiber_norms(p: np.ndarray, z: np.ndarray, norm_z: float, rng) -> np.ndarray:
     """``lift_geodesic(p, z, lift).norm()`` of 10 lifts drawn from ``rng``: the largest
-    of ``|z|`` and of the lift's block norms, from one stacked ``op_norm``."""
+    of ``|z|`` and of the lift's block norms, from one stacked ``op_norm``.  The
+    lifts' block counts are drawn first, then all their blocks in one
+    ``random_projection_blocks`` call."""
     d = p.shape[0]
-    draws = [random_projection_blocks(rng, d, int(rng.integers(0, 4))) for _ in range(10)]
-    blocks = [BlockOperator(d, draw, p).exceptional for draw in draws]
+    counts = rng.integers(0, 4, 10).tolist()
+    drawn = iter(random_projection_blocks(rng, d, sum(counts)))
+    blocks = [BlockOperator(d, tuple(islice(drawn, n)), p).exceptional for n in counts]
     norms = op_norm(blockmodel._compress(np.reshape(sum(blocks, ()), (-1, d, d)), z))
     parts = np.split(norms, np.cumsum([len(b) for b in blocks])[:-1])
     return np.array([part.max(initial=norm_z) for part in parts])
@@ -415,6 +419,20 @@ def _suite_lifting(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
     return report
 
 
+NORMLIFT_COMPETITORS = 100  # eventually-zero corrections per normlift trial
+CORRECTION_LEN = 10  # longest prefix of a normlift correction
+
+
+def _competitor_sups(d: DiagonalSequence, corrections: np.ndarray) -> np.ndarray:
+    """``(d + c).sup_abs()``, bit for bit, for each row of ``corrections`` read as
+    the first entries of a correction ``c`` that is zero after them."""
+    cols = corrections.shape[1]
+    head = np.array((d.prefix + d.tail_cycle * cols)[:cols])
+    # past the rows d + c is d: its cycle, and any prefix the rows do not reach
+    beyond = max(map(abs, d.prefix[cols:] + d.tail_cycle))
+    return np.abs(head + corrections).max(axis=1, initial=beyond)
+
+
 def _suite_normlift(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
     report = SuiteReport("normlift", trials)
     for i in range(trials):
@@ -424,14 +442,11 @@ def _suite_normlift(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
         level = d.limsup_abs()
         achieved = (d + k0).sup_abs()
         exact = achieved == level
-        margin = 0.0
-        for _ in range(100):
-            comp_len = int(rng.integers(0, 11))
-            comp = DiagonalSequence(
-                tuple(float(x) for x in rng.uniform(-20.0, 20.0, comp_len)),
-                (0.0,),
-            )
-            margin = min(margin, (d + comp).sup_abs() - level)
+        # competitors: corrections of random prefix length, zero after it
+        lengths = rng.integers(0, CORRECTION_LEN + 1, NORMLIFT_COMPETITORS)
+        corrections = rng.uniform(-20.0, 20.0, (NORMLIFT_COMPETITORS, CORRECTION_LEN))
+        corrections[np.arange(CORRECTION_LEN) >= lengths[:, None]] = 0.0
+        margin = min(0.0, float(_competitor_sups(d, corrections).min()) - level)
         ok = exact and margin >= BOUNDS["normlift.min_margin"]
         report.add(
             {

@@ -170,8 +170,8 @@ def reference_exponent(p, q, tol=Tolerance()):
 
 def reference_competitors(p, q, trials, seed, replace=()):
     """Competitor lengths one midpoint, one split and one leg at a time;
-    ``replace`` maps a draw ``(seed + i, attempt)`` to the midpoint used
-    in its place."""
+    attempt ``a`` of competitor ``i`` draws from ``(seed + i, 5, 1 + a)``,
+    and ``replace`` maps such a key to the midpoint used in its place."""
     tol = Tolerance()
     replace = dict(replace)
     n = p.shape[0]
@@ -179,9 +179,10 @@ def reference_competitors(p, q, trials, seed, replace=()):
     lengths = []
     for i in range(trials):
         for attempt in range(64):
-            r = replace.get((seed + i, attempt))
+            key = (seed + i, 5, 1 + attempt)
+            r = replace.get(key)
             if r is None:
-                r = random_projection(n, rank, (seed + i, attempt))
+                r = random_projection(n, rank, key)
             leg1 = reference_split(p, r, tol)
             if leg1[0].shape[1] == leg1[1].shape[1]:
                 leg2 = reference_split(r, q, tol)

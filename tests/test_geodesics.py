@@ -457,8 +457,8 @@ class TestMinimality:
 
 
 def replace_midpoints(monkeypatch, replace):
-    """Make the competitor draws ``(seed, attempt)`` in ``replace`` return
-    the given projection instead of a random one."""
+    """Make the competitor draws whose keys are in ``replace`` return the
+    given projection instead of a random one."""
     real = geodesics._random_projections
 
     def draw(n, rank, seeds):
@@ -514,14 +514,14 @@ class TestStackedCompetitors:
         p, q = random_equal_index_pair(2)
         # R = P gives member 3 a leg (P, P) with no generic part amid
         # members whose legs all have one
-        replace = {(40 + 3, 0): p}
+        replace = {(40 + 3, 5, 1): p}
         replace_midpoints(monkeypatch, replace)
         got = minimality_competitors(p, q, 8, 40)
         assert_matches_reference(got, reference_competitors(p, q, 8, 40, replace))
         assert abs(got[3] - op_norm(minimal_exponent(p, q).exponent)) <= REFERENCE_ATOL
 
     def test_midpoints_are_first_draws(self, monkeypatch):
-        # competitor i takes its first draw (70 + i, 0), the midpoint the
+        # competitor i takes its first draw (70 + i, 5, 1), the midpoint the
         # reference's retry loop accepts first
         p, q = random_equal_index_pair(5)
         n, rank = p.shape[0], int(round(np.trace(p).real))
@@ -529,7 +529,7 @@ class TestStackedCompetitors:
         got = minimality_competitors(p, q, 8, 70)
         assert len(drawn) == 8
         for i, r in enumerate(drawn):
-            assert np.array_equal(r, random_projection(n, rank, (70 + i, 0)))
+            assert np.array_equal(r, random_projection(n, rank, (70 + i, 5, 1)))
         assert_matches_reference(got, reference_competitors(p, q, 8, 70))
 
     def test_every_midpoint_is_joinable(self, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo import suites
+from projgeo import projections, suites
 from projgeo.cli import main
 from projgeo.errors import BadRank, DimMismatch, InconsistentDims, NotAProjection
 from projgeo.numkernel import Tolerance, _adjoint, _hermitize, op_norm
@@ -75,6 +75,40 @@ class TestMakeProjection:
         assert np.array_equal(got, _hermitize(off))
         # a projection the library built comes back bit for bit
         assert np.array_equal(make_projection(p).view(float), p.view(float))
+
+    @pytest.mark.parametrize(
+        "asymmetry,diagonal",
+        [
+            (2e-9, 0.0),  # |P - P*| too large
+            (3e-11, 1e-9),  # off Hermitian within bounds, |P^2 - P| too large
+            (0.0, 1e-9),  # bitwise Hermitian, |P^2 - P| too large
+        ],
+    )
+    def test_messages_measure_both_defects(self, asymmetry, diagonal):
+        p = random_projection(5, 2, 3)
+        p[0, 1] += asymmetry
+        p[2, 2] += diagonal
+        sym, idem = op_norm(np.array([p - _adjoint(p), p @ p - p]))
+        name, defect = ("P - P*", sym) if sym > 1e-10 else ("P^2 - P", idem)
+        with pytest.raises(NotAProjection) as raised:
+            make_projection(p)
+        assert str(raised.value) == f"|{name}| = {defect:.3e} > 1.0e-10"
+
+    def test_hermitian_input_measures_idempotency_alone(self, monkeypatch):
+        shapes = []
+        real = projections.op_norm
+
+        def measured(a):
+            shapes.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(projections, "op_norm", measured)
+        stack = np.stack([random_projection(5, 2, s) for s in range(3)])
+        make_projection(stack)
+        off = stack.copy()
+        off[1, 0, 1] += 3e-11
+        make_projection(off)
+        assert shapes == [(3, 5, 5), (2, 3, 5, 5)]
 
 
 # the constructions return projections without checking them at run time;

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projgeo import blockmodel, geodesics, projections, suites
-from projgeo.blockmodel import BlockOperator, lift_geodesic
+from projgeo.blockmodel import BlockOperator, DiagonalSequence, lift_geodesic
 from projgeo.numkernel import Tolerance, op_norm
 from projgeo.suites import random_generic_pair, random_projection_blocks
 from reference_pipeline import reference_projection_blocks
@@ -77,8 +77,9 @@ def test_lifting_lifts_once_and_factors_once_per_sampler_call(monkeypatch):
     suites.run_suite("lifting", 40, 11)
     # the main lift of each trial; its 10 fiber lifts are one stack
     assert counts["lift_geodesic"] == 40
-    # one sampler call per lift, each factoring all its blocks at once
-    assert len(qr_per_sampler_call) == 40 * 11
+    # one sampler call for the main lift and one for all 10 fibers, each
+    # factoring all its blocks at once
+    assert len(qr_per_sampler_call) == 40 * 2
     assert set(qr_per_sampler_call) == {0, 1}
 
 
@@ -122,23 +123,70 @@ def test_fiber_stream_is_none_of_the_samplers(monkeypatch):
         return rng
 
     monkeypatch.setattr(np.random, "default_rng", seeded)
-    for suite in ("existence", "lifting"):
+    # at seed 0, midpoints keyed (1000 s + j, 0) would replay the pair streams
+    # of trials 0, 1 and 2
+    for suite in ("existence", "lifting", "minimality"):
         streams = []
-        suites.run_suite(suite, 3, 11)
+        suites.run_suite(suite, 3, 0)
         assert len(streams) >= 6
         assert len(set(streams)) == len(streams), suite
 
 
 def test_fiber_norms_equal_the_lone_lifts():
     tol = Tolerance()
-    # at seed 1391 a fiber block is bitwise p, so the lift absorbs it in its tail
-    for seed in [*range(11, 51), 1391]:
+    # (seed, 1) is the stream of the sampler's attempt 1: at seed 13078 that
+    # attempt gives p, and the one block of fiber 2 is bitwise p, so the lift
+    # absorbs it in its tail
+    for seed in [*range(11, 51), 13078]:
         p, _, z, _ = suites._block_geodesic_instance(seed, tol)
         d = p.shape[0]
-        norms = suites._fiber_norms(p, z, op_norm(z), np.random.default_rng((seed, 2)))
-        rng = np.random.default_rng((seed, 2))
+        norms = suites._fiber_norms(p, z, op_norm(z), np.random.default_rng((seed, 1)))
+        rng = np.random.default_rng((seed, 1))
+        counts = rng.integers(0, 4, 10).tolist()
         lone = []
-        for _ in range(10):
-            fiber = reference_projection_blocks(rng, d, int(rng.integers(0, 4)))
+        for count in counts:
+            fiber = reference_projection_blocks(rng, d, count)
             lone.append(lift_geodesic(p, z, BlockOperator(d, fiber, p)).norm())
         assert norms.tolist() == lone
+
+
+def test_competitor_sups_equal_the_sequence_sums():
+    # each row is the prefix of a correction; past its length it is zero,
+    # and on odd seeds a negative zero, which must not change the sup
+    prefix_lens, comp_lens = set(), set()
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        d = suites.random_diagonal_sequence(rng)
+        lengths = rng.integers(0, suites.CORRECTION_LEN + 1, suites.NORMLIFT_COMPETITORS)
+        rows = rng.uniform(-20.0, 20.0, (suites.NORMLIFT_COMPETITORS, suites.CORRECTION_LEN))
+        rows[np.arange(suites.CORRECTION_LEN) >= lengths[:, None]] = -0.0 if seed % 2 else 0.0
+        sups = suites._competitor_sups(d, rows)
+        for row, n, sup in zip(rows, lengths, sups):
+            comp = DiagonalSequence(tuple(row[:n]), (0.0,))
+            assert sup == (d + comp).sup_abs()
+        prefix_lens.add(len(d.prefix))
+        comp_lens.update(lengths.tolist())
+    assert {0, 8} <= prefix_lens
+    assert {0, 10} <= comp_lens
+
+
+def test_competitor_sups_read_a_prefix_longer_than_the_corrections():
+    d = DiagonalSequence((1.0, -7.0, 2.0), (3.0, -4.0))
+    rows = np.array([[0.0], [-9.0], [6.0]])
+    expected = [(d + DiagonalSequence(tuple(r), (0.0,))).sup_abs() for r in rows]
+    assert suites._competitor_sups(d, rows).tolist() == expected == [7.0, 8.0, 7.0]
+
+
+def test_normlift_adds_one_sequence_per_trial(monkeypatch):
+    # the 100 competitors are one array; only d + k0 is a sequence sum
+    calls = []
+    real = DiagonalSequence.__add__
+
+    def add(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(DiagonalSequence, "__add__", add)
+    report = suites.run_suite("normlift", 20, 11)
+    assert report.failures == 0
+    assert len(calls) == 20
