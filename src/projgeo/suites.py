@@ -25,7 +25,6 @@ from .blockmodel import (
     quotient_geodesic,
     truncated_index_pairs,
 )
-from .errors import NoGeodesic, NotPeriodic
 from .geodesics import (
     GeodesicSegment,
     _competitor_lengths,
@@ -37,6 +36,7 @@ from .geodesics import (
 )
 from .numkernel import Tolerance, op_norm
 from .projections import (
+    IndexPair,
     _gaussian,
     _haar,
     _range_projection,
@@ -123,9 +123,9 @@ def random_crossed_pair(seed, k: int | None = None, n_max: int = 16):
     return pair_with_dims(d11, d00, k, k, 2 * g, angles, seed=rng), k
 
 
-def random_quotient_pair(seed, d_max: int = 6):
-    """Quotient pair of block dimension <= d_max with an assorted case mix."""
-    rng = np.random.default_rng(seed)
+def _quotient_dims(rng, d_max: int):
+    """The case mix of ``random_quotient_pair``, drawn from ``rng``: the
+    kind, then the dims ``(d11, d00, d10, d01, g)``."""
     kind = rng.random()
     if kind < 0.4:
         which = "finite"
@@ -151,9 +151,21 @@ def random_quotient_pair(seed, d_max: int = 6):
         g = int(rng.integers(0, room // 2 + 1))
         d11 = int(rng.integers(0, room - 2 * g + 1))
         d00 = 0
+    return which, (d11, d00, d10, d01, g)
+
+
+def _quotient_pair(rng, dims) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of ``_quotient_dims``' dims, its angles and unitary drawn from ``rng``."""
+    d11, d00, d10, d01, g = dims
     angles = rng.uniform(0.2, np.pi / 2 - 0.2, g)
-    p, q = pair_with_dims(d11, d00, d10, d01, 2 * g, angles, seed=rng)
-    return p, q, which
+    return pair_with_dims(d11, d00, d10, d01, 2 * g, angles, seed=rng)
+
+
+def random_quotient_pair(seed, d_max: int = 6):
+    """Quotient pair of block dimension <= d_max with an assorted case mix."""
+    rng = np.random.default_rng(seed)
+    which, dims = _quotient_dims(rng, d_max)
+    return (*_quotient_pair(rng, dims), which)
 
 
 def random_projection_blocks(rng, d: int, count: int) -> tuple[np.ndarray, ...]:
@@ -188,7 +200,8 @@ def classify_by_truncation(
     lift_p: BlockOperator,
     lift_q: BlockOperator,
     tol: Tolerance = Tolerance(),
-) -> DichotomyCase | None:
+    return_final: bool = False,
+) -> DichotomyCase | None | tuple[DichotomyCase | None, IndexPair]:
     """Brute-force classification from truncated index pairs, summed
     exactly from per-block nullities by ``truncated_index_pairs``.
 
@@ -196,7 +209,9 @@ def classify_by_truncation(
     block once the exceptional region is passed: growth on both sides
     means both nullspaces are infinite-dimensional, growth on neither
     means both stay finite, anything else is mixed.  Returns ``None`` if
-    the increments have not stabilized by ``TRUNCATION_BLOCKS``.
+    the increments have not stabilized by ``TRUNCATION_BLOCKS``.  With
+    ``return_final``, returns the pair of that and the index pair of the
+    truncation to ``TRUNCATION_BLOCKS`` blocks, the last one it reads.
     """
     start = max(len(lift_p.exceptional), len(lift_q.exceptional)) + 1
     start = min(start, TRUNCATION_BLOCKS - 3)
@@ -205,14 +220,16 @@ def classify_by_truncation(
     inc_plus = {b.d_plus - a.d_plus for a, b in zip(pairs, pairs[1:])}
     inc_minus = {b.d_minus - a.d_minus for a, b in zip(pairs, pairs[1:])}
     if len(inc_plus) != 1 or len(inc_minus) != 1:
-        return None
-    grow_plus = inc_plus.pop() > 0
-    grow_minus = inc_minus.pop() > 0
-    if not grow_plus and not grow_minus:
-        return DichotomyCase.FINITE_FINITE
-    if grow_plus and grow_minus:
-        return DichotomyCase.INFINITE_INFINITE
-    return DichotomyCase.MIXED
+        case = None
+    else:
+        grow_plus, grow_minus = inc_plus.pop() > 0, inc_minus.pop() > 0
+        if not grow_plus and not grow_minus:
+            case = DichotomyCase.FINITE_FINITE
+        elif grow_plus and grow_minus:
+            case = DichotomyCase.INFINITE_INFINITE
+        else:
+            case = DichotomyCase.MIXED
+    return (case, pairs[-1]) if return_final else case
 
 
 # -- suites ---------------------------------------------------------------------
@@ -263,11 +280,10 @@ def _suite_existence(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
         )
         result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
         probe = result.witnesses if result.witnesses is not None else lifts
-        oracle = classify_by_truncation(*probe, tol=tol)
+        oracle, final = classify_by_truncation(*probe, tol=tol, return_final=True)
         ok = oracle is result.case
         if ok and result.case is DichotomyCase.FINITE_FINITE:
-            # surgery must leave the witnesses with balanced truncated index
-            final = truncated_index_pairs(*result.witnesses, [TRUNCATION_BLOCKS], tol)[0]
+            # surgery must leave the witnesses (the probe) with balanced truncated index
             ok = final.d_plus == final.d_minus
         report.add(
             {
@@ -329,7 +345,7 @@ def _suite_minimality(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
         p, q = random_equal_index_pair(seed + i)
         seg = minimal_exponent(p, q, tol=tol)  # validates the pair
         norm_z = op_norm(seg.exponent)
-        lengths = _competitor_lengths(p, q, COMPETITORS, (seed + i) * 1000)
+        lengths = _competitor_lengths(p, q, seg._pair_vectors, COMPETITORS, (seed + i) * 1000)
         shortfall = max(0.0, norm_z - min(lengths)) if lengths else 0.0
         chord = curve_length(seg, CHORD_GRID)
         chord_gap = abs(chord - norm_z)
@@ -355,17 +371,22 @@ def _suite_minimality(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
 
 
 def _block_geodesic_instance(seed: int, tol: Tolerance):
-    """Quotient pair with balanced tail index, its exponent, a random lift."""
+    """Quotient pair with balanced tail index, its exponent, a random lift.
+
+    Attempt ``a`` draws the dims of ``random_quotient_pair((seed, a))`` and
+    builds the pair only when its crossed dims agree: exactly the pairs
+    ``quotient_geodesic`` joins, so it solves the one pair it keeps.
+    """
     rng = np.random.default_rng((seed, 4, 1))  # off the attempts' (seed, a) streams
     for attempt in range(64):
-        p, q, _ = random_quotient_pair((seed, attempt))
-        try:
-            z = quotient_geodesic(p, q, tol).segment.exponent
-        except (NoGeodesic, NotPeriodic):
-            continue
-        break
+        pair_rng = np.random.default_rng((seed, attempt))
+        _, dims = _quotient_dims(pair_rng, 6)
+        if dims[2] == dims[3]:
+            break
     else:
         raise RuntimeError("no balanced quotient pair found")
+    p, q = _quotient_pair(pair_rng, dims)
+    z = quotient_geodesic(p, q, tol).segment.exponent
     d = p.shape[0]
     lift_p = BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(1, 4))), p)
     return p, q, z, lift_p

@@ -17,6 +17,11 @@ logarithm's tests check against.
 block, and one QR, at a time: the stacked sampler must give its blocks and
 leave its generator in the same state.
 
+``reference_block_geodesic_instance`` is the lifting suite's sampler that
+built and solved every drawn quotient pair and skipped the ones the solver
+rejected: the sampler that keeps a draw by its dims must give the same
+instances.
+
 ``reference_dumps`` is the JSON dumper that walks a payload one list and
 one scalar at a time, and ``reference_pair_json`` the pair payload of
 nested lists it was given: the array renderer of ``dumps_canonical`` must
@@ -29,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from projgeo.errors import NoGeodesic, NotUnitary
+from projgeo.blockmodel import BlockOperator, quotient_geodesic
+from projgeo.errors import NoGeodesic, NotPeriodic, NotUnitary
 from projgeo.numkernel import (
     RECON_RTOL,
     Tolerance,
@@ -40,6 +46,7 @@ from projgeo.numkernel import (
     require_square,
 )
 from projgeo.projections import make_projection, random_projection
+from projgeo.suites import random_projection_blocks, random_quotient_pair
 
 HALF_PI_BOUND = np.pi / 2 + 1e-12
 
@@ -202,6 +209,24 @@ def reference_projection_blocks(rng, d, count):
         rank = int(rng.integers(0, d + 1))
         blocks.append(random_projection(d, rank, rng))
     return tuple(blocks)
+
+
+def reference_block_geodesic_instance(seed, tol):
+    """The lifting suite's pair, exponent and lift of ``seed``: the first
+    attempt ``a`` whose ``random_quotient_pair((seed, a))`` the solver joins."""
+    rng = np.random.default_rng((seed, 4, 1))
+    for attempt in range(64):
+        p, q, _ = random_quotient_pair((seed, attempt))
+        try:
+            z = quotient_geodesic(p, q, tol).segment.exponent
+        except (NoGeodesic, NotPeriodic):
+            continue
+        break
+    else:
+        raise RuntimeError("no balanced quotient pair found")
+    d = p.shape[0]
+    lift_p = BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(1, 4))), p)
+    return p, q, z, lift_p
 
 
 def reference_pair_json(p, q):

@@ -1,12 +1,27 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projgeo import blockmodel, geodesics, projections, suites
-from projgeo.blockmodel import BlockOperator, DiagonalSequence, lift_geodesic
+from projgeo import blockmodel, geodesics, numkernel, projections, suites
+from projgeo.blockmodel import (
+    BlockOperator,
+    DiagonalSequence,
+    existence_dichotomy,
+    lift_geodesic,
+    quotient_geodesic,
+    truncated_index_pairs,
+)
+from projgeo.errors import NoGeodesic, NotPeriodic
 from projgeo.numkernel import Tolerance, op_norm
-from projgeo.suites import random_generic_pair, random_projection_blocks
-from reference_pipeline import reference_projection_blocks
+from projgeo.suites import (
+    TRUNCATION_BLOCKS,
+    classify_by_truncation,
+    random_generic_pair,
+    random_projection_blocks,
+    random_quotient_pair,
+)
+from reference_pipeline import reference_block_geodesic_instance, reference_projection_blocks
 
 
 def test_generic_pair_gap_holds_at_first_draw():
@@ -31,7 +46,7 @@ def test_minimality_fails_a_chord_off_the_sine_identity(monkeypatch):
 
 
 def test_lifting_validates_each_draw_once(monkeypatch):
-    counts = {"_pair": 0, "random_quotient_pair": 0}
+    counts = {"_pair": 0, "pair_with_dims": 0, "_quotient_dims": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -44,10 +59,99 @@ def test_lifting_validates_each_draw_once(monkeypatch):
 
     for module in (projections, geodesics, blockmodel):
         counted(module, "_pair")
-    counted(suites, "random_quotient_pair")
+    counted(suites, "pair_with_dims")
+    counted(suites, "_quotient_dims")
     suites.run_suite("lifting", 40, 11)
-    # one validation per drawn pair, accepted or rejected
-    assert counts["_pair"] == counts["random_quotient_pair"] > 40
+    # a rejected draw stops at its dims: only the kept pair of each trial is
+    # built and validated, once
+    assert counts["_pair"] == counts["pair_with_dims"] == 40
+    assert counts["_quotient_dims"] > 40
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_quotient_solver_joins_exactly_the_balanced_draws():
+    # the lifting sampler keeps a draw by its dims alone: quotient_geodesic
+    # must join every draw with d10 == d01 and reject every other one
+    tol = Tolerance()
+    seen = set()
+    for s in range(300):
+        for a in range(4):
+            p, q, which = random_quotient_pair((s, a))
+            kind, (_, _, d10, d01, _) = suites._quotient_dims(np.random.default_rng((s, a)), 6)
+            assert kind == which
+            if d10 == d01:
+                assert quotient_geodesic(p, q, tol).segment.exponent.shape == p.shape
+            else:
+                with pytest.raises((NoGeodesic, NotPeriodic)) as raised:
+                    quotient_geodesic(p, q, tol)
+                assert type(raised.value) is (NoGeodesic if which == "mixed" else NotPeriodic)
+            seen.add((which, d10 == d01))
+    assert seen == {("finite", True), ("infinite", True), ("infinite", False), ("mixed", False)}
+
+
+def test_block_instance_matches_the_solve_and_skip_loop():
+    # the lifts never reach the lifting report, so the instances themselves
+    # must equal those of the loop that solved every draw
+    tol = Tolerance()
+    for seed in range(300):
+        p, q, z, lift = suites._block_geodesic_instance(seed, tol)
+        ref_p, ref_q, ref_z, ref_lift = reference_block_geodesic_instance(seed, tol)
+        assert _same_bits(p, ref_p) and _same_bits(q, ref_q) and _same_bits(z, ref_z)
+        assert _same_bits(lift.tail, ref_lift.tail)
+        assert len(lift.exceptional) == len(ref_lift.exceptional)
+        assert all(map(_same_bits, lift.exceptional, ref_lift.exceptional))
+
+
+def test_minimality_eigendecomposes_the_pair_once(monkeypatch):
+    # the split's eigenvectors serve the competitors: one herm_eig of the
+    # pair, one of the 10 midpoints, one of the exponent for the chord
+    shapes = []
+    real = numkernel.herm_eig
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return real(a)
+
+    for module in (numkernel, projections, geodesics, blockmodel):
+        monkeypatch.setattr(module, "herm_eig", counted)
+    suites.run_suite("minimality", 1, 7)
+    assert shapes == [(2, 13, 13), (10, 13, 13), (13, 13)]
+
+
+def test_existence_truncates_each_probe_once(monkeypatch):
+    # the FiniteFinite balance check reads the oracle's last truncation
+    calls = []
+    real = suites.truncated_index_pairs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "truncated_index_pairs", counted)
+    report = suites.run_suite("existence", 40, 11)
+    assert report.failures == 0
+    assert len(calls) == 40
+
+
+def test_oracle_returns_its_last_truncation():
+    tol = Tolerance()
+    for seed in range(60):
+        p, q, _ = random_quotient_pair(seed)
+        rng = np.random.default_rng((seed, 3, 1))
+        d = p.shape[0]
+        lifts = tuple(
+            BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 3))), m)
+            for m in (p, q)
+        )
+        result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
+        probe = result.witnesses or lifts
+        case, final = classify_by_truncation(*probe, tol=tol, return_final=True)
+        assert case is classify_by_truncation(*probe, tol=tol)
+        assert final == truncated_index_pairs(*probe, [TRUNCATION_BLOCKS], tol)[0]
 
 
 def test_lifting_lifts_once_and_factors_once_per_sampler_call(monkeypatch):
