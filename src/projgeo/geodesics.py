@@ -68,8 +68,6 @@ class GeodesicSegment:
     base: np.ndarray
     exponent: np.ndarray
     _eig: HermEig | None = field(default=None, repr=False, compare=False)
-    # the FiveSpace.vectors of the pair the segment was split from
-    _pair_vectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ def _segment(fs: FiveSpace, pairing: np.ndarray | None) -> GeodesicSegment:
             )
         if op_norm(_adjoint(pairing) @ pairing - np.eye(d10)) > RECON_RTOL:
             raise NotUnitary(f"pairing is not unitary within {RECON_RTOL:.1e}")
-    return GeodesicSegment(fs.p, _exponent(fs, pairing), _pair_vectors=fs.vectors)
+    return GeodesicSegment(base=fs.p, exponent=_exponent(fs, pairing))
 
 
 def _segment_eig(seg: GeodesicSegment) -> HermEig:
@@ -216,17 +214,14 @@ def minimality_competitors(
     beats the direct segment.
     """
     p, q = _pair(p, q)
-    sp = _split(p, q, tol)
-    if sp.index.d_plus != sp.index.d_minus:
-        raise NoGeodesic(f"index pair {tuple(sp.index)} is unbalanced")
-    return _competitor_lengths(p, q, sp.vectors, trials, seed)
+    ip = _split(p, q, tol).index
+    if ip.d_plus != ip.d_minus:
+        raise NoGeodesic(f"index pair {tuple(ip)} is unbalanced")
+    return _competitor_lengths(p, q, trials, seed)
 
 
-def _competitor_lengths(
-    p: np.ndarray, q: np.ndarray, vectors: np.ndarray, trials: int, seed
-) -> list[float]:
-    """``minimality_competitors`` of a validated pair joined by a geodesic,
-    with the eigenvectors of its split (``FiveSpace.vectors``).
+def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list[float]:
+    """``minimality_competitors`` of a validated pair joined by a geodesic.
 
     A leg is as long as its largest principal angle, ``atan2(|A - B|,
     smin(V_A* V_B))`` for the range bases ``V_A, V_B`` of its ends.  The
@@ -237,14 +232,13 @@ def _competitor_lengths(
     difference of its ranks, so both legs are balanced by construction.
     The competitors are built as stacks of about 1 MB: each stack draws its
     midpoints and takes the two terms of all its legs from one stacked
-    eigendecomposition (of the midpoints; the pair's is the split's) and
-    two stacked singular-value calls.
+    eigendecomposition and two stacked singular-value calls.
     """
     n = p.shape[0]
     rank = _rank(p)
     if rank in (0, n):
         return [0.0] * trials  # P = Q = R
-    vp, vq = vectors[..., n - rank:]
+    vp, vq = herm_eig(np.array([p, q])).eigenvectors[..., n - rank:]
     step = max(1, _CHUNK_BYTES // (p.itemsize * p.size))
     lengths = []
     for start in range(0, trials, step):

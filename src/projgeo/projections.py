@@ -11,7 +11,7 @@ existence criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -186,8 +186,7 @@ class FiveSpace:
     m10, m01`` span the four intersections, ``h0`` the generic part, as the
     planes ``(x_j, g_j)`` of its principal angles ``angles`` (ascending) in
     consecutive columns: ``x_j`` in ``R(P)``, ``g_j`` in ``N(P)``, and
-    ``cos x_j + sin g_j`` in ``R(Q)``.  ``vectors`` are the eigenvectors of
-    ``P`` and ``Q`` as ``herm_eig`` of the pair returned them.
+    ``cos x_j + sin g_j`` in ``R(Q)``.
     """
 
     p: np.ndarray
@@ -198,7 +197,6 @@ class FiveSpace:
     m01: np.ndarray
     h0: np.ndarray
     angles: np.ndarray
-    vectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dims(self) -> tuple[int, int, int, int, int]:
@@ -230,10 +228,8 @@ class _Split(NamedTuple):
     ``R(P)`` and ``e`` in ``N(P)``; each of the other ``k`` directions of
     ``R(P)`` shares the plane of one principal angle with a direction of
     ``N(P)``.  Of those ``k`` angles, the ``aligned`` smallest and the
-    ``crossed`` largest lie in the intersections.  ``vectors`` (the pair's
-    eigenvectors in ``herm_eig``'s order, ranges last) and ``x = vp* vq``
-    (``vp, vq`` those bases reversed, ranges first) are what ``_split``
-    factored, for the CS split and the competitors to reuse.
+    ``crossed`` largest lie in the intersections.  ``vp`` and ``x = vp* vq``
+    are what ``_split`` factored, for the CS split to reuse.
     """
 
     r: int
@@ -245,7 +241,7 @@ class _Split(NamedTuple):
     k: int
     aligned: int
     crossed: int
-    vectors: np.ndarray
+    vp: np.ndarray
     x: np.ndarray
 
     @property
@@ -268,15 +264,14 @@ def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     r, s = _rank(p), _rank(q)
     a, b, c, e = max(0, r + s - n), max(0, n - r - s), max(0, r - s), max(0, s - r)
     k = r - a - c
-    vectors = herm_eig(np.array([p, q])).eigenvectors
-    vp, vq = vectors[..., ::-1]
+    vp, vq = herm_eig(np.array([p, q])).eigenvectors[..., ::-1]
     x = _adjoint(vp) @ vq
     blocks = np.zeros((2, max(r, n - r), s), dtype=np.complex128)
     blocks[0, :r], blocks[1, :n - r] = x[:r, :s], x[r:, :s]
     cos_null, sin_null = nullspace(blocks, tol)
     aligned = min(max(sin_null.shape[1] - a, 0), k)
     crossed = min(max(cos_null.shape[1] - e, 0), k - aligned)
-    return _Split(r, s, a, b, c, e, k, aligned, crossed, vectors, x)
+    return _Split(r, s, a, b, c, e, k, aligned, crossed, vp, x)
 
 
 def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
@@ -293,9 +288,8 @@ def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
     p, q = _pair(p, q)
     sp = _split(p, q, tol)
     u1, u2, theta = cs_decompose(sp.x, sp.r, sp.s)
-    vp = sp.vectors[0, :, ::-1]
-    x1 = vp[:, :sp.r] @ u1
-    x2 = vp[:, sp.r:] @ u2
+    x1 = sp.vp[:, :sp.r] @ u1
+    x2 = sp.vp[:, sp.r:] @ u2
     lo, hi = sp.aligned, sp.k - sp.crossed
     planes = np.stack([x1[:, sp.a + lo:sp.a + hi], x2[:, sp.b + lo:sp.b + hi]], axis=-1)
     return FiveSpace(
@@ -307,7 +301,6 @@ def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
         m01=x2[:, sp.b + hi:],
         h0=planes.reshape(p.shape[0], -1),
         angles=theta[lo:hi],
-        vectors=sp.vectors,
     )
 
 

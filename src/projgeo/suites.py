@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,6 +124,11 @@ def random_crossed_pair(seed, k: int | None = None, n_max: int = 16):
     return pair_with_dims(d11, d00, k, k, 2 * g, angles, seed=rng), k
 
 
+# the default block dimension bound of random_quotient_pair, which the
+# lifting sampler's dims must share to draw the same instances
+_QUOTIENT_D_MAX = 6
+
+
 def _quotient_dims(rng, d_max: int):
     """The case mix of ``random_quotient_pair``, drawn from ``rng``: the
     kind, then the dims ``(d11, d00, d10, d01, g)``."""
@@ -161,7 +167,7 @@ def _quotient_pair(rng, dims) -> tuple[np.ndarray, np.ndarray]:
     return pair_with_dims(d11, d00, d10, d01, 2 * g, angles, seed=rng)
 
 
-def random_quotient_pair(seed, d_max: int = 6):
+def random_quotient_pair(seed, d_max: int = _QUOTIENT_D_MAX):
     """Quotient pair of block dimension <= d_max with an assorted case mix."""
     rng = np.random.default_rng(seed)
     which, dims = _quotient_dims(rng, d_max)
@@ -196,22 +202,27 @@ def random_diagonal_sequence(rng) -> DiagonalSequence:
 TRUNCATION_BLOCKS = 12
 
 
+class TruncationVerdict(NamedTuple):
+    """The truncation oracle's case (``None`` when undecided) and the index
+    pair of the truncation to ``TRUNCATION_BLOCKS`` blocks, the last it reads."""
+
+    case: DichotomyCase | None
+    final: IndexPair
+
+
 def classify_by_truncation(
     lift_p: BlockOperator,
     lift_q: BlockOperator,
     tol: Tolerance = Tolerance(),
-    return_final: bool = False,
-) -> DichotomyCase | None | tuple[DichotomyCase | None, IndexPair]:
+) -> TruncationVerdict:
     """Brute-force classification from truncated index pairs, summed
     exactly from per-block nullities by ``truncated_index_pairs``.
 
     Truncated crossed nullities grow by a constant integer per added tail
     block once the exceptional region is passed: growth on both sides
     means both nullspaces are infinite-dimensional, growth on neither
-    means both stay finite, anything else is mixed.  Returns ``None`` if
-    the increments have not stabilized by ``TRUNCATION_BLOCKS``.  With
-    ``return_final``, returns the pair of that and the index pair of the
-    truncation to ``TRUNCATION_BLOCKS`` blocks, the last one it reads.
+    means both stay finite, anything else is mixed.  The case is ``None``
+    if the increments have not stabilized by ``TRUNCATION_BLOCKS``.
     """
     start = max(len(lift_p.exceptional), len(lift_q.exceptional)) + 1
     start = min(start, TRUNCATION_BLOCKS - 3)
@@ -220,16 +231,14 @@ def classify_by_truncation(
     inc_plus = {b.d_plus - a.d_plus for a, b in zip(pairs, pairs[1:])}
     inc_minus = {b.d_minus - a.d_minus for a, b in zip(pairs, pairs[1:])}
     if len(inc_plus) != 1 or len(inc_minus) != 1:
-        case = None
-    else:
-        grow_plus, grow_minus = inc_plus.pop() > 0, inc_minus.pop() > 0
-        if not grow_plus and not grow_minus:
-            case = DichotomyCase.FINITE_FINITE
-        elif grow_plus and grow_minus:
-            case = DichotomyCase.INFINITE_INFINITE
-        else:
-            case = DichotomyCase.MIXED
-    return (case, pairs[-1]) if return_final else case
+        return TruncationVerdict(None, pairs[-1])
+    grow_plus = inc_plus.pop() > 0
+    grow_minus = inc_minus.pop() > 0
+    if not grow_plus and not grow_minus:
+        return TruncationVerdict(DichotomyCase.FINITE_FINITE, pairs[-1])
+    if grow_plus and grow_minus:
+        return TruncationVerdict(DichotomyCase.INFINITE_INFINITE, pairs[-1])
+    return TruncationVerdict(DichotomyCase.MIXED, pairs[-1])
 
 
 # -- suites ---------------------------------------------------------------------
@@ -280,7 +289,7 @@ def _suite_existence(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
         )
         result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
         probe = result.witnesses if result.witnesses is not None else lifts
-        oracle, final = classify_by_truncation(*probe, tol=tol, return_final=True)
+        oracle, final = classify_by_truncation(*probe, tol=tol)
         ok = oracle is result.case
         if ok and result.case is DichotomyCase.FINITE_FINITE:
             # surgery must leave the witnesses (the probe) with balanced truncated index
@@ -345,7 +354,7 @@ def _suite_minimality(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
         p, q = random_equal_index_pair(seed + i)
         seg = minimal_exponent(p, q, tol=tol)  # validates the pair
         norm_z = op_norm(seg.exponent)
-        lengths = _competitor_lengths(p, q, seg._pair_vectors, COMPETITORS, (seed + i) * 1000)
+        lengths = _competitor_lengths(p, q, COMPETITORS, (seed + i) * 1000)
         shortfall = max(0.0, norm_z - min(lengths)) if lengths else 0.0
         chord = curve_length(seg, CHORD_GRID)
         chord_gap = abs(chord - norm_z)
@@ -380,7 +389,7 @@ def _block_geodesic_instance(seed: int, tol: Tolerance):
     rng = np.random.default_rng((seed, 4, 1))  # off the attempts' (seed, a) streams
     for attempt in range(64):
         pair_rng = np.random.default_rng((seed, attempt))
-        _, dims = _quotient_dims(pair_rng, 6)
+        _, dims = _quotient_dims(pair_rng, _QUOTIENT_D_MAX)
         if dims[2] == dims[3]:
             break
     else:

@@ -134,7 +134,7 @@ def test_criterion_4_existence_dichotomy():
         )
         result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
         probe = result.witnesses if result.witnesses is not None else lifts
-        oracle = classify_by_truncation(*probe, tol=tol)
+        oracle = classify_by_truncation(*probe, tol=tol).case
         agree = oracle is result.case
         if agree and result.case is DichotomyCase.FINITE_FINITE:
             final = truncated_index_pairs(*result.witnesses, [12], tol)[0]

@@ -559,7 +559,7 @@ class TestExistenceDichotomy:
                 BlockOperator(p.shape[0], (), p),
                 BlockOperator(q.shape[0], (), q),
             )
-            assert classify_by_truncation(*probe) is expected
+            assert classify_by_truncation(*probe).case is expected
 
 
 def dichotomy_and_oracle(p, q):
@@ -567,7 +567,7 @@ def dichotomy_and_oracle(p, q):
     result = existence_dichotomy(p, q)
     d = p.shape[0]
     probe = result.witnesses or (BlockOperator(d, (), p), BlockOperator(d, (), q))
-    return result.case, classify_by_truncation(*probe)
+    return result.case, classify_by_truncation(*probe).case
 
 
 class TestTruncationOracleNearEdges:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projgeo import blockmodel, geodesics, numkernel, projections, suites
+from projgeo import blockmodel, geodesics, projections, suites
 from projgeo.blockmodel import (
     BlockOperator,
     DiagonalSequence,
@@ -81,7 +81,9 @@ def test_quotient_solver_joins_exactly_the_balanced_draws():
     for s in range(300):
         for a in range(4):
             p, q, which = random_quotient_pair((s, a))
-            kind, (_, _, d10, d01, _) = suites._quotient_dims(np.random.default_rng((s, a)), 6)
+            kind, (_, _, d10, d01, _) = suites._quotient_dims(
+                np.random.default_rng((s, a)), suites._QUOTIENT_D_MAX
+            )
             assert kind == which
             if d10 == d01:
                 assert quotient_geodesic(p, q, tol).segment.exponent.shape == p.shape
@@ -104,22 +106,6 @@ def test_block_instance_matches_the_solve_and_skip_loop():
         assert _same_bits(lift.tail, ref_lift.tail)
         assert len(lift.exceptional) == len(ref_lift.exceptional)
         assert all(map(_same_bits, lift.exceptional, ref_lift.exceptional))
-
-
-def test_minimality_eigendecomposes_the_pair_once(monkeypatch):
-    # the split's eigenvectors serve the competitors: one herm_eig of the
-    # pair, one of the 10 midpoints, one of the exponent for the chord
-    shapes = []
-    real = numkernel.herm_eig
-
-    def counted(a):
-        shapes.append(np.shape(a))
-        return real(a)
-
-    for module in (numkernel, projections, geodesics, blockmodel):
-        monkeypatch.setattr(module, "herm_eig", counted)
-    suites.run_suite("minimality", 1, 7)
-    assert shapes == [(2, 13, 13), (10, 13, 13), (13, 13)]
 
 
 def test_existence_truncates_each_probe_once(monkeypatch):
@@ -149,8 +135,7 @@ def test_oracle_returns_its_last_truncation():
         )
         result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
         probe = result.witnesses or lifts
-        case, final = classify_by_truncation(*probe, tol=tol, return_final=True)
-        assert case is classify_by_truncation(*probe, tol=tol)
+        final = classify_by_truncation(*probe, tol=tol).final
         assert final == truncated_index_pairs(*probe, [TRUNCATION_BLOCKS], tol)[0]
 
 
