@@ -514,7 +514,7 @@ def quotient_geodesic(
     ip = IndexPair(*fs.dims[2:4])
     case = _dichotomy_case(ip)
     if case is DichotomyCase.MIXED:
-        raise NoGeodesic(f"no geodesic: index {tuple(ip)} has mixed character")
+        raise NoGeodesic(f"no geodesic: index {tuple(ip)} has mixed character", ip)
     if ip.d_plus != ip.d_minus:
         raise NotPeriodic(f"tail index {tuple(ip)} is unbalanced: the crossed "
                           "pairing is not block-periodic")

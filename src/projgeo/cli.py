@@ -19,12 +19,7 @@ import numpy as np
 from .errors import NoGeodesic, ProjGeoError
 from .geodesics import minimal_geodesic, sample_curve
 from .numkernel import Tolerance
-from .projections import (
-    fivespace_report,
-    halmos_decompose,
-    index_pair,
-    random_projection,
-)
+from .projections import fivespace_report, halmos_decompose, random_projection
 from .serialize import csv_rows, dumps_canonical, read_pair, write_pair
 from .suites import SUITES, run_suite
 from . import projections
@@ -122,8 +117,8 @@ def cmd_geodesic(args) -> int:
     p, q = read_pair(args.infile)
     try:
         seg, report = minimal_geodesic(p, q, samples=args.samples, tol=tol)
-    except NoGeodesic:
-        ip = index_pair(p, q, tol)
+    except NoGeodesic as exc:
+        ip = exc.index  # the split that refused the pair found it
         print(f"no geodesic: index ({ip.d_plus}, {ip.d_minus})", file=sys.stderr)
         return EXIT_USAGE
     if args.csv:

@@ -40,7 +40,11 @@ class InconsistentDims(ProjGeoError):
 # geodesics
 
 class NoGeodesic(ProjGeoError):
-    pass
+    """No geodesic joins the pair; ``index`` is the index pair found."""
+
+    def __init__(self, message: str, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class BadIndex(ProjGeoError):

@@ -21,6 +21,11 @@ pair by its principal angles:
 So ``|Z|`` is the largest angle, ``pi/2`` when a crossed part exists.  The
 crossed pairing ``V`` is free; that freedom is exactly the source of
 non-uniqueness, exposed through ``multi_geodesic_family``.
+
+The split also gives the eigenpairs of ``-iZ`` that a point of the curve
+needs, at O(n^2) cost: ``(x +- i g)/sqrt(2)`` with ``-+theta`` on each
+plane, ``(m10 T +- m01)/sqrt(2)`` with ``+-pi/2`` on the crossed part
+(``T`` the pairing) and 0 on the aligned intersections.
 """
 
 from __future__ import annotations
@@ -34,19 +39,20 @@ import numpy as np
 from .errors import BadIndex, BadUnitarySize, NoGeodesic, NotUnitary
 from .numkernel import (
     RECON_RTOL,
-    HermEig,
     Tolerance,
     _adjoint,
     _hermitize,
+    _svd,
     as_cmatrix,
     herm_eig,
-    min_singular_value,
     op_norm,
 )
 from .projections import (
     FiveSpace,
+    IndexPair,
+    _angle_blocks,
+    _haar_unitaries,
     _pair,
-    _random_projections,
     _rank,
     _split,
     halmos_decompose,
@@ -67,7 +73,26 @@ class GeodesicSegment:
 
     base: np.ndarray
     exponent: np.ndarray
-    _eig: HermEig | None = field(default=None, repr=False, compare=False)
+    # eigenvalues and eigenvectors of -iZ, in no particular order
+    _eig: tuple | None = field(default=None, repr=False, compare=False)
+    # the split and the crossed pairing of a segment read off a split
+    _fs: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def norm(self) -> float:
+        """``|Z|``: for a segment of a split, its largest angle, or ``pi/2``
+        when a crossed part exists; otherwise the operator norm of ``Z``."""
+        if self._fs is None:
+            return op_norm(self.exponent)
+        fs = self._fs[0]
+        return np.pi / 2 if fs.m10.shape[1] else float(fs.angles.max(initial=0.0))
+
+    @property
+    def eig_residual(self) -> float:
+        """``|-iZU - U diag(w)|_F`` of the eigenpairs that ``evaluate``
+        uses: the check that they belong to ``Z``."""
+        w, u = _segment_eig(self)
+        return float(np.linalg.norm(-1j * (self.exponent @ u) - u * w[..., None, :]))
 
 
 @dataclass(frozen=True)
@@ -127,22 +152,31 @@ def _segment(fs: FiveSpace, pairing: np.ndarray | None) -> GeodesicSegment:
     crossed ``pairing`` (canonical when ``None``); it starts at ``fs.p``."""
     _, _, d10, d01, _ = fs.dims
     if d10 != d01:
-        raise NoGeodesic(f"index pair ({d10}, {d01}) is unbalanced")
+        raise NoGeodesic(f"index pair ({d10}, {d01}) is unbalanced", IndexPair(d10, d01))
     if pairing is not None:
         pairing = as_cmatrix(pairing)
         if pairing.shape != (d10, d10):
-            raise BadUnitarySize(
-                f"pairing must be {d10}x{d10}, got {pairing.shape}"
-            )
+            raise BadUnitarySize(f"pairing must be {d10}x{d10}, got {pairing.shape}")
         if op_norm(_adjoint(pairing) @ pairing - np.eye(d10)) > RECON_RTOL:
             raise NotUnitary(f"pairing is not unitary within {RECON_RTOL:.1e}")
-    return GeodesicSegment(base=fs.p, exponent=_exponent(fs, pairing))
+    return GeodesicSegment(base=fs.p, exponent=_exponent(fs, pairing), _fs=(fs, pairing))
 
 
-def _segment_eig(seg: GeodesicSegment) -> HermEig:
-    if seg._eig is None:
-        h = _hermitize(-1j * seg.exponent)
-        seg._eig = herm_eig(h)
+def _segment_eig(seg: GeodesicSegment) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(w, U)`` of ``-iZ``, made on the first call: read off
+    the split, as in the module docstring, for a segment of a split, and
+    from an eigensolve of the exponent (of each of a stack) otherwise."""
+    if seg._eig is None and seg._fs is None:
+        seg._eig = herm_eig(_hermitize(-1j * seg.exponent))
+    elif seg._eig is None:
+        fs, pairing = seg._fs
+        x, g = fs.h0[:, 0::2] / np.sqrt(2), fs.h0[:, 1::2] * (1j / np.sqrt(2))
+        m10 = (fs.m10 if pairing is None else fs.m10 @ pairing) / np.sqrt(2)
+        m01 = fs.m01 / np.sqrt(2)
+        u = np.hstack([fs.m11, fs.m00, x + g, x - g, m10 + m01, m10 - m01])
+        w = np.concatenate([np.zeros(fs.dims[0] + fs.dims[1]), -fs.angles, fs.angles,
+                            np.full(fs.dims[2], np.pi / 2), np.full(fs.dims[2], -np.pi / 2)])
+        seg._eig = w, u
     return seg._eig
 
 
@@ -216,38 +250,36 @@ def minimality_competitors(
     p, q = _pair(p, q)
     ip = _split(p, q, tol).index
     if ip.d_plus != ip.d_minus:
-        raise NoGeodesic(f"index pair {tuple(ip)} is unbalanced")
+        raise NoGeodesic(f"index pair {tuple(ip)} is unbalanced", ip)
     return _competitor_lengths(p, q, trials, seed)
 
 
 def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list[float]:
     """``minimality_competitors`` of a validated pair joined by a geodesic.
 
-    A leg is as long as its largest principal angle, ``atan2(|A - B|,
-    smin(V_A* V_B))`` for the range bases ``V_A, V_B`` of its ends.  The
-    midpoint of competitor ``i`` is ``random_projection(n, rank P, (seed +
-    i, 5, 1))``: a key with a non-zero last word is a stream of its own,
-    where ``(s, 0)`` would be ``default_rng(s)``, the stream of a suite's
-    pair sampler.  In finite dimension a pair's index pair differs by the
-    difference of its ranks, so both legs are balanced by construction.
-    The competitors are built as stacks of about 1 MB: each stack draws its
-    midpoints and takes the two terms of all its legs from one stacked
-    eigendecomposition and two stacked singular-value calls.
+    The midpoint of competitor ``i`` is ``random_projection(n, rank P,
+    (seed + i, 5, 1))``, the range of the first columns ``V_R`` of that
+    key's Haar unitary (a key with a non-zero last word is a stream of its
+    own, where ``(s, 0)`` is a suite sampler's ``default_rng(s)``).  Both
+    legs are balanced, as a pair's index differs by its rank difference.
+    A leg is as long as its largest principal angle (Porta & Recht, Proc.
+    AMS 100, 1987): for an end with eigenvectors ``V_E``, range first, the
+    ``_angle_blocks`` of ``V_E* V_R`` give ``atan2(smax(sines),
+    smin(cosines))``, so no midpoint is formed.  Each stack of about 1 MB
+    of competitors costs one QR and one singular-value call.
     """
     n = p.shape[0]
     rank = _rank(p)
     if rank in (0, n):
         return [0.0] * trials  # P = Q = R
-    vp, vq = herm_eig(np.array([p, q])).eigenvectors[..., n - rank:]
+    ends = _adjoint(herm_eig(np.array([p, q])).eigenvectors[..., None, :, ::-1])
     step = max(1, _CHUNK_BYTES // (p.itemsize * p.size))
     lengths = []
     for start in range(0, trials, step):
-        seeds = [seed + i for i in range(start, min(start + step, trials))]
-        rs = _random_projections(n, rank, [(s, 5, 1) for s in seeds])
-        vr = herm_eig(rs).eigenvectors[..., n - rank:]
-        cos = min_singular_value(np.concatenate([_adjoint(vp) @ vr, _adjoint(vr) @ vq]))
-        sin = op_norm(np.concatenate([p - rs, rs - q]))
-        legs = np.arctan2(sin, cos).reshape(2, -1)
+        seeds = [(seed + i, 5, 1) for i in range(start, min(start + step, trials))]
+        x = ends @ _haar_unitaries(n, seeds)[..., :rank]
+        values = _svd(_angle_blocks(x, rank), compute_uv=False)
+        legs = np.arctan2(values[..., 1, 0], values[..., 0, -1])
         lengths.extend((legs[0] + legs[1]).tolist())
     return lengths
 
@@ -274,21 +306,13 @@ def unique_minimal_check(p, q, tol: Tolerance = Tolerance()) -> UniquenessReport
         seg_c = _segment(halmos_decompose(pc, qc, tol), None)
         back = u @ seg_c.exponent @ u.conj().T
         err = op_norm(back - seg.exponent)
-        return UniquenessReport(
-            unique=True,
-            witness=None,
-            rederivation_error=err,
-            witness_separation=None,
-        )
+        return UniquenessReport(unique=True, witness=None, rederivation_error=err,
+                                witness_separation=None)
     twist = 1j * np.eye(k, dtype=np.complex128)  # exp(i pi/2) rotation of the pairing
     # the canonical segment has the identity pairing
     z1, z2 = seg.exponent, _exponent(fs, twist)
-    return UniquenessReport(
-        unique=False,
-        witness=(z1, z2),
-        rederivation_error=None,
-        witness_separation=op_norm(z1 - z2),
-    )
+    return UniquenessReport(unique=False, witness=(z1, z2), rederivation_error=None,
+                            witness_separation=op_norm(z1 - z2))
 
 
 def multi_geodesic_family(
@@ -336,9 +360,10 @@ def minimal_geodesic(
     endpoint_error = op_norm(evaluate(seg, 1.0) - fs.q)
     length = curve_length(seg, samples)
     return seg, {
-        "norm_Z": op_norm(seg.exponent),
+        "norm_Z": seg.norm,
         "index": [int(d10), int(d01)],
         "endpoint_error": float(endpoint_error),
+        "eig_residual": seg.eig_residual,
         "length_estimate": float(length),
         "unique": d10 == 0,
     }

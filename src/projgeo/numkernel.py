@@ -99,14 +99,6 @@ def op_norm(a):
     return float(norms) if m.ndim == 2 else norms
 
 
-def min_singular_value(a):
-    """Smallest singular value of a nonempty matrix; for a stack ``(..., m,
-    n)`` of matrices, the array of those of each matrix, from one call."""
-    m = as_cstack(a)
-    values = _svd(m, compute_uv=False)[..., -1]
-    return float(values) if m.ndim == 2 else values
-
-
 class HermEig(NamedTuple):
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # unitary, columns match eigenvalues

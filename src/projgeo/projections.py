@@ -91,27 +91,25 @@ def _range_projection(u: np.ndarray, r: int) -> np.ndarray:
     return _hermitize(u[..., :r] @ _adjoint(u[..., :r]))
 
 
+def _haar_unitaries(n: int, seeds) -> np.ndarray:
+    """Stack of ``random_unitary(n, seed)`` over ``seeds``, with one QR call."""
+    return _haar([_gaussian(n, np.random.default_rng(s)) for s in seeds])
+
+
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed unitary (QR of a complex Gaussian, phases fixed)."""
-    return _haar([_gaussian(n, np.random.default_rng(seed))])[0]
-
-
-def _random_projections(n: int, r: int, seeds) -> np.ndarray:
-    """Stack of ``random_projection(n, r, seed)`` over ``seeds``, with one
-    QR call; each is a rank-``r`` projection by construction."""
-    if not 0 <= r <= n:
-        raise BadRank(f"rank {r} outside [0, {n}]")
-    k = len(seeds)
-    if r == 0:
-        return np.zeros((k, n, n), dtype=np.complex128)
-    if r == n:
-        return np.broadcast_to(np.eye(n, dtype=np.complex128), (k, n, n)).copy()
-    return _range_projection(_haar([_gaussian(n, np.random.default_rng(s)) for s in seeds]), r)
+    return _haar_unitaries(n, [seed])[0]
 
 
 def random_projection(n: int, r: int, seed) -> np.ndarray:
-    """Rank-``r`` projection, Haar-conjugated from ``diag(1^r, 0^(n-r))``."""
-    return _random_projections(n, r, [seed])[0]
+    """Rank-``r`` projection, Haar-conjugated from ``diag(1^r, 0^(n-r))``:
+    the range of the first ``r`` columns of ``random_unitary(n, seed)``,
+    which is drawn only for ``0 < r < n``."""
+    if not 0 <= r <= n:
+        raise BadRank(f"rank {r} outside [0, {n}]")
+    if r in (0, n):
+        return np.eye(n, dtype=np.complex128) * (r == n)
+    return _range_projection(_haar_unitaries(n, [seed]), r)[0]
 
 
 def pair_with_dims(
@@ -249,6 +247,17 @@ class _Split(NamedTuple):
         return IndexPair(self.c + self.crossed, self.e + self.crossed)
 
 
+def _angle_blocks(x: np.ndarray, r: int) -> np.ndarray:
+    """The first ``r`` rows of ``x`` (of each matrix of a stack) and the
+    others, zero-padded to one height, which keeps their singular values:
+    for ``x = V_A* V_B`` with the range of ``A`` first, the cosines and the
+    sines of the angles between ``R(A)`` and the span of ``V_B``."""
+    n = x.shape[-2]
+    blocks = np.zeros(x.shape[:-2] + (2, max(r, n - r), x.shape[-1]), dtype=np.complex128)
+    blocks[..., 0, :r, :], blocks[..., 1, :n - r, :] = x[..., :r, :], x[..., r:, :]
+    return blocks
+
+
 def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     """The rank decisions of a pair, made once, at linear scale.
 
@@ -256,9 +265,9 @@ def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     first.  Of ``x = vp* vq``, the upper left ``r x s`` block has singular
     values ``cos theta`` and the lower left one ``sin theta`` (Bjorck &
     Golub 1973), forced directions of ``R(Q)`` included.  So one stacked
-    ``nullspace`` of the two blocks, zero-padded to one height (which keeps
-    the singular values and right null vectors), counts the angles with
-    ``cos <= rank_rtol`` (crossed) and with ``sin <= rank_rtol`` (aligned).
+    ``nullspace`` of the two ``_angle_blocks`` (padding keeps the right
+    null vectors too) counts the angles with ``cos <= rank_rtol``
+    (crossed) and with ``sin <= rank_rtol`` (aligned).
     """
     n = p.shape[0]
     r, s = _rank(p), _rank(q)
@@ -266,9 +275,7 @@ def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     k = r - a - c
     vp, vq = herm_eig(np.array([p, q])).eigenvectors[..., ::-1]
     x = _adjoint(vp) @ vq
-    blocks = np.zeros((2, max(r, n - r), s), dtype=np.complex128)
-    blocks[0, :r], blocks[1, :n - r] = x[:r, :s], x[r:, :s]
-    cos_null, sin_null = nullspace(blocks, tol)
+    cos_null, sin_null = nullspace(_angle_blocks(x[:, :s], r), tol)
     aligned = min(max(sin_null.shape[1] - a, 0), k)
     crossed = min(max(cos_null.shape[1] - e, 0), k - aligned)
     return _Split(r, s, a, b, c, e, k, aligned, crossed, vp, x)

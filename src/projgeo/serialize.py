@@ -28,12 +28,8 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def _holds_bool(data: list, pairs: np.ndarray) -> bool:
-    """Whether a boolean stands among the entries of ``data``.  Numbers
-    promote booleans to 0 and 1, so ``pairs`` passes the dtype test, and only
-    its rows holding a 0 or a 1 are looked at."""
-    suspects = np.flatnonzero(((pairs == 0) | (pairs == 1)).any(axis=1)).tolist()
-    return bool in set(map(type, chain.from_iterable(map(data.__getitem__, suspects))))
+_NUMBERS = {int, float}  # not bool: JSON's true and false are no numbers
+_NOT_PAIRS = "matrix data entries must be [re, im] pairs of numbers"
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -46,18 +42,17 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"rows and cols must be ints >= 0, got {rows!r} and {cols!r}")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(f"matrix data must be a list of {rows * cols} entries")
-    try:
-        pairs = np.array(data or np.zeros((0, 2)))
-    except ValueError:  # ragged entries
-        pairs = np.zeros(0)
-    if (
-        pairs.shape != (rows * cols, 2)
-        or pairs.dtype.kind not in "iuf"
-        or _holds_bool(data, pairs)
+    if not (
+        set(map(type, data)) <= {list}
+        and set(map(len, data)) <= {2}
+        and set(map(type, chain.from_iterable(data))) <= _NUMBERS
     ):
-        raise ValueError("matrix data entries must be [re, im] pairs of numbers")
-    flat = np.ascontiguousarray(pairs, dtype=float).view(np.complex128)
-    return as_cmatrix(flat.reshape(rows, cols))
+        raise ValueError(_NOT_PAIRS)
+    try:
+        flat = np.fromiter(chain.from_iterable(data), float, 2 * rows * cols)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(_NOT_PAIRS) from None
+    return as_cmatrix(flat.view(np.complex128).reshape(rows, cols))
 
 
 def pair_to_json(p, q) -> dict:

@@ -254,6 +254,7 @@ BOUNDS = {
     "minimality.shortfall": 1e-6,
     "minimality.chord_gap": 1e-4,
     "minimality.chord_identity": 1e-12,
+    "minimality.eig_residual": 1e-12,
     "lifting.norm_gap": 1e-12,
     "lifting.fiber_norm_gap": 1e-12,
     "normlift.min_margin": -1e-15,
@@ -353,7 +354,7 @@ def _suite_minimality(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
     for i in range(trials):
         p, q = random_equal_index_pair(seed + i)
         seg = minimal_exponent(p, q, tol=tol)  # validates the pair
-        norm_z = op_norm(seg.exponent)
+        norm_z = seg.norm
         lengths = _competitor_lengths(p, q, COMPETITORS, (seed + i) * 1000)
         shortfall = max(0.0, norm_z - min(lengths)) if lengths else 0.0
         chord = curve_length(seg, CHORD_GRID)
@@ -364,6 +365,7 @@ def _suite_minimality(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
             shortfall <= BOUNDS["minimality.shortfall"]
             and chord_gap <= BOUNDS["minimality.chord_gap"]
             and chord_identity <= BOUNDS["minimality.chord_identity"]
+            and seg.eig_residual <= BOUNDS["minimality.eig_residual"]
         )
         report.add(
             {

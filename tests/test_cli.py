@@ -7,13 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from projgeo import projections
 from projgeo.cli import main
 from projgeo.geodesics import evaluate, minimal_exponent
+from projgeo.projections import pair_with_dims
 from projgeo.serialize import (
     dumps_canonical,
     matrix_from_json,
     matrix_to_json,
     read_pair,
+    write_pair,
 )
 from projgeo.suites import run_suite
 from reference_pipeline import reference_dumps, reference_pair_json
@@ -55,6 +58,27 @@ class TestSerialize:
     def test_boolean_entries_are_rejected(self, data):
         with pytest.raises(ValueError, match="pairs of numbers"):
             matrix_from_json({"rows": 1, "cols": len(data), "data": data})
+
+    @pytest.mark.parametrize(
+        "data",
+        [[[0.5, "1"]], [[None, 0.0]], [[0.5]], [[0.5, 0.0, 0.0]], [(0.5, 0.0)], [0.5]],
+        ids=["string", "null", "short", "long", "tuple", "bare-number"],
+    )
+    def test_entries_must_be_number_pairs(self, data):
+        with pytest.raises(ValueError, match="pairs of numbers"):
+            matrix_from_json({"rows": 1, "cols": 1, "data": data})
+
+    def test_any_int_that_floats_is_a_number(self):
+        # 2**64 overflows every numpy integer type, not the float
+        m = matrix_from_json({"rows": 1, "cols": 2, "data": [[2**63, 0], [2**64, -1]]})
+        assert m.tolist() == [[2.0**63, 2.0**64 - 1j]]
+        with pytest.raises(ValueError, match="pairs of numbers"):
+            matrix_from_json({"rows": 1, "cols": 1, "data": [[10**400, 0]]})
+
+    def test_overflowing_float_is_non_finite(self):
+        obj = json.loads('{"rows": 1, "cols": 1, "data": [[1e400, 0]]}')
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_from_json(obj)
 
     @settings(max_examples=150, deadline=None)
     @given(FLOAT_ARRAYS)
@@ -209,6 +233,23 @@ class TestGeodesicCommand:
         rc = main(["geodesic", "--in", str(pair)])
         assert rc == 2
         assert "no geodesic: index (1, 0)" in capsys.readouterr().err
+
+    def test_refusal_splits_the_pair_once(self, tmp_path, capsys, monkeypatch):
+        pair = tmp_path / "pair.json"
+        write_pair(pair, *pair_with_dims(1, 1, 2, 1, 2, [0.6], seed=3))
+        calls = []
+        real = projections._split
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(projections, "_split", counted)
+        rc = main(["geodesic", "--in", str(pair)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "no geodesic: index (2, 1)\n"
+        assert len(calls) == 1
 
     def test_csv_samples(self, tmp_path, capsys):
         pair = self.make_pair(tmp_path, "0,0,0,0,2", "0.9")

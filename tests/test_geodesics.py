@@ -26,7 +26,12 @@ from projgeo.projections import (
     random_projection,
     random_unitary,
 )
-from projgeo.suites import random_crossed_pair, random_equal_index_pair, random_generic_pair
+from projgeo.suites import (
+    BOUNDS,
+    random_crossed_pair,
+    random_equal_index_pair,
+    random_generic_pair,
+)
 from reference_pipeline import reference_competitors, reference_exponent
 
 # the angle-based split against the old pipeline: exponents and competitor
@@ -48,10 +53,14 @@ def rotation_point(theta, t):
     return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
 
-def reference_curve(seg):
-    """The segment as a scalar curve, one matrix product chain per point."""
-    h = -1j * seg.exponent
-    w, u = herm_eig((h + h.conj().T) / 2)
+def reference_curve(seg, eig=None):
+    """The segment as a scalar curve, one matrix product chain per point,
+    through the eigenpairs ``eig`` of ``-iZ`` (by default, an eigensolve of
+    the exponent)."""
+    if eig is None:
+        h = -1j * seg.exponent
+        eig = herm_eig((h + h.conj().T) / 2)
+    w, u = eig
 
     def point(t):
         rot = (u * np.exp(1j * t * w)) @ u.conj().T
@@ -265,14 +274,19 @@ class TestBatchedEvaluate:
             assert stack.shape == (len(ts), n, n)
             scalar = np.stack([evaluate(seg, float(t)) for t in ts])
             assert np.array_equal(stack, scalar)
+            # the split's eigenpairs against an eigensolve of the exponent
             reference = reference_curve(seg)
-            assert np.array_equal(scalar, np.stack([reference(float(t)) for t in ts]))
+            assert op_norm(scalar - np.stack([reference(float(t)) for t in ts])).max() <= 1e-13
 
     def test_segment_stack_equals_lone_segments(self):
         dims = [(1, 1, 0, 0, 4), (0, 0, 1, 1, 4), (2, 2, 1, 1, 0), (6, 0, 0, 0, 0)]
+        # bare exponents: the stack eigendecomposes each, as does a lone one
         segments = [
-            minimal_exponent(*pair_with_dims(*dim, [0.3, 1.2][:dim[4] // 2], seed=i))
-            for i, dim in enumerate(dims)
+            GeodesicSegment(base=s.base, exponent=s.exponent)
+            for s in (
+                minimal_exponent(*pair_with_dims(*dim, [0.3, 1.2][:dim[4] // 2], seed=i))
+                for i, dim in enumerate(dims)
+            )
         ]
         stack = GeodesicSegment(
             base=np.array([s.base for s in segments]),
@@ -344,7 +358,7 @@ class TestCurveLength:
         """``grid`` times the first chord, exactly; and the per-point sum of
         all chords within ``grid`` rounding errors of it."""
         seg = exactness_segments[which]
-        gamma = reference_curve(seg)
+        gamma = reference_curve(seg, geodesics._segment_eig(seg))
         length = curve_length(seg, grid)
         assert length == grid * op_norm(gamma(1.0 / grid) - gamma(0.0))
         eps = np.finfo(float).eps
@@ -457,31 +471,33 @@ class TestMinimality:
 
 
 def replace_midpoints(monkeypatch, replace):
-    """Make the competitor draws whose keys are in ``replace`` return the
-    given projection instead of a random one."""
-    real = geodesics._random_projections
+    """Make the competitor draws whose keys are in ``replace`` have the
+    given projection as midpoint instead of a random one: their unitary
+    is one whose leading columns span its range."""
+    real = geodesics._haar_unitaries
 
-    def draw(n, rank, seeds):
-        rs = real(n, rank, seeds)
+    def draw(n, seeds):
+        us = real(n, seeds)
         for j, s in enumerate(seeds):
             if s in replace:
-                rs[j] = replace[s]
-        return rs
+                us[j] = herm_eig(replace[s]).eigenvectors[:, ::-1]
+        return us
 
-    monkeypatch.setattr(geodesics, "_random_projections", draw)
+    monkeypatch.setattr(geodesics, "_haar_unitaries", draw)
 
 
 def record_midpoints(monkeypatch) -> list:
-    """Record, unchanged, every midpoint the competitors draw."""
-    real = geodesics._random_projections
+    """Record, unchanged, the unitary of every midpoint the competitors
+    draw; the midpoint is the range of its leading ``rank P`` columns."""
+    real = geodesics._haar_unitaries
     drawn = []
 
-    def draw(n, rank, seeds):
-        rs = real(n, rank, seeds)
-        drawn.extend(rs)
-        return rs
+    def draw(n, seeds):
+        us = real(n, seeds)
+        drawn.extend(us)
+        return us
 
-    monkeypatch.setattr(geodesics, "_random_projections", draw)
+    monkeypatch.setattr(geodesics, "_haar_unitaries", draw)
     return drawn
 
 
@@ -528,7 +544,8 @@ class TestStackedCompetitors:
         drawn = record_midpoints(monkeypatch)
         got = minimality_competitors(p, q, 8, 70)
         assert len(drawn) == 8
-        for i, r in enumerate(drawn):
+        for i, u in enumerate(drawn):
+            r = projections._range_projection(u, rank)
             assert np.array_equal(r, random_projection(n, rank, (70 + i, 5, 1)))
         assert_matches_reference(got, reference_competitors(p, q, 8, 70))
 
@@ -540,7 +557,8 @@ class TestStackedCompetitors:
             drawn.clear()
             minimality_competitors(p, q, 3, s * 1000)
             assert len(drawn) == 3
-            for r in drawn:
+            for u in drawn:
+                r = projections._range_projection(u, int(round(np.trace(p).real)))
                 for leg in index_pair(p, r), index_pair(r, q):
                     assert leg.d_plus == leg.d_minus
 
@@ -571,6 +589,59 @@ class TestStackedCompetitors:
         few, many = calls(10), calls(100)
         assert few > 0
         assert many <= few + 4
+
+    def test_no_midpoint_is_formed_or_factored(self, monkeypatch):
+        # the legs come from the Haar factors: one QR of the unitaries, one
+        # eigensolve of the pair and one SVD of the padded blocks, with no
+        # midpoint eigensolve and no n x n SVD of P - R or R - Q
+        p, q = random_equal_index_pair(3)
+        n, rank = p.shape[0], int(round(np.trace(p).real))
+        calls = []
+        for name in ("svd", "eigh", "qr"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _real=real, _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        geodesics._competitor_lengths(p, q, 10, 17)
+        assert sorted(calls) == [
+            ("eigh", (2, n, n)),
+            ("qr", (10, n, n)),
+            ("svd", (2, 10, 2, max(rank, n - rank), rank)),
+        ]
+
+
+# log10 of an angle's distance to 0 or to pi/2
+SPLIT_EDGE_GAPS = st.lists(st.floats(min_value=-9.0, max_value=-5.0), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    intersections=st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 4)),
+    near_zero=SPLIT_EDGE_GAPS,
+    near_half_pi=SPLIT_EDGE_GAPS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_built_spectrum_near_the_edges(intersections, near_zero, near_half_pi, seed):
+    """The eigenpairs a segment reads off its split, at angles 1e-9 to 1e-5
+    from 0 and from pi/2 and with crossed parts under the identity pairing
+    and a twisted one: the curve reaches Q, the eigenpairs belong to Z, and
+    the split's norm is the norm of Z within the rounding of Z's bases
+    (up to 2.7 n eps measured near pi/2 with a crossed part)."""
+    d11, d00, k = intersections
+    angles = [10.0**x for x in near_zero] + [np.pi / 2 - 10.0**x for x in near_half_pi]
+    if d11 + d00 + k + len(angles) == 0:
+        return
+    p, q = pair_with_dims(d11, d00, k, k, 2 * len(angles), angles, seed=seed)
+    segments = [minimal_exponent(p, q)]
+    if k:
+        segments += multi_geodesic_family(p, q, [random_unitary(k, seed)])
+    for seg in segments:
+        assert op_norm(evaluate(seg, 1.0) - q) <= 1e-12
+        assert seg.eig_residual <= BOUNDS["minimality.eig_residual"]
+        assert abs(seg.norm - op_norm(seg.exponent)) <= 4 * p.shape[0] * np.finfo(float).eps
 
 
 class TestUniqueness:
@@ -649,7 +720,9 @@ class TestMultiGeodesicFamily:
 def test_geodesic_report_fields():
     p, q = rotation_pair(np.pi / 4)
     report = minimal_geodesic(p, q, samples=500)[1]
-    assert set(report) == {"norm_Z", "index", "endpoint_error", "length_estimate", "unique"}
+    assert set(report) == {
+        "norm_Z", "index", "endpoint_error", "eig_residual", "length_estimate", "unique"
+    }
     assert abs(report["norm_Z"] - np.pi / 4) <= 1e-10
     assert report["index"] == [0, 0]
     assert report["unique"] is True
@@ -662,8 +735,11 @@ def test_geodesic_report_equals_public_functions(dims, index):
     standalone = minimal_exponent(p, q)
     assert np.array_equal(seg.exponent, standalone.exponent)
     assert report["index"] == index == list(index_pair(p, q))
-    assert report["norm_Z"] == op_norm(standalone.exponent)
+    # the split's largest angle, against the norm of the matrix it built
+    assert report["norm_Z"] == standalone.norm
+    assert abs(report["norm_Z"] - op_norm(standalone.exponent)) <= 1e-14
     assert report["endpoint_error"] == op_norm(evaluate(standalone, 1.0) - q)
+    assert report["eig_residual"] == standalone.eig_residual
     assert report["length_estimate"] == curve_length(standalone, 300)
     assert report["unique"] is unique_minimal_check(p, q).unique is (index == [0, 0])
 
@@ -693,10 +769,10 @@ def test_geodesic_report_solves_once(monkeypatch, dims, index):
     assert report["index"] == index
     assert report["unique"] is (index == [0, 0])
     # one rank decision, one CS split and one exponent: no Haar draw and
-    # no second solve; the pair is eigendecomposed once (the other
-    # eigendecomposition is the segment's)
+    # no second solve; the pair is eigendecomposed once, and the segment
+    # reads its eigenpairs off the split
     assert counts == {"_split": 1, "cs_decompose": 1, "_exponent": 1,
-                      "herm_eig": 2, "nullspace": 1}
+                      "herm_eig": 1, "nullspace": 1}
 
 
 @pytest.mark.parametrize(
@@ -726,5 +802,6 @@ def test_validates_each_projection_once(monkeypatch, entry):
 def test_geodesic_report_unbalanced():
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
     q = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    with pytest.raises(NoGeodesic):
+    with pytest.raises(NoGeodesic) as raised:
         minimal_geodesic(p, q)
+    assert raised.value.index == (1, 0)

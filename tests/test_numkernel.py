@@ -7,7 +7,6 @@ from projgeo.numkernel import (
     Tolerance,
     cs_decompose,
     herm_eig,
-    min_singular_value,
     nullspace,
     op_norm,
 )
@@ -147,14 +146,6 @@ class TestNullspace:
             assert op_norm(basis @ basis.conj().T - bare @ bare.conj().T) <= 1e-10
 
 
-class TestMinSingularValue:
-    def test_diagonal_and_stack(self):
-        a = np.diag([3.0, -0.5, 2.0]).astype(complex)
-        assert min_singular_value(a) == 0.5
-        got = min_singular_value(np.array([a, np.eye(3), np.zeros((3, 3))]))
-        assert got.tolist() == [0.5, 1.0, 0.0]
-
-
 def _cs_residual(x, p, q, u1, u2, theta) -> float:
     """Largest defect of ``(u1, u2, theta)`` as the left factors and angles
     of the CS decomposition of ``x`` split at ``(p, q)``: unitarity, the
@@ -258,11 +249,10 @@ class TestCSDecompose:
     "kernel",
     [
         op_norm,
-        min_singular_value,
         nullspace,
         lambda m: cs_decompose(m, 2, 2),
     ],
-    ids=["op_norm", "min_singular_value", "nullspace", "cs_decompose"],
+    ids=["op_norm", "nullspace", "cs_decompose"],
 )
 def test_svd_failure_is_no_convergence(monkeypatch, kernel):
     def fail(*args, **kwargs):

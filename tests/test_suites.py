@@ -45,6 +45,53 @@ def test_minimality_fails_a_chord_off_the_sine_identity(monkeypatch):
     assert report.worst_residual <= suites.BOUNDS["minimality.chord_gap"]
 
 
+def test_minimality_fails_an_exponent_off_its_eigenpairs(monkeypatch):
+    # Z moved by 1e-10 after the split: the chord and |Z| still come from
+    # the split, so only the eigen-residual can fail the trial
+    true_exponent = suites.minimal_exponent
+
+    def moved(p, q, tol):
+        seg = true_exponent(p, q, tol=tol)
+        seg.exponent = seg.exponent + 1e-10j * np.eye(p.shape[0])
+        return seg
+
+    monkeypatch.setattr(suites, "minimal_exponent", moved)
+    report = suites.run_suite("minimality", 1, seed=123)
+    assert report.failures == 1
+    assert report.worst_residual <= suites.BOUNDS["minimality.chord_gap"]
+
+
+def test_minimality_trial_lapack_calls(monkeypatch):
+    """One trial's LAPACK calls do not depend on its number of competitors,
+    and none eigendecomposes -iZ or a midpoint: every eigensolve is of a
+    pair, as one (2, n, n) stack."""
+    calls = []
+    for name in ("svd", "eigh", "qr"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def trial(competitors, seed):
+        monkeypatch.setattr(suites, "COMPETITORS", competitors)
+        calls.clear()
+        assert suites.run_suite("minimality", 1, seed).failures == 0
+        return [name for name, _ in calls], [shape for name, shape in calls if name == "eigh"]
+
+    for seed in range(5):
+        n = suites.random_equal_index_pair(seed)[0].shape[0]
+        few, eighs = trial(10, seed)
+        assert trial(100, seed)[0] == few
+        assert eighs == [(2, n, n)] * 2  # the split's and the competitors'
+        if seed == 0:
+            # the sampler's QR; validation, split, CS split (2 SVDs and a
+            # QR); the competitors' QR, eigensolve and SVD; the chord
+            assert {name: few.count(name) for name in set(few)} == {"qr": 3, "svd": 6, "eigh": 2}
+
+
 def test_lifting_validates_each_draw_once(monkeypatch):
     counts = {"_pair": 0, "pair_with_dims": 0, "_quotient_dims": 0}
 
