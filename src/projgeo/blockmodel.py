@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, cycle, islice
+from itertools import chain, cycle, islice, takewhile
 from math import isfinite, lcm
 
 import numpy as np
@@ -37,6 +37,7 @@ from .numkernel import (
     HALF_PI_BOUND,
     Tolerance,
     _adjoint,
+    _first,
     _hermitize,
     _skewize,
     as_cmatrix,
@@ -48,6 +49,7 @@ from .projections import (
     PROJECTION_ATOL,
     IndexPair,
     _pair,
+    _rank,
     _split,
     halmos_decompose,
     make_projection,
@@ -65,6 +67,12 @@ def _as_block(m, d: int) -> np.ndarray:
     if b.shape != (d, d):
         raise BlockDimMismatch(f"expected a {d}x{d} block, got {b.shape}")
     return b
+
+
+def _absorbed(equal_from_last) -> int:
+    """How many trailing exceptional blocks the normal form absorbs, given
+    whether each block equals the tail, read from the last block back."""
+    return sum(1 for _ in takewhile(bool, equal_from_last))
 
 
 @dataclass(frozen=True)
@@ -90,9 +98,8 @@ class BlockOperator:
             raise ValueError(
                 f"exceptional list longer than {MAX_EXCEPTIONAL} blocks"
             )
-        while blocks and np.array_equal(blocks[-1], tail):
-            blocks = blocks[:-1]
-        object.__setattr__(self, "exceptional", blocks)
+        absorbed = _absorbed(np.array_equal(b, tail) for b in reversed(blocks))
+        object.__setattr__(self, "exceptional", blocks[:len(blocks) - absorbed])
         object.__setattr__(self, "tail", tail)
 
     # -- structure ---------------------------------------------------------
@@ -454,25 +461,30 @@ def truncated_index_pairs(
     ``n`` in ``lengths``.
 
     A block's crossed directions span the kernel ``K`` of ``P + Q - 1``
-    (singular values ``cos theta``, so decided at linear scale), on which
-    ``P - Q`` is positive on ``R(P) & N(Q)`` and negative on ``N(P) &
-    R(Q)``.  A truncation sums the index pairs of its blocks, and past the
-    ``m`` exceptional ones holds ``n - m`` tails: one stacked SVD and one
-    small eigensolve per distinct block give every length.  Different
+    (singular values ``cos theta``, so decided at linear scale).  Off ``K``
+    the ranks of ``P`` and ``Q`` agree (Halmos 1969), so with ``k = dim K``
+    and ranks ``r, s`` the block's pair is ``((k + r - s)/2, (k - r + s)/2)``.
+    Any other ``k`` raises ``NotAProjection``: the block is no projection
+    pair, or the two directions of a plane with ``cos theta`` at
+    ``rank_rtol``, within roundoff, fell on both sides.  A truncation sums
+    the index pairs of its blocks, and past the ``m`` exceptional ones
+    holds ``n - m`` tails: one stacked SVD gives every length.  Different
     block dims raise ``BlockDimMismatch``, a negative length ``ValueError``.
     """
     m = lift_p._aligned(lift_q)
     lengths = list(lengths)
     if any(n < 0 for n in lengths):
         raise ValueError(f"truncation lengths must be non-negative, got {lengths}")
-    blocks = [(lift_p.block_at(i), lift_q.block_at(i)) for i in range(m + 1)]
-    eye = np.eye(lift_p.block_dim)
-    kernels = nullspace(np.array([bp + bq - eye for bp, bq in blocks]), tol)
-    signs = [
-        herm_eig(_hermitize(_adjoint(k) @ (bp - bq) @ k)).eigenvalues
-        for k, (bp, bq) in zip(kernels, blocks)
-    ]
-    crossed = np.array([[(w > 0).sum(), (w < 0).sum()] for w in signs]).T
+    blocks = np.array([(lift_p.block_at(i), lift_q.block_at(i)) for i in range(m + 1)])
+    kernels = nullspace(blocks[:, 0] + blocks[:, 1] - np.eye(lift_p.block_dim), tol)
+    nullity = np.array([k.shape[1] for k in kernels])
+    diff = _rank(blocks) @ [1, -1]  # rank P - rank Q
+    i = _first(((nullity + diff) % 2 == 1) | (np.abs(diff) > nullity))
+    if i is not None:
+        name = "the tail" if i == m else f"exceptional block {i}"
+        raise NotAProjection(f"{name}: nullity {nullity[i]} of P + Q - 1 and rank "
+                             f"difference {diff[i]} give no index pair")
+    crossed = np.array([nullity + diff, nullity - diff]) // 2
     head, tail = crossed[:, :m], crossed[:, m]
     return [
         IndexPair(*(head[:, :n].sum(axis=1) + max(n - m, 0) * tail).tolist())
@@ -517,7 +529,7 @@ def quotient_geodesic(
         raise NoGeodesic(f"no geodesic: index {tuple(ip)} has mixed character", ip)
     if ip.d_plus != ip.d_minus:
         raise NotPeriodic(f"tail index {tuple(ip)} is unbalanced: the crossed "
-                          "pairing is not block-periodic")
+                          "pairing is not block-periodic", ip)
     return QuotientGeodesic(
         segment=_segment(fs, None),
         unique=case is DichotomyCase.FINITE_FINITE,

@@ -39,12 +39,16 @@ class InconsistentDims(ProjGeoError):
 
 # geodesics
 
+def _init_with_index(self, message: str, index=None):
+    """``__init__`` of a refusal that carries the ``IndexPair`` it found as ``index``."""
+    ProjGeoError.__init__(self, message)
+    self.index = index
+
+
 class NoGeodesic(ProjGeoError):
     """No geodesic joins the pair; ``index`` is the index pair found."""
 
-    def __init__(self, message: str, index=None):
-        super().__init__(message)
-        self.index = index
+    __init__ = _init_with_index
 
 
 class BadIndex(ProjGeoError):
@@ -76,4 +80,7 @@ class NormTooLarge(ProjGeoError):
 
 class NotPeriodic(ProjGeoError):
     """A minimal geodesic exists, but the block-periodic model cannot
-    represent it: its crossed pairing would cross block boundaries."""
+    represent it: its crossed pairing would cross block boundaries.
+    ``index`` is the unbalanced tail index pair."""
+
+    __init__ = _init_with_index

@@ -75,7 +75,8 @@ def _rank(p: np.ndarray):
 
 def _gaussian(n: int, rng) -> np.ndarray:
     """The complex Gaussian of one Haar unitary, drawn from ``rng``."""
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    re, im = rng.standard_normal((2, n, n))
+    return re + 1j * im
 
 
 def _haar(draws) -> np.ndarray:
@@ -166,9 +167,7 @@ def pair_with_dims(
         i += 2
 
     u = random_unitary(n, seed)
-    p = u @ p0 @ u.conj().T
-    q = u @ q0 @ u.conj().T
-    return _hermitize(p), _hermitize(q)
+    return tuple(_hermitize(u @ np.array([p0, q0]) @ u.conj().T))
 
 
 class IndexPair(NamedTuple):

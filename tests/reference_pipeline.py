@@ -22,6 +22,11 @@ built and solved every drawn quotient pair and skipped the ones the solver
 rejected: the sampler that keeps a draw by its dims must give the same
 instances.
 
+``reference_truncated_index_pairs`` is the truncation oracle that counted
+each block's crossed dims as the positive and negative eigenvalues of
+``K*(P - Q)K`` on the kernel ``K`` of ``P + Q - 1``: the count read off
+``dim K`` and the rank difference must agree with it.
+
 ``reference_dumps`` is the JSON dumper that walks a payload one list and
 one scalar at a time, and ``reference_pair_json`` the pair payload of
 nested lists it was given: the array renderer of ``dumps_canonical`` must
@@ -45,7 +50,7 @@ from projgeo.numkernel import (
     op_norm,
     require_square,
 )
-from projgeo.projections import make_projection, random_projection
+from projgeo.projections import IndexPair, make_projection, random_projection
 from projgeo.suites import random_projection_blocks, random_quotient_pair
 
 HALF_PI_BOUND = np.pi / 2 + 1e-12
@@ -227,6 +232,23 @@ def reference_block_geodesic_instance(seed, tol):
     d = p.shape[0]
     lift_p = BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(1, 4))), p)
     return p, q, z, lift_p
+
+
+def reference_truncated_index_pairs(lift_p, lift_q, lengths, tol=Tolerance()):
+    """Index pairs of the truncations to ``n`` blocks, each block's pair the
+    signs of ``K*(P - Q)K``, one block at a time."""
+    m = max(len(lift_p.exceptional), len(lift_q.exceptional))
+    crossed = []
+    for i in range(m + 1):
+        bp, bq = lift_p.block_at(i), lift_q.block_at(i)
+        k = nullspace(bp + bq - np.eye(lift_p.block_dim), tol)
+        w = herm_eig(_herm(k.conj().T @ (bp - bq) @ k)).eigenvalues
+        crossed.append(np.array([(w > 0).sum(), (w < 0).sum()]))
+    return [
+        IndexPair(*(sum(crossed[:min(n, m)], np.zeros(2, int))
+                    + max(n - m, 0) * crossed[m]).tolist())
+        for n in lengths
+    ]
 
 
 def reference_pair_json(p, q):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from projgeo import blockmodel, suites
@@ -54,6 +54,7 @@ from projgeo.suites import (
     random_quotient_pair,
     run_suite,
 )
+from reference_pipeline import reference_truncated_index_pairs
 
 
 def random_block_operator(rng, d, n_exceptional):
@@ -621,6 +622,76 @@ class TestTruncatedIndexPairs:
             assert got == dense_truncated_index_pairs(*lifts, lengths)
             seen.add(max(len(lifts[0].exceptional), len(lifts[1].exceptional)))
         assert seen == {0, 1, 2, 3}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        edge=st.sampled_from([None, "zero", "half_pi"]),
+        exponents=st.lists(st.floats(-12.0, -3.0), min_size=1, max_size=2),
+    )
+    def test_matches_the_sign_count_near_the_edges(self, seed, edge, exponents):
+        rtol = Tolerance().rank_rtol
+        rng = np.random.default_rng(seed)
+        offsets = 10.0 ** np.array(exponents)
+        if edge is None:
+            p, q, _ = random_quotient_pair(seed)
+        else:
+            # at cos theta = rank_rtol, within roundoff, the two directions of
+            # the plane can fall on both sides of the threshold
+            assume(all(abs(e - math.log10(rtol)) > 1e-3 for e in exponents))
+            angles = offsets if edge == "zero" else np.pi / 2 - offsets
+            d11, d00, d10, d01 = rng.integers(0, [2, 2, 3, 3]).tolist()
+            p, q = pair_with_dims(d11, d00, d10, d01, 2 * len(angles), angles, seed=rng)
+        d = p.shape[0]
+        lifts = tuple(
+            BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 4))), m)
+            for m in (p, q)
+        )
+        lengths = list(range(10))
+        got = truncated_index_pairs(*lifts, lengths)
+        assert got == reference_truncated_index_pairs(*lifts, lengths)
+        # the dense truncation decides a plane by 1 - sin theta, about
+        # cos(theta)^2 / 2, so it counts it crossed for cos theta up to
+        # sqrt(2 rank_rtol), not up to rank_rtol
+        if edge != "half_pi" or not ((offsets > rtol / 2) & (offsets < 4e-5)).any():
+            assert got == dense_truncated_index_pairs(*lifts, lengths)
+
+    def test_runs_no_eigensolve(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+
+        def eigh(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        lifts = []
+        for seed in range(20):
+            p, q, _ = random_quotient_pair(seed)
+            d = p.shape[0]
+            rng = np.random.default_rng((seed, 5))
+            lifts.append(tuple(
+                BlockOperator(d, random_projection_blocks(rng, d, 2), m) for m in (p, q)
+            ))
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for lift_p, lift_q in lifts:
+            truncated_index_pairs(lift_p, lift_q, [12])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "blocks_p, blocks_q, tail_p, tail_q, name",
+        [
+            # P + Q - 1 = 0.5 has no kernel, yet the ranks differ by one
+            ((), (), [[1.0]], [[0.5]], "the tail"),
+            # ranks 2 and 0, but P + Q - 1 = -0.8 has no kernel
+            ((np.eye(2),), (0.2 * np.eye(2),), np.eye(2), np.eye(2), "exceptional block 0"),
+        ],
+    )
+    def test_blocks_that_are_no_projections_raise(self, blocks_p, blocks_q, tail_p,
+                                                  tail_q, name):
+        d = len(tail_p)
+        lifts = (BlockOperator(d, blocks_p, tail_p), BlockOperator(d, blocks_q, tail_q))
+        with pytest.raises(NotAProjection, match=f"^{name}: "):
+            truncated_index_pairs(*lifts, [1])
 
     def test_block_dim_mismatch(self):
         with pytest.raises(BlockDimMismatch):

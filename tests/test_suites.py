@@ -138,6 +138,7 @@ def test_quotient_solver_joins_exactly_the_balanced_draws():
                 with pytest.raises((NoGeodesic, NotPeriodic)) as raised:
                     quotient_geodesic(p, q, tol)
                 assert type(raised.value) is (NoGeodesic if which == "mixed" else NotPeriodic)
+                assert raised.value.index == (d10, d01)
             seen.add((which, d10 == d01))
     assert seen == {("finite", True), ("infinite", True), ("infinite", False), ("mixed", False)}
 
@@ -268,6 +269,37 @@ def test_fiber_stream_is_none_of_the_samplers(monkeypatch):
         assert len(set(streams)) == len(streams), suite
 
 
+def test_lifting_trial_builds_no_fiber_operator_and_evaluates_four_times(monkeypatch):
+    # three points of the block curve and one stack of the quotient curve
+    built, evaluated, inside = [], [], []
+    real_init, real_evaluate = BlockOperator.__post_init__, blockmodel.evaluate
+    real_fibers = suites._fiber_norms
+
+    def init(self):
+        built.append(bool(inside))
+        real_init(self)
+
+    def evaluate(*args, **kwargs):
+        evaluated.append(1)
+        return real_evaluate(*args, **kwargs)
+
+    def fibers(*args, **kwargs):
+        inside.append(1)
+        try:
+            return real_fibers(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(BlockOperator, "__post_init__", init)
+    for module in (suites, blockmodel):
+        monkeypatch.setattr(module, "evaluate", evaluate)
+    monkeypatch.setattr(suites, "_fiber_norms", fibers)
+    report = suites.run_suite("lifting", 1, 11)
+    assert report.failures == 0
+    assert built and not any(built)
+    assert len(evaluated) == 4
+
+
 def test_fiber_norms_equal_the_lone_lifts():
     tol = Tolerance()
     # (seed, 1) is the stream of the sampler's attempt 1: at seed 13078 that
@@ -286,35 +318,16 @@ def test_fiber_norms_equal_the_lone_lifts():
         assert norms.tolist() == lone
 
 
-def test_competitor_sups_equal_the_sequence_sums():
-    # each row is the prefix of a correction; past its length it is zero,
-    # and on odd seeds a negative zero, which must not change the sup
-    prefix_lens, comp_lens = set(), set()
-    for seed in range(400):
-        rng = np.random.default_rng(seed)
-        d = suites.random_diagonal_sequence(rng)
-        lengths = rng.integers(0, suites.CORRECTION_LEN + 1, suites.NORMLIFT_COMPETITORS)
-        rows = rng.uniform(-20.0, 20.0, (suites.NORMLIFT_COMPETITORS, suites.CORRECTION_LEN))
-        rows[np.arange(suites.CORRECTION_LEN) >= lengths[:, None]] = -0.0 if seed % 2 else 0.0
-        sups = suites._competitor_sups(d, rows)
-        for row, n, sup in zip(rows, lengths, sups):
-            comp = DiagonalSequence(tuple(row[:n]), (0.0,))
-            assert sup == (d + comp).sup_abs()
-        prefix_lens.add(len(d.prefix))
-        comp_lens.update(lengths.tolist())
-    assert {0, 8} <= prefix_lens
-    assert {0, 10} <= comp_lens
-
-
-def test_competitor_sups_read_a_prefix_longer_than_the_corrections():
-    d = DiagonalSequence((1.0, -7.0, 2.0), (3.0, -4.0))
-    rows = np.array([[0.0], [-9.0], [6.0]])
-    expected = [(d + DiagonalSequence(tuple(r), (0.0,))).sup_abs() for r in rows]
-    assert suites._competitor_sups(d, rows).tolist() == expected == [7.0, 8.0, 7.0]
+def test_fiber_norms_drop_the_blocks_the_tail_absorbs():
+    # the one block of fiber 2 at seed 13078 is p (see below); it norms just
+    # under |z|, so read |z| as 0 to see that the lift keeps no block
+    p, _, z, _ = suites._block_geodesic_instance(13078, Tolerance())
+    norms = suites._fiber_norms(p, z, 0.0, np.random.default_rng((13078, 1)))
+    assert norms[2] == 0.0 < norms[3]
 
 
 def test_normlift_adds_one_sequence_per_trial(monkeypatch):
-    # the 100 competitors are one array; only d + k0 is a sequence sum
+    # a trial sums one pair of sequences, d + k0: it builds no competitor
     calls = []
     real = DiagonalSequence.__add__
 
