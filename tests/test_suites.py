@@ -319,7 +319,7 @@ def test_fiber_norms_equal_the_lone_lifts():
 
 
 def test_fiber_norms_drop_the_blocks_the_tail_absorbs():
-    # the one block of fiber 2 at seed 13078 is p (see below); it norms just
+    # the one block of fiber 2 at seed 13078 is p (see above); it norms just
     # under |z|, so read |z| as 0 to see that the lift keeps no block
     p, _, z, _ = suites._block_geodesic_instance(13078, Tolerance())
     norms = suites._fiber_norms(p, z, 0.0, np.random.default_rng((13078, 1)))
