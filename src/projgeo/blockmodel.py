@@ -23,7 +23,7 @@ from math import isfinite, lcm
 import numpy as np
 
 from .errors import (
-    BlockDimMismatch,
+    DimMismatch,
     NoGeodesic,
     NormTooLarge,
     NoSpectralGap,
@@ -65,7 +65,7 @@ SPECTRAL_GAP = 0.1
 def _as_block(m, d: int) -> np.ndarray:
     b = as_cmatrix(m)
     if b.shape != (d, d):
-        raise BlockDimMismatch(f"expected a {d}x{d} block, got {b.shape}")
+        raise DimMismatch(f"expected a {d}x{d} block, got {b.shape}")
     return b
 
 
@@ -91,7 +91,7 @@ class BlockOperator:
     def __post_init__(self):
         d = self.block_dim
         if d < 1:
-            raise BlockDimMismatch(f"block_dim must be positive, got {d}")
+            raise DimMismatch(f"block_dim must be positive, got {d}")
         tail = _as_block(self.tail, d)
         blocks = tuple(_as_block(b, d) for b in self.exceptional)
         if len(blocks) > MAX_EXCEPTIONAL:
@@ -114,7 +114,7 @@ class BlockOperator:
         if not isinstance(other, BlockOperator):
             raise TypeError(f"expected a BlockOperator, got {type(other)!r}")
         if self.block_dim != other.block_dim:
-            raise BlockDimMismatch(
+            raise DimMismatch(
                 f"block dims {self.block_dim} and {other.block_dim} differ"
             )
         return max(len(self.exceptional), len(other.exceptional))
@@ -469,7 +469,7 @@ def truncated_index_pairs(
     ``rank_rtol``, within roundoff, fell on both sides.  A truncation sums
     the index pairs of its blocks, and past the ``m`` exceptional ones
     holds ``n - m`` tails: one stacked SVD gives every length.  Different
-    block dims raise ``BlockDimMismatch``, a negative length ``ValueError``.
+    block dims raise ``DimMismatch``, a negative length ``ValueError``.
     """
     m = lift_p._aligned(lift_q)
     lengths = list(lengths)

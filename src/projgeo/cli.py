@@ -30,12 +30,8 @@ EXIT_USAGE = 2
 EXIT_UNKNOWN_SUITE = 64
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+def _parse_list(text: str, kind) -> list:
+    return [kind(part) for part in text.split(",") if part.strip() != ""]
 
 
 def _tolerance_from_args(args) -> Tolerance:
@@ -50,19 +46,26 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _usage(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_gen(args) -> int:
     if args.dims is not None and args.ranks is not None:
-        print("error: --dims and --ranks are mutually exclusive", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--dims and --ranks are mutually exclusive")
+    if args.angles is not None and args.dims is None:
+        return _usage("--angles requires --dims")
+    if args.dim is not None and args.ranks is None:
+        return _usage("--dim requires --ranks")
     tol = _tolerance_from_args(args)
     if args.dims is not None:
-        dims = _parse_int_list(args.dims)
+        dims = _parse_list(args.dims, int)
         if len(dims) != 5:
-            print(f"error: --dims needs 5 entries, got {len(dims)}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage(f"--dims needs 5 entries, got {len(dims)}")
         d11, d00, d10, d01, dgen = dims
         if args.angles is not None:
-            angles = _parse_float_list(args.angles)
+            angles = _parse_list(args.angles, float)
         else:
             rng = np.random.default_rng(args.seed)
             angles = rng.uniform(0.1, np.pi / 2 - 0.1, dgen // 2)
@@ -70,18 +73,15 @@ def cmd_gen(args) -> int:
             d11, d00, d10, d01, dgen, angles, seed=args.seed
         )
     elif args.ranks is not None:
-        ranks = _parse_int_list(args.ranks)
+        ranks = _parse_list(args.ranks, int)
         if len(ranks) != 2:
-            print(f"error: --ranks needs 2 entries, got {len(ranks)}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage(f"--ranks needs 2 entries, got {len(ranks)}")
         if args.dim is None:
-            print("error: --ranks requires --dim", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage("--ranks requires --dim")
         p = random_projection(args.dim, ranks[0], args.seed)
         q = random_projection(args.dim, ranks[1], (args.seed, 1))
     else:
-        print("error: provide either --dims or --ranks", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("provide either --dims or --ranks")
 
     fs = halmos_decompose(p, q, tol)  # a pair it rejects leaves no file
     write_pair(args.out, p, q)
@@ -197,12 +197,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProjGeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ProjGeoError, OSError, ValueError, KeyError) as exc:
+        return _usage(str(exc))
 
 
 def entry() -> None:

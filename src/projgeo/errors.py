@@ -26,15 +26,11 @@ class NotAProjection(ProjGeoError):
 
 
 class DimMismatch(ProjGeoError):
-    pass
-
-
-class BadRank(ProjGeoError):
-    pass
+    """Operand shapes do not fit: of a pair, a block or a crossed pairing."""
 
 
 class InconsistentDims(ProjGeoError):
-    pass
+    """The requested dimensions are impossible."""
 
 
 # geodesics
@@ -55,15 +51,7 @@ class BadIndex(ProjGeoError):
     pass
 
 
-class BadUnitarySize(ProjGeoError):
-    pass
-
-
 # block-periodic model
-
-class BlockDimMismatch(ProjGeoError):
-    pass
-
 
 class NoSpectralGap(ProjGeoError):
     """An eigenvalue of an input block falls inside the forbidden band around

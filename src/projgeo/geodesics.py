@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BadIndex, BadUnitarySize, NoGeodesic, NotUnitary
+from .errors import BadIndex, DimMismatch, NoGeodesic, NotUnitary
 from .numkernel import (
     RECON_RTOL,
     Tolerance,
@@ -65,6 +65,8 @@ from .projections import (
 # while keeping the per-call overhead low at small n
 _CHUNK_BYTES = 1 << 20
 
+_SQRT2 = np.sqrt(2)
+
 
 @dataclass
 class GeodesicSegment:
@@ -73,19 +75,17 @@ class GeodesicSegment:
 
     base: np.ndarray
     exponent: np.ndarray
-    # eigenvalues and eigenvectors of -iZ, in no particular order
+    # eigenvalues and eigenvectors of -iZ, in no particular order: made with
+    # a segment of a split, and on first use for one built from an exponent
     _eig: tuple | None = field(default=None, repr=False, compare=False)
-    # the split and the crossed pairing of a segment read off a split
-    _fs: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
-    def norm(self) -> float:
-        """``|Z|``: for a segment of a split, its largest angle, or ``pi/2``
-        when a crossed part exists; otherwise the operator norm of ``Z``."""
-        if self._fs is None:
-            return op_norm(self.exponent)
-        fs = self._fs[0]
-        return np.pi / 2 if fs.m10.shape[1] else float(fs.angles.max(initial=0.0))
+    def norm(self):
+        """``|Z|``, the largest ``|w|`` of the eigenvalues of ``-iZ`` (of
+        each of a stack): for a segment of a split, its largest angle, or
+        ``pi/2`` when a crossed part exists."""
+        top = np.abs(_segment_eig(self)[0]).max(axis=-1, initial=0.0)
+        return float(top) if top.ndim == 0 else top
 
     @property
     def eig_residual(self) -> float:
@@ -156,27 +156,25 @@ def _segment(fs: FiveSpace, pairing: np.ndarray | None) -> GeodesicSegment:
     if pairing is not None:
         pairing = as_cmatrix(pairing)
         if pairing.shape != (d10, d10):
-            raise BadUnitarySize(f"pairing must be {d10}x{d10}, got {pairing.shape}")
+            raise DimMismatch(f"pairing must be {d10}x{d10}, got {pairing.shape}")
         if op_norm(_adjoint(pairing) @ pairing - np.eye(d10)) > RECON_RTOL:
             raise NotUnitary(f"pairing is not unitary within {RECON_RTOL:.1e}")
-    return GeodesicSegment(base=fs.p, exponent=_exponent(fs, pairing), _fs=(fs, pairing))
+    # the eigenpairs of -iZ, read off the split as in the module docstring
+    x, g = fs.h0[:, 0::2] / _SQRT2, fs.h0[:, 1::2] * (1j / _SQRT2)
+    m10 = (fs.m10 if pairing is None else fs.m10 @ pairing) / _SQRT2
+    m01 = fs.m01 / _SQRT2
+    u = np.hstack([fs.m11, fs.m00, x + g, x - g, m10 + m01, m10 - m01])
+    w = np.concatenate([np.zeros(fs.dims[0] + fs.dims[1]), -fs.angles, fs.angles,
+                        np.full(d10, np.pi / 2), np.full(d10, -np.pi / 2)])
+    return GeodesicSegment(base=fs.p, exponent=_exponent(fs, pairing), _eig=(w, u))
 
 
 def _segment_eig(seg: GeodesicSegment) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs ``(w, U)`` of ``-iZ``, made on the first call: read off
-    the split, as in the module docstring, for a segment of a split, and
-    from an eigensolve of the exponent (of each of a stack) otherwise."""
-    if seg._eig is None and seg._fs is None:
+    """Eigenpairs ``(w, U)`` of ``-iZ``: those of a segment of a split, or
+    for a segment built from an exponent, an eigensolve of it (of each of
+    a stack) on the first call."""
+    if seg._eig is None:
         seg._eig = herm_eig(_hermitize(-1j * seg.exponent))
-    elif seg._eig is None:
-        fs, pairing = seg._fs
-        x, g = fs.h0[:, 0::2] / np.sqrt(2), fs.h0[:, 1::2] * (1j / np.sqrt(2))
-        m10 = (fs.m10 if pairing is None else fs.m10 @ pairing) / np.sqrt(2)
-        m01 = fs.m01 / np.sqrt(2)
-        u = np.hstack([fs.m11, fs.m00, x + g, x - g, m10 + m01, m10 - m01])
-        w = np.concatenate([np.zeros(fs.dims[0] + fs.dims[1]), -fs.angles, fs.angles,
-                            np.full(fs.dims[2], np.pi / 2), np.full(fs.dims[2], -np.pi / 2)])
-        seg._eig = w, u
     return seg._eig
 
 
@@ -190,16 +188,8 @@ def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
     """
     w, u = _segment_eig(seg)
     t = np.asarray(t, dtype=float)
-    # the products of the formula, in order, in three stack-size buffers
-    scaled = u * np.exp(1j * t[..., None] * w)[..., None, :]
-    rot = scaled @ _adjoint(u)
-    rot_p = np.matmul(rot, seg.base, out=scaled)
-    rot_h = np.swapaxes(np.conjugate(rot, out=rot), -1, -2)
-    x = rot_p @ rot_h
-    x_h = np.swapaxes(np.conjugate(x, out=rot), -1, -2)
-    np.add(x, x_h, out=x)
-    x /= 2
-    return x
+    rot = (u * np.exp(1j * t[..., None] * w)[..., None, :]) @ _adjoint(u)
+    return _hermitize(rot @ seg.base @ _adjoint(rot))
 
 
 def sample_curve(seg: GeodesicSegment, ts) -> Iterator[tuple[np.ndarray, np.ndarray]]:

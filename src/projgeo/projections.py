@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadRank, DimMismatch, InconsistentDims, NotAProjection
+from .errors import DimMismatch, InconsistentDims, NotAProjection
 from .numkernel import (
     Tolerance,
     _adjoint,
@@ -107,7 +107,7 @@ def random_projection(n: int, r: int, seed) -> np.ndarray:
     the range of the first ``r`` columns of ``random_unitary(n, seed)``,
     which is drawn only for ``0 < r < n``."""
     if not 0 <= r <= n:
-        raise BadRank(f"rank {r} outside [0, {n}]")
+        raise InconsistentDims(f"rank {r} outside [0, {n}]")
     if r in (0, n):
         return np.eye(n, dtype=np.complex128) * (r == n)
     return _range_projection(_haar_unitaries(n, [seed]), r)[0]

@@ -55,22 +55,16 @@ def matrix_from_json(obj) -> np.ndarray:
     return as_cmatrix(flat.view(np.complex128).reshape(rows, cols))
 
 
-def pair_to_json(p, q) -> dict:
-    return {"P": matrix_to_json(p), "Q": matrix_to_json(q)}
-
-
-def pair_from_json(obj) -> tuple[np.ndarray, np.ndarray]:
-    if not isinstance(obj, dict) or not {"P", "Q"} <= obj.keys():
-        raise ValueError("a pair must be an object with P and Q")
-    return matrix_from_json(obj["P"]), matrix_from_json(obj["Q"])
-
-
 def write_pair(path, p, q) -> None:
-    Path(path).write_text(dumps_canonical(pair_to_json(p, q)) + "\n")
+    pair = {"P": matrix_to_json(p), "Q": matrix_to_json(q)}
+    Path(path).write_text(dumps_canonical(pair) + "\n")
 
 
 def read_pair(path) -> tuple[np.ndarray, np.ndarray]:
-    return pair_from_json(json.loads(Path(path).read_text()))
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict) or not {"P", "Q"} <= obj.keys():
+        raise ValueError("a pair must be an object with P and Q")
+    return matrix_from_json(obj["P"]), matrix_from_json(obj["Q"])
 
 
 _FLOAT = "%.17g"

@@ -76,61 +76,53 @@ class SuiteReport:
 # -- instance samplers ---------------------------------------------------------
 
 
-def _balanced_dims(rng, n_max: int = 16, crossed: int | None = None):
-    """Five-space dimensions with equal crossed parts, total <= n_max."""
+def _balanced_dims(rng, crossed: int | None = None):
+    """Five-space dimensions with equal crossed parts, total <= 14."""
     if crossed is None:
         crossed = int(rng.choice([0, 0, 0, 1, 1, 2]))
     d11 = int(rng.integers(0, 3))
     d00 = int(rng.integers(0, 3))
     generic = int(rng.integers(1, 4))
-    while d11 + d00 + 2 * crossed + 2 * generic > n_max:
-        if generic > 1:
-            generic -= 1
-        elif d11 + d00 > 0:
-            d11 = max(0, d11 - 1)
-            d00 = max(0, d00 - 1)
-        else:
-            crossed -= 1
     return d11, d00, crossed, crossed, generic
 
 
-def random_equal_index_pair(seed, n_max: int = 16):
+def random_equal_index_pair(seed):
     """Projection pair with equal index, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    d11, d00, k, _, g = _balanced_dims(rng, n_max)
+    d11, d00, k, _, g = _balanced_dims(rng)
     angles = rng.uniform(0.15, np.pi / 2 - 0.15, g)
     return pair_with_dims(d11, d00, k, k, 2 * g, angles, seed=rng)
 
 
-def random_generic_pair(seed, n_max: int = 16, min_sigma: float | None = None):
+def random_generic_pair(seed, min_sigma: float | None = None):
     """Index-(0,0) pair; optionally with ``smin(P + Q - 1) >= min_sigma``."""
     rng = np.random.default_rng(seed)
     # smin(P + Q - 1) is the cosine of the largest angle, here at least
     # min_sigma + 0.02
     hi = np.arccos(min_sigma + 0.02) if min_sigma else np.pi / 2 - 0.15
-    d11, d00, _, _, g = _balanced_dims(rng, n_max, crossed=0)
+    d11, d00, _, _, g = _balanced_dims(rng, crossed=0)
     angles = rng.uniform(0.15, hi, g)
     return pair_with_dims(d11, d00, 0, 0, 2 * g, angles, seed=rng)
 
 
-def random_crossed_pair(seed, k: int | None = None, n_max: int = 16):
-    """Pair with index (k, k), k >= 1."""
+def random_crossed_pair(seed):
+    """Pair with index (k, k), k in {1, 2}, and that k."""
     rng = np.random.default_rng(seed)
-    if k is None:
-        k = int(rng.integers(1, 3))
-    d11, d00, _, _, g = _balanced_dims(rng, n_max - 2 * k, crossed=0)
+    k = int(rng.integers(1, 3))
+    d11, d00, _, _, g = _balanced_dims(rng, crossed=0)
     angles = rng.uniform(0.15, np.pi / 2 - 0.15, g)
     return pair_with_dims(d11, d00, k, k, 2 * g, angles, seed=rng), k
 
 
-# the default block dimension bound of random_quotient_pair, which the
-# lifting sampler's dims must share to draw the same instances
+# the block dimension bound of random_quotient_pair, which the lifting
+# sampler's dims share to draw the same instances
 _QUOTIENT_D_MAX = 6
 
 
-def _quotient_dims(rng, d_max: int):
+def _quotient_dims(rng):
     """The case mix of ``random_quotient_pair``, drawn from ``rng``: the
     kind, then the dims ``(d11, d00, d10, d01, g)``."""
+    d_max = _QUOTIENT_D_MAX
     kind = rng.random()
     if kind < 0.4:
         which = "finite"
@@ -166,10 +158,10 @@ def _quotient_pair(rng, dims) -> tuple[np.ndarray, np.ndarray]:
     return pair_with_dims(d11, d00, d10, d01, 2 * g, angles, seed=rng)
 
 
-def random_quotient_pair(seed, d_max: int = _QUOTIENT_D_MAX):
-    """Quotient pair of block dimension <= d_max with an assorted case mix."""
+def random_quotient_pair(seed):
+    """Quotient pair of block dimension <= 6 with an assorted case mix."""
     rng = np.random.default_rng(seed)
-    which, dims = _quotient_dims(rng, d_max)
+    which, dims = _quotient_dims(rng)
     return (*_quotient_pair(rng, dims), which)
 
 
@@ -389,7 +381,7 @@ def _block_geodesic_instance(seed: int, tol: Tolerance):
     rng = np.random.default_rng((seed, 4, 1))  # off the attempts' (seed, a) streams
     for attempt in range(64):
         pair_rng = np.random.default_rng((seed, attempt))
-        _, dims = _quotient_dims(pair_rng, _QUOTIENT_D_MAX)
+        _, dims = _quotient_dims(pair_rng)
         if dims[2] == dims[3]:
             break
     else:

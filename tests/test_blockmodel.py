@@ -23,7 +23,7 @@ from projgeo.blockmodel import (
     truncated_index_pairs,
 )
 from projgeo.errors import (
-    BlockDimMismatch,
+    DimMismatch,
     NoGeodesic,
     NormTooLarge,
     NoSpectralGap,
@@ -115,7 +115,7 @@ class TestBlockAlgebra:
         assert len(a.exceptional) == 0
 
     def test_block_dim_mismatch(self):
-        with pytest.raises(BlockDimMismatch):
+        with pytest.raises(DimMismatch):
             BlockOperator(2, (), np.eye(2)) + BlockOperator(3, (), np.eye(3))
 
     def test_ideal_property(self):
@@ -694,7 +694,7 @@ class TestTruncatedIndexPairs:
             truncated_index_pairs(*lifts, [1])
 
     def test_block_dim_mismatch(self):
-        with pytest.raises(BlockDimMismatch):
+        with pytest.raises(DimMismatch):
             truncated_index_pairs(
                 BlockOperator(2, (), np.eye(2)), BlockOperator(3, (), np.eye(3)), [4]
             )

@@ -198,6 +198,24 @@ class TestGen:
         rc = main(["gen", "--out", str(tmp_path / "x.json")])
         assert rc != 0
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--ranks", "2,2", "--dim", "4", "--angles", "0.3"], "--angles requires --dims"),
+            (["--angles", "0.3"], "--angles requires --dims"),
+            (["--dims", "2,2,3,3,6", "--dim", "9"], "--dim requires --ranks"),
+            (["--dim", "4"], "--dim requires --ranks"),
+        ],
+        ids=["angles-with-ranks", "angles-alone", "dim-with-dims", "dim-alone"],
+    )
+    def test_flag_of_the_other_mode_is_a_usage_error(self, tmp_path, capsys, flags, message):
+        # neither flag is read in the other mode, so it must not pass unseen
+        out = tmp_path / "x.json"
+        rc = main(["gen", *flags, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestGeodesicCommand:
     def make_pair(self, tmp_path, dims, angles, seed=1):

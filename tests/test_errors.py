@@ -3,8 +3,8 @@ somewhere, no check relies on an ``assert`` that ``-O`` strips, every
 tolerance literal sits in a named home, the 17-digit float format is
 spelled only in ``serialize``, projections are validated only where they
 enter, no module imports SciPy (nor does ``import projgeo`` load it), no
-module reads the environment, and every exported name has a caller in the
-package."""
+module reads the environment, every exported name has a caller in the
+package, and every defaulted parameter is passed by some package call."""
 
 import ast
 import subprocess
@@ -220,3 +220,48 @@ def test_every_export_has_a_caller():
         *(_loaded_names(tree) for name, tree in TREES.items() if name != "__init__.py")
     )
     assert sorted(public - loaded) == sorted(TEST_ONLY_EXPORTS)
+
+
+# defaulted parameters that no package call site passes, besides those of
+# the TEST_ONLY_EXPORTS functions, each with the reason it stays: every
+# other option exists because a package caller sets it
+UNPASSED_DEFAULTS = {
+    ("main", "argv"): "the console entry calls main(); tests pass argv",
+}
+
+
+def _defaulted_parameters(fn) -> list[tuple[int | None, str]]:
+    """``(position, name)`` of each parameter with a default; a keyword-only
+    one has no position."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [(i, a.arg) for i, a in enumerate(positional) if i >= first] + [
+        (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a call site passes a parameter by keyword, by position, or through a
+    # starred argument; calls are matched to functions by name
+    passed = {}
+    for tree in TREES.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                seen = passed.setdefault(name, set())
+                seen.update(k.arg for k in call.keywords)
+                seen.update(range(len(call.args)))
+                if any(isinstance(a, ast.Starred) for a in call.args):
+                    seen.add("*")
+    unpassed = {
+        (fn.name, arg)
+        for tree in TREES.values()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and fn.name not in TEST_ONLY_EXPORTS
+        for position, arg in _defaulted_parameters(fn)
+        if not passed.get(fn.name, set()) & {arg, position, "*"}
+    }
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)

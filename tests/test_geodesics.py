@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projgeo import geodesics, projections
-from projgeo.errors import BadIndex, BadUnitarySize, NoGeodesic, NotUnitary, ProjGeoError
+from projgeo.errors import BadIndex, DimMismatch, NoGeodesic, NotUnitary, ProjGeoError
 from projgeo.geodesics import (
     GeodesicSegment,
     codiagonal_residual,
@@ -28,7 +28,6 @@ from projgeo.projections import (
 )
 from projgeo.suites import (
     BOUNDS,
-    random_crossed_pair,
     random_equal_index_pair,
     random_generic_pair,
 )
@@ -644,6 +643,55 @@ def test_split_built_spectrum_near_the_edges(intersections, near_zero, near_half
         assert abs(seg.norm - op_norm(seg.exponent)) <= 4 * p.shape[0] * np.finfo(float).eps
 
 
+class TestSegmentNorm:
+    DIMS = [(1, 1, 0, 0, 4), (0, 0, 1, 1, 4), (2, 2, 1, 1, 0), (6, 0, 0, 0, 0), (0, 0, 2, 2, 2)]
+
+    def split_segments(self):
+        """Pairs of a split and a segment of it: the canonical one and,
+        with a crossed part, a twisted one."""
+        for i, dims in enumerate(self.DIMS):
+            p, q = pair_with_dims(*dims, [0.3, 1.2][:dims[4] // 2], seed=i)
+            fs = projections.halmos_decompose(p, q)
+            yield fs, minimal_exponent(p, q)
+            if dims[2]:
+                yield fs, multi_geodesic_family(p, q, [random_unitary(dims[2], i)])[0]
+
+    def test_split_segment_reads_its_largest_angle(self):
+        for fs, seg in self.split_segments():
+            expected = np.pi / 2 if fs.dims[2] else fs.angles.max(initial=0.0)
+            assert type(seg.norm) is float
+            assert seg.norm == expected
+
+    def test_bare_segment_is_the_operator_norm(self):
+        eps = np.finfo(float).eps
+        bare = [GeodesicSegment(base=s.base, exponent=s.exponent)
+                for _, s in self.split_segments()]
+        for seg in bare:
+            n = seg.base.shape[0]
+            assert type(seg.norm) is float
+            assert abs(seg.norm - op_norm(seg.exponent)) <= 4 * n * eps
+        stack = GeodesicSegment(base=np.array([s.base for s in bare]),
+                                exponent=np.array([s.exponent for s in bare]))
+        assert stack.norm.shape == (len(bare),)
+        assert (abs(stack.norm - op_norm(stack.exponent)) <= 4 * 6 * eps).all()
+
+    def test_split_segment_runs_no_eigensolve(self, monkeypatch):
+        splits = list(self.split_segments())
+
+        def refused(a):
+            raise AssertionError("herm_eig called")
+
+        monkeypatch.setattr(geodesics, "herm_eig", refused)
+        for fs, _ in splits:
+            pairings = [None, np.eye(fs.dims[2])] if fs.dims[2] else [None]
+            for pairing in pairings:
+                seg = geodesics._segment(fs, pairing)
+                assert seg._eig is not None
+                # nor does any reader of its eigenpairs
+                assert seg.norm <= np.pi / 2 and seg.eig_residual <= 1e-12
+                assert evaluate(seg, [0.0, 0.5]).shape == (2, *fs.p.shape)
+
+
 class TestUniqueness:
     def test_generic_pair_unique(self):
         p, q = rotation_pair(np.pi / 3)
@@ -694,7 +742,8 @@ class TestMultiGeodesicFamily:
         assert op_norm(evaluate(fam[0], 1.0) - q) <= 1e-10
 
     def test_batch_family(self):
-        (p, q), k = random_crossed_pair(55, k=2, n_max=8)
+        p, q = pair_with_dims(1, 0, 2, 2, 2, [0.6], seed=55)
+        k = 2
         rng = np.random.default_rng(3)
         twists = [random_unitary(k, rng) for _ in range(8)]
         fam = multi_geodesic_family(p, q, twists)
@@ -713,7 +762,7 @@ class TestMultiGeodesicFamily:
     def test_bad_unitary_size(self):
         p = np.diag([1.0, 0.0]).astype(complex)
         q = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(BadUnitarySize):
+        with pytest.raises(DimMismatch):
             multi_geodesic_family(p, q, [np.eye(2, dtype=complex)])
 
 

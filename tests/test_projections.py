@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from projgeo import projections, suites
 from projgeo.cli import main
-from projgeo.errors import BadRank, DimMismatch, InconsistentDims, NotAProjection
+from projgeo.errors import DimMismatch, InconsistentDims, NotAProjection
 from projgeo.numkernel import Tolerance, _adjoint, _hermitize, op_norm
 from projgeo.projections import (
     diff_sum,
@@ -157,7 +157,7 @@ class TestRandomProjection:
         assert abs(np.trace(p).real - 3.0) <= 1e-12
 
     def test_bad_rank(self):
-        with pytest.raises(BadRank):
+        with pytest.raises(InconsistentDims):
             random_projection(4, 5, 0)
 
     def test_seed_reproducible(self):

@@ -17,6 +17,8 @@ from projgeo.numkernel import Tolerance, op_norm
 from projgeo.suites import (
     TRUNCATION_BLOCKS,
     classify_by_truncation,
+    random_crossed_pair,
+    random_equal_index_pair,
     random_generic_pair,
     random_projection_blocks,
     random_quotient_pair,
@@ -31,6 +33,18 @@ def test_generic_pair_gap_holds_at_first_draw():
         p, q = random_generic_pair(seed, min_sigma=0.1)
         gap = np.linalg.svd(p + q - np.eye(p.shape[0]), compute_uv=False)[-1]
         assert gap >= 0.1 + 0.02 - 1e-12
+
+
+def test_balanced_samplers_draw_at_most_fourteen_dims():
+    # d11, d00 <= 2, crossed <= 2 and generic <= 3 planes: no draw can
+    # exceed 14, so the samplers need no bound to shrink their dims to
+    for seed in range(1000):
+        sizes = [random_equal_index_pair(seed)[0].shape[0],
+                 random_generic_pair(seed)[0].shape[0],
+                 random_generic_pair(seed, min_sigma=0.1)[0].shape[0]]
+        (p, _), k = random_crossed_pair(seed)
+        assert k in (1, 2)
+        assert max(sizes + [p.shape[0]]) <= 14
 
 
 def test_minimality_fails_a_chord_off_the_sine_identity(monkeypatch):
@@ -128,9 +142,7 @@ def test_quotient_solver_joins_exactly_the_balanced_draws():
     for s in range(300):
         for a in range(4):
             p, q, which = random_quotient_pair((s, a))
-            kind, (_, _, d10, d01, _) = suites._quotient_dims(
-                np.random.default_rng((s, a)), suites._QUOTIENT_D_MAX
-            )
+            kind, (_, _, d10, d01, _) = suites._quotient_dims(np.random.default_rng((s, a)))
             assert kind == which
             if d10 == d01:
                 assert quotient_geodesic(p, q, tol).segment.exponent.shape == p.shape
