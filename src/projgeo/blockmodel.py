@@ -523,7 +523,7 @@ def quotient_geodesic(
     case, read off the one split of the pair that also gives the segment.
     """
     fs = halmos_decompose(p, q, tol)
-    ip = IndexPair(*fs.dims[2:4])
+    ip = fs.index
     case = _dichotomy_case(ip)
     if case is DichotomyCase.MIXED:
         raise NoGeodesic(f"no geodesic: index {tuple(ip)} has mixed character", ip)

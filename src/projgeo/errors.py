@@ -48,7 +48,7 @@ class NoGeodesic(ProjGeoError):
 
 
 class BadIndex(ProjGeoError):
-    pass
+    """A family of geodesics needs a crossed part: the index pair is (0, 0)."""
 
 
 # block-periodic model

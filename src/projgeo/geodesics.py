@@ -147,12 +147,17 @@ def minimal_exponent(p, q, tol: Tolerance = Tolerance()) -> GeodesicSegment:
     return _segment(halmos_decompose(p, q, tol), None)
 
 
+def _require_balanced(ip: IndexPair) -> None:
+    """Refuse a pair that no geodesic joins: its index pair is unbalanced."""
+    if ip.d_plus != ip.d_minus:
+        raise NoGeodesic(f"index pair {tuple(ip)} is unbalanced", ip)
+
+
 def _segment(fs: FiveSpace, pairing: np.ndarray | None) -> GeodesicSegment:
     """The segment of the five-space split ``fs`` of the pair, with the
     crossed ``pairing`` (canonical when ``None``); it starts at ``fs.p``."""
-    _, _, d10, d01, _ = fs.dims
-    if d10 != d01:
-        raise NoGeodesic(f"index pair ({d10}, {d01}) is unbalanced", IndexPair(d10, d01))
+    _require_balanced(fs.index)
+    d10 = fs.index.d_plus
     if pairing is not None:
         pairing = as_cmatrix(pairing)
         if pairing.shape != (d10, d10):
@@ -237,10 +242,10 @@ def minimality_competitors(
     midpoints ``R``; each length is the sum of the two leg norms and never
     beats the direct segment.
     """
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     p, q = _pair(p, q)
-    ip = _split(p, q, tol).index
-    if ip.d_plus != ip.d_minus:
-        raise NoGeodesic(f"index pair {tuple(ip)} is unbalanced", ip)
+    _require_balanced(_split(p, q, tol).index)
     return _competitor_lengths(p, q, trials, seed)
 
 
@@ -289,7 +294,7 @@ def unique_minimal_check(p, q, tol: Tolerance = Tolerance()) -> UniquenessReport
     """
     fs = halmos_decompose(p, q, tol)
     seg = _segment(fs, None)
-    k = fs.dims[2]
+    k = fs.index.d_plus
     if k == 0:
         u = random_unitary(fs.p.shape[0], _REDERIVE_SEED)
         pc, qc = (_hermitize(u.conj().T @ m @ u) for m in (fs.p, fs.q))
@@ -313,14 +318,15 @@ def multi_geodesic_family(
 ) -> list[GeodesicSegment]:
     """Distinct normalized segments from ``P`` to ``Q``, one per pairing.
 
-    Requires index pair ``(k, k)`` with ``k >= 1``.  Each ``k x k`` unitary
+    Requires index pair ``(k, k)`` with ``k >= 1``: an unbalanced pair raises
+    ``NoGeodesic``, index ``(0, 0)`` ``BadIndex``.  Each ``k x k`` unitary
     twists the canonical crossed pairing; distinct unitaries produce
     distinct exponents with identical endpoints and norm ``pi/2``.
     """
     fs = halmos_decompose(p, q, tol)
-    _, _, d10, d01, _ = fs.dims
-    if d10 != d01 or d10 == 0:
-        raise BadIndex(f"need index pair (k, k) with k >= 1, got ({d10}, {d01})")
+    _require_balanced(fs.index)
+    if fs.index.d_plus == 0:
+        raise BadIndex("need index pair (k, k) with k >= 1, got (0, 0)")
     return [_segment(fs, u) for u in unitaries]
 
 
@@ -346,14 +352,14 @@ def minimal_geodesic(
     """
     fs = halmos_decompose(p, q, tol)
     seg = _segment(fs, None)
-    _, _, d10, d01, _ = fs.dims
+    ip = fs.index
     endpoint_error = op_norm(evaluate(seg, 1.0) - fs.q)
     length = curve_length(seg, samples)
     return seg, {
         "norm_Z": seg.norm,
-        "index": [int(d10), int(d01)],
+        "index": [ip.d_plus, ip.d_minus],
         "endpoint_error": float(endpoint_error),
         "eig_residual": seg.eig_residual,
         "length_estimate": float(length),
-        "unique": d10 == 0,
+        "unique": ip.d_plus == 0,
     }

@@ -205,6 +205,10 @@ class FiveSpace:
             self.h0.shape[1],
         )
 
+    @property
+    def index(self) -> IndexPair:
+        return IndexPair(self.m10.shape[1], self.m01.shape[1])
+
 
 def _pair(p, q) -> np.ndarray:
     """The way a pair enters the library: both as nonempty matrices of one

@@ -76,79 +76,52 @@ class SuiteReport:
 # -- instance samplers ---------------------------------------------------------
 
 
-def _balanced_dims(rng, crossed: int | None = None):
-    """Five-space dimensions with equal crossed parts, total <= 14."""
-    if crossed is None:
-        crossed = int(rng.choice([0, 0, 0, 1, 1, 2]))
+def _balanced_pair(rng, k: int, hi: float = np.pi / 2 - 0.15):
+    """Pair of index (k, k), at most 14 dims, angles in ``[0.15, hi)``, drawn from ``rng``."""
     d11 = int(rng.integers(0, 3))
     d00 = int(rng.integers(0, 3))
-    generic = int(rng.integers(1, 4))
-    return d11, d00, crossed, crossed, generic
+    g = int(rng.integers(1, 4))
+    angles = rng.uniform(0.15, hi, g)
+    return pair_with_dims(d11, d00, k, k, 2 * g, angles, seed=rng)
 
 
 def random_equal_index_pair(seed):
     """Projection pair with equal index, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    d11, d00, k, _, g = _balanced_dims(rng)
-    angles = rng.uniform(0.15, np.pi / 2 - 0.15, g)
-    return pair_with_dims(d11, d00, k, k, 2 * g, angles, seed=rng)
+    return _balanced_pair(rng, int(rng.choice([0, 0, 0, 1, 1, 2])))
 
 
-def random_generic_pair(seed, min_sigma: float | None = None):
-    """Index-(0,0) pair; optionally with ``smin(P + Q - 1) >= min_sigma``."""
-    rng = np.random.default_rng(seed)
-    # smin(P + Q - 1) is the cosine of the largest angle, here at least
-    # min_sigma + 0.02
-    hi = np.arccos(min_sigma + 0.02) if min_sigma else np.pi / 2 - 0.15
-    d11, d00, _, _, g = _balanced_dims(rng, crossed=0)
-    angles = rng.uniform(0.15, hi, g)
-    return pair_with_dims(d11, d00, 0, 0, 2 * g, angles, seed=rng)
+def random_generic_pair(seed):
+    """Index-(0,0) pair with ``smin(P + Q - 1) >= 0.12``: that singular value
+    is the cosine of the largest angle, drawn below ``arccos(0.12)``."""
+    return _balanced_pair(np.random.default_rng(seed), 0, np.arccos(0.12))
 
 
 def random_crossed_pair(seed):
     """Pair with index (k, k), k in {1, 2}, and that k."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 3))
-    d11, d00, _, _, g = _balanced_dims(rng, crossed=0)
-    angles = rng.uniform(0.15, np.pi / 2 - 0.15, g)
-    return pair_with_dims(d11, d00, k, k, 2 * g, angles, seed=rng), k
-
-
-# the block dimension bound of random_quotient_pair, which the lifting
-# sampler's dims share to draw the same instances
-_QUOTIENT_D_MAX = 6
+    return _balanced_pair(rng, k), k
 
 
 def _quotient_dims(rng):
-    """The case mix of ``random_quotient_pair``, drawn from ``rng``: the
-    kind, then the dims ``(d11, d00, d10, d01, g)``."""
-    d_max = _QUOTIENT_D_MAX
+    """The dims ``(d11, d00, d10, d01, g)`` of ``random_quotient_pair``, drawn from
+    ``rng``: FiniteFinite (kind < 0.4), InfiniteInfinite (< 0.75) or mixed."""
+    d_max = 6  # the block dimension bound
     kind = rng.random()
     if kind < 0.4:
-        which = "finite"
-        d10 = d01 = 0
         g = int(rng.integers(1, (d_max - 1) // 2 + 1))
         d11 = int(rng.integers(0, d_max - 2 * g + 1))
         d00 = int(rng.integers(0, d_max - 2 * g - d11 + 1))
-    elif kind < 0.75:
-        which = "infinite"
-        d10 = int(rng.integers(1, 3))
-        d01 = int(rng.integers(1, 3))
-        room = d_max - d10 - d01
-        g = int(rng.integers(0, room // 2 + 1))
-        d11 = int(rng.integers(0, room - 2 * g + 1))
-        d00 = 0
-    else:
-        which = "mixed"
-        d10 = int(rng.integers(1, 3))
-        d01 = 0
-        if rng.random() < 0.5:
-            d10, d01 = d01, d10
-        room = d_max - d10 - d01
-        g = int(rng.integers(0, room // 2 + 1))
-        d11 = int(rng.integers(0, room - 2 * g + 1))
-        d00 = 0
-    return which, (d11, d00, d10, d01, g)
+        return d11, d00, 0, 0, g
+    d10 = int(rng.integers(1, 3))
+    d01 = int(rng.integers(1, 3)) if kind < 0.75 else 0
+    if kind >= 0.75 and rng.random() < 0.5:  # mixed: either crossed part is the one
+        d10, d01 = d01, d10
+    room = d_max - d10 - d01
+    g = int(rng.integers(0, room // 2 + 1))
+    d11 = int(rng.integers(0, room - 2 * g + 1))
+    return d11, 0, d10, d01, g
 
 
 def _quotient_pair(rng, dims) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +134,7 @@ def _quotient_pair(rng, dims) -> tuple[np.ndarray, np.ndarray]:
 def random_quotient_pair(seed):
     """Quotient pair of block dimension <= 6 with an assorted case mix."""
     rng = np.random.default_rng(seed)
-    which, dims = _quotient_dims(rng)
-    return (*_quotient_pair(rng, dims), which)
+    return _quotient_pair(rng, _quotient_dims(rng))
 
 
 def random_projection_blocks(rng, d: int, count: int) -> tuple[np.ndarray, ...]:
@@ -272,7 +244,7 @@ def _suite_existence(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
     for i in range(trials):
         # not the sampler's stream: default_rng(s), (s, 0) and (s, 0, 0) are one
         rng = np.random.default_rng((seed + i, 3, 1))
-        p, q, _ = random_quotient_pair(seed + i)
+        p, q = random_quotient_pair(seed + i)
         d = p.shape[0]
         lifts = (
             BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 3))), p),
@@ -326,7 +298,7 @@ def _suite_uniqueness(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
             )
             report.add(record, max(endpoint, norm_err), ok)
         else:
-            p, q = random_generic_pair(seed + i, min_sigma=0.1)
+            p, q = random_generic_pair(seed + i)
             check = unique_minimal_check(p, q, tol)
             residual = check.rederivation_error
             record.update({"kind": "rederive", "n": p.shape[0]})
@@ -381,7 +353,7 @@ def _block_geodesic_instance(seed: int, tol: Tolerance):
     rng = np.random.default_rng((seed, 4, 1))  # off the attempts' (seed, a) streams
     for attempt in range(64):
         pair_rng = np.random.default_rng((seed, attempt))
-        _, dims = _quotient_dims(pair_rng)
+        dims = _quotient_dims(pair_rng)
         if dims[2] == dims[3]:
             break
     else:

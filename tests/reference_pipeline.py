@@ -22,6 +22,14 @@ built and solved every drawn quotient pair and skipped the ones the solver
 rejected: the sampler that keeps a draw by its dims must give the same
 instances.
 
+``reference_random_equal_index_pair``, ``reference_random_generic_pair``
+and ``reference_random_crossed_pair`` are the balanced samplers that drew
+their dims through one helper, ``_reference_balanced_dims``, and each its
+angles and pair on its own; ``reference_quotient_dims`` is the quotient
+case mix with a branch of its own per kind, labelled by kind.  The samplers
+must give the same dims and pairs and leave their generators in the same
+state.
+
 ``reference_truncated_index_pairs`` is the truncation oracle that counted
 each block's crossed dims as the positive and negative eigenvalues of
 ``K*(P - Q)K`` on the kernel ``K`` of ``P + Q - 1``: the count read off
@@ -50,7 +58,7 @@ from projgeo.numkernel import (
     op_norm,
     require_square,
 )
-from projgeo.projections import IndexPair, make_projection, random_projection
+from projgeo.projections import IndexPair, make_projection, pair_with_dims, random_projection
 from projgeo.suites import random_projection_blocks, random_quotient_pair
 
 HALF_PI_BOUND = np.pi / 2 + 1e-12
@@ -221,7 +229,7 @@ def reference_block_geodesic_instance(seed, tol):
     attempt ``a`` whose ``random_quotient_pair((seed, a))`` the solver joins."""
     rng = np.random.default_rng((seed, 4, 1))
     for attempt in range(64):
-        p, q, _ = random_quotient_pair((seed, attempt))
+        p, q = random_quotient_pair((seed, attempt))
         try:
             z = quotient_geodesic(p, q, tol).segment.exponent
         except (NoGeodesic, NotPeriodic):
@@ -232,6 +240,69 @@ def reference_block_geodesic_instance(seed, tol):
     d = p.shape[0]
     lift_p = BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(1, 4))), p)
     return p, q, z, lift_p
+
+
+def _reference_balanced_dims(rng, crossed=None):
+    """Five-space dimensions with equal crossed parts, total <= 14."""
+    if crossed is None:
+        crossed = int(rng.choice([0, 0, 0, 1, 1, 2]))
+    d11 = int(rng.integers(0, 3))
+    d00 = int(rng.integers(0, 3))
+    generic = int(rng.integers(1, 4))
+    return d11, d00, crossed, crossed, generic
+
+
+def reference_random_equal_index_pair(seed):
+    rng = np.random.default_rng(seed)
+    d11, d00, k, _, g = _reference_balanced_dims(rng)
+    angles = rng.uniform(0.15, np.pi / 2 - 0.15, g)
+    return pair_with_dims(d11, d00, k, k, 2 * g, angles, seed=rng)
+
+
+def reference_random_generic_pair(seed, min_sigma=0.1):
+    rng = np.random.default_rng(seed)
+    hi = np.arccos(min_sigma + 0.02) if min_sigma else np.pi / 2 - 0.15
+    d11, d00, _, _, g = _reference_balanced_dims(rng, crossed=0)
+    angles = rng.uniform(0.15, hi, g)
+    return pair_with_dims(d11, d00, 0, 0, 2 * g, angles, seed=rng)
+
+
+def reference_random_crossed_pair(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 3))
+    d11, d00, _, _, g = _reference_balanced_dims(rng, crossed=0)
+    angles = rng.uniform(0.15, np.pi / 2 - 0.15, g)
+    return pair_with_dims(d11, d00, k, k, 2 * g, angles, seed=rng), k
+
+
+def reference_quotient_dims(rng, d_max=6):
+    """The kind of a quotient draw, then its dims ``(d11, d00, d10, d01, g)``."""
+    kind = rng.random()
+    if kind < 0.4:
+        which = "finite"
+        d10 = d01 = 0
+        g = int(rng.integers(1, (d_max - 1) // 2 + 1))
+        d11 = int(rng.integers(0, d_max - 2 * g + 1))
+        d00 = int(rng.integers(0, d_max - 2 * g - d11 + 1))
+    elif kind < 0.75:
+        which = "infinite"
+        d10 = int(rng.integers(1, 3))
+        d01 = int(rng.integers(1, 3))
+        room = d_max - d10 - d01
+        g = int(rng.integers(0, room // 2 + 1))
+        d11 = int(rng.integers(0, room - 2 * g + 1))
+        d00 = 0
+    else:
+        which = "mixed"
+        d10 = int(rng.integers(1, 3))
+        d01 = 0
+        if rng.random() < 0.5:
+            d10, d01 = d01, d10
+        room = d_max - d10 - d01
+        g = int(rng.integers(0, room // 2 + 1))
+        d11 = int(rng.integers(0, room - 2 * g + 1))
+        d00 = 0
+    return which, (d11, d00, d10, d01, g)
 
 
 def reference_truncated_index_pairs(lift_p, lift_q, lengths, tol=Tolerance()):

@@ -126,7 +126,7 @@ def test_criterion_4_existence_dichotomy():
     agreements = 0
     for trial in range(200):
         rng = np.random.default_rng((20_000, trial, 1))
-        p, q, _ = random_quotient_pair((20_000, trial))
+        p, q = random_quotient_pair((20_000, trial))
         d = p.shape[0]
         lifts = (
             BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 3))), p),
@@ -147,7 +147,7 @@ def test_criterion_4_existence_dichotomy():
 def test_criterion_5_uniqueness():
     worst_rederive = 0.0
     for trial in range(200):
-        p, q = random_generic_pair((30_000, trial), min_sigma=0.1)
+        p, q = random_generic_pair((30_000, trial))
         n = p.shape[0]
         seg = minimal_exponent(p, q)
         u = random_unitary(n, (30_001, trial))

@@ -611,7 +611,7 @@ class TestTruncatedIndexPairs:
         lengths = list(range(15))
         seen = set()
         for seed in range(200):
-            p, q, _ = random_quotient_pair(seed)
+            p, q = random_quotient_pair(seed)
             d = p.shape[0]
             rng = np.random.default_rng((seed, 5))
             lifts = (
@@ -634,7 +634,7 @@ class TestTruncatedIndexPairs:
         rng = np.random.default_rng(seed)
         offsets = 10.0 ** np.array(exponents)
         if edge is None:
-            p, q, _ = random_quotient_pair(seed)
+            p, q = random_quotient_pair(seed)
         else:
             # at cos theta = rank_rtol, within roundoff, the two directions of
             # the plane can fall on both sides of the threshold
@@ -666,7 +666,7 @@ class TestTruncatedIndexPairs:
 
         lifts = []
         for seed in range(20):
-            p, q, _ = random_quotient_pair(seed)
+            p, q = random_quotient_pair(seed)
             d = p.shape[0]
             rng = np.random.default_rng((seed, 5))
             lifts.append(tuple(

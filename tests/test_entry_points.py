@@ -206,6 +206,7 @@ def test_one_index_everywhere(pair):
     ranks = [round(np.trace(m).real) for m in (p, q)]
     assert ip.d_plus - ip.d_minus == ranks[0] - ranks[1]
     assert halmos_decompose(p, q).dims[2:4] == tuple(ip)
+    assert halmos_decompose(p, q).index == ip
     dichotomy = existence_dichotomy(p, q)
     assert dichotomy.quotient_index == ip
     balanced = ip.d_plus == ip.d_minus

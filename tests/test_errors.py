@@ -4,7 +4,8 @@ tolerance literal sits in a named home, the 17-digit float format is
 spelled only in ``serialize``, projections are validated only where they
 enter, no module imports SciPy (nor does ``import projgeo`` load it), no
 module reads the environment, every exported name has a caller in the
-package, and every defaulted parameter is passed by some package call."""
+package, and every defaulted parameter is passed by some package call,
+and not always as one and the same literal."""
 
 import ast
 import subprocess
@@ -265,3 +266,49 @@ def test_every_defaulted_parameter_is_passed():
         if not passed.get(fn.name, set()) & {arg, position, "*"}
     }
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+
+
+def _passed_nodes(call, position, arg) -> list:
+    """The argument nodes by which a call may pass a parameter: its keyword
+    or a ``**`` mapping, and its position or a starred argument up to it."""
+    nodes = [k.value for k in call.keywords if k.arg in (arg, None)]
+    if position is not None:
+        head = call.args[:position + 1]
+        nodes += [a for a in head if isinstance(a, ast.Starred)] or head[position:]
+    return nodes
+
+
+def _literal(node) -> str | None:
+    """The ``repr`` of a literal's value, or ``None`` for any other node."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def test_no_defaulted_parameter_takes_one_literal():
+    # an option that every package call site passing it sets to the same
+    # literal has one value in use: it is a constant, not an option
+    functions = {
+        fn.name: fn
+        for tree in TREES.values()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+    }
+    values = {}
+    for tree in TREES.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name not in functions:
+                continue
+            for position, arg in _defaulted_parameters(functions[name]):
+                values.setdefault((name, arg), []).extend(
+                    _literal(node) for node in _passed_nodes(call, position, arg)
+                )
+    one_valued = sorted(
+        key for key, passed in values.items()
+        if passed and None not in passed and len(set(passed)) == 1
+    )
+    assert one_valued == []

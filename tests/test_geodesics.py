@@ -468,6 +468,12 @@ class TestMinimality:
         with pytest.raises(NoGeodesic):
             minimality_competitors(p, q, 3, seed=0)
 
+    def test_negative_trials(self):
+        # as run_suite refuses them, not an empty list of lengths
+        p, q = rotation_pair(np.pi / 3)
+        with pytest.raises(ValueError, match="^trials must be non-negative$"):
+            minimality_competitors(p, q, -3, 0)
+
 
 def replace_midpoints(monkeypatch, replace):
     """Make the competitor draws whose keys are in ``replace`` have the
@@ -853,4 +859,23 @@ def test_geodesic_report_unbalanced():
     q = np.diag([1.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(NoGeodesic) as raised:
         minimal_geodesic(p, q)
+    assert raised.value.index == (1, 0)
+
+
+UNBALANCED_REFUSALS = {
+    "minimal_exponent": minimal_exponent,
+    "minimal_geodesic": minimal_geodesic,
+    "unique_minimal_check": unique_minimal_check,
+    "multi_geodesic_family": lambda p, q: multi_geodesic_family(p, q, [np.eye(1)]),
+    "minimality_competitors": lambda p, q: minimality_competitors(p, q, 3, 0),
+}
+
+
+@pytest.mark.parametrize("entry", UNBALANCED_REFUSALS.values(), ids=UNBALANCED_REFUSALS.keys())
+def test_every_entry_refuses_an_unbalanced_pair_alike(entry):
+    # one refusal: NoGeodesic, one text, the index pair found
+    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    q = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(NoGeodesic, match=r"^index pair \(1, 0\) is unbalanced$") as raised:
+        entry(p, q)
     assert raised.value.index == (1, 0)

@@ -23,14 +23,19 @@ from projgeo.suites import (
     random_projection_blocks,
     random_quotient_pair,
 )
-from reference_pipeline import reference_block_geodesic_instance, reference_projection_blocks
+import reference_pipeline
+from reference_pipeline import (
+    reference_block_geodesic_instance,
+    reference_projection_blocks,
+    reference_quotient_dims,
+)
 
 
 def test_generic_pair_gap_holds_at_first_draw():
-    # the angles stay below arccos(min_sigma + 0.02), so the gap of
-    # P + Q - 1 clears min_sigma without a rejection loop
+    # the angles stay below arccos(0.12), so the gap of P + Q - 1 clears
+    # 0.1 + 0.02 without a rejection loop
     for seed in range(200):
-        p, q = random_generic_pair(seed, min_sigma=0.1)
+        p, q = random_generic_pair(seed)
         gap = np.linalg.svd(p + q - np.eye(p.shape[0]), compute_uv=False)[-1]
         assert gap >= 0.1 + 0.02 - 1e-12
 
@@ -40,11 +45,53 @@ def test_balanced_samplers_draw_at_most_fourteen_dims():
     # exceed 14, so the samplers need no bound to shrink their dims to
     for seed in range(1000):
         sizes = [random_equal_index_pair(seed)[0].shape[0],
-                 random_generic_pair(seed)[0].shape[0],
-                 random_generic_pair(seed, min_sigma=0.1)[0].shape[0]]
+                 random_generic_pair(seed)[0].shape[0]]
         (p, _), k = random_crossed_pair(seed)
         assert k in (1, 2)
         assert max(sizes + [p.shape[0]]) <= 14
+
+
+@pytest.mark.parametrize(
+    "name", ["random_equal_index_pair", "random_generic_pair", "random_crossed_pair"]
+)
+def test_balanced_samplers_match_the_reference_draws(monkeypatch, name):
+    # a sampler given a Generator draws from it, so both streams can be
+    # compared after the draw
+    dims = {}
+    for module in (suites, reference_pipeline):
+        def record(*args, _module=module, _real=module.pair_with_dims, **kwargs):
+            dims.setdefault(_module, []).append(args[:5])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "pair_with_dims", record)
+    sampler = getattr(suites, name)
+    reference = getattr(reference_pipeline, f"reference_{name}")
+    for seed in range(1000):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw, reference_draw = sampler(rng), reference(reference_rng)
+        if name == "random_crossed_pair":
+            (draw, k), (reference_draw, reference_k) = draw, reference_draw
+            assert k == reference_k
+        assert all(map(_same_bits, draw, reference_draw))
+        assert rng.random() == reference_rng.random()
+    assert dims[suites] == dims[reference_pipeline]
+    assert len(dims[suites]) == 1000
+
+
+def test_quotient_samplers_match_the_reference_draws():
+    kinds = set()
+    for seed in range(1000):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        kind, dims = reference_quotient_dims(reference_rng)
+        assert suites._quotient_dims(rng) == dims
+        assert rng.random() == reference_rng.random()
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pair = random_quotient_pair(rng)
+        _, dims = reference_quotient_dims(reference_rng)
+        assert all(map(_same_bits, pair, suites._quotient_pair(reference_rng, dims)))
+        assert rng.random() == reference_rng.random()
+        kinds.add(kind)
+    assert kinds == {"finite", "infinite", "mixed"}
 
 
 def test_minimality_fails_a_chord_off_the_sine_identity(monkeypatch):
@@ -141,9 +188,12 @@ def test_quotient_solver_joins_exactly_the_balanced_draws():
     seen = set()
     for s in range(300):
         for a in range(4):
-            p, q, which = random_quotient_pair((s, a))
-            kind, (_, _, d10, d01, _) = suites._quotient_dims(np.random.default_rng((s, a)))
-            assert kind == which
+            p, q = random_quotient_pair((s, a))
+            rng = np.random.default_rng((s, a))
+            dims = suites._quotient_dims(rng)
+            assert all(map(_same_bits, (p, q), suites._quotient_pair(rng, dims)))
+            d10, d01 = dims[2:4]
+            which = "finite" if d10 == d01 == 0 else "infinite" if d10 and d01 else "mixed"
             if d10 == d01:
                 assert quotient_geodesic(p, q, tol).segment.exponent.shape == p.shape
             else:
@@ -186,7 +236,7 @@ def test_existence_truncates_each_probe_once(monkeypatch):
 def test_oracle_returns_its_last_truncation():
     tol = Tolerance()
     for seed in range(60):
-        p, q, _ = random_quotient_pair(seed)
+        p, q = random_quotient_pair(seed)
         rng = np.random.default_rng((seed, 3, 1))
         d = p.shape[0]
         lifts = tuple(
