@@ -113,6 +113,8 @@ def _write_samples(path, seg, samples: int) -> None:
 
 
 def cmd_geodesic(args) -> int:
+    if args.samples < 2:
+        return _usage(f"--samples must be >= 2, got {args.samples}")
     tol = _tolerance_from_args(args)
     p, q = read_pair(args.infile)
     try:

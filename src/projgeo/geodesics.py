@@ -50,10 +50,10 @@ from .numkernel import (
 from .projections import (
     FiveSpace,
     IndexPair,
+    _Split,
     _angle_blocks,
     _haar_unitaries,
     _pair,
-    _rank,
     _split,
     halmos_decompose,
     index_pair,
@@ -184,7 +184,8 @@ def _segment_eig(seg: GeodesicSegment) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
-    """Point ``exp(tZ) P exp(-tZ)`` of the segment; ``t`` may leave [0, 1].
+    """Point ``exp(tZ) P exp(-tZ)`` of the segment; ``t`` may leave [0, 1]
+    but must be finite (else ``ValueError``).
 
     ``t`` is a float, giving the ``(n, n)`` point, or a 1-d array of k
     values, giving the ``(k, n, n)`` stack of the points; a stack of k
@@ -193,6 +194,8 @@ def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
     """
     w, u = _segment_eig(seg)
     t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"t must be finite, got {t[~np.isfinite(t)].flat[0]}")
     rot = (u * np.exp(1j * t[..., None] * w)[..., None, :]) @ _adjoint(u)
     return _hermitize(rot @ seg.base @ _adjoint(rot))
 
@@ -202,7 +205,8 @@ def sample_curve(seg: GeodesicSegment, ts) -> Iterator[tuple[np.ndarray, np.ndar
     a chunk of ``ts`` and the ``(k, n, n)`` stack of its points.
 
     A chunk holds as many points as fit in a stack of about 1 MB, so a grid
-    costs bounded memory at any n.
+    costs bounded memory at any n.  ``evaluate`` refuses a chunk that holds
+    a value that is not finite.
     """
     ts = np.asarray(ts, dtype=float)
     step = max(1, _CHUNK_BYTES // max(seg.base.nbytes, 1))
@@ -244,13 +248,13 @@ def minimality_competitors(
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    p, q = _pair(p, q)
-    _require_balanced(_split(p, q, tol).index)
-    return _competitor_lengths(p, q, trials, seed)
+    sp = _split(*_pair(p, q), tol)
+    _require_balanced(sp.index)
+    return _competitor_lengths(sp, trials, seed)
 
 
-def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list[float]:
-    """``minimality_competitors`` of a validated pair joined by a geodesic.
+def _competitor_lengths(sp: _Split, trials: int, seed) -> list[float]:
+    """``minimality_competitors`` of the split ``sp`` of a balanced pair.
 
     The midpoint of competitor ``i`` is ``random_projection(n, rank P,
     (seed + i, 5, 1))``, the range of the first columns ``V_R`` of that
@@ -258,17 +262,16 @@ def _competitor_lengths(p: np.ndarray, q: np.ndarray, trials: int, seed) -> list
     own, where ``(s, 0)`` is a suite sampler's ``default_rng(s)``).  Both
     legs are balanced, as a pair's index differs by its rank difference.
     A leg is as long as its largest principal angle (Porta & Recht, Proc.
-    AMS 100, 1987): for an end with eigenvectors ``V_E``, range first, the
-    ``_angle_blocks`` of ``V_E* V_R`` give ``atan2(smax(sines),
-    smin(cosines))``, so no midpoint is formed.  Each stack of about 1 MB
-    of competitors costs one QR and one singular-value call.
+    AMS 100, 1987): for an end's eigenvectors ``V_E`` (the split's ``vp``
+    or ``vq``), the ``_angle_blocks`` of ``V_E* V_R`` give the leg
+    ``atan2(smax(sines), smin(cosines))``, so no midpoint is formed and the
+    pair is not solved again.  A 1 MB stack of them costs a QR and an SVD.
     """
-    n = p.shape[0]
-    rank = _rank(p)
+    n, rank = sp.vp.shape[0], sp.r
     if rank in (0, n):
         return [0.0] * trials  # P = Q = R
-    ends = _adjoint(herm_eig(np.array([p, q])).eigenvectors[..., None, :, ::-1])
-    step = max(1, _CHUNK_BYTES // (p.itemsize * p.size))
+    ends = _adjoint(np.array([sp.vp, sp.vq])[:, None])
+    step = max(1, _CHUNK_BYTES // sp.vp.nbytes)
     lengths = []
     for start in range(0, trials, step):
         seeds = [(seed + i, 5, 1) for i in range(start, min(start + step, trials))]
@@ -298,7 +301,7 @@ def unique_minimal_check(p, q, tol: Tolerance = Tolerance()) -> UniquenessReport
     if k == 0:
         u = random_unitary(fs.p.shape[0], _REDERIVE_SEED)
         pc, qc = (_hermitize(u.conj().T @ m @ u) for m in (fs.p, fs.q))
-        seg_c = _segment(halmos_decompose(pc, qc, tol), None)
+        seg_c = minimal_exponent(pc, qc, tol)
         back = u @ seg_c.exponent @ u.conj().T
         err = op_norm(back - seg.exponent)
         return UniquenessReport(unique=True, witness=None, rederivation_error=err,

@@ -73,15 +73,10 @@ def _rank(p: np.ndarray):
     return int(ranks) if p.ndim == 2 else ranks.astype(int)
 
 
-def _gaussian(n: int, rng) -> np.ndarray:
-    """The complex Gaussian of one Haar unitary, drawn from ``rng``."""
-    re, im = rng.standard_normal((2, n, n))
-    return re + 1j * im
-
-
 def _haar(draws) -> np.ndarray:
-    """Haar unitaries from a stack of ``_gaussian`` draws, with one QR call."""
-    q, r = np.linalg.qr(np.array(draws) / np.sqrt(2))
+    """Haar unitaries from a stack of ``standard_normal((2, n, n))`` draws, with one QR."""
+    draws = np.asarray(draws)
+    q, r = np.linalg.qr((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d = np.where(np.abs(d) == 0.0, 1.0, d / np.abs(d))
     return q * d[..., None, :]
@@ -93,8 +88,11 @@ def _range_projection(u: np.ndarray, r: int) -> np.ndarray:
 
 
 def _haar_unitaries(n: int, seeds) -> np.ndarray:
-    """Stack of ``random_unitary(n, seed)`` over ``seeds``, with one QR call."""
-    return _haar([_gaussian(n, np.random.default_rng(s)) for s in seeds])
+    """Stack of ``random_unitary(n, seed)`` over ``seeds``: one buffer, one QR call."""
+    draws = np.empty((len(seeds), 2, n, n))
+    for draw, s in zip(draws, seeds):
+        np.random.default_rng(s).standard_normal(out=draw)
+    return _haar(draws)
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
@@ -229,8 +227,8 @@ class _Split(NamedTuple):
     ``R(P)`` and ``e`` in ``N(P)``; each of the other ``k`` directions of
     ``R(P)`` shares the plane of one principal angle with a direction of
     ``N(P)``.  Of those ``k`` angles, the ``aligned`` smallest and the
-    ``crossed`` largest lie in the intersections.  ``vp`` and ``x = vp* vq``
-    are what ``_split`` factored, for the CS split to reuse.
+    ``crossed`` largest lie in the intersections.  ``vp``, ``vq`` and
+    ``x = vp* vq`` are what ``_split`` factored, for later steps to reuse.
     """
 
     r: int
@@ -243,6 +241,7 @@ class _Split(NamedTuple):
     aligned: int
     crossed: int
     vp: np.ndarray
+    vq: np.ndarray
     x: np.ndarray
 
     @property
@@ -281,7 +280,7 @@ def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     cos_null, sin_null = nullspace(_angle_blocks(x[:, :s], r), tol)
     aligned = min(max(sin_null.shape[1] - a, 0), k)
     crossed = min(max(cos_null.shape[1] - e, 0), k - aligned)
-    return _Split(r, s, a, b, c, e, k, aligned, crossed, vp, x)
+    return _Split(r, s, a, b, c, e, k, aligned, crossed, vp, vq, x)
 
 
 def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
@@ -296,7 +295,11 @@ def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
     construction.
     """
     p, q = _pair(p, q)
-    sp = _split(p, q, tol)
+    return _five_space(p, q, _split(p, q, tol))
+
+
+def _five_space(p: np.ndarray, q: np.ndarray, sp: _Split) -> FiveSpace:
+    """``halmos_decompose`` of a validated pair and its ``_split``."""
     u1, u2, theta = cs_decompose(sp.x, sp.r, sp.s)
     x1 = sp.vp[:, :sp.r] @ u1
     x2 = sp.vp[:, sp.r:] @ u2

@@ -28,18 +28,20 @@ from .blockmodel import (
 from .geodesics import (
     GeodesicSegment,
     _competitor_lengths,
+    _segment,
     curve_length,
     evaluate,
-    minimal_exponent,
     multi_geodesic_family,
     unique_minimal_check,
 )
 from .numkernel import Tolerance, op_norm
 from .projections import (
     IndexPair,
-    _gaussian,
+    _five_space,
     _haar,
+    _pair,
     _range_projection,
+    _split,
     diff_sum,
     pair_with_dims,
     random_projection,
@@ -145,7 +147,7 @@ def random_projection_blocks(rng, d: int, count: int) -> tuple[np.ndarray, ...]:
     for _ in range(count):
         ranks.append(int(rng.integers(0, d + 1)))
         if 0 < ranks[-1] < d:
-            draws.append(_gaussian(d, rng))
+            draws.append(rng.standard_normal((2, d, d)))
     unitaries = iter(_haar(draws) if draws else ())
     return tuple(_range_projection(next(unitaries), r) if 0 < r < d else np.eye(d) * (r == d)
                  for r in ranks)
@@ -314,10 +316,11 @@ CHORD_GRID = 500  # pieces of a minimality trial's chordal length
 def _suite_minimality(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
     report = SuiteReport("minimality", trials)
     for i in range(trials):
-        p, q = random_equal_index_pair(seed + i)
-        seg = minimal_exponent(p, q, tol=tol)  # validates the pair
+        p, q = _pair(*random_equal_index_pair(seed + i))
+        sp = _split(p, q, tol)  # one split for the segment and the competitors
+        seg = _segment(_five_space(p, q, sp), None)
         norm_z = seg.norm
-        lengths = _competitor_lengths(p, q, COMPETITORS, (seed + i) * 1000)
+        lengths = _competitor_lengths(sp, COMPETITORS, (seed + i) * 1000)
         shortfall = max(0.0, norm_z - min(lengths)) if lengths else 0.0
         chord = curve_length(seg, CHORD_GRID)
         chord_gap = abs(chord - norm_z)

@@ -17,6 +17,10 @@ logarithm's tests check against.
 block, and one QR, at a time: the stacked sampler must give its blocks and
 leave its generator in the same state.
 
+``reference_haar_unitaries`` is the Haar stack drawn one complex Gaussian
+temporary per key before the one QR: the stack drawn into one buffer must
+give the same unitaries.
+
 ``reference_block_geodesic_instance`` is the lifting suite's sampler that
 built and solved every drawn quotient pair and skipped the ones the solver
 rejected: the sampler that keeps a draw by its dims must give the same
@@ -222,6 +226,19 @@ def reference_projection_blocks(rng, d, count):
         rank = int(rng.integers(0, d + 1))
         blocks.append(random_projection(d, rank, rng))
     return tuple(blocks)
+
+
+def reference_haar_unitaries(n, seeds):
+    """``random_unitary(n, seed)`` over ``seeds``, one complex Gaussian
+    temporary per key, then one QR of their stack with its phases fixed."""
+    draws = []
+    for s in seeds:
+        re, im = np.random.default_rng(s).standard_normal((2, n, n))
+        draws.append(re + 1j * im)
+    q, r = np.linalg.qr(np.array(draws) / np.sqrt(2))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d = np.where(np.abs(d) == 0.0, 1.0, d / np.abs(d))
+    return q * d[..., None, :]
 
 
 def reference_block_geodesic_instance(seed, tol):

@@ -297,7 +297,17 @@ class TestGeodesicCommand:
         rc = main(["geodesic", "--in", str(pair), "--samples", str(samples),
                    "--csv", str(csv_path)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: --samples must be >= 2, got {samples}\n")
+        assert not csv_path.exists()
+
+    def test_too_few_samples_is_refused_before_reading(self, tmp_path, capsys):
+        # the flag is refused before any I/O, so a missing --in file is not read
+        csv_path = tmp_path / "samples.csv"
+        rc = main(["geodesic", "--in", str(tmp_path / "missing.json"), "--samples", "1",
+                   "--csv", str(csv_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --samples must be >= 2, got 1\n"
         assert not csv_path.exists()
 
     @pytest.mark.parametrize(

@@ -263,6 +263,23 @@ class TestEvaluate:
             point = evaluate(seg, float(t))
             make_projection(point)  # raises if invariants fail
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_t_is_refused(self, t):
+        # a point at a t that is not finite would be all NaN, not a matrix
+        seg = minimal_exponent(*rotation_pair(np.pi / 3))
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+            evaluate(seg, t)
+
+    def test_stack_with_one_nan_is_refused(self):
+        seg = minimal_exponent(*random_equal_index_pair(17))
+        with pytest.raises(ValueError, match="^t must be finite, got nan$"):
+            evaluate(seg, [0.0, 0.25, np.nan, 1.0])
+
+    def test_sample_curve_refuses_a_non_finite_t(self):
+        seg = minimal_exponent(*rotation_pair(np.pi / 3))
+        with pytest.raises(ValueError, match="^t must be finite, got -inf$"):
+            list(sample_curve(seg, [0.0, 0.5, -np.inf]))
+
 
 class TestBatchedEvaluate:
     def test_stack_equals_scalar_calls(self, exactness_segments):
@@ -595,12 +612,31 @@ class TestStackedCompetitors:
         assert few > 0
         assert many <= few + 4
 
+    def test_one_eigensolve_per_call(self, monkeypatch):
+        # the split's eigenbases are the legs' ends: the pair is
+        # eigensolved once, as one (2, n, n) stack
+        eighs = []
+        real = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for s in range(5):
+            p, q = random_equal_index_pair(s)
+            eighs.clear()
+            minimality_competitors(p, q, 10, s * 1000)
+            assert eighs == [(2,) + p.shape]
+
     def test_no_midpoint_is_formed_or_factored(self, monkeypatch):
-        # the legs come from the Haar factors: one QR of the unitaries, one
-        # eigensolve of the pair and one SVD of the padded blocks, with no
-        # midpoint eigensolve and no n x n SVD of P - R or R - Q
+        # the legs come from the Haar factors and the split's eigenbases:
+        # one QR of the unitaries and one SVD of the padded blocks, with no
+        # eigensolve of the pair or of a midpoint and no n x n SVD of P - R
+        # or R - Q
         p, q = random_equal_index_pair(3)
         n, rank = p.shape[0], int(round(np.trace(p).real))
+        sp = projections._split(*projections._pair(p, q), Tolerance())
         calls = []
         for name in ("svd", "eigh", "qr"):
             real = getattr(np.linalg, name)
@@ -610,9 +646,8 @@ class TestStackedCompetitors:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        geodesics._competitor_lengths(p, q, 10, 17)
+        geodesics._competitor_lengths(sp, 10, 17)
         assert sorted(calls) == [
-            ("eigh", (2, n, n)),
             ("qr", (10, n, n)),
             ("svd", (2, 10, 2, max(rank, n - rank), rank)),
         ]

@@ -17,7 +17,7 @@ from projgeo.projections import (
     random_projection,
     random_unitary,
 )
-from reference_pipeline import reference_split
+from reference_pipeline import reference_haar_unitaries, reference_split
 
 
 def two_by_two_generic(theta):
@@ -462,3 +462,27 @@ def test_distance_bounded_by_one():
 def test_random_unitary_is_unitary():
     u = random_unitary(9, 21)
     assert op_norm(u.conj().T @ u - np.eye(9)) <= 1e-12
+
+
+def _haar_keys(kind, count):
+    """``count`` fresh keys of one kind, the same on every call."""
+    if kind == "int":
+        return [40 + i for i in range(count)]
+    if kind == "tuple":
+        return [(40 + i, 5, 1) for i in range(count)]
+    if kind == "generator":
+        return [np.random.default_rng(40 + i) for i in range(count)]
+    rng = np.random.default_rng(40)  # one generator read by every key in turn
+    return [rng] * count
+
+
+@pytest.mark.parametrize("kind", ["int", "tuple", "generator", "shared generator"])
+@pytest.mark.parametrize("count", [1, 10])
+@pytest.mark.parametrize("n", [1, 2, 7, 14, 128])
+def test_haar_unitaries_match_one_gaussian_per_key(n, count, kind):
+    # each key's stream fills its slot of one buffer, as its own
+    # _gaussian temporary did: the unitaries agree bit for bit
+    got = projections._haar_unitaries(n, _haar_keys(kind, count))
+    ref = reference_haar_unitaries(n, _haar_keys(kind, count))
+    assert got.shape == ref.shape == (count, n, n)
+    assert got.tobytes() == ref.tobytes()

@@ -109,14 +109,14 @@ def test_minimality_fails_a_chord_off_the_sine_identity(monkeypatch):
 def test_minimality_fails_an_exponent_off_its_eigenpairs(monkeypatch):
     # Z moved by 1e-10 after the split: the chord and |Z| still come from
     # the split, so only the eigen-residual can fail the trial
-    true_exponent = suites.minimal_exponent
+    true_segment = suites._segment
 
-    def moved(p, q, tol):
-        seg = true_exponent(p, q, tol=tol)
-        seg.exponent = seg.exponent + 1e-10j * np.eye(p.shape[0])
+    def moved(fs, pairing):
+        seg = true_segment(fs, pairing)
+        seg.exponent = seg.exponent + 1e-10j * np.eye(fs.p.shape[0])
         return seg
 
-    monkeypatch.setattr(suites, "minimal_exponent", moved)
+    monkeypatch.setattr(suites, "_segment", moved)
     report = suites.run_suite("minimality", 1, seed=123)
     assert report.failures == 1
     assert report.worst_residual <= suites.BOUNDS["minimality.chord_gap"]
@@ -124,8 +124,9 @@ def test_minimality_fails_an_exponent_off_its_eigenpairs(monkeypatch):
 
 def test_minimality_trial_lapack_calls(monkeypatch):
     """One trial's LAPACK calls do not depend on its number of competitors,
-    and none eigendecomposes -iZ or a midpoint: every eigensolve is of a
-    pair, as one (2, n, n) stack."""
+    and none eigendecomposes -iZ or a midpoint: the one eigensolve is of
+    the pair, as one (2, n, n) stack, which the split and the competitors
+    share."""
     calls = []
     for name in ("svd", "eigh", "qr"):
         real = getattr(np.linalg, name)
@@ -146,11 +147,25 @@ def test_minimality_trial_lapack_calls(monkeypatch):
         n = suites.random_equal_index_pair(seed)[0].shape[0]
         few, eighs = trial(10, seed)
         assert trial(100, seed)[0] == few
-        assert eighs == [(2, n, n)] * 2  # the split's and the competitors'
+        assert eighs == [(2, n, n)]  # the split's, read by the competitors too
         if seed == 0:
             # the sampler's QR; validation, split, CS split (2 SVDs and a
-            # QR); the competitors' QR, eigensolve and SVD; the chord
-            assert {name: few.count(name) for name in set(few)} == {"qr": 3, "svd": 6, "eigh": 2}
+            # QR); the competitors' QR and SVD; the chord
+            assert {name: few.count(name) for name in set(few)} == {"qr": 3, "svd": 6, "eigh": 1}
+
+
+def test_minimality_records_match_the_public_functions():
+    # the suite splits each pair once for its segment and its competitors;
+    # each record must carry the bits the public entries give
+    seed = 11
+    report = suites.run_suite("minimality", 200, seed)
+    for i, record in enumerate(report.records):
+        p, q = random_equal_index_pair(seed + i)
+        assert record["norm_Z"] == geodesics.minimal_exponent(p, q).norm
+        lengths = geodesics.minimality_competitors(
+            p, q, suites.COMPETITORS, (seed + i) * 1000
+        )
+        assert record["min_competitor"] == min(lengths)
 
 
 def test_lifting_validates_each_draw_once(monkeypatch):
