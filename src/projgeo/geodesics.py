@@ -184,8 +184,9 @@ def _segment_eig(seg: GeodesicSegment) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
-    """Point ``exp(tZ) P exp(-tZ)`` of the segment; ``t`` may leave [0, 1]
-    but must be finite (else ``ValueError``).
+    """Point ``exp(tZ) P exp(-tZ)`` of the segment; ``t`` may leave [0, 1],
+    but it and each ``t w``, ``w`` an eigenvalue of ``-iZ``, must be finite
+    (else ``ValueError``).
 
     ``t`` is a float, giving the ``(n, n)`` point, or a 1-d array of k
     values, giving the ``(k, n, n)`` stack of the points; a stack of k
@@ -196,6 +197,8 @@ def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError(f"t must be finite, got {t[~np.isfinite(t)].flat[0]}")
+    if float(np.abs(t).max(initial=0)) * float(np.abs(w).max(initial=0)) == np.inf:
+        raise ValueError(f"t * w overflows at t = {t.flat[np.abs(t).argmax()]}")
     rot = (u * np.exp(1j * t[..., None] * w)[..., None, :]) @ _adjoint(u)
     return _hermitize(rot @ seg.base @ _adjoint(rot))
 

@@ -5,14 +5,16 @@ entries row-major.  Reports are emitted through ``dumps_canonical``, which
 formats every float with 17 significant digits so identical inputs produce
 byte-identical output.  A float array renders in one ``%`` call, through a
 template built once from its shape, to the same bytes as its ``tolist()``;
-``csv_rows`` formats sample rows the same way.
+``csv_rows`` formats sample rows the same way.  Pair files stream, holding
+one array's text at a time to write and one matrix's number lists to read.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -56,15 +58,25 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def write_pair(path, p, q) -> None:
-    pair = {"P": matrix_to_json(p), "Q": matrix_to_json(q)}
-    Path(path).write_text(dumps_canonical(pair) + "\n")
+    pair = {"P": matrix_to_json(p), "Q": matrix_to_json(q)}  # checked before the file opens
+    with open(path, "w") as handle:
+        handle.writelines(chain(_parts(pair, 0), "\n"))
+
+
+def _early_matrix(obj: dict):
+    """The array of a valid matrix with no other keys, else ``obj``."""
+    try:
+        return matrix_from_json(obj) if obj.keys() == {"rows", "cols", "data"} else obj
+    except ValueError:  # read_pair judges it, if it is P or Q
+        return obj
 
 
 def read_pair(path) -> tuple[np.ndarray, np.ndarray]:
-    obj = json.loads(Path(path).read_text())
+    obj = json.loads(Path(path).read_text(), object_hook=_early_matrix)
     if not isinstance(obj, dict) or not {"P", "Q"} <= obj.keys():
         raise ValueError("a pair must be an object with P and Q")
-    return matrix_from_json(obj["P"]), matrix_from_json(obj["Q"])
+    p, q = (m if isinstance(m, np.ndarray) else matrix_from_json(m) for m in (obj["P"], obj["Q"]))
+    return p, q
 
 
 _FLOAT = "%.17g"
@@ -104,31 +116,36 @@ def csv_rows(rows: np.ndarray) -> str:
     return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
+def dumps_canonical(obj) -> str:
     """JSON text with floats pinned to 17 significant digits.
 
     Dict insertion order is preserved, so a report built the same way
     serializes to the same bytes.  A real float ``ndarray`` renders as its
     ``tolist()`` would.
     """
+    return "".join(_parts(obj, 0))
+
+
+def _parts(obj, indent: int) -> Iterator[str]:
+    """The text of ``obj`` at this indent, in parts: brackets, heads with scalars, float arrays."""
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         finite = np.isfinite(obj)
         if not finite.all():
             _format_scalar(obj[~finite][0].item())  # raises
-        return _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {dumps_canonical(v, indent + 2)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{inner}{dumps_canonical(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _format_scalar(obj)
+        yield _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
+    elif not isinstance(obj, (dict, list, tuple)):
+        yield _format_scalar(obj)
+    elif not len(obj):
+        yield "{}" if isinstance(obj, dict) else "[]"
+    else:
+        keyed = isinstance(obj, dict)
+        heads = (f"{json.dumps(str(k))}: " for k in obj) if keyed else repeat("")
+        sep, inner = "{\n" if keyed else "[\n", " " * (indent + 2)
+        for head, v in zip(heads, obj.values() if keyed else obj):
+            if isinstance(v, (dict, list, tuple, np.ndarray)):
+                yield sep + inner + head
+                yield from _parts(v, indent + 2)
+            else:  # a scalar joins its head: no generator per scalar
+                yield sep + inner + head + _format_scalar(v)
+            sep = ",\n"
+        yield "\n" + " " * indent + ("}" if keyed else "]")

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,25 +340,93 @@ class TestGeodesicCommand:
         assert csv_path.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize(
-        "text",
+        "text,message",
         [
-            "[]",
-            '{"P": {"rows": 1, "cols": 1, "data": [1.0]},'
-            ' "Q": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
-            '{"P": {"rows": null, "cols": 1, "data": [[1.0, 0.0]]},'
-            ' "Q": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
-            '{"P": {"rows": 1, "cols": 1, "data": [[true, 0.0]]},'
-            ' "Q": {"rows": 1, "cols": 1, "data": [[1, false]]}}',
+            ("[]", "a pair must be an object with P and Q"),
+            ('{"P": {"rows": 1, "cols": 1, "data": [1.0]},'
+             ' "Q": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
+             "matrix data entries must be [re, im] pairs of numbers"),
+            ('{"P": {"rows": null, "cols": 1, "data": [[1.0, 0.0]]},'
+             ' "Q": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
+             "rows and cols must be ints >= 0, got None and 1"),
+            ('{"P": {"rows": 1, "cols": 1, "data": [[true, 0.0]]},'
+             ' "Q": {"rows": 1, "cols": 1, "data": [[1, false]]}}',
+             "matrix data entries must be [re, im] pairs of numbers"),
+            ('{"P": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]},'
+             ' "Q": {"rows": 1, "cols": 2, "data": [[1.0, 0.0]]}}',
+             "matrix data must be a list of 2 entries"),
+            ('{"P": {"rows": -1, "cols": 1, "data": []},'
+             ' "Q": {"rows": 1, "cols": 1, "data": [[true, 0.0]]}}',
+             "rows and cols must be ints >= 0, got -1 and 1"),
+            ('{"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}',
+             "a pair must be an object with P and Q"),
+            ('{"P": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
+             "a pair must be an object with P and Q"),
         ],
-        ids=["empty-list", "bare-number-entry", "null-rows", "boolean-entries"],
+        ids=["empty-list", "bare-number-entry", "null-rows", "boolean-entries",
+             "invalid-q-after-valid-p", "p-judged-before-q", "top-level-matrix", "no-q"],
     )
-    def test_malformed_pair_file_is_usage_error(self, tmp_path, capsys, text):
+    def test_malformed_pair_file_is_usage_error(self, tmp_path, capsys, text, message):
         pair = tmp_path / "pair.json"
         pair.write_text(text)
         rc = main(["geodesic", "--in", str(pair)])
         assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"P": {"rows": 1, "cols": 2, "data": [[0.5, 0.0], [0.0, -0.5]], "name": "p"},'
+            ' "Q": {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0]]}}',
+            '{"P": {"rows": 1, "cols": 2, "data": [[0.5, 0.0], [0.0, -0.5]]},'
+            ' "R": {"rows": 1, "cols": 1, "data": [[true, 0.0]]},'
+            ' "Q": {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0]]}}',
+        ],
+        ids=["extra-key-in-p", "invalid-matrix-under-unused-key"],
+    )
+    def test_pair_file_reads_past_what_it_does_not_use(self, tmp_path, text):
+        pair = tmp_path / "pair.json"
+        pair.write_text(text)
+        p, q = read_pair(pair)
+        assert p.tolist() == [[0.5, -0.5j]] and q.tolist() == [[1.0, 0.0]]
+
+
+class TestPairFiles:
+    # traced allocation peaks at n = 128 against the file's size: the writer
+    # holds the text of one array at a time, the reader the number lists of
+    # one matrix
+    PAIR = pair_with_dims(32, 32, 0, 0, 64, np.linspace(0.2, 1.3, 32), seed=4)
+
+    @staticmethod
+    def traced_peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_peak(self, tmp_path):
+        path = tmp_path / "pair.json"
+        peak = self.traced_peak(write_pair, path, *self.PAIR)
+        assert peak <= 1.6 * path.stat().st_size
+
+    def test_read_peak(self, tmp_path):
+        path = tmp_path / "pair.json"
+        write_pair(path, *self.PAIR)
+        peak = self.traced_peak(read_pair, path)
+        assert peak <= 2.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("bad", ["P", "Q"])
+    def test_rejected_pair_leaves_the_file(self, tmp_path, bad):
+        path = tmp_path / "pair.json"
+        write_pair(path, *self.PAIR)
+        before = path.read_bytes()
+        p, q = (m.copy() for m in self.PAIR)
+        (p if bad == "P" else q)[5, 7] = np.nan
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            write_pair(path, p, q)
+        assert path.read_bytes() == before
 
 
 class TestToleranceFlag:

@@ -280,6 +280,17 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="^t must be finite, got -inf$"):
             list(sample_curve(seg, [0.0, 0.5, -np.inf]))
 
+    def test_overflowing_t_is_refused(self):
+        # the largest eigenvalue of -iZ here is pi/2: 1e308 * pi/2 is finite,
+        # 1.7e308 * pi/2 is not, and its point would be all NaN
+        seg = minimal_exponent(*random_equal_index_pair(3))
+        assert np.isfinite(evaluate(seg, 1e308)).all()
+        assert np.isfinite(evaluate(seg, [-1e308, 1e308])).all()
+        with pytest.raises(ValueError, match=r"^t \* w overflows at t = 1.7e\+308$"):
+            evaluate(seg, 1.7e308)
+        with pytest.raises(ValueError, match=r"^t \* w overflows at t = -1.7e\+308$"):
+            list(sample_curve(seg, [0.0, 0.5, -1.7e308]))
+
 
 class TestBatchedEvaluate:
     def test_stack_equals_scalar_calls(self, exactness_segments):
