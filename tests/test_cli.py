@@ -392,9 +392,9 @@ class TestGeodesicCommand:
 
 
 class TestPairFiles:
-    # traced allocation peaks at n = 128 against the file's size: the writer
-    # holds the text of one array at a time, the reader the number lists of
-    # one matrix
+    # n = 128 pair files: the writer checks both matrices before it opens the
+    # file and then holds the text of one array at a time, the reader the
+    # number lists of one matrix (traced peaks against the file's size)
     PAIR = pair_with_dims(32, 32, 0, 0, 64, np.linspace(0.2, 1.3, 32), seed=4)
 
     @staticmethod
