@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,7 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
                         help="rank-decision threshold (default %(default)g)")
 
 
+@cache  # built on the first main call, not at import; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projgeo",
@@ -195,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ProjGeoError, OSError, ValueError, KeyError) as exc:

@@ -6,11 +6,13 @@ formats every float with 17 significant digits so identical inputs produce
 byte-identical output.  A float array renders in one ``%`` call, through a
 template built once from its shape, to the same bytes as its ``tolist()``;
 ``csv_rows`` formats sample rows the same way.  Pair files stream, holding
-one array's text at a time to write and one matrix's number lists to read.
+one array's text at a time to write and one matrix's number lists to read,
+flattened once to be checked and read; the reader pauses the cyclic collector.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain, repeat
 from pathlib import Path
@@ -47,14 +49,14 @@ def matrix_from_json(obj) -> np.ndarray:
     if not (
         set(map(type, data)) <= {list}
         and set(map(len, data)) <= {2}
-        and set(map(type, chain.from_iterable(data))) <= _NUMBERS
+        and set(map(type, flat := list(chain.from_iterable(data)))) <= _NUMBERS
     ):
         raise ValueError(_NOT_PAIRS)
     try:
-        flat = np.fromiter(chain.from_iterable(data), float, 2 * rows * cols)
+        array = np.fromiter(flat, float, len(flat))
     except OverflowError:  # an int beyond the float range
         raise ValueError(_NOT_PAIRS) from None
-    return as_cmatrix(flat.view(np.complex128).reshape(rows, cols))
+    return as_cmatrix(array.view(np.complex128).reshape(rows, cols))
 
 
 def write_pair(path, p, q) -> None:
@@ -72,7 +74,17 @@ def _early_matrix(obj: dict):
 
 
 def read_pair(path) -> tuple[np.ndarray, np.ndarray]:
-    obj = json.loads(Path(path).read_text(), object_hook=_early_matrix)
+    """The matrices ``P`` and ``Q`` of a pair file.  The parse pauses the cyclic
+    collector, whose passes over its many small lists could free nothing: JSON
+    makes no reference cycles.  The caller's setting is restored afterwards."""
+    text = Path(path).read_text()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        obj = json.loads(text, object_hook=_early_matrix)
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(obj, dict) or not {"P", "Q"} <= obj.keys():
         raise ValueError("a pair must be an object with P and Q")
     p, q = (m if isinstance(m, np.ndarray) else matrix_from_json(m) for m in (obj["P"], obj["Q"]))

@@ -43,9 +43,15 @@ each block's crossed dims as the positive and negative eigenvalues of
 one scalar at a time, and ``reference_pair_json`` the pair payload of
 nested lists it was given: the array renderer of ``dumps_canonical`` must
 write the same bytes.
+
+``reference_matrix_from_json`` is the matrix reader that walked a matrix's
+entries four times: their types, their lengths, the types of their numbers
+and the numbers again into the array.  The reader that flattens the
+entries once must return the same bits or raise the same message.
 """
 
 import json
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -383,3 +389,27 @@ def reference_dumps(obj, indent=0):
         items = [f"{inner}{reference_dumps(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return _reference_scalar(obj)
+
+
+_REFERENCE_NOT_PAIRS = "matrix data entries must be [re, im] pairs of numbers"
+
+
+def reference_matrix_from_json(obj):
+    if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= obj.keys():
+        raise ValueError("a matrix must be an object with rows, cols and data")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if not all(type(v) is int and v >= 0 for v in (rows, cols)):
+        raise ValueError(f"rows and cols must be ints >= 0, got {rows!r} and {cols!r}")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise ValueError(f"matrix data must be a list of {rows * cols} entries")
+    if not (
+        set(map(type, data)) <= {list}
+        and set(map(len, data)) <= {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    ):
+        raise ValueError(_REFERENCE_NOT_PAIRS)
+    try:
+        flat = np.fromiter(chain.from_iterable(data), float, 2 * rows * cols)
+    except OverflowError:
+        raise ValueError(_REFERENCE_NOT_PAIRS) from None
+    return as_cmatrix(flat.view(np.complex128).reshape(rows, cols))

@@ -1,10 +1,14 @@
 import csv
+import gc
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +24,7 @@ from projgeo.serialize import (
     write_pair,
 )
 from projgeo.suites import run_suite
-from reference_pipeline import reference_dumps, reference_pair_json
+from reference_pipeline import reference_dumps, reference_matrix_from_json, reference_pair_json
 
 BIG = 1.7976931348623157e308
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, BIG, -BIG, 1e-300, 1e16, 1e17]
@@ -34,6 +38,32 @@ FLOAT_ARRAYS = arrays(
         st.integers(-(10**6), 10**6).map(float),
     ),
 )
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-(2**70), 2**70))
+NOT_FLOATS = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(2**1024, 2**1100))
+NOT_NUMBERS = st.one_of(st.booleans(), st.text(max_size=2), st.none())
+# a malformed entry: a ragged list, a tuple, a bare value, or a pair with
+# NaN, inf, an int beyond the float range or a non-number on either side
+BAD_ENTRIES = st.one_of(
+    st.lists(FINITE, max_size=4).filter(lambda e: len(e) != 2),
+    st.tuples(FINITE, FINITE),
+    st.one_of(FINITE, NOT_FLOATS, NOT_NUMBERS),
+    *(st.tuples(bad, FINITE, st.booleans()).map(lambda t: [t[0], t[1]] if t[2] else [t[1], t[0]])
+      for bad in (NOT_FLOATS, NOT_NUMBERS)),
+)
+
+
+@st.composite
+def _matrix_objects(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    data = draw(st.lists(st.lists(FINITE, min_size=2, max_size=2),
+                         min_size=rows * cols, max_size=rows * cols))
+    for _ in range(draw(st.integers(0, 2)) if data else 0):
+        data[draw(st.integers(0, len(data) - 1))] = draw(BAD_ENTRIES)
+    if draw(st.integers(0, 7)) == 7:  # a count that does not match
+        data.append([0.5, 0.0])
+    return {"rows": rows, "cols": cols, "data": data}
 
 
 class TestSerialize:
@@ -62,12 +92,29 @@ class TestSerialize:
 
     @pytest.mark.parametrize(
         "data",
-        [[[0.5, "1"]], [[None, 0.0]], [[0.5]], [[0.5, 0.0, 0.0]], [(0.5, 0.0)], [0.5]],
-        ids=["string", "null", "short", "long", "tuple", "bare-number"],
+        [[[0.5, "1"]], [[None, 0.0]], [[0.5]], [[0.5, 0.0, 0.0]], [(0.5, 0.0)], [0.5],
+         [[0.5], [0, 0, 0]]],
+        ids=["string", "null", "short", "long", "tuple", "bare-number", "ragged-right-total"],
     )
     def test_entries_must_be_number_pairs(self, data):
         with pytest.raises(ValueError, match="pairs of numbers"):
-            matrix_from_json({"rows": 1, "cols": 1, "data": data})
+            matrix_from_json({"rows": 1, "cols": len(data), "data": data})
+
+    @settings(max_examples=400, deadline=None)
+    @given(_matrix_objects())
+    @example({"rows": 1, "cols": 2, "data": [[0.5], [0, 0, 0]]})
+    @example({"rows": 1, "cols": 1, "data": [[2**1024, 0]]})
+    @example({"rows": 1, "cols": 2, "data": [[0.5, 0.0], [np.inf, 1]]})
+    def test_matrix_from_json_matches_reference(self, obj):
+        # the same bits, or the same exception with the same message
+        outcomes = []
+        for reader in (matrix_from_json, reference_matrix_from_json):
+            try:
+                m = reader(obj)
+                outcomes.append((m.dtype, m.shape, m.tobytes()))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_any_int_that_floats_is_a_number(self):
         # 2**64 overflows every numpy integer type, not the float
@@ -417,6 +464,50 @@ class TestPairFiles:
         peak = self.traced_peak(read_pair, path)
         assert peak <= 2.5 * path.stat().st_size
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "text",
+        [None, '{"P": {"rows": 1, "cols": 1, "data": [[true, 0.0]]}, "Q": 1}', '{"P": [1,'],
+        ids=["valid", "invalid-matrix", "invalid-json"],
+    )
+    def test_read_restores_the_collector(self, tmp_path, enabled, text):
+        path = tmp_path / "pair.json"
+        if text is None:
+            write_pair(path, *self.PAIR)
+        else:
+            path.write_text(text)
+        if not enabled:
+            gc.disable()
+        try:
+            if text is None:
+                read_pair(path)
+            else:
+                with pytest.raises(ValueError):
+                    read_pair(path)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_read_triggers_no_collection(self, tmp_path):
+        # with the collector running, this parse starts 46 collections, none
+        # of which can free anything; gc.collect() first empties the young
+        # generation, so none falls due after the parse either
+        path = tmp_path / "pair.json"
+        write_pair(path, *self.PAIR)
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            read_pair(path)
+        finally:
+            gc.callbacks.remove(record)
+        assert starts == []
+
     @pytest.mark.parametrize("bad", ["P", "Q"])
     def test_rejected_pair_leaves_the_file(self, tmp_path, bad):
         path = tmp_path / "pair.json"
@@ -489,6 +580,37 @@ class TestVerifyCommand:
         assert main(base + ["--out", str(out1)]) == 0
         assert main(base + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # main builds its parser once per process: each call, after the others,
+    # exits and writes as the same call does in a fresh interpreter
+    pair = str(tmp_path / "pair.json")
+    calls = [
+        ["gen", "--dims", "2,1,1,1,6", "--seed", "3", "--out", pair],
+        ["geodesic", "--in", pair, "--samples", "5"],
+        ["gen", "--dims", "1,1,0,0,2", "--ranks", "1,1"],
+        ["geodesic", "--samples", "5"],  # the parser refuses it: no --in
+        ["verify", "--suite", "identities", "--trials", "3", "--seed", "2"],
+    ]
+    here = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        here.append((code, *capsys.readouterr()))
+    src = str(Path(projections.__file__).parents[1])
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+             f"from projgeo.cli import main; sys.exit(main({argv!r}))"],
+            capture_output=True, text=True, timeout=120,
+        )
+        for argv in calls
+    ]
+    assert here == [(run.returncode, run.stdout, run.stderr) for run in fresh]
+    assert [code for code, _, _ in here] == [0, 0, 2, 2, 0]
 
 
 class TestSuites:
