@@ -40,9 +40,9 @@ from .numkernel import (
     _first,
     _hermitize,
     _skewize,
+    _svd,
     as_cmatrix,
     herm_eig,
-    nullspace,
     op_norm,
 )
 from .projections import (
@@ -464,21 +464,32 @@ def truncated_index_pairs(
     (singular values ``cos theta``, so decided at linear scale).  Off ``K``
     the ranks of ``P`` and ``Q`` agree (Halmos 1969), so with ``k = dim K``
     and ranks ``r, s`` the block's pair is ``((k + r - s)/2, (k - r + s)/2)``.
-    Any other ``k`` raises ``NotAProjection``: the block is no projection
-    pair, or the two directions of a plane with ``cos theta`` at
-    ``rank_rtol``, within roundoff, fell on both sides.  A truncation sums
-    the index pairs of its blocks, and past the ``m`` exceptional ones
-    holds ``n - m`` tails: one stacked SVD gives every length.  Different
-    block dims raise ``DimMismatch``, a negative length ``ValueError``.
+    A plane gives an equal pair of singular values, so when ``k + r - s`` is
+    odd and ``0 < k < d`` the pair around the threshold, ``sv[d-k-1]`` and
+    ``sv[d-k]``, may be one plane with ``cos theta`` at ``rank_rtol`` split
+    by roundoff: if the two differ by at most ``rank_rtol``, their mean
+    decides them as one.  Any other ``k`` raises ``NotAProjection``: the
+    block is no projection pair.  A truncation sums the index pairs of its
+    blocks, and past the ``m`` exceptional ones holds ``n - m`` tails: one
+    stacked singular-value call gives every length.  Different block dims
+    raise ``DimMismatch``, a negative length ``ValueError``.
     """
     m = lift_p._aligned(lift_q)
     lengths = list(lengths)
     if any(n < 0 for n in lengths):
         raise ValueError(f"truncation lengths must be non-negative, got {lengths}")
     blocks = np.array([(lift_p.block_at(i), lift_q.block_at(i)) for i in range(m + 1)])
-    kernels = nullspace(blocks[:, 0] + blocks[:, 1] - np.eye(lift_p.block_dim), tol)
-    nullity = np.array([k.shape[1] for k in kernels])
+    d = lift_p.block_dim
+    sv = _svd(blocks[:, 0] + blocks[:, 1] - np.eye(d), compute_uv=False)  # descending
+    nullity = (sv <= tol.rank_rtol).sum(axis=1)
     diff = _rank(blocks) @ [1, -1]  # rank P - rank Q
+    # the pair around the threshold: one plane's when a roundoff split it
+    rows = np.arange(m + 1)
+    above = sv[rows, np.maximum(d - nullity - 1, 0)]
+    below = sv[rows, np.minimum(d - nullity, d - 1)]
+    straddle = ((nullity + diff) % 2 == 1) & (0 < nullity) & (nullity < d)
+    straddle &= above - below <= tol.rank_rtol
+    nullity = nullity + straddle * np.where((above + below) / 2 > tol.rank_rtol, -1, 1)
     i = _first(((nullity + diff) % 2 == 1) | (np.abs(diff) > nullity))
     if i is not None:
         name = "the tail" if i == m else f"exceptional block {i}"

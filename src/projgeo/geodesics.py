@@ -299,21 +299,22 @@ def unique_minimal_check(p, q, tol: Tolerance = Tolerance()) -> UniquenessReport
     crossed pairings are returned as a witness.
     """
     fs = halmos_decompose(p, q, tol)
-    seg = _segment(fs, None)
+    _require_balanced(fs.index)
+    z = _exponent(fs, None)
     k = fs.index.d_plus
     if k == 0:
         u = random_unitary(fs.p.shape[0], _REDERIVE_SEED)
         pc, qc = (_hermitize(u.conj().T @ m @ u) for m in (fs.p, fs.q))
         seg_c = minimal_exponent(pc, qc, tol)
         back = u @ seg_c.exponent @ u.conj().T
-        err = op_norm(back - seg.exponent)
+        err = op_norm(back - z)
         return UniquenessReport(unique=True, witness=None, rederivation_error=err,
                                 witness_separation=None)
     twist = 1j * np.eye(k, dtype=np.complex128)  # exp(i pi/2) rotation of the pairing
-    # the canonical segment has the identity pairing
-    z1, z2 = seg.exponent, _exponent(fs, twist)
-    return UniquenessReport(unique=False, witness=(z1, z2), rederivation_error=None,
-                            witness_separation=op_norm(z1 - z2))
+    # the canonical exponent z has the identity pairing
+    z2 = _exponent(fs, twist)
+    return UniquenessReport(unique=False, witness=(z, z2), rederivation_error=None,
+                            witness_separation=op_norm(z - z2))
 
 
 def multi_geodesic_family(

@@ -1,9 +1,14 @@
 """Batch verification suites behind ``projgeo verify``.
 
-Each suite draws deterministic instances (per-trial seed = base seed +
-trial index), checks one family of properties, and reports per-trial
-records plus the worst residual.  A trial fails when its residual exceeds
-the suite tolerance; the suite passes when no trial fails.
+A suite is a function of one trial, ``_trial_X(i, seed, tol)``: it draws
+its instance from that trial's own ``seed`` alone, checks one family of
+properties against ``BOUNDS``, and returns the record's fields, the
+trial's residual and whether it passed.  ``run_suite`` is the one loop:
+trial ``i`` of a run at base seed ``s`` runs at ``s + i`` and is recorded
+as ``{"trial": i, "seed": s + i, **fields}``, so a one-trial run at
+``s + i`` gives that record again.  Only ``uniqueness`` reads ``i``: its
+kind is picked by ``i % 5``.  The report keeps the worst residual, and
+the suite passes when no trial fails.
 """
 
 from __future__ import annotations
@@ -225,125 +230,94 @@ BOUNDS = {
 }
 
 
-def _suite_identities(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
-    report = SuiteReport("identities", trials)
-    for i in range(trials):
-        rng = np.random.default_rng(seed + i)
-        n = int(rng.integers(2, 17))
-        p = random_projection(n, int(rng.integers(0, n + 1)), rng)
-        q = random_projection(n, int(rng.integers(0, n + 1)), rng)
-        residual = diff_sum(p, q).residual
-        report.add(
-            {"trial": i, "seed": seed + i, "n": n},
-            residual,
-            residual <= BOUNDS["identities.residual"],
-        )
-    return report
+def _trial_identities(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 17))
+    p = random_projection(n, int(rng.integers(0, n + 1)), rng)
+    q = random_projection(n, int(rng.integers(0, n + 1)), rng)
+    residual = diff_sum(p, q).residual
+    return {"n": n}, residual, residual <= BOUNDS["identities.residual"]
 
 
-def _suite_existence(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
-    report = SuiteReport("existence", trials)
-    for i in range(trials):
-        # not the sampler's stream: default_rng(s), (s, 0) and (s, 0, 0) are one
-        rng = np.random.default_rng((seed + i, 3, 1))
-        p, q = random_quotient_pair(seed + i)
-        d = p.shape[0]
-        lifts = (
-            BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 3))), p),
-            BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 3))), q),
-        )
-        result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
-        probe = result.witnesses if result.witnesses is not None else lifts
-        oracle, final = classify_by_truncation(*probe, tol=tol)
-        ok = oracle is result.case
-        if ok and result.case is DichotomyCase.FINITE_FINITE:
-            # surgery must leave the witnesses (the probe) with balanced truncated index
-            ok = final.d_plus == final.d_minus
-        report.add(
-            {
-                "trial": i,
-                "seed": seed + i,
-                "d": d,
-                "index": [result.quotient_index.d_plus, result.quotient_index.d_minus],
-                "case": result.case.value,
-                "oracle": oracle.value if oracle is not None else "unstable",
-            },
-            0.0 if ok else 1.0,
-            ok,
-        )
-    return report
+def _trial_existence(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+    # not the sampler's stream: default_rng(s), (s, 0) and (s, 0, 0) are one
+    rng = np.random.default_rng((seed, 3, 1))
+    p, q = random_quotient_pair(seed)
+    d = p.shape[0]
+    lifts = (
+        BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 3))), p),
+        BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 3))), q),
+    )
+    result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
+    probe = result.witnesses if result.witnesses is not None else lifts
+    oracle, final = classify_by_truncation(*probe, tol=tol)
+    ok = oracle is result.case
+    if ok and result.case is DichotomyCase.FINITE_FINITE:
+        # surgery must leave the witnesses (the probe) with balanced truncated index
+        ok = final.d_plus == final.d_minus
+    fields = {
+        "d": d,
+        "index": [result.quotient_index.d_plus, result.quotient_index.d_minus],
+        "case": result.case.value,
+        "oracle": oracle.value if oracle is not None else "unstable",
+    }
+    return fields, 0.0 if ok else 1.0, ok
 
 
-def _suite_uniqueness(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
-    report = SuiteReport("uniqueness", trials)
-    for i in range(trials):
-        record = {"trial": i, "seed": seed + i}
-        if i % 5 == 4:
-            (p, q), k = random_crossed_pair(seed + i)
-            rng = np.random.default_rng((seed + i, 1))
-            twists = [random_unitary(k, rng) for _ in range(8)]
-            segments = multi_geodesic_family(p, q, twists, tol)
-            sep = min(
-                op_norm(a.exponent - b.exponent)
-                for ii, a in enumerate(segments)
-                for b in segments[ii + 1:]
-            )
-            endpoint = max(op_norm(evaluate(s, 1.0) - q) for s in segments)
-            norm_err = max(abs(op_norm(s.exponent) - np.pi / 2) for s in segments)
-            ok = (
-                sep > BOUNDS["uniqueness.min_separation"]
-                and endpoint <= BOUNDS["uniqueness.endpoint"]
-                and norm_err <= BOUNDS["uniqueness.norm_error"]
-            )
-            record.update(
-                {"kind": "family", "n": p.shape[0], "k": k, "separation": float(sep)}
-            )
-            report.add(record, max(endpoint, norm_err), ok)
-        else:
-            p, q = random_generic_pair(seed + i)
-            check = unique_minimal_check(p, q, tol)
-            residual = check.rederivation_error
-            record.update({"kind": "rederive", "n": p.shape[0]})
-            ok = check.unique and residual <= BOUNDS["uniqueness.rederivation"]
-            report.add(record, residual, ok)
-    return report
+def _trial_uniqueness(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+    if i % 5 != 4:
+        p, q = random_generic_pair(seed)
+        check = unique_minimal_check(p, q, tol)
+        residual = check.rederivation_error
+        ok = check.unique and residual <= BOUNDS["uniqueness.rederivation"]
+        return {"kind": "rederive", "n": p.shape[0]}, residual, ok
+    (p, q), k = random_crossed_pair(seed)
+    rng = np.random.default_rng((seed, 1))
+    twists = [random_unitary(k, rng) for _ in range(8)]
+    segments = multi_geodesic_family(p, q, twists, tol)
+    sep = min(
+        op_norm(a.exponent - b.exponent)
+        for ii, a in enumerate(segments)
+        for b in segments[ii + 1:]
+    )
+    endpoint = max(op_norm(evaluate(s, 1.0) - q) for s in segments)
+    norm_err = max(abs(op_norm(s.exponent) - np.pi / 2) for s in segments)
+    ok = (
+        sep > BOUNDS["uniqueness.min_separation"]
+        and endpoint <= BOUNDS["uniqueness.endpoint"]
+        and norm_err <= BOUNDS["uniqueness.norm_error"]
+    )
+    fields = {"kind": "family", "n": p.shape[0], "k": k, "separation": float(sep)}
+    return fields, max(endpoint, norm_err), ok
 
 
 COMPETITORS = 10  # two-leg competitors per minimality trial
 CHORD_GRID = 500  # pieces of a minimality trial's chordal length
 
 
-def _suite_minimality(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
-    report = SuiteReport("minimality", trials)
-    for i in range(trials):
-        p, q = _pair(*random_equal_index_pair(seed + i))
-        sp = _split(p, q, tol)  # one split for the segment and the competitors
-        seg = _segment(_five_space(p, q, sp), None)
-        norm_z = seg.norm
-        lengths = _competitor_lengths(sp, COMPETITORS, (seed + i) * 1000)
-        shortfall = max(0.0, norm_z - min(lengths)) if lengths else 0.0
-        chord = curve_length(seg, CHORD_GRID)
-        chord_gap = abs(chord - norm_z)
-        # the chord sum of a segment with |Z| <= pi/2 is grid sin(|Z| / grid)
-        chord_identity = abs(chord - CHORD_GRID * np.sin(norm_z / CHORD_GRID))
-        ok = (
-            shortfall <= BOUNDS["minimality.shortfall"]
-            and chord_gap <= BOUNDS["minimality.chord_gap"]
-            and chord_identity <= BOUNDS["minimality.chord_identity"]
-            and seg.eig_residual <= BOUNDS["minimality.eig_residual"]
-        )
-        report.add(
-            {
-                "trial": i,
-                "seed": seed + i,
-                "n": p.shape[0],
-                "norm_Z": float(norm_z),
-                "min_competitor": float(min(lengths)) if lengths else None,
-            },
-            max(shortfall, chord_gap),
-            ok,
-        )
-    return report
+def _trial_minimality(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+    p, q = _pair(*random_equal_index_pair(seed))
+    sp = _split(p, q, tol)  # one split for the segment and the competitors
+    seg = _segment(_five_space(p, q, sp), None)
+    norm_z = seg.norm
+    lengths = _competitor_lengths(sp, COMPETITORS, seed * 1000)
+    shortfall = max(0.0, norm_z - min(lengths)) if lengths else 0.0
+    chord = curve_length(seg, CHORD_GRID)
+    chord_gap = abs(chord - norm_z)
+    # the chord sum of a segment with |Z| <= pi/2 is grid sin(|Z| / grid)
+    chord_identity = abs(chord - CHORD_GRID * np.sin(norm_z / CHORD_GRID))
+    ok = (
+        shortfall <= BOUNDS["minimality.shortfall"]
+        and chord_gap <= BOUNDS["minimality.chord_gap"]
+        and chord_identity <= BOUNDS["minimality.chord_identity"]
+        and seg.eig_residual <= BOUNDS["minimality.eig_residual"]
+    )
+    fields = {
+        "n": p.shape[0],
+        "norm_Z": float(norm_z),
+        "min_competitor": float(min(lengths)) if lengths else None,
+    }
+    return fields, max(shortfall, chord_gap), ok
 
 
 def _block_geodesic_instance(seed: int, tol: Tolerance):
@@ -386,67 +360,44 @@ def _fiber_norms(p: np.ndarray, z: np.ndarray, norm_z: float, rng) -> np.ndarray
     ])
 
 
-def _suite_lifting(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
-    report = SuiteReport("lifting", trials)
-    for i in range(trials):
-        p, q, z, lift_p = _block_geodesic_instance(seed + i, tol)
-        d = p.shape[0]
-        norm_z = op_norm(z)
-        big_z = lift_geodesic(p, z, lift_p)
-        norm_gap = abs(big_z.norm() - norm_z)
-        quotient_exact = np.array_equal(quotient(big_z), z)
-        delta = blockmodel.evaluate_block_geodesic(lift_p, big_z)
-        times = (0.25, 0.5, 1.0)
-        small = evaluate(GeodesicSegment(base=p, exponent=z), times)
-        tails_exact = all(
-            np.array_equal(quotient(delta(t)), point) for t, point in zip(times, small)
-        )
-        # a non-zero third word keeps the fibers off the sampler's (seed,
-        # attempt) streams; a trailing zero word would not change the stream
-        fiber_rng = np.random.default_rng((seed + i, 2, 1))
-        fiber_norms = _fiber_norms(p, z, norm_z, fiber_rng)
-        fiber_ok = all(abs(fiber_norms - norm_z) <= BOUNDS["lifting.fiber_norm_gap"])
-        ok = (
-            norm_gap <= BOUNDS["lifting.norm_gap"]
-            and quotient_exact
-            and tails_exact
-            and fiber_ok
-        )
-        report.add(
-            {"trial": i, "seed": seed + i, "d": d, "norm_z": norm_z},
-            norm_gap if (quotient_exact and tails_exact and fiber_ok) else 1.0,
-            ok,
-        )
-    return report
+def _trial_lifting(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+    p, q, z, lift_p = _block_geodesic_instance(seed, tol)
+    norm_z = op_norm(z)
+    big_z = lift_geodesic(p, z, lift_p)
+    norm_gap = abs(big_z.norm() - norm_z)
+    quotient_exact = np.array_equal(quotient(big_z), z)
+    delta = blockmodel.evaluate_block_geodesic(lift_p, big_z)
+    times = (0.25, 0.5, 1.0)
+    small = evaluate(GeodesicSegment(base=p, exponent=z), times)
+    tails_exact = all(
+        np.array_equal(quotient(delta(t)), point) for t, point in zip(times, small)
+    )
+    # a non-zero third word keeps the fibers off the sampler's (seed,
+    # attempt) streams; a trailing zero word would not change the stream
+    fiber_rng = np.random.default_rng((seed, 2, 1))
+    fiber_norms = _fiber_norms(p, z, norm_z, fiber_rng)
+    fiber_ok = all(abs(fiber_norms - norm_z) <= BOUNDS["lifting.fiber_norm_gap"])
+    exact = quotient_exact and tails_exact and fiber_ok
+    ok = norm_gap <= BOUNDS["lifting.norm_gap"] and exact
+    return {"d": p.shape[0], "norm_z": norm_z}, norm_gap if exact else 1.0, ok
 
 
-def _suite_normlift(trials: int, seed: int, tol: Tolerance) -> SuiteReport:
-    report = SuiteReport("normlift", trials)
-    for i in range(trials):
-        rng = np.random.default_rng(seed + i)
-        d = random_diagonal_sequence(rng)
-        level = d.limsup_abs()
-        achieved = (d + minimal_norm_lift(d)).sup_abs()
-        report.add(
-            {
-                "trial": i,
-                "seed": seed + i,
-                "level": float(level),
-                "achieved": float(achieved),
-            },
-            abs(achieved - level),
-            achieved == level,
-        )
-    return report
+def _trial_normlift(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+    rng = np.random.default_rng(seed)
+    d = random_diagonal_sequence(rng)
+    level = d.limsup_abs()
+    achieved = (d + minimal_norm_lift(d)).sup_abs()
+    fields = {"level": float(level), "achieved": float(achieved)}
+    return fields, abs(achieved - level), achieved == level
 
 
 SUITES = {
-    "existence": _suite_existence,
-    "uniqueness": _suite_uniqueness,
-    "minimality": _suite_minimality,
-    "lifting": _suite_lifting,
-    "normlift": _suite_normlift,
-    "identities": _suite_identities,
+    "existence": _trial_existence,
+    "uniqueness": _trial_uniqueness,
+    "minimality": _trial_minimality,
+    "lifting": _trial_lifting,
+    "normlift": _trial_normlift,
+    "identities": _trial_identities,
 }
 
 
@@ -460,4 +411,9 @@ def run_suite(
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    return SUITES[name](trials, seed, tol)
+    trial = SUITES[name]
+    report = SuiteReport(name, trials)
+    for i in range(trials):
+        fields, residual, ok = trial(i, seed + i, tol)
+        report.add({"trial": i, "seed": seed + i, **fields}, residual, ok)
+    return report

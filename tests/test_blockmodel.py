@@ -684,6 +684,12 @@ class TestTruncatedIndexPairs:
             ((), (), [[1.0]], [[0.5]], "the tail"),
             # ranks 2 and 0, but P + Q - 1 = -0.8 has no kernel
             ((np.eye(2),), (0.2 * np.eye(2),), np.eye(2), np.eye(2), "exceptional block 0"),
+            # nullity 1 and ranks 1, 1: the pair (0.1, 0) around the threshold
+            # is a gap of 0.1, no plane split by roundoff
+            ((), (), np.diag([1.0, 0.0]), np.diag([0.0, 0.9]), "the tail"),
+            # P + Q - 1 = 0 has nullity 3, yet traces 1.5 round to ranks 2, 2:
+            # there is no pair around the threshold to decide as one
+            ((), (), 0.5 * np.eye(3), 0.5 * np.eye(3), "the tail"),
         ],
     )
     def test_blocks_that_are_no_projections_raise(self, blocks_p, blocks_q, tail_p,
@@ -692,6 +698,40 @@ class TestTruncatedIndexPairs:
         lifts = (BlockOperator(d, blocks_p, tail_p), BlockOperator(d, blocks_q, tail_q))
         with pytest.raises(NotAProjection, match=f"^{name}: "):
             truncated_index_pairs(*lifts, [1])
+
+    def test_a_plane_at_the_threshold_is_decided_as_one(self):
+        # cos theta = sin(1e-10) sits on rank_rtol: roundoff puts the plane's
+        # two singular values on either side of it, and their mean decides
+        found = set()
+        for seed in range(2000):
+            p, q = pair_with_dims(0, 0, 0, 0, 2, [np.pi / 2 - 1e-10], seed=seed)
+            lifts = (BlockOperator(2, (), p), BlockOperator(2, (), q))
+            got = tuple(truncated_index_pairs(*lifts, [1])[0])
+            mean = np.linalg.svd(p + q - np.eye(2), compute_uv=False).mean()
+            assert got == ((1, 1) if mean <= Tolerance().rank_rtol else (0, 0))
+            found.add(got)
+        assert found == {(0, 0), (1, 1)}
+
+    @pytest.mark.parametrize("offset", [1e-8, 1e-12])
+    def test_planes_clear_of_the_threshold_match_index_pair(self, offset):
+        for seed in range(500):
+            p, q = pair_with_dims(0, 0, 0, 0, 2, [np.pi / 2 - offset], seed=seed)
+            lifts = (BlockOperator(2, (), p), BlockOperator(2, (), q))
+            assert truncated_index_pairs(*lifts, [1])[0] == index_pair(p, q)
+
+    def test_reads_singular_values_only(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def svd(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return real(*args, **kwargs)
+
+        p, q = random_quotient_pair(3)
+        lifts = (BlockOperator(p.shape[0], (), p), BlockOperator(p.shape[0], (), q))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        truncated_index_pairs(*lifts, [4])
+        assert calls == [False]
 
     def test_block_dim_mismatch(self):
         with pytest.raises(DimMismatch):

@@ -766,6 +766,24 @@ class TestUniqueness:
         assert op_norm(z1 - z2) >= 0.1
         assert report.witness_separation >= 0.1
 
+    @pytest.mark.parametrize("dims,unique", [((1, 1, 0, 0, 4), True), ((1, 0, 1, 1, 4), False)])
+    def test_reads_the_exponent_without_a_segment(self, monkeypatch, dims, unique):
+        # the one segment built is the re-derivation's, on the conjugated pair
+        p, q = pair_with_dims(*dims, [0.4, 1.1], seed=5)
+        calls = []
+        real = geodesics._segment
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(geodesics, "_segment", counted)
+        report = unique_minimal_check(p, q)
+        assert report.unique is unique
+        assert len(calls) == int(unique)
+        if not unique:
+            assert np.array_equal(report.witness[0], minimal_exponent(p, q).exponent)
+
     def test_small_distance_implies_unique(self):
         rng = np.random.default_rng(2)
         for trial in range(20):

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -416,3 +419,31 @@ def test_normlift_adds_one_sequence_per_trial(monkeypatch):
     report = suites.run_suite("normlift", 20, 11)
     assert report.failures == 0
     assert len(calls) == 20
+
+
+@pytest.mark.parametrize("name", sorted(set(suites.SUITES) - {"uniqueness"}))
+def test_one_trial_run_is_a_trial_of_the_long_run(name):
+    # a trial draws from its own seed alone, so a one-trial run at s + i
+    # gives the record of trial i; uniqueness also reads i, to pick its kind
+    s = 40
+    long_run = suites.run_suite(name, 25, s).records
+    for i, record in enumerate(long_run):
+        alone = suites.run_suite(name, 1, s + i).records[0]
+        assert {**alone, "trial": i} == record
+
+
+def test_every_suite_is_a_function_of_one_trial():
+    for name, trial in suites.SUITES.items():
+        assert list(inspect.signature(trial).parameters) == ["i", "seed", "tol"], name
+
+
+def test_only_run_suite_builds_a_report():
+    # the one trial loop: no suite brings back its own report and loop
+    tree = ast.parse(inspect.getsource(suites))
+    callers = [
+        getattr(stmt, "name", "<module>")
+        for stmt in tree.body
+        for call in ast.walk(stmt)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "SuiteReport"
+    ]
+    assert callers == ["run_suite"]
