@@ -48,6 +48,7 @@ from .numkernel import (
 from .projections import (
     PROJECTION_ATOL,
     IndexPair,
+    _five_space,
     _pair,
     _rank,
     _split,
@@ -392,13 +393,15 @@ def lifting_surgery(
     new_p, new_q = [], []
     for i in range(m):
         bp, bq = lift_p.block_at(i), lift_q.block_at(i)
-        fs = halmos_decompose(bp, bq, tol)
-        if fs.m10.shape[1] or fs.m01.shape[1]:
+        pair = _pair(bp, bq)
+        sp = _split(*pair, tol)
+        if any(sp.index):  # only a crossed pair needs its bases
+            fs = _five_space(*pair, sp)
             # M01 may miss R(Q_i) by the cosine of a plane counted as
             # crossed; the range of Q_i M01 lies in R(Q_i)
             y = np.linalg.qr(fs.q @ fs.m01)[0]
             crossed = np.array([fs.m10 @ _adjoint(fs.m10), y @ _adjoint(y)])
-            bp, bq = _hermitize(np.array([fs.p, fs.q]) - crossed)
+            bp, bq = _hermitize(pair - crossed)
         new_p.append(bp)
         new_q.append(bq)
     return (

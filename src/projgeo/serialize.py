@@ -3,10 +3,10 @@
 Matrix schema: ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with the
 entries row-major.  Reports are emitted through ``dumps_canonical``, which
 formats every float with 17 significant digits so identical inputs produce
-byte-identical output.  A float array renders in one ``%`` call, through a
-template built once from its shape, to the same bytes as its ``tolist()``;
-``csv_rows`` formats sample rows the same way.  Pair files stream, holding
-one array's text at a time to write and one matrix's number lists to read,
+byte-identical output.  A float array renders in chunks of rows, each in one
+``%`` call through a template per chunk length, to the bytes of its ``tolist()``;
+``csv_rows`` formats sample rows the same way.  Pair files stream, holding one
+chunk's text at a time to write and one matrix's number lists to read,
 flattened once to be checked and read; the reader pauses the cyclic collector.
 """
 
@@ -92,6 +92,7 @@ def read_pair(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 _FLOAT = "%.17g"
+_CHUNK_ENTRIES = 4096  # floats per ``%`` call: bounds what a pair file's write holds
 
 
 def _format_scalar(x) -> str:
@@ -121,6 +122,21 @@ def _array_template(shape: tuple, indent: int) -> str:
     return "[\n" + ",\n".join([item] * shape[0]) + "\n" + " " * indent + "]"
 
 
+def _array_parts(a: np.ndarray, indent: int) -> Iterator[str]:
+    """A float array's text in parts of ``_CHUNK_ENTRIES`` entries or one row each."""
+    if a.ndim == 0 or not len(a):
+        yield _array_template(a.shape, indent) % tuple(a.ravel().tolist())
+        return
+    item = " " * (indent + 2) + _array_template(a.shape[1:], indent + 2)
+    rows = max(1, _CHUNK_ENTRIES // max(a[0].size, 1))
+    full = ",\n".join([item] * rows)
+    for start in range(0, len(a), rows):
+        chunk = a[start:start + rows]
+        template = full if len(chunk) == rows else ",\n".join([item] * len(chunk))
+        yield (",\n" if start else "[\n") + template % tuple(chunk.ravel().tolist())
+    yield "\n" + " " * indent + "]"
+
+
 def csv_rows(rows: np.ndarray) -> str:
     """The lines ``csv.writer`` writes for the rows of a 2-d float array
     formatted with 17 significant digits."""
@@ -144,7 +160,7 @@ def _parts(obj, indent: int) -> Iterator[str]:
         finite = np.isfinite(obj)
         if not finite.all():
             _format_scalar(obj[~finite][0].item())  # raises
-        yield _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
+        yield from _array_parts(obj, indent)
     elif not isinstance(obj, (dict, list, tuple)):
         yield _format_scalar(obj)
     elif not len(obj):

@@ -168,15 +168,14 @@ def random_diagonal_sequence(rng) -> DiagonalSequence:
 
 # -- truncation oracle (existence suite) ----------------------------------------
 
-# the longest truncation the oracle reads, in blocks
+# the shortest final truncation the oracle reads, in blocks
 TRUNCATION_BLOCKS = 12
 
 
 class TruncationVerdict(NamedTuple):
-    """The truncation oracle's case (``None`` when undecided) and the index
-    pair of the truncation to ``TRUNCATION_BLOCKS`` blocks, the last it reads."""
+    """The oracle's case; ``final``, the index pair of ``max(m + 1, TRUNCATION_BLOCKS)`` blocks."""
 
-    case: DichotomyCase | None
+    case: DichotomyCase
     final: IndexPair
 
 
@@ -185,30 +184,15 @@ def classify_by_truncation(
     lift_q: BlockOperator,
     tol: Tolerance = Tolerance(),
 ) -> TruncationVerdict:
-    """Brute-force classification from truncated index pairs, summed
-    exactly from per-block nullities by ``truncated_index_pairs``.
-
-    Truncated crossed nullities grow by a constant integer per added tail
-    block once the exceptional region is passed: growth on both sides
-    means both nullspaces are infinite-dimensional, growth on neither
-    means both stay finite, anything else is mixed.  The case is ``None``
-    if the increments have not stabilized by ``TRUNCATION_BLOCKS``.
-    """
-    start = max(len(lift_p.exceptional), len(lift_q.exceptional)) + 1
-    start = min(start, TRUNCATION_BLOCKS - 3)
-    lengths = list(range(start, TRUNCATION_BLOCKS + 1))
-    pairs = truncated_index_pairs(lift_p, lift_q, lengths, tol)
-    inc_plus = {b.d_plus - a.d_plus for a, b in zip(pairs, pairs[1:])}
-    inc_minus = {b.d_minus - a.d_minus for a, b in zip(pairs, pairs[1:])}
-    if len(inc_plus) != 1 or len(inc_minus) != 1:
-        return TruncationVerdict(None, pairs[-1])
-    grow_plus = inc_plus.pop() > 0
-    grow_minus = inc_minus.pop() > 0
-    if not grow_plus and not grow_minus:
-        return TruncationVerdict(DichotomyCase.FINITE_FINITE, pairs[-1])
-    if grow_plus and grow_minus:
-        return TruncationVerdict(DichotomyCase.INFINITE_INFINITE, pairs[-1])
-    return TruncationVerdict(DichotomyCase.MIXED, pairs[-1])
+    """Brute-force classification from the index pairs of truncations, summed
+    from per-block nullities.  Each block past the ``m`` exceptional ones is a
+    tail, so the growth from ``m`` to ``m + 1`` blocks is the crossed nullities'
+    growth per block: ``_dichotomy_case`` of it is the case, never undecided."""
+    m = lift_p._aligned(lift_q)
+    lengths = [m, m + 1, max(m + 1, TRUNCATION_BLOCKS)]
+    head, step, final = truncated_index_pairs(lift_p, lift_q, lengths, tol)
+    growth = IndexPair(step.d_plus - head.d_plus, step.d_minus - head.d_minus)
+    return TruncationVerdict(blockmodel._dichotomy_case(growth), final)
 
 
 # -- suites ---------------------------------------------------------------------
@@ -244,9 +228,9 @@ def _trial_existence(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bo
     rng = np.random.default_rng((seed, 3, 1))
     p, q = random_quotient_pair(seed)
     d = p.shape[0]
-    lifts = (
-        BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 3))), p),
-        BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 3))), q),
+    lifts = tuple(  # P's lift is drawn first
+        BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 3))), m)
+        for m in (p, q)
     )
     result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
     probe = result.witnesses if result.witnesses is not None else lifts
@@ -255,12 +239,8 @@ def _trial_existence(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bo
     if ok and result.case is DichotomyCase.FINITE_FINITE:
         # surgery must leave the witnesses (the probe) with balanced truncated index
         ok = final.d_plus == final.d_minus
-    fields = {
-        "d": d,
-        "index": [result.quotient_index.d_plus, result.quotient_index.d_minus],
-        "case": result.case.value,
-        "oracle": oracle.value if oracle is not None else "unstable",
-    }
+    index = list(result.quotient_index)
+    fields = {"d": d, "index": index, "case": result.case.value, "oracle": oracle.value}
     return fields, 0.0 if ok else 1.0, ok
 
 
@@ -275,13 +255,11 @@ def _trial_uniqueness(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, b
     rng = np.random.default_rng((seed, 1))
     twists = [random_unitary(k, rng) for _ in range(8)]
     segments = multi_geodesic_family(p, q, twists, tol)
-    sep = min(
-        op_norm(a.exponent - b.exponent)
-        for ii, a in enumerate(segments)
-        for b in segments[ii + 1:]
-    )
-    endpoint = max(op_norm(evaluate(s, 1.0) - q) for s in segments)
-    norm_err = max(abs(op_norm(s.exponent) - np.pi / 2) for s in segments)
+    exponents = np.array([s.exponent for s in segments])
+    a, b = np.triu_indices(len(segments), 1)  # the pairs (a, b), a < b, row by row
+    sep = op_norm(exponents[a] - exponents[b]).min()
+    endpoint = op_norm(np.array([evaluate(s, 1.0) for s in segments]) - q).max()
+    norm_err = np.abs(op_norm(exponents) - np.pi / 2).max()
     ok = (
         sep > BOUNDS["uniqueness.min_separation"]
         and endpoint <= BOUNDS["uniqueness.endpoint"]

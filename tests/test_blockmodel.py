@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from projgeo import blockmodel, suites
+from projgeo import blockmodel, projections, suites
 from projgeo.blockmodel import (
     BlockOperator,
     DiagonalSequence,
@@ -526,6 +526,30 @@ class TestExistenceDichotomy:
         # surgery must not move the class modulo the ideal
         assert np.array_equal(result.witnesses[0].tail, p)
         assert np.array_equal(result.witnesses[1].tail, q)
+
+    def test_surgery_factors_only_crossed_block_pairs(self, monkeypatch):
+        # of three block pairs only the middle one is crossed: one CS
+        # decomposition and one QR, both for it
+        calls = {"cs_decompose": 0, "qr": 0}
+        real_cs, real_qr = projections.cs_decompose, np.linalg.qr
+
+        def cs(*args):
+            calls["cs_decompose"] += 1
+            return real_cs(*args)
+
+        def qr(*args):
+            calls["qr"] += 1
+            return real_qr(*args)
+
+        monkeypatch.setattr(projections, "cs_decompose", cs)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        lifts = (BlockOperator(2, (e1, e1, e2), e1), BlockOperator(2, (e1, e2, e2), e1))
+        witnesses = blockmodel.lifting_surgery(*lifts)
+        assert calls == {"cs_decompose": 1, "qr": 1}
+        assert truncated_index_pairs(*witnesses, [3])[0] == (0, 0)
+        assert np.array_equal(witnesses[0].exceptional[0], e1)
+        assert np.array_equal(witnesses[1].exceptional[2], e2)
 
     def test_surgery_near_pi_half(self):
         # a plane within rank_rtol of pi/2 counts as crossed; the surgery

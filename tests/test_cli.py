@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from projgeo import projections
+from projgeo import projections, serialize
 from projgeo.cli import main
 from projgeo.geodesics import evaluate, minimal_exponent
 from projgeo.projections import pair_with_dims
@@ -148,6 +148,15 @@ class TestSerialize:
         with pytest.raises(ValueError) as reference:
             reference_dumps({"data": a.tolist()})
         assert str(ours.value) == str(reference.value)
+
+    @pytest.mark.parametrize("row", [(), (2,), (3, 2)], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("chunks", ["0", "1", "chunk-1", "chunk", "chunk+1"])
+    def test_array_at_the_chunk_edges_renders_as_its_list(self, row, chunks):
+        # the writer renders an array's rows in chunks of _CHUNK_ENTRIES entries
+        chunk = serialize._CHUNK_ENTRIES // int(np.prod(row))
+        rows = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}
+        a = np.random.default_rng(5).standard_normal((rows[chunks], *row))
+        assert dumps_canonical({"x": [a]}) == reference_dumps({"x": [a.tolist()]})
 
     def test_dumps_is_valid_json(self):
         payload = {"a": 1, "b": [1.5, True, None, "x"], "c": {"d": np.pi}}
@@ -457,6 +466,12 @@ class TestPairFiles:
         path = tmp_path / "pair.json"
         peak = self.traced_peak(write_pair, path, *self.PAIR)
         assert peak <= 1.6 * path.stat().st_size
+
+    def test_write_peak_is_a_chunk_not_the_file(self, tmp_path):
+        path = tmp_path / "pair.json"
+        pair = pair_with_dims(64, 64, 0, 0, 128, np.linspace(0.2, 1.3, 64), seed=4)
+        peak = self.traced_peak(write_pair, path, *pair)
+        assert peak <= 0.25 * path.stat().st_size
 
     def test_read_peak(self, tmp_path):
         path = tmp_path / "pair.json"

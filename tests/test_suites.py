@@ -267,6 +267,53 @@ def test_oracle_returns_its_last_truncation():
         assert final == truncated_index_pairs(*probe, [TRUNCATION_BLOCKS], tol)[0]
 
 
+E1, E2, ZERO = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))
+
+
+def long_lifts(name, m):
+    """Lifts of ``m`` exceptional blocks whose counts differ from the tail's:
+    crossed blocks on an uncrossed tail (FiniteFinite), uncrossed blocks on a
+    crossed tail (InfiniteInfinite), and blocks of index (1, 0) and (0, 0) in
+    turn, the last of index (1, 0), on an uncrossed tail (FiniteFinite)."""
+    p_blocks, q_blocks, p_tail, q_tail = {
+        "crossed-blocks": ([E1] * m, [E2] * m, E1, E1),
+        "crossed-tail": ([E1] * m, [E1] * m, E1, E2),
+        "alternating": ([E1] * m, [ZERO if (m - i) % 2 else E1 for i in range(m)], E1, E1),
+    }[name]
+    return BlockOperator(2, tuple(p_blocks), p_tail), BlockOperator(2, tuple(q_blocks), q_tail)
+
+
+@pytest.mark.parametrize("m", [2, 9, 10, 12, 64])
+@pytest.mark.parametrize("name", ["crossed-blocks", "crossed-tail", "alternating"])
+def test_oracle_reads_the_tail_past_every_exceptional_block(name, m):
+    lift_p, lift_q = long_lifts(name, m)
+    assert lift_p._aligned(lift_q) == m
+    result = existence_dichotomy(lift_p.tail, lift_q.tail, lifts=(lift_p, lift_q))
+    assert classify_by_truncation(lift_p, lift_q).case is result.case
+
+
+def test_oracle_final_truncation_holds_every_exceptional_block():
+    lift_p, lift_q = long_lifts("crossed-blocks", 64)
+    assert classify_by_truncation(lift_p, lift_q).final == (64, 64)
+    lift_p, lift_q = long_lifts("crossed-blocks", 5)
+    assert classify_by_truncation(lift_p, lift_q).final == (5, 5)
+
+
+def test_family_trial_stacks_its_norms(monkeypatch):
+    # 28 separations, 8 endpoint errors and 8 exponent norms: three calls
+    calls = []
+    real = suites.op_norm
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(suites, "op_norm", counted)
+    fields, _, ok = suites._trial_uniqueness(4, 11, Tolerance())
+    n = fields["n"]
+    assert ok and calls == [(28, n, n), (8, n, n), (8, n, n)]
+
+
 def test_lifting_lifts_once_and_factors_once_per_sampler_call(monkeypatch):
     counts = {"lift_geodesic": 0, "qr": 0}
     qr_per_sampler_call = []
