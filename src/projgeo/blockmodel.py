@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, cycle, islice, takewhile
+from itertools import chain, cycle, islice
 from math import isfinite, lcm
 
 import numpy as np
@@ -70,12 +70,6 @@ def _as_block(m, d: int) -> np.ndarray:
     return b
 
 
-def _absorbed(equal_from_last) -> int:
-    """How many trailing exceptional blocks the normal form absorbs, given
-    whether each block equals the tail, read from the last block back."""
-    return sum(1 for _ in takewhile(bool, equal_from_last))
-
-
 @dataclass(frozen=True)
 class BlockOperator:
     """Block-diagonal operator: exceptional ``d x d`` blocks, then a
@@ -99,8 +93,9 @@ class BlockOperator:
             raise ValueError(
                 f"exceptional list longer than {MAX_EXCEPTIONAL} blocks"
             )
-        absorbed = _absorbed(np.array_equal(b, tail) for b in reversed(blocks))
-        object.__setattr__(self, "exceptional", blocks[:len(blocks) - absorbed])
+        while blocks and np.array_equal(blocks[-1], tail):
+            blocks = blocks[:-1]
+        object.__setattr__(self, "exceptional", blocks)
         object.__setattr__(self, "tail", tail)
 
     # -- structure ---------------------------------------------------------

@@ -382,6 +382,22 @@ class TestLiftGeodesic:
         for t in (0.25, 0.5, 1.0):
             assert np.array_equal(quotient(curve(t)), evaluate(small, t))
 
+    def test_curve_moves_each_exceptional_block_on_its_own_geodesic(self):
+        # not only the tail: every exceptional block of the block curve is the
+        # geodesic of its own block pair (P_i, Z_i), bit for bit
+        tol, moved = Tolerance(), 0
+        for seed in range(11, 211):
+            p, _, z, lift_p = suites._block_geodesic_instance(seed, tol)
+            big = lift_geodesic(p, z, lift_p)
+            curve = evaluate_block_geodesic(lift_p, big)
+            for t in (0.25, 0.5, 1.0):
+                point = curve(t)
+                for i, block in enumerate(lift_p.exceptional):
+                    expected = evaluate(GeodesicSegment(block, big.block_at(i)), t)
+                    assert np.array_equal(point.block_at(i), expected)
+                    moved += not np.array_equal(expected, block)
+        assert moved >= 500
+
     def test_codiagonal_per_block(self):
         p, q, z = self.setup_pair()
         rng = np.random.default_rng(8)

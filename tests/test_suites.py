@@ -315,36 +315,53 @@ def test_family_trial_stacks_its_norms(monkeypatch):
 
 
 def test_lifting_lifts_once_and_factors_once_per_sampler_call(monkeypatch):
-    counts = {"lift_geodesic": 0, "qr": 0}
-    qr_per_sampler_call = []
-    real_lift, real_qr = blockmodel.lift_geodesic, np.linalg.qr
-    real_blocks = suites.random_projection_blocks
+    counts = {"lift_geodesic": 0, "qr": 0, "op_norm": 0}
+    sampler_qrs, fiber_calls = [], []
+    real_lift, real_qr, real_op_norm = blockmodel.lift_geodesic, np.linalg.qr, suites.op_norm
+    real_blocks, real_fibers = suites.random_projection_blocks, suites._fiber_norms
 
-    def lift(*args, **kwargs):
-        counts["lift_geodesic"] += 1
-        return real_lift(*args, **kwargs)
+    def counter(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
 
-    def qr(*args, **kwargs):
-        counts["qr"] += 1
-        return real_qr(*args, **kwargs)
+    class Draws:  # the rng methods a call asks for, in order
+        def __init__(self, rng):
+            self.rng, self.names = rng, []
+
+        def __getattr__(self, name):
+            self.names.append(name)
+            return getattr(self.rng, name)
 
     def blocks(*args, **kwargs):
         before = counts["qr"]
         drawn = real_blocks(*args, **kwargs)
-        qr_per_sampler_call.append(counts["qr"] - before)
+        sampler_qrs.append(counts["qr"] - before)
         return drawn
 
+    def fibers(p, z, norm_z, rng):
+        before = counts["qr"], counts["op_norm"]
+        draws = Draws(rng)
+        norms = real_fibers(p, z, norm_z, draws)
+        fiber_calls.append((draws.names, counts["qr"] - before[0], counts["op_norm"] - before[1]))
+        return norms
+
     for module in (suites, blockmodel):
-        monkeypatch.setattr(module, "lift_geodesic", lift)
-    monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(module, "lift_geodesic", counter("lift_geodesic", real_lift))
+    monkeypatch.setattr(np.linalg, "qr", counter("qr", real_qr))
+    monkeypatch.setattr(suites, "op_norm", counter("op_norm", real_op_norm))
     monkeypatch.setattr(suites, "random_projection_blocks", blocks)
+    monkeypatch.setattr(suites, "_fiber_norms", fibers)
     suites.run_suite("lifting", 40, 11)
     # the main lift of each trial; its 10 fiber lifts are one stack
     assert counts["lift_geodesic"] == 40
-    # one sampler call for the main lift and one for all 10 fibers, each
-    # factoring all its blocks at once
-    assert len(qr_per_sampler_call) == 40 * 2
-    assert set(qr_per_sampler_call) == {0, 1}
+    # one sampler call per trial, for the main lift, factoring all its blocks at once
+    assert len(sampler_qrs) == 40
+    assert set(sampler_qrs) == {0, 1}
+    # the fiber pool: its counts, then every rank and every Gaussian in one
+    # call each, one QR and one op_norm
+    assert fiber_calls == [(["integers", "integers", "standard_normal"], 1, 1)] * 40
 
 
 @settings(max_examples=300, deadline=None)
@@ -427,30 +444,62 @@ def test_lifting_trial_builds_no_fiber_operator_and_evaluates_four_times(monkeyp
     assert len(evaluated) == 4
 
 
-def test_fiber_norms_equal_the_lone_lifts():
-    tol = Tolerance()
-    # (seed, 1) is the stream of the sampler's attempt 1: at seed 13078 that
-    # attempt gives p, and the one block of fiber 2 is bitwise p, so the lift
-    # absorbs it in its tail
-    for seed in [*range(11, 51), 13078]:
-        p, _, z, _ = suites._block_geodesic_instance(seed, tol)
+def test_fiber_norms_equal_the_lone_lifts(monkeypatch):
+    # each fiber's largest block norm, read with |z| as 0, is bit for bit the
+    # largest exceptional-block norm of lift_geodesic over its pooled blocks
+    pools = []
+    real_compress = blockmodel._compress
+
+    def compress(b, z):
+        pools.append(b)
+        return real_compress(b, z)
+
+    monkeypatch.setattr(blockmodel, "_compress", compress)
+
+    def check(p, z, key):
         d = p.shape[0]
-        norms = suites._fiber_norms(p, z, op_norm(z), np.random.default_rng((seed, 1)))
-        rng = np.random.default_rng((seed, 1))
+        pools.clear()
+        norms = suites._fiber_norms(p, z, 0.0, np.random.default_rng(key))
+        (pool,) = pools
+        rng = np.random.default_rng(key)
         counts = rng.integers(0, 4, 10).tolist()
-        lone = []
+        ranks = rng.integers(0, d + 1, sum(counts))
+        assert np.abs(np.trace(pool, axis1=1, axis2=2) - ranks).max(initial=0.0) <= 1e-12
+        lone, start = [], 0
         for count in counts:
-            fiber = reference_projection_blocks(rng, d, count)
-            lone.append(lift_geodesic(p, z, BlockOperator(d, fiber, p)).norm())
+            fiber = tuple(pool[start:start + count])
+            start += count
+            exceptional = lift_geodesic(p, z, BlockOperator(d, fiber, p)).exceptional
+            assert len(exceptional) == count
+            lone.append(op_norm(np.array(exceptional, ndmin=3)).max(initial=0.0))
         assert norms.tolist() == lone
+        return counts
+
+    tol = Tolerance()
+    for seed in range(11, 51):
+        p, _, z, _ = suites._block_geodesic_instance(seed, tol)
+        check(p, z, (seed, 1))
+    # key 6228776 draws ten block counts of 0: the pool is empty
+    assert check(p, z, 6228776) == [0] * 10
 
 
-def test_fiber_norms_drop_the_blocks_the_tail_absorbs():
-    # the one block of fiber 2 at seed 13078 is p (see above); it norms just
-    # under |z|, so read |z| as 0 to see that the lift keeps no block
-    p, _, z, _ = suites._block_geodesic_instance(13078, Tolerance())
-    norms = suites._fiber_norms(p, z, 0.0, np.random.default_rng((13078, 1)))
-    assert norms[2] == 0.0 < norms[3]
+def test_lifting_report_reads_no_fiber_block(monkeypatch):
+    # fiber blocks reach only a trial's ok: fibers from another stream move no
+    # report byte, and one fiber norm past |z| fails every trial
+    expected = suites.run_suite("lifting", 40, 11).to_json()
+    real = suites._fiber_norms
+    monkeypatch.setattr(
+        suites, "_fiber_norms", lambda p, z, norm_z, rng: real(p, z, norm_z, rng.spawn(1)[0])
+    )
+    assert suites.run_suite("lifting", 40, 11).to_json() == expected
+
+    def off(p, z, norm_z, rng):
+        norms = real(p, z, norm_z, rng)
+        norms[3] = norm_z + 1e-9
+        return norms
+
+    monkeypatch.setattr(suites, "_fiber_norms", off)
+    assert suites.run_suite("lifting", 40, 11).failures == 40
 
 
 def test_normlift_adds_one_sequence_per_trial(monkeypatch):
