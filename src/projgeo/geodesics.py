@@ -50,7 +50,6 @@ from .numkernel import (
 from .projections import (
     FiveSpace,
     IndexPair,
-    _Split,
     _angle_blocks,
     _haar_unitaries,
     _pair,
@@ -60,9 +59,9 @@ from .projections import (
     random_unitary,
 )
 
-# size of one stack of the points of a segment's grid or of competitor
-# midpoints: bounds the memory a grid or a competitor batch costs at large n
-# while keeping the per-call overhead low at small n
+# size of one stack of the points of a segment's grid or of the midpoints
+# of minimality_competitors: bounds the memory a grid or a competitor batch
+# costs at large n while keeping the per-call overhead low at small n
 _CHUNK_BYTES = 1 << 20
 
 _SQRT2 = np.sqrt(2)
@@ -247,29 +246,21 @@ def minimality_competitors(
 ) -> list[float]:
     """Lengths of two-leg piecewise geodesics ``P -> R -> Q`` through random
     midpoints ``R``; each length is the sum of the two leg norms and never
-    beats the direct segment.
+    beats the direct segment.  The midpoint of competitor ``i`` is
+    ``random_projection(n, rank P, (seed + i, 5, 1))``, the range of the first
+    columns ``V_R`` of that key's Haar unitary (a key with a non-zero last word
+    is a stream of its own, where ``(s, 0)`` is a suite sampler's
+    ``default_rng(s)``).  Both legs are balanced, as a pair's index differs by
+    its rank difference.  A leg is as long as its largest principal angle (Porta
+    & Recht, Proc. AMS 100, 1987): for an end's eigenvectors ``V_E`` (the
+    split's ``vp`` or ``vq``), the ``_angle_blocks`` of ``V_E* V_R`` give the
+    leg ``atan2(smax(sines), smin(cosines))``, so no midpoint is formed and the
+    pair is not solved again; a 1 MB stack of them costs a QR and an SVD.
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")
     sp = _split(*_pair(p, q), tol)
     _require_balanced(sp.index)
-    return _competitor_lengths(sp, trials, seed)
-
-
-def _competitor_lengths(sp: _Split, trials: int, seed) -> list[float]:
-    """``minimality_competitors`` of the split ``sp`` of a balanced pair.
-
-    The midpoint of competitor ``i`` is ``random_projection(n, rank P,
-    (seed + i, 5, 1))``, the range of the first columns ``V_R`` of that
-    key's Haar unitary (a key with a non-zero last word is a stream of its
-    own, where ``(s, 0)`` is a suite sampler's ``default_rng(s)``).  Both
-    legs are balanced, as a pair's index differs by its rank difference.
-    A leg is as long as its largest principal angle (Porta & Recht, Proc.
-    AMS 100, 1987): for an end's eigenvectors ``V_E`` (the split's ``vp``
-    or ``vq``), the ``_angle_blocks`` of ``V_E* V_R`` give the leg
-    ``atan2(smax(sines), smin(cosines))``, so no midpoint is formed and the
-    pair is not solved again.  A 1 MB stack of them costs a QR and an SVD.
-    """
     n, rank = sp.vp.shape[0], sp.r
     if rank in (0, n):
         return [0.0] * trials  # P = Q = R
@@ -283,6 +274,20 @@ def _competitor_lengths(sp: _Split, trials: int, seed) -> list[float]:
         legs = np.arctan2(values[..., 1, 0], values[..., 0, -1])
         lengths.extend((legs[0] + legs[1]).tolist())
     return lengths
+
+
+def _lower_bound(fs: FiveSpace) -> float:
+    """Porta & Recht's certificate (Proc. AMS 100, 1987).  On a curve R(t) of
+    projections, ``R R' R = 0`` bounds the rate at which the angle of a unit
+    ``xi`` to the range of R(t) moves by ``|R'|``, so no curve from ``P`` to
+    ``Q`` is shorter than that angle's growth: ``|Z|`` for ``xi`` at the
+    largest angle (a crossed column, else the last plane's ``x``), else 0."""
+    if not fs.m10.shape[1] + fs.h0.shape[1]:
+        return 0.0
+    xi = fs.m10[:, 0] if fs.m10.shape[1] else fs.h0[:, -2]
+    ends = np.array([fs.p @ xi, fs.q @ xi])
+    start, end = np.arctan2(np.linalg.norm(xi - ends, axis=1), np.linalg.norm(ends, axis=1))
+    return float(end - start)
 
 
 # fixed probe seed: the uniqueness re-derivation must be a deterministic
@@ -364,6 +369,7 @@ def minimal_geodesic(
     length = curve_length(seg, samples)
     return seg, {
         "norm_Z": seg.norm,
+        "lower_bound": _lower_bound(fs),
         "index": [ip.d_plus, ip.d_minus],
         "endpoint_error": float(endpoint_error),
         "eig_residual": seg.eig_residual,

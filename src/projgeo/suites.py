@@ -32,7 +32,7 @@ from .blockmodel import (
 )
 from .geodesics import (
     GeodesicSegment,
-    _competitor_lengths,
+    _lower_bound,
     _segment,
     curve_length,
     evaluate,
@@ -206,7 +206,7 @@ BOUNDS = {
     "uniqueness.endpoint": 1e-9,
     "uniqueness.norm_error": 1e-10,
     "uniqueness.rederivation": 1e-8,
-    "minimality.shortfall": 1e-6,
+    "minimality.certificate_gap": 1e-12,
     "minimality.chord_gap": 1e-4,
     "minimality.chord_identity": 1e-12,
     "minimality.eig_residual": 1e-12,
@@ -270,33 +270,27 @@ def _trial_uniqueness(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, b
     return fields, max(endpoint, norm_err), ok
 
 
-COMPETITORS = 10  # two-leg competitors per minimality trial
 CHORD_GRID = 500  # pieces of a minimality trial's chordal length
 
 
 def _trial_minimality(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+    # a certificate equal to |Z| proves the segment minimal, so its gap is the
+    # residual; the chord sum's |Z|^3 / (6 grid^2) below |Z| is discretization
     p, q = _pair(*random_equal_index_pair(seed))
-    sp = _split(p, q, tol)  # one split for the segment and the competitors
-    seg = _segment(_five_space(p, q, sp), None)
-    norm_z = seg.norm
-    lengths = _competitor_lengths(sp, COMPETITORS, seed * 1000)
-    shortfall = max(0.0, norm_z - min(lengths)) if lengths else 0.0
+    fs = _five_space(p, q, _split(p, q, tol))
+    seg = _segment(fs, None)
+    norm_z, lower_bound = seg.norm, _lower_bound(fs)
+    gap = abs(norm_z - lower_bound)
     chord = curve_length(seg, CHORD_GRID)
-    chord_gap = abs(chord - norm_z)
     # the chord sum of a segment with |Z| <= pi/2 is grid sin(|Z| / grid)
     chord_identity = abs(chord - CHORD_GRID * np.sin(norm_z / CHORD_GRID))
     ok = (
-        shortfall <= BOUNDS["minimality.shortfall"]
-        and chord_gap <= BOUNDS["minimality.chord_gap"]
+        gap <= BOUNDS["minimality.certificate_gap"]
+        and abs(chord - norm_z) <= BOUNDS["minimality.chord_gap"]
         and chord_identity <= BOUNDS["minimality.chord_identity"]
         and seg.eig_residual <= BOUNDS["minimality.eig_residual"]
     )
-    fields = {
-        "n": p.shape[0],
-        "norm_Z": float(norm_z),
-        "min_competitor": float(min(lengths)) if lengths else None,
-    }
-    return fields, max(shortfall, chord_gap), ok
+    return {"n": p.shape[0], "norm_Z": float(norm_z), "lower_bound": lower_bound}, gap, ok
 
 
 def _block_geodesic_instance(seed: int, tol: Tolerance):

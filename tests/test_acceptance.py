@@ -25,6 +25,7 @@ from projgeo.geodesics import (
     curve_length,
     evaluate,
     minimal_exponent,
+    minimal_geodesic,
     minimality_competitors,
     multi_geodesic_family,
 )
@@ -101,23 +102,26 @@ def test_criterion_2_closed_form_oracle():
 
 def test_criterion_3_minimality():
     start = time.perf_counter()
-    worst_shortfall = worst_chord = 0.0
+    worst_shortfall = worst_chord = worst_gap = 0.0
     for trial in range(100):
         p, q = random_equal_index_pair(trial + 10_000)
-        seg = minimal_exponent(p, q)
+        seg, geodesic_report = minimal_geodesic(p, q, samples=2)
         norm_z = op_norm(seg.exponent)
         lengths = minimality_competitors(p, q, 100, seed=trial * 7919)
         worst_shortfall = max(worst_shortfall, norm_z - min(lengths))
+        # no curve from P to Q is shorter than the certificate's lower bound
+        worst_gap = max(worst_gap, abs(norm_z - geodesic_report["lower_bound"]))
         chord = curve_length(seg, 2000)
         worst_chord = max(worst_chord, abs(chord - norm_z))
     elapsed = time.perf_counter() - start
-    ok = worst_shortfall <= 1e-6 and worst_chord <= 1e-4 and elapsed <= 120.0
+    ok = (worst_shortfall <= 1e-6 and worst_gap <= 1e-12 and worst_chord <= 1e-4
+          and elapsed <= 120.0)
     report(
         3,
-        "minimality, 100x100 competitors",
+        "minimality, 100x100 competitors and the certificate",
         ok,
-        f"worst shortfall {worst_shortfall:.2e}, chord gap {worst_chord:.2e}, "
-        f"{elapsed:.1f}s",
+        f"worst shortfall {worst_shortfall:.2e}, certificate gap {worst_gap:.2e}, "
+        f"chord gap {worst_chord:.2e}, {elapsed:.1f}s",
     )
 
 

@@ -223,7 +223,8 @@ def test_near_edge_pairs(intersections, near_zero, near_half_pi, seed):
     """Pairs with angles near 0 and pi/2, mixed with the four
     intersections: the answer is within rank_rtol of the endpoint or a
     typed error, and the index is the constructed one whenever every angle
-    clears rank_rtol by 10x."""
+    clears rank_rtol by 10x.  The certificate meets |Z| to roundoff then,
+    and within 2 rank_rtol when an angle is decided as an intersection."""
     d11, d00, d10, d01 = intersections
     angles = [10.0**x for x in near_zero] + [np.pi / 2 - 10.0**x for x in near_half_pi]
     if sum(intersections) + len(angles) == 0:
@@ -237,6 +238,8 @@ def test_near_edge_pairs(intersections, near_zero, near_half_pi, seed):
             assert isinstance(exc, NoGeodesic) and d10 != d01
         return
     assert report["endpoint_error"] <= 2 * Tolerance().rank_rtol
+    gap = abs(report["norm_Z"] - report["lower_bound"])
+    assert gap <= (1e-12 if clear else 2 * Tolerance().rank_rtol)
     if clear:
         assert report["index"] == [d10, d01]
         assert report["unique"] is (d10 == d01 == 0)
@@ -642,12 +645,11 @@ class TestStackedCompetitors:
 
     def test_no_midpoint_is_formed_or_factored(self, monkeypatch):
         # the legs come from the Haar factors and the split's eigenbases:
-        # one QR of the unitaries and one SVD of the padded blocks, with no
-        # eigensolve of the pair or of a midpoint and no n x n SVD of P - R
-        # or R - Q
+        # past the split, one QR of the unitaries and one SVD of the padded
+        # blocks, with no eigensolve of the pair or of a midpoint and no
+        # n x n SVD of P - R or R - Q
         p, q = random_equal_index_pair(3)
         n, rank = p.shape[0], int(round(np.trace(p).real))
-        sp = projections._split(*projections._pair(p, q), Tolerance())
         calls = []
         for name in ("svd", "eigh", "qr"):
             real = getattr(np.linalg, name)
@@ -657,11 +659,14 @@ class TestStackedCompetitors:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        geodesics._competitor_lengths(sp, 10, 17)
-        assert sorted(calls) == [
+        projections._split(*projections._pair(p, q), Tolerance())
+        split_calls = calls[:]
+        calls.clear()
+        minimality_competitors(p, q, 10, 17)
+        assert sorted(calls) == sorted(split_calls + [
             ("qr", (10, n, n)),
             ("svd", (2, 10, 2, max(rank, n - rank), rank)),
-        ]
+        ])
 
 
 # log10 of an angle's distance to 0 or to pi/2
@@ -840,9 +845,11 @@ def test_geodesic_report_fields():
     p, q = rotation_pair(np.pi / 4)
     report = minimal_geodesic(p, q, samples=500)[1]
     assert set(report) == {
-        "norm_Z", "index", "endpoint_error", "eig_residual", "length_estimate", "unique"
+        "norm_Z", "lower_bound", "index", "endpoint_error", "eig_residual",
+        "length_estimate", "unique",
     }
     assert abs(report["norm_Z"] - np.pi / 4) <= 1e-10
+    assert abs(report["lower_bound"] - report["norm_Z"]) <= 1e-12
     assert report["index"] == [0, 0]
     assert report["unique"] is True
 
@@ -860,6 +867,10 @@ def test_geodesic_report_equals_public_functions(dims, index):
     assert report["endpoint_error"] == op_norm(evaluate(standalone, 1.0) - q)
     assert report["eig_residual"] == standalone.eig_residual
     assert report["length_estimate"] == curve_length(standalone, 300)
+    # the certificate, read off the split's witness vector with no solve
+    fs = projections.halmos_decompose(p, q)
+    assert report["lower_bound"] == geodesics._lower_bound(fs)
+    assert abs(report["lower_bound"] - report["norm_Z"]) <= 1e-14
     assert report["unique"] is unique_minimal_check(p, q).unique is (index == [0, 0])
 
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 
 import numpy as np
@@ -126,10 +127,9 @@ def test_minimality_fails_an_exponent_off_its_eigenpairs(monkeypatch):
 
 
 def test_minimality_trial_lapack_calls(monkeypatch):
-    """One trial's LAPACK calls do not depend on its number of competitors,
-    and none eigendecomposes -iZ or a midpoint: the one eigensolve is of
-    the pair, as one (2, n, n) stack, which the split and the competitors
-    share."""
+    """None of a trial's calls eigendecomposes -iZ, and its certificate
+    factors nothing: the one eigensolve is of the pair, as one (2, n, n)
+    stack, for the split."""
     calls = []
     for name in ("svd", "eigh", "qr"):
         real = getattr(np.linalg, name)
@@ -140,35 +140,48 @@ def test_minimality_trial_lapack_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
 
-    def trial(competitors, seed):
-        monkeypatch.setattr(suites, "COMPETITORS", competitors)
-        calls.clear()
-        assert suites.run_suite("minimality", 1, seed).failures == 0
-        return [name for name, _ in calls], [shape for name, shape in calls if name == "eigh"]
-
     for seed in range(5):
         n = suites.random_equal_index_pair(seed)[0].shape[0]
-        few, eighs = trial(10, seed)
-        assert trial(100, seed)[0] == few
-        assert eighs == [(2, n, n)]  # the split's, read by the competitors too
+        calls.clear()
+        assert suites.run_suite("minimality", 1, seed).failures == 0
+        names = [name for name, _ in calls]
+        assert [shape for name, shape in calls if name == "eigh"] == [(2, n, n)]
         if seed == 0:
             # the sampler's QR; validation, split, CS split (2 SVDs and a
-            # QR); the competitors' QR and SVD; the chord
-            assert {name: few.count(name) for name in set(few)} == {"qr": 3, "svd": 6, "eigh": 1}
+            # QR); the chord
+            assert {name: names.count(name) for name in set(names)} == {"qr": 2, "svd": 5, "eigh": 1}
 
 
 def test_minimality_records_match_the_public_functions():
-    # the suite splits each pair once for its segment and its competitors;
+    # the suite splits each pair once for its segment and its certificate;
     # each record must carry the bits the public entries give
     seed = 11
     report = suites.run_suite("minimality", 200, seed)
     for i, record in enumerate(report.records):
         p, q = random_equal_index_pair(seed + i)
         assert record["norm_Z"] == geodesics.minimal_exponent(p, q).norm
-        lengths = geodesics.minimality_competitors(
-            p, q, suites.COMPETITORS, (seed + i) * 1000
-        )
-        assert record["min_competitor"] == min(lengths)
+        assert record["lower_bound"] == geodesics.minimal_geodesic(p, q, 2)[1]["lower_bound"]
+
+
+@pytest.mark.parametrize("shift", [1e-9, -1e-9], ids=["longer", "shorter"])
+def test_minimality_certificate_fails_a_moved_largest_angle(monkeypatch, shift):
+    # a largest angle moved by 1e-9 moves |Z|, the exponent and its
+    # eigenpairs alike, so the chord checks and the eigen-residual still
+    # pass; the certificate reads the angle off the pair itself and fails
+    # every trial whose largest angle is a generic one, on either sign
+    true_five_space = suites._five_space
+
+    def moved(p, q, sp):
+        fs = true_five_space(p, q, sp)
+        last = np.arange(fs.angles.size) == fs.angles.size - 1  # ascending: the largest
+        return dataclasses.replace(fs, angles=fs.angles + shift * last)
+
+    monkeypatch.setattr(suites, "_five_space", moved)
+    report = suites.run_suite("minimality", 200, 11)
+    generic = {r["trial"] for r in report.records if 0 < r["norm_Z"] < np.pi / 2}
+    assert {r["trial"] for r in report.records if not r["ok"]} == generic
+    assert report.failures == len(generic) == 92
+    assert report.worst_residual >= 0.9e-9
 
 
 def test_lifting_validates_each_draw_once(monkeypatch):
@@ -404,13 +417,16 @@ def test_fiber_stream_is_none_of_the_samplers(monkeypatch):
         return rng
 
     monkeypatch.setattr(np.random, "default_rng", seeded)
-    # at seed 0, midpoints keyed (1000 s + j, 0) would replay the pair streams
-    # of trials 0, 1 and 2
-    for suite in ("existence", "lifting", "minimality"):
+    for suite in ("existence", "lifting"):
         streams = []
         suites.run_suite(suite, 3, 0)
         assert len(streams) >= 6
         assert len(set(streams)) == len(streams), suite
+    # a minimality trial draws nothing past its pair: it seeds its sampler's
+    # generator alone
+    streams = []
+    suites.run_suite("minimality", 3, 0)
+    assert streams == [repr(real_rng(s).bit_generator.state) for s in range(3)]
 
 
 def test_lifting_trial_builds_no_fiber_operator_and_evaluates_four_times(monkeypatch):
