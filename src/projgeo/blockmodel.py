@@ -37,11 +37,13 @@ from .numkernel import (
     HALF_PI_BOUND,
     Tolerance,
     _adjoint,
+    _defect_norms,
     _first,
     _hermitize,
     _skewize,
     _svd,
     as_cmatrix,
+    as_cstack,
     herm_eig,
     op_norm,
 )
@@ -76,7 +78,8 @@ class BlockOperator:
     repeating tail block.
 
     Kept in normal form: trailing exceptional blocks bitwise equal to the
-    tail are absorbed, so the exceptional list is minimal.
+    tail are absorbed, so the exceptional list is minimal.  Public construction
+    checks every block; the model's own results are checked once, as a stack.
     """
 
     block_dim: int
@@ -93,10 +96,21 @@ class BlockOperator:
             raise ValueError(
                 f"exceptional list longer than {MAX_EXCEPTIONAL} blocks"
             )
+        self._set(d, blocks, tail)
+
+    def _set(self, d: int, blocks: tuple, tail: np.ndarray) -> "BlockOperator":
         while blocks and np.array_equal(blocks[-1], tail):
             blocks = blocks[:-1]
-        object.__setattr__(self, "exceptional", blocks)
-        object.__setattr__(self, "tail", tail)
+        for name, value in (("block_dim", d), ("exceptional", blocks), ("tail", tail)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray) -> "BlockOperator":
+        """The operator of a ``(k + 1, d, d)`` stack that the model has just computed,
+        tail last: one finiteness check of the stack, the normal form, no per-block check."""
+        *blocks, tail = as_cstack(stack)
+        return object.__new__(cls)._set(tail.shape[0], tuple(blocks), tail)
 
     # -- structure ---------------------------------------------------------
 
@@ -308,10 +322,10 @@ def lift_geodesic(
     d = lift_p.block_dim
     p = _as_block(p, d)
     z = _as_block(z, d)
-    make_projection(p)
+    blocks = make_projection(np.array([p, *lift_p.exceptional]))[1:]
     pc = np.eye(d) - p
-    stack = np.array([z + _adjoint(z), p @ z @ p, pc @ z @ pc, z])
-    skew, *diagonal, z_norm = op_norm(stack).tolist()
+    checks = _defect_norms(lambda: np.array([z + _adjoint(z), p @ z @ p, pc @ z @ pc, z]))
+    skew, *diagonal, z_norm = checks.tolist()
     if skew > PROJECTION_ATOL:
         raise NotCodiagonal("exponent is not skew")
     if max(diagonal) > PROJECTION_ATOL:
@@ -320,11 +334,8 @@ def lift_geodesic(
         raise NormTooLarge(f"|z| = {z_norm!r} exceeds pi/2")
     if not np.array_equal(lift_p.tail, p):
         raise NotAProjection("lift_p is not a lift of p: tails differ")
-    blocks = ()
-    if lift_p.exceptional:
-        blocks = tuple(_compress(make_projection(np.array(lift_p.exceptional)), z))
     # the tail carries z itself, so the quotient of the lift is exact
-    return BlockOperator(d, blocks, z)
+    return BlockOperator._of_stack(np.concatenate([_compress(blocks, z), z[None]]))
 
 
 def evaluate_block_geodesic(lift_p: BlockOperator, z: BlockOperator):
@@ -338,11 +349,7 @@ def evaluate_block_geodesic(lift_p: BlockOperator, z: BlockOperator):
     indices = range(lift_p._aligned(z) + 1)
     stack = GeodesicSegment(*(np.array([a.block_at(i) for i in indices]) for a in (lift_p, z)))
 
-    def at(t: float) -> BlockOperator:
-        *blocks, tail = evaluate(stack, t)
-        return BlockOperator(lift_p.block_dim, tuple(blocks), tail)
-
-    return at
+    return lambda t: BlockOperator._of_stack(evaluate(stack, t))
 
 
 # -- existence dichotomy -------------------------------------------------------
@@ -385,10 +392,14 @@ def lifting_surgery(
     untouched) and leaves every exceptional pair with index ``(0, 0)``.
     """
     m = lift_p._aligned(lift_q)
-    new_p, new_q = [], []
-    for i in range(m):
-        bp, bq = lift_p.block_at(i), lift_q.block_at(i)
-        pair = _pair(bp, bq)
+    if not m:
+        return lift_p, lift_q
+    # the blocks it reads, each validated once: a tail where the other list is longer
+    own = [[*a.exceptional, a.tail][:m] for a in (lift_p, lift_q)]
+    raw, k = np.array(own[0] + own[1]), len(own[0])
+    rows = np.array([(min(i, k - 1), k + min(i, len(own[1]) - 1)) for i in range(m)])
+    pairs, blocks = make_projection(raw)[rows], raw[rows]
+    for pair, out in zip(pairs, blocks):
         sp = _split(*pair, tol)
         if any(sp.index):  # only a crossed pair needs its bases
             fs = _five_space(*pair, sp)
@@ -396,13 +407,9 @@ def lifting_surgery(
             # crossed; the range of Q_i M01 lies in R(Q_i)
             y = np.linalg.qr(fs.q @ fs.m01)[0]
             crossed = np.array([fs.m10 @ _adjoint(fs.m10), y @ _adjoint(y)])
-            bp, bq = _hermitize(pair - crossed)
-        new_p.append(bp)
-        new_q.append(bq)
-    return (
-        BlockOperator(lift_p.block_dim, tuple(new_p), lift_p.tail),
-        BlockOperator(lift_p.block_dim, tuple(new_q), lift_q.tail),
-    )
+            out[:] = _hermitize(pair - crossed)
+    tails = np.array([lift_p.tail, lift_q.tail])[:, None]
+    return tuple(BlockOperator._of_stack(np.concatenate([blocks[:, j], tails[j]])) for j in (0, 1))
 
 
 def existence_dichotomy(
@@ -436,7 +443,7 @@ def existence_dichotomy(
         # the caller's tails, not the door's Hermitian part of them
         if not (np.array_equal(lp.tail, p) and np.array_equal(lq.tail, q)):
             raise NotAProjection("supplied lifts do not have tails p, q")
-        # in the FiniteFinite case lifting_surgery validates each block pair
+        # in the FiniteFinite case lifting_surgery validates the blocks
         blocks = [*lp.exceptional, *lq.exceptional]
         if blocks and case is not DichotomyCase.FINITE_FINITE:
             make_projection(np.array(blocks))

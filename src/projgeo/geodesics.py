@@ -50,6 +50,7 @@ from .numkernel import (
 from .projections import (
     FiveSpace,
     IndexPair,
+    _SQRT2,
     _angle_blocks,
     _haar_unitaries,
     _pair,
@@ -63,8 +64,6 @@ from .projections import (
 # of minimality_competitors: bounds the memory a grid or a competitor batch
 # costs at large n while keeping the per-call overhead low at small n
 _CHUNK_BYTES = 1 << 20
-
-_SQRT2 = np.sqrt(2)
 
 
 @dataclass
@@ -167,7 +166,7 @@ def _segment(fs: FiveSpace, pairing: np.ndarray | None) -> GeodesicSegment:
     x, g = fs.h0[:, 0::2] / _SQRT2, fs.h0[:, 1::2] * (1j / _SQRT2)
     m10 = (fs.m10 if pairing is None else fs.m10 @ pairing) / _SQRT2
     m01 = fs.m01 / _SQRT2
-    u = np.hstack([fs.m11, fs.m00, x + g, x - g, m10 + m01, m10 - m01])
+    u = np.concatenate([fs.m11, fs.m00, x + g, x - g, m10 + m01, m10 - m01], axis=1)
     w = np.concatenate([np.zeros(fs.dims[0] + fs.dims[1]), -fs.angles, fs.angles,
                         np.full(d10, np.pi / 2), np.full(d10, -np.pi / 2)])
     return GeodesicSegment(base=fs.p, exponent=_exponent(fs, pairing), _eig=(w, u))

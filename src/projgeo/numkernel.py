@@ -69,7 +69,7 @@ def require_square(m: np.ndarray) -> int:
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(m.conj(), -1, -2)
+    return m.conj().swapaxes(-1, -2)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -99,6 +99,17 @@ def op_norm(a):
     return float(norms) if m.ndim == 2 else norms
 
 
+def _defect_norms(make) -> np.ndarray:
+    """``op_norm`` of each matrix of the stack ``make()``, ``inf`` where it overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = make()
+    try:
+        return op_norm(stack)
+    except ValueError:  # an entry overflowed
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        return np.where(finite, op_norm(np.where(finite[..., None, None], stack, 0)), np.inf)
+
+
 class HermEig(NamedTuple):
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # unitary, columns match eigenvalues
@@ -115,7 +126,7 @@ def _check_hermitian(m: np.ndarray) -> None:
     # bitwise-symmetric input (the common case) skips the norms
     if np.array_equal(m, _adjoint(m)):
         return
-    norms, defects = op_norm(np.array([m, m - _adjoint(m)]))
+    norms, defects = _defect_norms(lambda: np.array([m, m - _adjoint(m)]))
     i = _first(defects > RECON_RTOL * norms)
     if i is not None:
         raise NotHermitian(
@@ -192,11 +203,11 @@ def cs_decompose(x, p: int, q: int):
 
     Two SVDs (Bjorck & Golub, Math. Comp. 27, 1973): that of ``x11`` gives
     the cosines below ``1/sqrt(2)``, that of ``x21`` on the rest the sines.
-    An SVD that fails to converge raises ``NoConvergence``.
+    An SVD that fails to converge raises ``NoConvergence``.  ``x`` is not
+    checked: it is the unitary that ``_split`` computed.
     """
-    m = as_cmatrix(x)
-    n = require_square(m)
-    x11, x21 = m[:p, :q], m[p:, :q]
+    n = x.shape[0]
+    x11, x21 = x[:p, :q], x[p:, :q]
     u, c, wh = _svd(x11)
     ns = int(np.count_nonzero(c * c >= 0.5))  # the small angles come first
     g = x21 @ _adjoint(wh[ns:])  # the large angles' partners, then the crossed
@@ -208,6 +219,6 @@ def cs_decompose(x, p: int, q: int):
     cos = np.linalg.norm(h, axis=0)
     sin = np.concatenate([s, np.zeros(ns - len(s))])  # forced zeros last
     small, large = np.arctan2(sin, cos)[::-1], np.arctan2(norms[:len(c) - ns], c[ns:])
-    u1 = np.hstack([(h / cos)[:, ::-1], u[:, ns:]])
-    u2 = np.hstack([(basis @ v2)[:, ::-1], g])
+    u1 = np.concatenate([(h / cos)[:, ::-1], u[:, ns:]], axis=1)
+    u2 = np.concatenate([(basis @ v2)[:, ::-1], g], axis=1)
     return u1, u2, np.concatenate([small, large])[max(0, p + q - n):]

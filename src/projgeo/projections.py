@@ -20,6 +20,7 @@ from .errors import DimMismatch, InconsistentDims, NotAProjection
 from .numkernel import (
     Tolerance,
     _adjoint,
+    _defect_norms,
     _first,
     _hermitize,
     as_cmatrix,
@@ -34,6 +35,7 @@ from .numkernel import (
 # construction tolerance, deliberately looser than the kernel's RECON_RTOL so
 # that conjugated/compressed projections still validate
 PROJECTION_ATOL = 1e-10
+_SQRT2 = np.sqrt(2)
 
 
 def make_projection(m) -> np.ndarray:
@@ -44,26 +46,27 @@ def make_projection(m) -> np.ndarray:
     norms of every matrix come from one singular-value call.  A matrix that
     violates ``P = P*`` or ``P^2 = P`` beyond ``PROJECTION_ATOL`` raises
     ``NotAProjection`` with the violated bound (for a stack, that of the
-    first such matrix).  An accepted matrix is returned as its exact
-    Hermitian part ``(P + P*) / 2``, so every check past this door sees a
-    bitwise Hermitian matrix; on a bitwise Hermitian input that changes no
-    value.  Nothing else is repaired.
+    first such matrix; a defect that overflows is ``inf``).  An accepted
+    matrix is returned as its exact Hermitian part ``(P + P*) / 2``, so
+    every check past this door sees a bitwise Hermitian matrix: a bitwise
+    Hermitian stack comes back as the same array, which may alias ``m``.
+    Nothing else is repaired.
     """
     p = as_cstack(m)
     require_square(p)
-    if np.array_equal(p, _adjoint(p)):
+    if hermitian := np.array_equal(p, _adjoint(p)):
         # a bitwise Hermitian stack has no symmetry defect to measure
-        idem_defects = op_norm(p @ p - p)
+        idem_defects = _defect_norms(lambda: p @ p - p)
         sym_defects = np.zeros_like(idem_defects)
     else:
-        sym_defects, idem_defects = op_norm(np.array([p - _adjoint(p), p @ p - p]))
+        sym_defects, idem_defects = _defect_norms(lambda: np.array([p - _adjoint(p), p @ p - p]))
     i = _first((sym_defects > PROJECTION_ATOL) | (idem_defects > PROJECTION_ATOL))
     if i is not None:
         sym_defect, idem_defect = np.ravel(sym_defects)[i], np.ravel(idem_defects)[i]
         if sym_defect > PROJECTION_ATOL:
             raise NotAProjection(f"|P - P*| = {sym_defect:.3e} > {PROJECTION_ATOL:.1e}")
         raise NotAProjection(f"|P^2 - P| = {idem_defect:.3e} > {PROJECTION_ATOL:.1e}")
-    return _hermitize(p)
+    return p if hermitian else _hermitize(p)
 
 
 def _rank(p: np.ndarray):
@@ -76,10 +79,10 @@ def _rank(p: np.ndarray):
 def _haar(draws) -> np.ndarray:
     """Haar unitaries from a stack of ``standard_normal((2, n, n))`` draws, with one QR."""
     draws = np.asarray(draws)
-    q, r = np.linalg.qr((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2))
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d = np.where(np.abs(d) == 0.0, 1.0, d / np.abs(d))
-    return q * d[..., None, :]
+    q, r = np.linalg.qr((draws[:, 0] + 1j * draws[:, 1]) / _SQRT2)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    a = np.abs(d)
+    return q * np.where(a == 0.0, 1.0, d / a)[..., None, :]
 
 
 def _range_projection(u: np.ndarray, r: int) -> np.ndarray:
@@ -271,11 +274,11 @@ def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
     null vectors too) counts the angles with ``cos <= rank_rtol``
     (crossed) and with ``sin <= rank_rtol`` (aligned).
     """
-    n = p.shape[0]
-    r, s = _rank(p), _rank(q)
+    n, pair = p.shape[0], np.array([p, q])
+    r, s = _rank(pair).tolist()
     a, b, c, e = max(0, r + s - n), max(0, n - r - s), max(0, r - s), max(0, s - r)
     k = r - a - c
-    vp, vq = herm_eig(np.array([p, q])).eigenvectors[..., ::-1]
+    vp, vq = herm_eig(pair).eigenvectors[..., ::-1]
     x = _adjoint(vp) @ vq
     cos_null, sin_null = nullspace(_angle_blocks(x[:, :s], r), tol)
     aligned = min(max(sin_null.shape[1] - a, 0), k)

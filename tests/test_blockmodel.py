@@ -461,23 +461,114 @@ class TestLiftGeodesic:
         assert str(stacked.value) == str(alone.value)
 
     def test_error_order(self):
-        # each input also fails every later check; the earliest one wins
+        # p and the exceptional blocks (one stack), then z's skew, codiagonal
+        # and norm checks, then the tail: each input holds two adjacent
+        # faults and the earlier one wins, so a bad exceptional block wins
+        # over every fault of z and of the tail
         p, q, z = self.setup_pair()
-        bad_block = (np.diag([0.7, 0.0]).astype(complex),)
-        wrong_tail = BlockOperator(2, bad_block, np.eye(2, dtype=complex))
-        right_tail = BlockOperator(2, bad_block, p)
-        not_skew = 2.0 * np.array([[1j, 1.0], [0.0, 0.0]], dtype=complex)
-        diagonal = np.array([[2j, 0.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(NotCodiagonal, match="not skew"):
-            lift_geodesic(p, not_skew, wrong_tail)
-        with pytest.raises(NotCodiagonal, match="codiagonal"):
-            lift_geodesic(p, diagonal, wrong_tail)
-        with pytest.raises(NormTooLarge):
-            lift_geodesic(p, 3.0 * z, wrong_tail)
-        with pytest.raises(NotAProjection, match="tails differ"):
-            lift_geodesic(p, z, wrong_tail)
-        with pytest.raises(NotAProjection, match="P\\^2"):
-            lift_geodesic(p, z, right_tail)
+        good, bad = np.diag([0.0, 1.0]).astype(complex), np.diag([0.7, 0.0]).astype(complex)
+        not_skew = 2.0 * np.array([[1j, 1.0], [0.0, 0.0]], dtype=complex)  # also diagonal
+        diagonal = np.array([[2j, 0.0], [0.0, 0.0]], dtype=complex)  # |diagonal| = 2
+        cases = [
+            (not_skew, (good, bad), p, NotAProjection, "P\\^2"),
+            (not_skew, (good,), p, NotCodiagonal, "not skew"),
+            (diagonal, (good,), p, NotCodiagonal, "codiagonal"),
+            (3.0 * z, (good,), np.eye(2, dtype=complex), NormTooLarge, "exceeds pi/2"),
+        ]
+        for exponent, blocks, tail, error, message in cases:
+            with pytest.raises(error, match=message):
+                lift_geodesic(p, exponent, BlockOperator(2, blocks, tail))
+
+
+def assert_same_operator(got, want):
+    """Field by field and bit for bit, the normal form included."""
+    assert got.block_dim == want.block_dim
+    assert len(got.exceptional) == len(want.exceptional)
+    for x, y in zip((*got.exceptional, got.tail), (*want.exceptional, want.tail)):
+        assert x.dtype == y.dtype == np.complex128
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestTrustedConstruction:
+    # the model's own results skip the per-block checks of public
+    # construction; they must be the operators that it builds
+
+    def test_lifts_and_curve_points_equal_public_construction(self):
+        for seed in range(11, 51):
+            p, _, z, lift_p = suites._block_geodesic_instance(seed, Tolerance())
+            d = lift_p.block_dim
+            big_z = lift_geodesic(p, z, lift_p)
+            blocks = blockmodel._compress(make_projection(np.array(lift_p.exceptional)), z)
+            assert_same_operator(big_z, BlockOperator(d, tuple(blocks), z))
+            curve = evaluate_block_geodesic(lift_p, big_z)
+            indices = range(max(len(lift_p.exceptional), len(big_z.exceptional)) + 1)
+            seg = GeodesicSegment(
+                *(np.array([a.block_at(i) for i in indices]) for a in (lift_p, big_z))
+            )
+            for t in (0.0, 0.25, 0.5, 1.0):
+                *blocks, tail = evaluate(seg, t)
+                assert_same_operator(curve(t), BlockOperator(d, tuple(blocks), tail))
+
+    def test_normal_form(self):
+        e1, e2 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        stack = np.array([e2, e1, e1, e1])
+        got = BlockOperator._of_stack(stack)
+        assert len(got.exceptional) == 1
+        assert_same_operator(got, BlockOperator(2, tuple(stack[:-1]), stack[-1]))
+        # a zero exponent compresses every block to the tail: all absorbed
+        zero = np.zeros((2, 2), complex)
+        big_z = lift_geodesic(e1, zero, BlockOperator(2, (e2, e2), e1))
+        assert big_z.exceptional == ()
+        assert_same_operator(big_z, BlockOperator(2, (zero, zero), zero))
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_non_finite_stack_raises_the_public_error(self, where):
+        stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
+        stack[where, 0, 1] = np.nan
+        with pytest.raises(ValueError) as public:
+            BlockOperator(2, tuple(stack[:-1]), stack[-1])
+        with pytest.raises(ValueError) as trusted:
+            BlockOperator._of_stack(stack)
+        assert str(trusted.value) == str(public.value) == "matrix has non-finite entries"
+
+    def test_one_door_per_lift_and_no_block_conversion_per_point(self, monkeypatch):
+        calls = {"make_projection": 0, "_as_block": 0}
+        for name in calls:
+            real = getattr(blockmodel, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(blockmodel, name, counted)
+        for seed in range(11, 21):
+            p, _, z, lift_p = suites._block_geodesic_instance(seed, Tolerance())
+            calls.update(make_projection=0)
+            big_z = lift_geodesic(p, z, lift_p)
+            assert calls["make_projection"] == 1
+            curve = evaluate_block_geodesic(lift_p, big_z)
+            calls.update(_as_block=0)
+            for t in (0.25, 0.5, 1.0):
+                curve(t)
+            assert calls["_as_block"] == 0
+
+    def test_surgery_validates_each_block_it_reads_once(self, monkeypatch):
+        shapes = []
+        real = blockmodel.make_projection
+
+        def measured(m):
+            shapes.append(np.shape(m))
+            return real(m)
+
+        monkeypatch.setattr(blockmodel, "make_projection", measured)
+        e1, e2 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        # three pairs: P's three blocks, Q's one block and its tail, once
+        lifts = (BlockOperator(2, (e1, e2, e2), e1), BlockOperator(2, (e2,), e1))
+        witnesses = blockmodel.lifting_surgery(*lifts)
+        assert shapes == [(5, 2, 2)]
+        assert truncated_index_pairs(*witnesses, [3])[0] == (0, 0)
+        for w, lift in zip(witnesses, lifts):
+            assert w.tail.tobytes() == lift.tail.tobytes()
 
 
 class TestExistenceDichotomy:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from projgeo.errors import NoConvergence, NotHermitian, NotUnitary
+from projgeo.blockmodel import BlockOperator, lift_geodesic
+from projgeo.errors import NoConvergence, NotAProjection, NotCodiagonal, NotHermitian, NotUnitary
 from projgeo.numkernel import (
     Tolerance,
     cs_decompose,
@@ -10,7 +11,7 @@ from projgeo.numkernel import (
     nullspace,
     op_norm,
 )
-from projgeo.projections import random_unitary
+from projgeo.projections import make_projection, random_unitary
 
 # the polar factor, the principal logarithm and the skew exponential are no
 # longer package kernels; they remain as the old-pipeline reference, tested
@@ -261,6 +262,28 @@ def test_svd_failure_is_no_convergence(monkeypatch, kernel):
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(NoConvergence, match="did not converge"):
         kernel(random_unitary(4, 0))
+
+
+E1, E2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "door,error,message",
+    [
+        (lambda: make_projection(np.full((2, 2), 1e200)), NotAProjection, "P\\^2 - P\\| = inf"),
+        (lambda: herm_eig(np.array([[1e308, 1e308], [-1e308, 1e308]])), NotHermitian,
+         "asymmetry inf"),
+        (lambda: lift_geodesic(E1, np.array([[0.0, 1e308], [1e308, 0.0]]),
+                               BlockOperator(2, (E2,), E1)), NotCodiagonal, "not skew"),
+    ],
+    ids=["make_projection", "herm_eig", "lift_geodesic"],
+)
+def test_finite_input_whose_defect_overflows_gets_its_typed_refusal(door, error, message):
+    # the defect's arithmetic overflows to inf: no RuntimeWarning (an error
+    # under the suite's filterwarnings), and the door's own refusal, not the
+    # generic ValueError for a non-finite matrix
+    with pytest.raises(error, match=message):
+        door()
 
 
 class TestPolarUnitary:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo import projections, suites
+from projgeo import numkernel, projections, suites
 from projgeo.cli import main
 from projgeo.errors import DimMismatch, InconsistentDims, NotAProjection
 from projgeo.numkernel import Tolerance, _adjoint, _hermitize, op_norm
@@ -72,8 +72,9 @@ class TestMakeProjection:
         got = make_projection(off)
         assert np.array_equal(got, _adjoint(got))
         assert np.array_equal(got, _hermitize(off))
-        # a projection the library built comes back bit for bit
+        # a projection the library built comes back bit for bit, as the same array
         assert np.array_equal(make_projection(p).view(float), p.view(float))
+        assert make_projection(p) is p
 
     @pytest.mark.parametrize(
         "asymmetry,diagonal",
@@ -95,13 +96,14 @@ class TestMakeProjection:
 
     def test_hermitian_input_measures_idempotency_alone(self, monkeypatch):
         shapes = []
-        real = projections.op_norm
+        real = numkernel.op_norm
 
         def measured(a):
             shapes.append(np.shape(a))
             return real(a)
 
-        monkeypatch.setattr(projections, "op_norm", measured)
+        # make_projection measures its defects through numkernel._defect_norms
+        monkeypatch.setattr(numkernel, "op_norm", measured)
         stack = np.stack([random_projection(5, 2, s) for s in range(3)])
         make_projection(stack)
         off = stack.copy()
