@@ -72,53 +72,54 @@ def _as_block(m, d: int) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
+def _padded(stack: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` blocks of a stack, tail last, then its tail, which stands
+    in past the stack's end: the stack itself when ``m`` blocks are all it has."""
+    k = len(stack) - 1
+    j = min(m, k)
+    return stack if m == k else stack[[*range(j), *[k] * (m + 1 - j)]]
+
+
+@dataclass(frozen=True, init=False)
 class BlockOperator:
-    """Block-diagonal operator: exceptional ``d x d`` blocks, then a
-    repeating tail block.
+    """Block-diagonal operator: exceptional ``d x d`` blocks, then a repeating
+    tail block, held as one read-only ``(k + 1, d, d)`` complex stack
+    ``blocks``, tail last.  The constructor is the one door; it takes the
+    exceptional blocks as a tuple or a ``(k, d, d)`` array and keeps the normal
+    form: trailing exceptional blocks bitwise equal to the tail are absorbed."""
 
-    Kept in normal form: trailing exceptional blocks bitwise equal to the
-    tail are absorbed, so the exceptional list is minimal.  Public construction
-    checks every block; the model's own results are checked once, as a stack.
-    """
+    blocks: np.ndarray
 
-    block_dim: int
-    exceptional: tuple[np.ndarray, ...]
-    tail: np.ndarray
-
-    def __post_init__(self):
-        d = self.block_dim
+    def __init__(self, block_dim: int, exceptional, tail):
+        d = block_dim
         if d < 1:
             raise DimMismatch(f"block_dim must be positive, got {d}")
-        tail = _as_block(self.tail, d)
-        blocks = tuple(_as_block(b, d) for b in self.exceptional)
-        if len(blocks) > MAX_EXCEPTIONAL:
-            raise ValueError(
-                f"exceptional list longer than {MAX_EXCEPTIONAL} blocks"
-            )
-        self._set(d, blocks, tail)
-
-    def _set(self, d: int, blocks: tuple, tail: np.ndarray) -> "BlockOperator":
-        while blocks and np.array_equal(blocks[-1], tail):
-            blocks = blocks[:-1]
-        for name, value in (("block_dim", d), ("exceptional", blocks), ("tail", tail)):
-            object.__setattr__(self, name, value)
-        return self
-
-    @classmethod
-    def _of_stack(cls, stack: np.ndarray) -> "BlockOperator":
-        """The operator of a ``(k + 1, d, d)`` stack that the model has just computed,
-        tail last: one finiteness check of the stack, the normal form, no per-block check."""
-        *blocks, tail = as_cstack(stack)
-        return object.__new__(cls)._set(tail.shape[0], tuple(blocks), tail)
+        if len(exceptional) > MAX_EXCEPTIONAL:
+            raise ValueError(f"exceptional list longer than {MAX_EXCEPTIONAL} blocks")
+        blocks = (*exceptional, tail)
+        for b in blocks:
+            if np.shape(b) != (d, d):
+                raise DimMismatch(f"expected a {d}x{d} block, got {np.shape(b)}")
+        stack = as_cstack(blocks)
+        # the normal form: cut the trailing blocks bitwise equal to the tail
+        same = (stack[:-1] == stack[-1]).all(axis=(1, 2)).tolist() if len(stack) > 1 else []
+        stack = _padded(stack, len(same) - (same[::-1] + [False]).index(False))
+        stack.flags.writeable = False
+        object.__setattr__(self, "blocks", stack)
 
     # -- structure ---------------------------------------------------------
 
-    def block_at(self, i: int) -> np.ndarray:
-        """Block acting on the ``i``-th summand."""
-        if i < len(self.exceptional):
-            return self.exceptional[i]
-        return self.tail
+    @property
+    def block_dim(self) -> int:
+        return self.blocks.shape[-1]
+
+    @property
+    def exceptional(self) -> np.ndarray:
+        return self.blocks[:-1]
+
+    @property
+    def tail(self) -> np.ndarray:
+        return self.blocks[-1]
 
     def _aligned(self, other: "BlockOperator") -> int:
         if not isinstance(other, BlockOperator):
@@ -127,17 +128,14 @@ class BlockOperator:
             raise DimMismatch(
                 f"block dims {self.block_dim} and {other.block_dim} differ"
             )
-        return max(len(self.exceptional), len(other.exceptional))
+        return max(len(self.blocks), len(other.blocks)) - 1
 
     # -- *-algebra operations ----------------------------------------------
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         m = self._aligned(other)
-        return BlockOperator(
-            self.block_dim,
-            tuple(self.block_at(i) + other.block_at(i) for i in range(m)),
-            self.tail + other.tail,
-        )
+        s = _padded(self.blocks, m) + _padded(other.blocks, m)
+        return BlockOperator(self.block_dim, s[:-1], s[-1])
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
         return self + (-1.0) * other
@@ -148,30 +146,21 @@ class BlockOperator:
     def __mul__(self, other):
         if isinstance(other, BlockOperator):
             m = self._aligned(other)
-            return BlockOperator(
-                self.block_dim,
-                tuple(self.block_at(i) @ other.block_at(i) for i in range(m)),
-                self.tail @ other.tail,
-            )
-        return BlockOperator(
-            self.block_dim,
-            tuple(other * b for b in self.exceptional),
-            other * self.tail,
-        )
+            s = _padded(self.blocks, m) @ _padded(other.blocks, m)
+        else:
+            s = other * self.blocks
+        return BlockOperator(self.block_dim, s[:-1], s[-1])
 
     def __rmul__(self, scalar) -> "BlockOperator":
         return self * scalar
 
     def adjoint(self) -> "BlockOperator":
-        return BlockOperator(
-            self.block_dim,
-            tuple(_adjoint(b) for b in self.exceptional),
-            _adjoint(self.tail),
-        )
+        s = _adjoint(self.blocks)
+        return BlockOperator(self.block_dim, s[:-1], s[-1])
 
     def norm(self) -> float:
         """Exact operator norm: the largest block norm."""
-        return float(op_norm(np.array([*self.exceptional, self.tail])).max())
+        return float(op_norm(self.blocks).max())
 
 
 def quotient(a: BlockOperator) -> np.ndarray:
@@ -182,11 +171,6 @@ def quotient(a: BlockOperator) -> np.ndarray:
 
 
 # -- projection lifting ------------------------------------------------------
-
-
-def _threshold_block(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The block with eigenpairs ``(w, u)`` pushed through the step at 1/2."""
-    return _hermitize((u * (w >= 0.5).astype(float)) @ _adjoint(u))
 
 
 def lift_projection(t: BlockOperator) -> BlockOperator:
@@ -207,23 +191,20 @@ def lift_projection(t: BlockOperator) -> BlockOperator:
     NotAProjection
         If the tail is not a projection within 1e-10.
     """
-    for i, b in enumerate((*t.exceptional, t.tail)):
-        if not np.array_equal(b, _adjoint(b)):
-            raise NotHermitian(f"block {i} is not selfadjoint")
+    i = _first((t.blocks != _adjoint(t.blocks)).any(axis=(1, 2)))
+    if i is not None:
+        raise NotHermitian(f"block {i} is not selfadjoint")
     make_projection(t.tail)
-    new_blocks = []
-    for i, b in enumerate(t.exceptional):
-        w, u = herm_eig(b)
-        bad = np.abs(w - 0.5) < SPECTRAL_GAP
-        if np.any(bad):
-            offending = float(w[bad][0])
-            raise NoSpectralGap(
-                f"eigenvalue {offending!r} of exceptional block {i} lies "
-                f"within {SPECTRAL_GAP} of 1/2"
-            )
-        new_blocks.append(_threshold_block(w, u))
-    new_tail = _threshold_block(*herm_eig(t.tail))
-    return BlockOperator(t.block_dim, tuple(new_blocks), new_tail)
+    w, u = herm_eig(t.blocks)
+    # the first offending eigenvalue (ascending) of the first offending block
+    i = _first(np.abs(w[:-1] - 0.5) < SPECTRAL_GAP)
+    if i is not None:
+        raise NoSpectralGap(
+            f"eigenvalue {float(w.flat[i])!r} of exceptional block {i // t.block_dim} "
+            f"lies within {SPECTRAL_GAP} of 1/2"
+        )
+    lifted = _hermitize((u * (w >= 0.5)[:, None, :]) @ _adjoint(u))
+    return BlockOperator(t.block_dim, lifted[:-1], lifted[-1])
 
 
 # -- norm-minimal selfadjoint lifting ----------------------------------------
@@ -322,7 +303,7 @@ def lift_geodesic(
     d = lift_p.block_dim
     p = _as_block(p, d)
     z = _as_block(z, d)
-    blocks = make_projection(np.array([p, *lift_p.exceptional]))[1:]
+    blocks = make_projection(np.concatenate([p[None], lift_p.exceptional]))[1:]
     pc = np.eye(d) - p
     checks = _defect_norms(lambda: np.array([z + _adjoint(z), p @ z @ p, pc @ z @ pc, z]))
     skew, *diagonal, z_norm = checks.tolist()
@@ -335,7 +316,7 @@ def lift_geodesic(
     if not np.array_equal(lift_p.tail, p):
         raise NotAProjection("lift_p is not a lift of p: tails differ")
     # the tail carries z itself, so the quotient of the lift is exact
-    return BlockOperator._of_stack(np.concatenate([_compress(blocks, z), z[None]]))
+    return BlockOperator(d, _compress(blocks, z), z)
 
 
 def evaluate_block_geodesic(lift_p: BlockOperator, z: BlockOperator):
@@ -346,10 +327,14 @@ def evaluate_block_geodesic(lift_p: BlockOperator, z: BlockOperator):
     is exactly the quotient geodesic of the tails.  The distinct blocks
     form one segment of stacks, so a point of the curve is one ``evaluate``.
     """
-    indices = range(lift_p._aligned(z) + 1)
-    stack = GeodesicSegment(*(np.array([a.block_at(i) for i in indices]) for a in (lift_p, z)))
+    m = lift_p._aligned(z)
+    segment = GeodesicSegment(_padded(lift_p.blocks, m), _padded(z.blocks, m))
 
-    return lambda t: BlockOperator._of_stack(evaluate(stack, t))
+    def at(t) -> BlockOperator:
+        s = evaluate(segment, t)
+        return BlockOperator(lift_p.block_dim, s[:-1], s[-1])
+
+    return at
 
 
 # -- existence dichotomy -------------------------------------------------------
@@ -395,9 +380,9 @@ def lifting_surgery(
     if not m:
         return lift_p, lift_q
     # the blocks it reads, each validated once: a tail where the other list is longer
-    own = [[*a.exceptional, a.tail][:m] for a in (lift_p, lift_q)]
-    raw, k = np.array(own[0] + own[1]), len(own[0])
-    rows = np.array([(min(i, k - 1), k + min(i, len(own[1]) - 1)) for i in range(m)])
+    raw = np.concatenate([lift_p.blocks[:m], lift_q.blocks[:m]])
+    k = min(len(lift_p.blocks), m)
+    rows = np.minimum(np.arange(m)[:, None], [k - 1, len(raw) - k - 1]) + [0, k]
     pairs, blocks = make_projection(raw)[rows], raw[rows]
     for pair, out in zip(pairs, blocks):
         sp = _split(*pair, tol)
@@ -408,8 +393,8 @@ def lifting_surgery(
             y = np.linalg.qr(fs.q @ fs.m01)[0]
             crossed = np.array([fs.m10 @ _adjoint(fs.m10), y @ _adjoint(y)])
             out[:] = _hermitize(pair - crossed)
-    tails = np.array([lift_p.tail, lift_q.tail])[:, None]
-    return tuple(BlockOperator._of_stack(np.concatenate([blocks[:, j], tails[j]])) for j in (0, 1))
+    return (BlockOperator(lift_p.block_dim, blocks[:, 0], lift_p.tail),
+            BlockOperator(lift_q.block_dim, blocks[:, 1], lift_q.tail))
 
 
 def existence_dichotomy(
@@ -432,21 +417,19 @@ def existence_dichotomy(
     every block.
     """
     pair = _pair(p, q)
-    d = pair.shape[-1]
     ip = _split(*pair, tol).index
     case = _dichotomy_case(ip)
 
     if lifts is None:
-        lifts = tuple(BlockOperator(d, (), m) for m in pair)
+        lifts = tuple(BlockOperator(len(m), (), m) for m in pair)
     else:
         lp, lq = lifts
         # the caller's tails, not the door's Hermitian part of them
         if not (np.array_equal(lp.tail, p) and np.array_equal(lq.tail, q)):
             raise NotAProjection("supplied lifts do not have tails p, q")
-        # in the FiniteFinite case lifting_surgery validates the blocks
-        blocks = [*lp.exceptional, *lq.exceptional]
-        if blocks and case is not DichotomyCase.FINITE_FINITE:
-            make_projection(np.array(blocks))
+        # their exceptional blocks, if any; in the FiniteFinite case lifting_surgery validates them
+        if case is not DichotomyCase.FINITE_FINITE and len(lp.blocks) + len(lq.blocks) > 2:
+            make_projection(np.concatenate([lp.exceptional, lq.exceptional]))
 
     if case is DichotomyCase.MIXED:
         return DichotomyResult(False, case, None, ip)
@@ -483,11 +466,11 @@ def truncated_index_pairs(
     lengths = list(lengths)
     if any(n < 0 for n in lengths):
         raise ValueError(f"truncation lengths must be non-negative, got {lengths}")
-    blocks = np.array([(lift_p.block_at(i), lift_q.block_at(i)) for i in range(m + 1)])
+    bp, bq = _padded(lift_p.blocks, m), _padded(lift_q.blocks, m)
     d = lift_p.block_dim
-    sv = _svd(blocks[:, 0] + blocks[:, 1] - np.eye(d), compute_uv=False)  # descending
+    sv = _svd(bp + bq - np.eye(d), compute_uv=False)  # descending
     nullity = (sv <= tol.rank_rtol).sum(axis=1)
-    diff = _rank(blocks) @ [1, -1]  # rank P - rank Q
+    diff = _rank(bp) - _rank(bq)
     # the pair around the threshold: one plane's when a roundoff split it
     rows = np.arange(m + 1)
     above = sv[rows, np.maximum(d - nullity - 1, 0)]

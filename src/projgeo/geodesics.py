@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -73,9 +73,9 @@ class GeodesicSegment:
 
     base: np.ndarray
     exponent: np.ndarray
-    # eigenvalues and eigenvectors of -iZ, in no particular order: made with
-    # a segment of a split, and on first use for one built from an exponent
-    _eig: tuple | None = field(default=None, repr=False, compare=False)
+    # eigenvalues and eigenvectors of -iZ, in no particular order; until first
+    # use, None or, for a segment of a split, the function that reads them off it
+    _eig: tuple | Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def norm(self):
@@ -162,22 +162,25 @@ def _segment(fs: FiveSpace, pairing: np.ndarray | None) -> GeodesicSegment:
             raise DimMismatch(f"pairing must be {d10}x{d10}, got {pairing.shape}")
         if op_norm(_adjoint(pairing) @ pairing - np.eye(d10)) > RECON_RTOL:
             raise NotUnitary(f"pairing is not unitary within {RECON_RTOL:.1e}")
-    # the eigenpairs of -iZ, read off the split as in the module docstring
-    x, g = fs.h0[:, 0::2] / _SQRT2, fs.h0[:, 1::2] * (1j / _SQRT2)
-    m10 = (fs.m10 if pairing is None else fs.m10 @ pairing) / _SQRT2
-    m01 = fs.m01 / _SQRT2
-    u = np.concatenate([fs.m11, fs.m00, x + g, x - g, m10 + m01, m10 - m01], axis=1)
-    w = np.concatenate([np.zeros(fs.dims[0] + fs.dims[1]), -fs.angles, fs.angles,
-                        np.full(d10, np.pi / 2), np.full(d10, -np.pi / 2)])
-    return GeodesicSegment(base=fs.p, exponent=_exponent(fs, pairing), _eig=(w, u))
+
+    def eig():  # the eigenpairs of -iZ, read off the split as in the module docstring
+        x, g = fs.h0[:, 0::2] / _SQRT2, fs.h0[:, 1::2] * (1j / _SQRT2)
+        m10 = (fs.m10 if pairing is None else fs.m10 @ pairing) / _SQRT2
+        m01 = fs.m01 / _SQRT2
+        u = np.concatenate([fs.m11, fs.m00, x + g, x - g, m10 + m01, m10 - m01], axis=1)
+        w = np.concatenate([np.zeros(fs.dims[0] + fs.dims[1]), -fs.angles, fs.angles,
+                            np.full(d10, np.pi / 2), np.full(d10, -np.pi / 2)])
+        return w, u
+
+    return GeodesicSegment(base=fs.p, exponent=_exponent(fs, pairing), _eig=eig)
 
 
 def _segment_eig(seg: GeodesicSegment) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs ``(w, U)`` of ``-iZ``: those of a segment of a split, or
-    for a segment built from an exponent, an eigensolve of it (of each of
-    a stack) on the first call."""
-    if seg._eig is None:
-        seg._eig = herm_eig(_hermitize(-1j * seg.exponent))
+    """Eigenpairs ``(w, U)`` of ``-iZ``, on the first call: those of a
+    segment of a split, or for a segment built from an exponent, an
+    eigensolve of it (of each of a stack)."""
+    if not isinstance(seg._eig, tuple):
+        seg._eig = seg._eig() if seg._eig else herm_eig(_hermitize(-1j * seg.exponent))
     return seg._eig
 
 

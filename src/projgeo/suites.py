@@ -42,12 +42,10 @@ from .geodesics import (
 from .numkernel import Tolerance, _adjoint, _hermitize, op_norm
 from .projections import (
     IndexPair,
-    _five_space,
     _haar,
-    _pair,
     _range_projection,
-    _split,
     diff_sum,
+    halmos_decompose,
     pair_with_dims,
     random_projection,
     random_unitary,
@@ -144,19 +142,19 @@ def random_quotient_pair(seed):
     return _quotient_pair(rng, _quotient_dims(rng))
 
 
-def random_projection_blocks(rng, d: int, count: int) -> tuple[np.ndarray, ...]:
-    """``count`` projections of size ``d`` and random rank, drawn per block: its
-    rank, then for ``0 < rank < d`` the Gaussian of its Haar unitary; one QR
-    factors all the Gaussians.  No report reads a block; a test pins this order,
-    and at the 0-3 blocks of a lift it is faster than ``_fiber_norms``' pool."""
+def random_projection_blocks(rng, d: int, count: int) -> np.ndarray:
+    """``count`` projections of size ``d`` and random rank, as one ``(count, d, d)``
+    complex stack, drawn per block: its rank, then for ``0 < rank < d`` the Gaussian
+    of its Haar unitary; one QR factors all the Gaussians.  No report reads a block;
+    a test pins this order, and at a lift's 0-3 blocks it beats ``_fiber_norms``' pool."""
     ranks, draws = [], []
     for _ in range(count):
         ranks.append(int(rng.integers(0, d + 1)))
         if 0 < ranks[-1] < d:
             draws.append(rng.standard_normal((2, d, d)))
     unitaries = iter(_haar(draws) if draws else ())
-    return tuple(_range_projection(next(unitaries), r) if 0 < r < d else np.eye(d) * (r == d)
-                 for r in ranks)
+    return np.array([_range_projection(next(unitaries), r) if 0 < r < d else np.eye(d) * (r == d)
+                     for r in ranks], dtype=np.complex128).reshape(count, d, d)
 
 
 def random_diagonal_sequence(rng) -> DiagonalSequence:
@@ -276,8 +274,7 @@ CHORD_GRID = 500  # pieces of a minimality trial's chordal length
 def _trial_minimality(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
     # a certificate equal to |Z| proves the segment minimal, so its gap is the
     # residual; the chord sum's |Z|^3 / (6 grid^2) below |Z| is discretization
-    p, q = _pair(*random_equal_index_pair(seed))
-    fs = _five_space(p, q, _split(p, q, tol))
+    fs = halmos_decompose(*random_equal_index_pair(seed), tol)
     seg = _segment(fs, None)
     norm_z, lower_bound = seg.norm, _lower_bound(fs)
     gap = abs(norm_z - lower_bound)
@@ -290,7 +287,7 @@ def _trial_minimality(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, b
         and chord_identity <= BOUNDS["minimality.chord_identity"]
         and seg.eig_residual <= BOUNDS["minimality.eig_residual"]
     )
-    return {"n": p.shape[0], "norm_Z": float(norm_z), "lower_bound": lower_bound}, gap, ok
+    return {"n": fs.p.shape[0], "norm_Z": float(norm_z), "lower_bound": lower_bound}, gap, ok
 
 
 def _block_geodesic_instance(seed: int, tol: Tolerance):

@@ -39,6 +39,11 @@ each block's crossed dims as the positive and negative eigenvalues of
 ``K*(P - Q)K`` on the kernel ``K`` of ``P + Q - 1``: the count read off
 ``dim K`` and the rank difference must agree with it.
 
+``block_at`` is a block operator's block on one summand, and
+``reference_lift_projection`` the spectral-threshold lift that checked and
+eigensolved one block at a time: the stacked lift must give the same
+operator or raise the same message.
+
 ``reference_dumps`` is the JSON dumper that walks a payload one list and
 one scalar at a time, and ``reference_pair_json`` the pair payload of
 nested lists it was given: the array renderer of ``dumps_canonical`` must
@@ -57,8 +62,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from projgeo.blockmodel import BlockOperator, quotient_geodesic
-from projgeo.errors import NoGeodesic, NotPeriodic, NotUnitary
+from projgeo.blockmodel import SPECTRAL_GAP, BlockOperator, quotient_geodesic
+from projgeo.errors import NoGeodesic, NoSpectralGap, NotHermitian, NotPeriodic, NotUnitary
 from projgeo.numkernel import (
     RECON_RTOL,
     Tolerance,
@@ -328,13 +333,38 @@ def reference_quotient_dims(rng, d_max=6):
     return which, (d11, d00, d10, d01, g)
 
 
+def block_at(lift, i):
+    """The block of ``lift`` acting on the ``i``-th summand."""
+    return lift.exceptional[i] if i < len(lift.exceptional) else lift.tail
+
+
+def reference_lift_projection(t):
+    """``lift_projection`` one block at a time."""
+    for i, b in enumerate((*t.exceptional, t.tail)):
+        if not np.array_equal(b, b.conj().T):
+            raise NotHermitian(f"block {i} is not selfadjoint")
+    make_projection(t.tail)
+    lifted = []
+    for i, b in enumerate((*t.exceptional, t.tail)):
+        w, u = herm_eig(b)
+        bad = np.abs(w - 0.5) < SPECTRAL_GAP
+        if i < len(t.exceptional) and bad.any():
+            raise NoSpectralGap(
+                f"eigenvalue {float(w[bad][0])!r} of exceptional block {i} lies "
+                f"within {SPECTRAL_GAP} of 1/2"
+            )
+        step = (u * (w >= 0.5).astype(float)) @ u.conj().T
+        lifted.append((step + step.conj().T) / 2)
+    return BlockOperator(t.block_dim, tuple(lifted[:-1]), lifted[-1])
+
+
 def reference_truncated_index_pairs(lift_p, lift_q, lengths, tol=Tolerance()):
     """Index pairs of the truncations to ``n`` blocks, each block's pair the
     signs of ``K*(P - Q)K``, one block at a time."""
     m = max(len(lift_p.exceptional), len(lift_q.exceptional))
     crossed = []
     for i in range(m + 1):
-        bp, bq = lift_p.block_at(i), lift_q.block_at(i)
+        bp, bq = block_at(lift_p, i), block_at(lift_q, i)
         k = nullspace(bp + bq - np.eye(lift_p.block_dim), tol)
         w = herm_eig(_herm(k.conj().T @ (bp - bq) @ k)).eigenvalues
         crossed.append(np.array([(w > 0).sum(), (w < 0).sum()]))

@@ -31,6 +31,7 @@ from projgeo.errors import (
     NotCodiagonal,
     NotHermitian,
     NotPeriodic,
+    ProjGeoError,
 )
 from projgeo.geodesics import (
     GeodesicSegment,
@@ -46,6 +47,7 @@ from projgeo.projections import (
     make_projection,
     pair_with_dims,
     random_projection,
+    random_unitary,
 )
 from projgeo.serialize import dumps_canonical
 from projgeo.suites import (
@@ -54,7 +56,11 @@ from projgeo.suites import (
     random_quotient_pair,
     run_suite,
 )
-from reference_pipeline import reference_truncated_index_pairs
+from reference_pipeline import (
+    block_at,
+    reference_lift_projection,
+    reference_truncated_index_pairs,
+)
 
 
 def random_block_operator(rng, d, n_exceptional):
@@ -172,7 +178,7 @@ class TestLiftProjection:
             np.diag([1.0, 0.0]).astype(complex),
         )
         lifted = lift_projection(t)
-        assert np.allclose(lifted.block_at(0), np.diag([1.0, 0.0]))
+        assert np.allclose(block_at(lifted, 0), np.diag([1.0, 0.0]))
         # the thresholded block coincides with the tail, so it is absorbed
         assert len(lifted.exceptional) == 0
 
@@ -193,7 +199,7 @@ class TestLiftProjection:
             np.diag([1.0, 0.0]).astype(complex),
         )
         lifted = lift_projection(t)
-        assert np.allclose(lifted.block_at(0), np.diag([1.0, 0.0]))
+        assert np.allclose(block_at(lifted, 0), np.diag([1.0, 0.0]))
 
     def test_rejects_asymmetric(self):
         t = BlockOperator(
@@ -219,20 +225,43 @@ class TestLiftProjection:
         assert op_norm(quotient(lifted) - p) <= 1e-10
 
     @pytest.mark.parametrize("n_exceptional", [0, 1, 3])
-    def test_one_eigensolve_per_block(self, monkeypatch, n_exceptional):
+    def test_one_stacked_eigensolve_per_operator(self, monkeypatch, n_exceptional):
         calls = []
 
         def counted(b):
-            calls.append(b)
+            calls.append(np.shape(b))
             return herm_eig(b)
 
         monkeypatch.setattr(blockmodel, "herm_eig", counted)
         blocks = tuple(random_projection(3, 1, 30 + i) for i in range(n_exceptional))
         t = BlockOperator(3, blocks, random_projection(3, 2, 29))
         lifted = lift_projection(t)
-        assert len(calls) == len(t.exceptional) + 1
+        assert calls == [(n_exceptional + 1, 3, 3)]
         for got, b in zip((*lifted.exceptional, lifted.tail), (*t.exceptional, t.tail)):
             assert op_norm(got - b) <= 1e-12
+
+    def test_matches_the_per_block_loop(self):
+        # the lift bit for bit, and for a bad block at each position the same
+        # refusal: the block's number and its first offending eigenvalue
+        u = random_unitary(3, 33)
+        near = [u @ np.diag(w) @ u.conj().T for w in ([0.02, 0.97, 1.0], [0.1, 0.45, 0.55])]
+        near = [(m + m.conj().T) / 2 for m in near]
+        skew = near[0] + np.triu(np.full((3, 3), 1e-3), 1)
+        tail = random_projection(3, 2, 34)
+        for k in range(4):
+            blocks = [near[0]] + [random_projection(3, i, 40 + i) for i in range(1, k)]
+            t = BlockOperator(3, tuple(blocks[:k]), tail)
+            assert_same_operator(lift_projection(t), reference_lift_projection(t))
+            for where in range(k + 1):  # the tail last
+                for bad in (skew, near[1]):
+                    all_blocks = [*blocks[:k], tail]
+                    all_blocks[where] = bad
+                    t = BlockOperator(3, tuple(all_blocks[:-1]), all_blocks[-1])
+                    with pytest.raises(ProjGeoError) as want:
+                        reference_lift_projection(t)
+                    with pytest.raises(type(want.value)) as got:
+                        lift_projection(t)
+                    assert str(got.value) == str(want.value)
 
 
 # finite entries whose pairwise sums stay finite
@@ -393,8 +422,8 @@ class TestLiftGeodesic:
             for t in (0.25, 0.5, 1.0):
                 point = curve(t)
                 for i, block in enumerate(lift_p.exceptional):
-                    expected = evaluate(GeodesicSegment(block, big.block_at(i)), t)
-                    assert np.array_equal(point.block_at(i), expected)
+                    expected = evaluate(GeodesicSegment(block, block_at(big, i)), t)
+                    assert np.array_equal(block_at(point, i), expected)
                     moved += not np.array_equal(expected, block)
         assert moved >= 500
 
@@ -404,7 +433,7 @@ class TestLiftGeodesic:
         lift = BlockOperator(2, random_projection_blocks(rng, 2, 3), p)
         big = lift_geodesic(p, z, lift)
         for i in range(4):
-            bp, bz = lift.block_at(i), big.block_at(i)
+            bp, bz = block_at(lift, i), block_at(big, i)
             eye = np.eye(2)
             assert op_norm(bp @ bz @ bp) <= 1e-10
             assert op_norm((eye - bp) @ bz @ (eye - bp)) <= 1e-10
@@ -489,47 +518,69 @@ def assert_same_operator(got, want):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-class TestTrustedConstruction:
-    # the model's own results skip the per-block checks of public
-    # construction; they must be the operators that it builds
+class TestOneDoor:
+    # every operator, the model's own results included, is built by the one
+    # constructor, from a tuple of blocks or from a (k, d, d) array
 
-    def test_lifts_and_curve_points_equal_public_construction(self):
-        for seed in range(11, 51):
-            p, _, z, lift_p = suites._block_geodesic_instance(seed, Tolerance())
-            d = lift_p.block_dim
-            big_z = lift_geodesic(p, z, lift_p)
-            blocks = blockmodel._compress(make_projection(np.array(lift_p.exceptional)), z)
-            assert_same_operator(big_z, BlockOperator(d, tuple(blocks), z))
-            curve = evaluate_block_geodesic(lift_p, big_z)
-            indices = range(max(len(lift_p.exceptional), len(big_z.exceptional)) + 1)
-            seg = GeodesicSegment(
-                *(np.array([a.block_at(i) for i in indices]) for a in (lift_p, big_z))
-            )
-            for t in (0.0, 0.25, 0.5, 1.0):
-                *blocks, tail = evaluate(seg, t)
-                assert_same_operator(curve(t), BlockOperator(d, tuple(blocks), tail))
+    def test_the_stack_is_the_only_field(self):
+        e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        a = BlockOperator(2, (e2,), e1)
+        assert [f.name for f in dataclasses.fields(BlockOperator)] == ["blocks"]
+        assert a.blocks.dtype == np.complex128 and a.blocks.shape == (2, 2, 2)
+        assert a.block_dim == 2
+        for view in (a.exceptional, a.tail):
+            assert np.shares_memory(view, a.blocks)
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.blocks = np.array([e1])
 
-    def test_normal_form(self):
-        e1, e2 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
-        stack = np.array([e2, e1, e1, e1])
-        got = BlockOperator._of_stack(stack)
-        assert len(got.exceptional) == 1
-        assert_same_operator(got, BlockOperator(2, tuple(stack[:-1]), stack[-1]))
+    def test_tuple_and_array_give_the_same_operator(self):
+        e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        tail = random_projection(3, 1, 6)
+        drawn = random_projection_blocks(np.random.default_rng(5), 3, 4)
+        cases = [  # d, blocks, tail, exceptional blocks kept by the normal form
+            (2, [e2, e1, e1], e1, 1),
+            (2, [e1, e1], e1, 0),
+            (2, [], e2, 0),
+            (2, [e1, e2, 0.5 * e1], e1, 3),
+            (3, [*drawn, tail, tail], tail, 4),
+        ]
+        for d, blocks, tail, k in cases:
+            as_tuple = BlockOperator(d, tuple(blocks), tail)
+            as_array = BlockOperator(d, np.array(blocks, complex).reshape(-1, d, d), tail)
+            want = np.array([*blocks[:k], tail], complex)
+            assert as_tuple.blocks.tobytes() == want.tobytes()
+            assert_same_operator(as_tuple, as_array)
         # a zero exponent compresses every block to the tail: all absorbed
         zero = np.zeros((2, 2), complex)
         big_z = lift_geodesic(e1, zero, BlockOperator(2, (e2, e2), e1))
-        assert big_z.exceptional == ()
+        assert len(big_z.exceptional) == 0
         assert_same_operator(big_z, BlockOperator(2, (zero, zero), zero))
 
-    @pytest.mark.parametrize("where", [0, -1])
-    def test_non_finite_stack_raises_the_public_error(self, where):
-        stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
-        stack[where, 0, 1] = np.nan
-        with pytest.raises(ValueError) as public:
-            BlockOperator(2, tuple(stack[:-1]), stack[-1])
-        with pytest.raises(ValueError) as trusted:
-            BlockOperator._of_stack(stack)
-        assert str(trusted.value) == str(public.value) == "matrix has non-finite entries"
+    def test_errors_keep_their_type_text_and_order(self):
+        # d, the cap, each block's shape, then one finiteness check of the
+        # stack: an input with two faults raises the earlier one
+        eye, wide, nan = np.eye(2), np.eye(3), np.full((2, 2), np.nan)
+        positive, cap = "block_dim must be positive, got 0", "exceptional list longer than 64 blocks"
+        shape, finite = "expected a 2x2 block, got {}", "matrix has non-finite entries"
+        cases = [
+            (0, (wide,) * 65, nan, DimMismatch, positive),
+            (2, (wide,) * 65, nan, ValueError, cap),
+            (2, np.zeros((65, 3, 3)), eye, ValueError, cap),
+            (2, (nan, wide), eye, DimMismatch, shape.format((3, 3))),
+            (2, (eye,), wide, DimMismatch, shape.format((3, 3))),
+            (2, np.zeros((2, 3, 3)), nan, DimMismatch, shape.format((3, 3))),
+            (2, (eye, [1.0, 0.0]), eye, DimMismatch, shape.format((2,))),
+            (2, (nan, eye), eye, ValueError, finite),
+            (2, (eye, nan), eye, ValueError, finite),
+            (2, (eye,), nan, ValueError, finite),
+            (2, np.array([eye, nan]), eye, ValueError, finite),
+        ]
+        for d, blocks, tail, error, message in cases:
+            with pytest.raises(error) as raised:
+                BlockOperator(d, blocks, tail)
+            assert type(raised.value) is error and str(raised.value) == message
 
     def test_one_door_per_lift_and_no_block_conversion_per_point(self, monkeypatch):
         calls = {"make_projection": 0, "_as_block": 0}
@@ -721,7 +772,7 @@ def dense_truncation(lift, n_blocks):
     d = lift.block_dim
     out = np.zeros((n_blocks * d, n_blocks * d), dtype=np.complex128)
     for i in range(n_blocks):
-        out[i * d:(i + 1) * d, i * d:(i + 1) * d] = lift.block_at(i)
+        out[i * d:(i + 1) * d, i * d:(i + 1) * d] = block_at(lift, i)
     return out
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo import geodesics, projections
+from projgeo import blockmodel, geodesics, projections
+from projgeo.blockmodel import quotient_geodesic
 from projgeo.errors import BadIndex, DimMismatch, NoGeodesic, NotUnitary, ProjGeoError
 from projgeo.geodesics import (
     GeodesicSegment,
@@ -747,6 +748,49 @@ class TestSegmentNorm:
                 # nor does any reader of its eigenpairs
                 assert seg.norm <= np.pi / 2 and seg.eig_residual <= 1e-12
                 assert evaluate(seg, [0.0, 0.5]).shape == (2, *fs.p.shape)
+
+    @staticmethod
+    def eigenpairs_built_with_the_segment(fs, pairing):
+        """The eigenpairs of -iZ as ``_segment`` built them with every segment."""
+        d10 = fs.index.d_plus
+        s2 = np.sqrt(2)
+        x, g = fs.h0[:, 0::2] / s2, fs.h0[:, 1::2] * (1j / s2)
+        m10 = (fs.m10 if pairing is None else fs.m10 @ pairing) / s2
+        m01 = fs.m01 / s2
+        u = np.concatenate([fs.m11, fs.m00, x + g, x - g, m10 + m01, m10 - m01], axis=1)
+        w = np.concatenate([np.zeros(fs.dims[0] + fs.dims[1]), -fs.angles, fs.angles,
+                            np.full(d10, np.pi / 2), np.full(d10, -np.pi / 2)])
+        return w, u
+
+    def test_eigenpairs_are_built_on_first_read(self, monkeypatch):
+        # segments read for their exponent alone never build them; a point
+        # of a segment that builds them late has the bits it had when every
+        # segment was built with them
+        made = []
+        real = geodesics._segment
+
+        def recorded(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        for module in (geodesics, blockmodel):
+            monkeypatch.setattr(module, "_segment", recorded)
+        ts = np.array([0.0, 0.3, 1.0])
+        for i, dims in enumerate(self.DIMS):
+            p, q = pair_with_dims(*dims, [0.3, 1.2][:dims[4] // 2], seed=i)
+            unique_minimal_check(p, q)
+            fs = projections.halmos_decompose(p, q)
+            segs, pairings = [minimal_exponent(p, q), quotient_geodesic(p, q).segment], [None] * 2
+            if dims[2]:
+                pairings.append(random_unitary(dims[2], i))
+                segs += multi_geodesic_family(p, q, pairings[2:])
+            assert made and all(callable(seg._eig) for seg in made)
+            made.clear()
+            for seg, pairing in zip(segs, pairings):
+                eager = GeodesicSegment(seg.base, seg.exponent,
+                                        self.eigenpairs_built_with_the_segment(fs, pairing))
+                assert evaluate(seg, ts).tobytes() == evaluate(eager, ts).tobytes()
+                assert isinstance(seg._eig, tuple)
 
 
 class TestUniqueness:

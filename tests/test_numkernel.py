@@ -265,6 +265,9 @@ def test_svd_failure_is_no_convergence(monkeypatch, kernel):
 
 
 E1, E2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+# finite and not Hermitian; its norm, about 4e308, overflows
+BIG_ASYMMETRIC = np.full((4, 4), 1e308)
+BIG_ASYMMETRIC[0, 1] = 0.5e308
 
 
 @pytest.mark.parametrize(
@@ -273,15 +276,18 @@ E1, E2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         (lambda: make_projection(np.full((2, 2), 1e200)), NotAProjection, "P\\^2 - P\\| = inf"),
         (lambda: herm_eig(np.array([[1e308, 1e308], [-1e308, 1e308]])), NotHermitian,
          "asymmetry inf"),
+        (lambda: herm_eig(BIG_ASYMMETRIC), NotHermitian,
+         "asymmetry 5.000e\\+307 exceeds 1.0e-12 \\* norm inf"),
         (lambda: lift_geodesic(E1, np.array([[0.0, 1e308], [1e308, 0.0]]),
                                BlockOperator(2, (E2,), E1)), NotCodiagonal, "not skew"),
     ],
-    ids=["make_projection", "herm_eig", "lift_geodesic"],
+    ids=["make_projection", "herm_eig", "herm_eig_norm", "lift_geodesic"],
 )
 def test_finite_input_whose_defect_overflows_gets_its_typed_refusal(door, error, message):
-    # the defect's arithmetic overflows to inf: no RuntimeWarning (an error
-    # under the suite's filterwarnings), and the door's own refusal, not the
-    # generic ValueError for a non-finite matrix
+    # the defect's arithmetic, or the norm it is measured against, overflows
+    # to inf: no RuntimeWarning (an error under the suite's filterwarnings),
+    # and the door's own refusal, not the generic ValueError for a non-finite
+    # matrix nor an eigendecomposition with an inf eigenvalue
     with pytest.raises(error, match=message):
         door()
 

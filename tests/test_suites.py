@@ -169,14 +169,14 @@ def test_minimality_certificate_fails_a_moved_largest_angle(monkeypatch, shift):
     # eigenpairs alike, so the chord checks and the eigen-residual still
     # pass; the certificate reads the angle off the pair itself and fails
     # every trial whose largest angle is a generic one, on either sign
-    true_five_space = suites._five_space
+    true_five_space = projections._five_space
 
     def moved(p, q, sp):
         fs = true_five_space(p, q, sp)
         last = np.arange(fs.angles.size) == fs.angles.size - 1  # ascending: the largest
         return dataclasses.replace(fs, angles=fs.angles + shift * last)
 
-    monkeypatch.setattr(suites, "_five_space", moved)
+    monkeypatch.setattr(projections, "_five_space", moved)
     report = suites.run_suite("minimality", 200, 11)
     generic = {r["trial"] for r in report.records if 0 < r["norm_Z"] < np.pi / 2}
     assert {r["trial"] for r in report.records if not r["ok"]} == generic
@@ -432,12 +432,12 @@ def test_fiber_stream_is_none_of_the_samplers(monkeypatch):
 def test_lifting_trial_builds_no_fiber_operator_and_evaluates_four_times(monkeypatch):
     # three points of the block curve and one stack of the quotient curve
     built, evaluated, inside = [], [], []
-    real_init, real_evaluate = BlockOperator.__post_init__, blockmodel.evaluate
+    real_init, real_evaluate = BlockOperator.__init__, blockmodel.evaluate
     real_fibers = suites._fiber_norms
 
-    def init(self):
+    def init(self, *args):
         built.append(bool(inside))
-        real_init(self)
+        real_init(self, *args)
 
     def evaluate(*args, **kwargs):
         evaluated.append(1)
@@ -450,7 +450,7 @@ def test_lifting_trial_builds_no_fiber_operator_and_evaluates_four_times(monkeyp
         finally:
             inside.pop()
 
-    monkeypatch.setattr(BlockOperator, "__post_init__", init)
+    monkeypatch.setattr(BlockOperator, "__init__", init)
     for module in (suites, blockmodel):
         monkeypatch.setattr(module, "evaluate", evaluate)
     monkeypatch.setattr(suites, "_fiber_norms", fibers)
