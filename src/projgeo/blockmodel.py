@@ -66,10 +66,10 @@ SPECTRAL_GAP = 0.1
 
 
 def _as_block(m, d: int) -> np.ndarray:
-    b = as_cmatrix(m)
-    if b.shape != (d, d):
-        raise DimMismatch(f"expected a {d}x{d} block, got {b.shape}")
-    return b
+    """``m`` as a ``d x d`` complex block: the shape checked first, as at the door."""
+    if np.shape(m) != (d, d):
+        raise DimMismatch(f"expected a {d}x{d} block, got {np.shape(m)}")
+    return as_cmatrix(m)
 
 
 def _padded(stack: np.ndarray, m: int) -> np.ndarray:
@@ -80,13 +80,14 @@ def _padded(stack: np.ndarray, m: int) -> np.ndarray:
     return stack if m == k else stack[[*range(j), *[k] * (m + 1 - j)]]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class BlockOperator:
     """Block-diagonal operator: exceptional ``d x d`` blocks, then a repeating
     tail block, held as one read-only ``(k + 1, d, d)`` complex stack
     ``blocks``, tail last.  The constructor is the one door; it takes the
     exceptional blocks as a tuple or a ``(k, d, d)`` array and keeps the normal
-    form: trailing exceptional blocks bitwise equal to the tail are absorbed."""
+    form: trailing exceptional blocks bitwise equal to the tail are absorbed.
+    Operators compare and hash by identity."""
 
     blocks: np.ndarray
 
@@ -325,14 +326,16 @@ def evaluate_block_geodesic(lift_p: BlockOperator, z: BlockOperator):
 
     Each block evolves independently; in particular the tail of the curve
     is exactly the quotient geodesic of the tails.  The distinct blocks
-    form one segment of stacks, so a point of the curve is one ``evaluate``.
+    form one segment of stacks, so the point at a float ``t``, or the list
+    of the points at a 1-d array of times, is one ``evaluate``.
     """
     m = lift_p._aligned(z)
     segment = GeodesicSegment(_padded(lift_p.blocks, m), _padded(z.blocks, m))
 
-    def at(t) -> BlockOperator:
-        s = evaluate(segment, t)
-        return BlockOperator(lift_p.block_dim, s[:-1], s[-1])
+    def at(t):
+        points = [BlockOperator(lift_p.block_dim, s[:-1], s[-1])
+                  for s in evaluate(segment, np.atleast_1d(t))]
+        return points if np.ndim(t) else points[0]
 
     return at
 

@@ -66,10 +66,11 @@ from .projections import (
 _CHUNK_BYTES = 1 << 20
 
 
-@dataclass
+@dataclass(eq=False)
 class GeodesicSegment:
     """Base projection plus a skew, codiagonal exponent; the segment is
-    minimal for ``|t| <= 1`` when ``|exponent| <= pi/2``."""
+    minimal for ``|t| <= 1`` when ``|exponent| <= pi/2``.  Segments compare
+    and hash by identity."""
 
     base: np.ndarray
     exponent: np.ndarray
@@ -189,10 +190,10 @@ def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
     but it and each ``t w``, ``w`` an eigenvalue of ``-iZ``, must be finite
     (else ``ValueError``).
 
-    ``t`` is a float, giving the ``(n, n)`` point, or a 1-d array of k
-    values, giving the ``(k, n, n)`` stack of the points; a stack of k
-    segments (base and exponent ``(k, n, n)``) at a float ``t`` gives their
-    k points.  Each matrix of a stack equals its scalar call bit for bit.
+    ``t`` is a float or a 1-d array of k values and the segment a lone one or
+    a stack of m (base and exponent ``(m, n, n)``): the points take the shape
+    of ``t``, then the segment's, ``(n, n)`` up to ``(k, m, n, n)``, and each
+    equals its lone ``(t, segment)`` call bit for bit.
     """
     w, u = _segment_eig(seg)
     t = np.asarray(t, dtype=float)
@@ -200,7 +201,7 @@ def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
         raise ValueError(f"t must be finite, got {t[~np.isfinite(t)].flat[0]}")
     if float(np.abs(t).max(initial=0)) * float(np.abs(w).max(initial=0)) == np.inf:
         raise ValueError(f"t * w overflows at t = {t.flat[np.abs(t).argmax()]}")
-    rot = (u * np.exp(1j * t[..., None] * w)[..., None, :]) @ _adjoint(u)
+    rot = (u * np.exp(1j * t.reshape(t.shape + (1,) * w.ndim) * w)[..., None, :]) @ _adjoint(u)
     return _hermitize(rot @ seg.base @ _adjoint(rot))
 
 

@@ -312,38 +312,38 @@ def _block_geodesic_instance(seed: int, tol: Tolerance):
     return p, q, z, lift_p
 
 
-def _fiber_norms(p: np.ndarray, z: np.ndarray, norm_z: float, rng) -> np.ndarray:
-    """``lift_geodesic(p, z, lift).norm()`` of 10 lifts drawn from ``rng``: the largest
-    of ``|z|`` and of the lift's block norms.  The lifts' block counts are drawn
-    first, then every block's rank, every Gaussian, one QR and one masked product
-    for all the blocks, so their norms are one stacked ``op_norm``.  ``p`` is
-    never 0 or I here, so no Haar block is bitwise ``p`` and no lift absorbs one."""
+def _fiber_pool(p: np.ndarray, z: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The exceptional blocks of ``lift_geodesic(p, z, lift)`` for 10 lifts drawn
+    from ``rng``, pooled in one stack, and the 10 lifts' block counts.  The counts
+    are drawn first, then every block's rank, every Gaussian, one QR and one
+    masked product for all the blocks, compressed as one stack.  ``p`` is never 0
+    or I here, so no Haar block is bitwise ``p`` and no lift absorbs one."""
     d = p.shape[0]
-    counts = rng.integers(0, 4, 10).tolist()
-    ranks = rng.integers(0, d + 1, sum(counts))
+    counts = rng.integers(0, 4, 10)
+    ranks = rng.integers(0, d + 1, counts.sum())
     u = _haar(rng.standard_normal((len(ranks), 2, d, d)))
     stack = _hermitize((u * (np.arange(d) < ranks[:, None, None])) @ _adjoint(u))
-    norms = op_norm(blockmodel._compress(stack, z))
-    starts = np.cumsum([0, *counts]).tolist()
-    return np.array([norms[a:b].max(initial=norm_z) for a, b in zip(starts, starts[1:])])
+    return blockmodel._compress(stack, z), counts
 
 
 def _trial_lifting(i: int, seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
     p, q, z, lift_p = _block_geodesic_instance(seed, tol)
-    norm_z = op_norm(z)
     big_z = lift_geodesic(p, z, lift_p)
-    norm_gap = abs(big_z.norm() - norm_z)
     quotient_exact = np.array_equal(quotient(big_z), z)
-    delta = blockmodel.evaluate_block_geodesic(lift_p, big_z)
     times = (0.25, 0.5, 1.0)
+    points = blockmodel.evaluate_block_geodesic(lift_p, big_z)(times)
     small = evaluate(GeodesicSegment(base=p, exponent=z), times)
-    tails_exact = all(
-        np.array_equal(quotient(delta(t)), point) for t, point in zip(times, small)
-    )
+    tails_exact = all(np.array_equal(quotient(point), want) for point, want in zip(points, small))
     # a non-zero third word keeps the fibers off the sampler's (seed,
     # attempt) streams; a trailing zero word would not change the stream
-    fiber_rng = np.random.default_rng((seed, 2, 1))
-    fiber_norms = _fiber_norms(p, z, norm_z, fiber_rng)
+    pool, counts = _fiber_pool(p, z, np.random.default_rng((seed, 2, 1)))
+    # one SVD: the lift's blocks (its tail holds z's bits), then the fibers' pool
+    norms = op_norm(np.concatenate([big_z.blocks, pool]))
+    k = len(big_z.blocks)
+    norm_z = float(norms[k - 1])
+    norm_gap = abs(norms[:k].max() - norm_z)
+    fiber_norms = np.full(len(counts), norm_z)
+    np.maximum.at(fiber_norms, np.repeat(np.arange(len(counts)), counts), norms[k:])
     fiber_ok = all(abs(fiber_norms - norm_z) <= BOUNDS["lifting.fiber_norm_gap"])
     exact = quotient_exact and tails_exact and fiber_ok
     ok = norm_gap <= BOUNDS["lifting.norm_gap"] and exact

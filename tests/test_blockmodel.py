@@ -411,6 +411,19 @@ class TestLiftGeodesic:
         for t in (0.25, 0.5, 1.0):
             assert np.array_equal(quotient(curve(t)), evaluate(small, t))
 
+    def test_curve_at_an_array_of_times_is_its_points(self):
+        # one evaluate gives every point, each bit for bit the point at its time
+        tol, times = Tolerance(), (0.25, 0.5, 1.0)
+        for seed in range(11, 31):
+            p, _, z, lift_p = suites._block_geodesic_instance(seed, tol)
+            curve = evaluate_block_geodesic(lift_p, lift_geodesic(p, z, lift_p))
+            for ts in (times, np.array(times)):
+                points = curve(ts)
+                assert isinstance(points, list) and len(points) == len(times)
+                for point, t in zip(points, times):
+                    assert_same_operator(point, curve(t))
+        assert curve([]) == []
+
     def test_curve_moves_each_exceptional_block_on_its_own_geodesic(self):
         # not only the tail: every exceptional block of the block curve is the
         # geodesic of its own block pair (P_i, Z_i), bit for bit
@@ -581,6 +594,27 @@ class TestOneDoor:
             with pytest.raises(error) as raised:
                 BlockOperator(d, blocks, tail)
             assert type(raised.value) is error and str(raised.value) == message
+
+    def test_operators_and_segments_compare_and_hash_by_identity(self):
+        # array fields have no truth value: equal values are distinct objects
+        a, b = BlockOperator(2, (), np.eye(2)), BlockOperator(2, (), np.eye(2))
+        seg = GeodesicSegment(base=np.eye(2), exponent=np.zeros((2, 2)))
+        assert a == a and seg == seg
+        assert a != b and not a == b
+        assert seg != GeodesicSegment(base=np.eye(2), exponent=np.zeros((2, 2)))
+        assert {a, seg} == {seg, a} and len({a, b, seg}) == 3
+
+    def test_both_doors_refuse_a_bad_shape_before_a_bad_entry(self):
+        bad, lift = np.full((3, 3), np.nan), BlockOperator(2, (), np.eye(2))
+        doors = [
+            lambda: BlockOperator(2, (), bad),
+            lambda: lift_geodesic(bad, np.zeros((2, 2)), lift),
+            lambda: lift_geodesic(np.eye(2), bad, lift),
+        ]
+        for door in doors:
+            with pytest.raises(DimMismatch) as raised:
+                door()
+            assert str(raised.value) == "expected a 2x2 block, got (3, 3)"
 
     def test_one_door_per_lift_and_no_block_conversion_per_point(self, monkeypatch):
         calls = {"make_projection": 0, "_as_block": 0}

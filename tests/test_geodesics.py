@@ -323,10 +323,22 @@ class TestBatchedEvaluate:
             base=np.array([s.base for s in segments]),
             exponent=np.array([s.exponent for s in segments]),
         )
-        for t in (-0.5, 0.0, 0.25, 1.0, 1.5):
+        ts = (-0.5, 0.0, 0.25, 1.0, 1.5)
+        for t in ts:
             points = evaluate(stack, t)
             assert points.shape == (len(dims), 6, 6)
             assert np.array_equal(points, np.stack([evaluate(s, t) for s in segments]))
+        # a 1-d t broadcasts over the stack: point (j, i) is the lone call of
+        # segment i at time j
+        points = evaluate(stack, ts)
+        assert points.shape == (len(ts), len(dims), 6, 6)
+        assert np.array_equal(points, [[evaluate(s, t) for s in segments] for t in ts])
+        assert evaluate(stack, []).shape == (0, len(dims), 6, 6)
+        for where in range(len(ts)):
+            bad = np.array(ts)
+            bad[where] = np.nan
+            with pytest.raises(ValueError, match="^t must be finite, got nan$"):
+                evaluate(stack, bad)
 
     def test_sample_curve_chunks(self, exactness_segments):
         ts = np.linspace(0.0, 1.0, 301)

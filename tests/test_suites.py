@@ -331,7 +331,7 @@ def test_lifting_lifts_once_and_factors_once_per_sampler_call(monkeypatch):
     counts = {"lift_geodesic": 0, "qr": 0, "op_norm": 0}
     sampler_qrs, fiber_calls = [], []
     real_lift, real_qr, real_op_norm = blockmodel.lift_geodesic, np.linalg.qr, suites.op_norm
-    real_blocks, real_fibers = suites.random_projection_blocks, suites._fiber_norms
+    real_blocks, real_fibers = suites.random_projection_blocks, suites._fiber_pool
 
     def counter(name, real):
         def counted(*args, **kwargs):
@@ -353,19 +353,19 @@ def test_lifting_lifts_once_and_factors_once_per_sampler_call(monkeypatch):
         sampler_qrs.append(counts["qr"] - before)
         return drawn
 
-    def fibers(p, z, norm_z, rng):
+    def fibers(p, z, rng):
         before = counts["qr"], counts["op_norm"]
         draws = Draws(rng)
-        norms = real_fibers(p, z, norm_z, draws)
+        pool = real_fibers(p, z, draws)
         fiber_calls.append((draws.names, counts["qr"] - before[0], counts["op_norm"] - before[1]))
-        return norms
+        return pool
 
     for module in (suites, blockmodel):
         monkeypatch.setattr(module, "lift_geodesic", counter("lift_geodesic", real_lift))
     monkeypatch.setattr(np.linalg, "qr", counter("qr", real_qr))
     monkeypatch.setattr(suites, "op_norm", counter("op_norm", real_op_norm))
     monkeypatch.setattr(suites, "random_projection_blocks", blocks)
-    monkeypatch.setattr(suites, "_fiber_norms", fibers)
+    monkeypatch.setattr(suites, "_fiber_pool", fibers)
     suites.run_suite("lifting", 40, 11)
     # the main lift of each trial; its 10 fiber lifts are one stack
     assert counts["lift_geodesic"] == 40
@@ -373,8 +373,10 @@ def test_lifting_lifts_once_and_factors_once_per_sampler_call(monkeypatch):
     assert len(sampler_qrs) == 40
     assert set(sampler_qrs) == {0, 1}
     # the fiber pool: its counts, then every rank and every Gaussian in one
-    # call each, one QR and one op_norm
-    assert fiber_calls == [(["integers", "integers", "standard_normal"], 1, 1)] * 40
+    # call each, and one QR; it norms nothing
+    assert fiber_calls == [(["integers", "integers", "standard_normal"], 1, 0)] * 40
+    # one op_norm per trial norms the main lift and the pool together
+    assert counts["op_norm"] == 40
 
 
 @settings(max_examples=300, deadline=None)
@@ -393,13 +395,13 @@ def test_fiber_stream_is_none_of_the_samplers(monkeypatch):
     # the sampler draws attempt a of trial seed s from default_rng((s, a));
     # a trailing zero key word would give one of those streams again
     seen = []
-    real = suites._fiber_norms
+    real = suites._fiber_pool
 
-    def record(p, z, norm_z, rng):
+    def record(p, z, rng):
         seen.append(rng.bit_generator.state)
-        return real(p, z, norm_z, rng)
+        return real(p, z, rng)
 
-    monkeypatch.setattr(suites, "_fiber_norms", record)
+    monkeypatch.setattr(suites, "_fiber_pool", record)
     suites.run_suite("lifting", 3, 11)
     assert len(seen) == 3
     for s, state in enumerate(seen, start=11):
@@ -429,11 +431,11 @@ def test_fiber_stream_is_none_of_the_samplers(monkeypatch):
     assert streams == [repr(real_rng(s).bit_generator.state) for s in range(3)]
 
 
-def test_lifting_trial_builds_no_fiber_operator_and_evaluates_four_times(monkeypatch):
-    # three points of the block curve and one stack of the quotient curve
+def test_lifting_trial_builds_no_fiber_operator_and_evaluates_twice(monkeypatch):
+    # one stack of the block curve's three points and one of the quotient curve's
     built, evaluated, inside = [], [], []
     real_init, real_evaluate = BlockOperator.__init__, blockmodel.evaluate
-    real_fibers = suites._fiber_norms
+    real_fibers = suites._fiber_pool
 
     def init(self, *args):
         built.append(bool(inside))
@@ -453,43 +455,44 @@ def test_lifting_trial_builds_no_fiber_operator_and_evaluates_four_times(monkeyp
     monkeypatch.setattr(BlockOperator, "__init__", init)
     for module in (suites, blockmodel):
         monkeypatch.setattr(module, "evaluate", evaluate)
-    monkeypatch.setattr(suites, "_fiber_norms", fibers)
+    monkeypatch.setattr(suites, "_fiber_pool", fibers)
     report = suites.run_suite("lifting", 1, 11)
     assert report.failures == 0
     assert built and not any(built)
-    assert len(evaluated) == 4
+    assert len(evaluated) == 2
 
 
-def test_fiber_norms_equal_the_lone_lifts(monkeypatch):
-    # each fiber's largest block norm, read with |z| as 0, is bit for bit the
-    # largest exceptional-block norm of lift_geodesic over its pooled blocks
-    pools = []
+def test_fiber_pool_equals_the_lone_lifts(monkeypatch):
+    # the pool holds, bit for bit, the exceptional blocks of lift_geodesic's
+    # lone lift of each fiber, and its norms from one op_norm are theirs
+    drawn = []
     real_compress = blockmodel._compress
 
     def compress(b, z):
-        pools.append(b)
+        drawn.append(b)
         return real_compress(b, z)
 
     monkeypatch.setattr(blockmodel, "_compress", compress)
 
     def check(p, z, key):
         d = p.shape[0]
-        pools.clear()
-        norms = suites._fiber_norms(p, z, 0.0, np.random.default_rng(key))
-        (pool,) = pools
+        drawn.clear()
+        pool, counts = suites._fiber_pool(p, z, np.random.default_rng(key))
+        (projections,) = drawn
         rng = np.random.default_rng(key)
-        counts = rng.integers(0, 4, 10).tolist()
-        ranks = rng.integers(0, d + 1, sum(counts))
-        assert np.abs(np.trace(pool, axis1=1, axis2=2) - ranks).max(initial=0.0) <= 1e-12
-        lone, start = [], 0
-        for count in counts:
-            fiber = tuple(pool[start:start + count])
-            start += count
+        assert counts.tolist() == rng.integers(0, 4, 10).tolist()
+        ranks = rng.integers(0, d + 1, counts.sum())
+        assert np.abs(np.trace(projections, axis1=1, axis2=2) - ranks).max(initial=0.0) <= 1e-12
+        assert pool.shape == (counts.sum(), d, d)
+        norms, start = op_norm(pool), 0
+        for count in counts.tolist():
+            fiber = tuple(projections[start:start + count])
             exceptional = lift_geodesic(p, z, BlockOperator(d, fiber, p)).exceptional
             assert len(exceptional) == count
-            lone.append(op_norm(np.array(exceptional, ndmin=3)).max(initial=0.0))
-        assert norms.tolist() == lone
-        return counts
+            assert exceptional.tobytes() == pool[start:start + count].tobytes()
+            assert norms[start:start + count].tolist() == op_norm(exceptional).tolist()
+            start += count
+        return counts.tolist()
 
     tol = Tolerance()
     for seed in range(11, 51):
@@ -501,21 +504,55 @@ def test_fiber_norms_equal_the_lone_lifts(monkeypatch):
 
 def test_lifting_report_reads_no_fiber_block(monkeypatch):
     # fiber blocks reach only a trial's ok: fibers from another stream move no
-    # report byte, and one fiber norm past |z| fails every trial
+    # report byte; a block of norm |z| added to one fiber keeps every trial,
+    # and one of norm past |z| fails every trial
     expected = suites.run_suite("lifting", 40, 11).to_json()
-    real = suites._fiber_norms
-    monkeypatch.setattr(
-        suites, "_fiber_norms", lambda p, z, norm_z, rng: real(p, z, norm_z, rng.spawn(1)[0])
-    )
+    real = suites._fiber_pool
+    monkeypatch.setattr(suites, "_fiber_pool", lambda p, z, rng: real(p, z, rng.spawn(1)[0]))
     assert suites.run_suite("lifting", 40, 11).to_json() == expected
 
-    def off(p, z, norm_z, rng):
-        norms = real(p, z, norm_z, rng)
-        norms[3] = norm_z + 1e-9
-        return norms
+    def added(scale):
+        def fibers(p, z, rng):
+            pool, counts = real(p, z, rng)
+            at = counts[:3].sum()
+            counts[3] += 1
+            return np.insert(pool, at, scale * z, axis=0), counts
+        return fibers
 
-    monkeypatch.setattr(suites, "_fiber_norms", off)
+    monkeypatch.setattr(suites, "_fiber_pool", added(1.0))
+    assert suites.run_suite("lifting", 40, 11).to_json() == expected
+    monkeypatch.setattr(suites, "_fiber_pool", added(1.0 + 1e-9))
     assert suites.run_suite("lifting", 40, 11).failures == 40
+
+
+def test_lifting_trial_lapack_calls(monkeypatch):
+    """A trial's SVDs: the sampler's validations and split, lift_geodesic's
+    checks, and one op_norm of the lift and the fiber pool together."""
+    calls = []
+    for name in ("svd", "eigh", "qr"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    assert suites.run_suite("lifting", 1, 11).failures == 0
+    assert {name: calls.count(name) for name in set(calls)} == {"svd": 7, "eigh": 3, "qr": 4}
+
+
+def test_lifting_records_match_the_public_functions():
+    # the suite norms z and the lift in one stacked call; each record must
+    # carry the bits the public entries give
+    seed, tol = 11, Tolerance()
+    report = suites.run_suite("lifting", 40, seed)
+    for i, record in enumerate(report.records):
+        p, _, z, lift_p = suites._block_geodesic_instance(seed + i, tol)
+        norm_z = op_norm(z)
+        assert record["norm_z"] == norm_z
+        assert record["residual"] == abs(lift_geodesic(p, z, lift_p).norm() - norm_z)
+        assert record["ok"]
 
 
 def test_normlift_adds_one_sequence_per_trial(monkeypatch):
