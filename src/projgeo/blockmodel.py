@@ -388,7 +388,7 @@ def lifting_surgery(
     rows = np.minimum(np.arange(m)[:, None], [k - 1, len(raw) - k - 1]) + [0, k]
     pairs, blocks = make_projection(raw)[rows], raw[rows]
     for pair, out in zip(pairs, blocks):
-        sp = _split(*pair, tol)
+        sp = _split(pair, tol)
         if any(sp.index):  # only a crossed pair needs its bases
             fs = _five_space(*pair, sp)
             # M01 may miss R(Q_i) by the cosine of a plane counted as
@@ -420,7 +420,7 @@ def existence_dichotomy(
     every block.
     """
     pair = _pair(p, q)
-    ip = _split(*pair, tol).index
+    ip = _split(pair, tol).index
     case = _dichotomy_case(ip)
 
     if lifts is None:
@@ -472,7 +472,7 @@ def truncated_index_pairs(
     bp, bq = _padded(lift_p.blocks, m), _padded(lift_q.blocks, m)
     d = lift_p.block_dim
     sv = _svd(bp + bq - np.eye(d), compute_uv=False)  # descending
-    nullity = (sv <= tol.rank_rtol).sum(axis=1)
+    nullity = d - tol.rank(sv)
     diff = _rank(bp) - _rank(bq)
     # the pair around the threshold: one plane's when a roundoff split it
     rows = np.arange(m + 1)

@@ -31,6 +31,7 @@ plane, ``(m10 T +- m01)/sqrt(2)`` with ``+-pi/2`` on the crossed part
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -51,7 +52,6 @@ from .projections import (
     FiveSpace,
     IndexPair,
     _SQRT2,
-    _angle_blocks,
     _haar_unitaries,
     _pair,
     _split,
@@ -196,7 +196,10 @@ def evaluate(seg: GeodesicSegment, t) -> np.ndarray:
     equals its lone ``(t, segment)`` call bit for bit.
     """
     w, u = _segment_eig(seg)
-    t = np.asarray(t, dtype=float)
+    try:
+        t = np.asarray(t, dtype=float)
+    except OverflowError as exc:  # an integer past the float range
+        raise ValueError(f"t must be finite: {exc}") from None
     if not np.isfinite(t).all():
         raise ValueError(f"t must be finite, got {t[~np.isfinite(t)].flat[0]}")
     if float(np.abs(t).max(initial=0)) * float(np.abs(w).max(initial=0)) == np.inf:
@@ -231,11 +234,13 @@ def curve_length(seg: GeodesicSegment, grid: int) -> float:
     ``exp(tZ) (gamma(h) - P) exp(-tZ)``, so they all have the norm of the
     first and the sum is ``grid`` times it: one stacked ``evaluate`` of two
     points and one ``op_norm``.  For ``|Z| <= pi/2`` that is
-    ``grid sin(|Z| / grid)``.
+    ``grid sin(|Z| / grid)``.  A ``grid`` below 2 or past the float range raises ``ValueError``.
     """
     grid = operator.index(grid)
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
+    if grid > sys.float_info.max:
+        raise ValueError(f"grid must lie in the float range, got a {grid.bit_length()}-bit integer")
     start, step = evaluate(seg, [0.0, 1.0 / grid])
     return grid * op_norm(step - start)
 
@@ -256,13 +261,14 @@ def minimality_competitors(
     ``default_rng(s)``).  Both legs are balanced, as a pair's index differs by
     its rank difference.  A leg is as long as its largest principal angle (Porta
     & Recht, Proc. AMS 100, 1987): for an end's eigenvectors ``V_E`` (the
-    split's ``vp`` or ``vq``), the ``_angle_blocks`` of ``V_E* V_R`` give the
-    leg ``atan2(smax(sines), smin(cosines))``, so no midpoint is formed and the
-    pair is not solved again; a 1 MB stack of them costs a QR and an SVD.
+    split's ``vp`` or ``vq``), the first ``rank P`` rows of ``V_E* V_R`` have the
+    leg's cosines as singular values and the others its sines, so the leg is
+    ``atan2(smax(sines), smin(cosines))``: no midpoint is formed and the pair is
+    not solved again; a 1 MB stack costs a QR and two singular-value calls.
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    sp = _split(*_pair(p, q), tol)
+    sp = _split(_pair(p, q), tol)
     _require_balanced(sp.index)
     n, rank = sp.vp.shape[0], sp.r
     if rank in (0, n):
@@ -273,8 +279,8 @@ def minimality_competitors(
     for start in range(0, trials, step):
         seeds = [(seed + i, 5, 1) for i in range(start, min(start + step, trials))]
         x = ends @ _haar_unitaries(n, seeds)[..., :rank]
-        values = _svd(_angle_blocks(x, rank), compute_uv=False)
-        legs = np.arctan2(values[..., 1, 0], values[..., 0, -1])
+        cos, sin = (_svd(rows, compute_uv=False) for rows in (x[..., :rank, :], x[..., rank:, :]))
+        legs = np.arctan2(sin[..., 0], cos[..., -1])  # the largest sine, the smallest cosine
         lengths.extend((legs[0] + legs[1]).tolist())
     return lengths
 

@@ -39,6 +39,10 @@ class Tolerance:
         if not (0.0 < self.rank_rtol < 1e-2):
             raise ValueError(f"rank_rtol must lie in (0, 1e-2), got {self.rank_rtol!r}")
 
+    def rank(self, values) -> np.ndarray:
+        """The rank singular values give: how many (on the last axis) exceed ``rank_rtol``."""
+        return (values > self.rank_rtol).sum(axis=-1)
+
 
 def _as_complex(a, stack: bool) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
@@ -183,12 +187,11 @@ def nullspace(a, tol: Tolerance = Tolerance()):
     m = as_cstack(a)
     stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
     _, s, vh = _svd(stack)
-    ranks = (s > tol.rank_rtol).sum(axis=-1)
-    bases = [v[rank:].conj().T for v, rank in zip(vh, ranks.tolist())]
+    bases = [v[rank:].conj().T for v, rank in zip(vh, tol.rank(s).tolist())]
     return bases[0] if m.ndim == 2 else bases
 
 
-def cs_decompose(x, p: int, q: int):
+def cs_decompose(x, p: int, q: int, x11):
     """Left factors ``(u1, u2, theta)`` of the CS decomposition of an
     ``n x n`` unitary ``x`` split after row ``p`` and column ``q``, with
     ``0 <= p, q <= n``: unitaries ``u1``, ``u2`` of orders ``p``, ``n - p``
@@ -202,21 +205,20 @@ def cs_decompose(x, p: int, q: int):
     before the angles' columns, and those after them, are the directions
     that the block sizes force to angle 0 and to angle ``pi/2``.
 
-    Two SVDs (Bjorck & Golub, Math. Comp. 27, 1973): that of ``x11`` gives
-    the cosines below ``1/sqrt(2)``, that of ``x21`` on the rest the sines.
-    An SVD that fails to converge raises ``NoConvergence``.  ``x`` is not
-    checked: it is the unitary that ``_split`` computed.
+    Two SVDs (Bjorck & Golub, Math. Comp. 27, 1973): ``x11``, the ``_svd`` of
+    ``x[:p, :q]`` that ``_split`` took, gives the cosines below ``1/sqrt(2)``,
+    that of ``x[p:, :q]`` on the rest the sines.  An SVD that fails to converge
+    raises ``NoConvergence``.  ``x`` and ``x11``, ``_split``'s, are not checked.
     """
     n = x.shape[0]
-    x11, x21 = x[:p, :q], x[p:, :q]
-    u, c, wh = _svd(x11)
+    (u, c, wh), x21 = x11, x[p:, :q]
     ns = int(np.count_nonzero(c * c >= 0.5))  # the small angles come first
     g = x21 @ _adjoint(wh[ns:])  # the large angles' partners, then the crossed
     norms = np.linalg.norm(g, axis=0)
     g /= norms
     basis = g[:, :0] if g.shape[1] == n - p else np.linalg.qr(g, "complete")[0][:, g.shape[1]:]
     v2, s, rh = _svd(_adjoint(basis) @ (x21 @ _adjoint(wh[:ns])))
-    h = x11 @ _adjoint(rh @ wh[:ns])
+    h = x[:p, :q] @ _adjoint(rh @ wh[:ns])
     cos = np.linalg.norm(h, axis=0)
     sin = np.concatenate([s, np.zeros(ns - len(s))])  # forced zeros last
     small, large = np.arctan2(sin, cos)[::-1], np.arctan2(norms[:len(c) - ns], c[ns:])

@@ -23,6 +23,7 @@ from .numkernel import (
     _defect_norms,
     _first,
     _hermitize,
+    _svd,
     as_cmatrix,
     as_cstack,
     cs_decompose,
@@ -230,8 +231,8 @@ class _Split(NamedTuple):
     ``R(P)`` and ``e`` in ``N(P)``; each of the other ``k`` directions of
     ``R(P)`` shares the plane of one principal angle with a direction of
     ``N(P)``.  Of those ``k`` angles, the ``aligned`` smallest and the
-    ``crossed`` largest lie in the intersections.  ``vp``, ``vq`` and
-    ``x = vp* vq`` are what ``_split`` factored, for later steps to reuse.
+    ``crossed`` largest lie in the intersections.  ``vp``, ``vq``, ``x =
+    vp* vq`` and the SVD ``x11`` of ``x[:r, :s]`` are kept for reuse.
     """
 
     r: int
@@ -246,44 +247,34 @@ class _Split(NamedTuple):
     vp: np.ndarray
     vq: np.ndarray
     x: np.ndarray
+    x11: tuple
 
     @property
     def index(self) -> IndexPair:
         return IndexPair(self.c + self.crossed, self.e + self.crossed)
 
 
-def _angle_blocks(x: np.ndarray, r: int) -> np.ndarray:
-    """The first ``r`` rows of ``x`` (of each matrix of a stack) and the
-    others, zero-padded to one height, which keeps their singular values:
-    for ``x = V_A* V_B`` with the range of ``A`` first, the cosines and the
-    sines of the angles between ``R(A)`` and the span of ``V_B``."""
-    n = x.shape[-2]
-    blocks = np.zeros(x.shape[:-2] + (2, max(r, n - r), x.shape[-1]), dtype=np.complex128)
-    blocks[..., 0, :r, :], blocks[..., 1, :n - r, :] = x[..., :r, :], x[..., r:, :]
-    return blocks
-
-
-def _split(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> _Split:
-    """The rank decisions of a pair, made once, at linear scale.
+def _split(pair: np.ndarray, tol: Tolerance) -> _Split:
+    """The rank decisions of a pair, the stack ``_pair`` gave, made once, at linear scale.
 
     One stacked eigendecomposition gives bases ``vp``, ``vq``, ranges
     first.  Of ``x = vp* vq``, the upper left ``r x s`` block has singular
     values ``cos theta`` and the lower left one ``sin theta`` (Bjorck &
-    Golub 1973), forced directions of ``R(Q)`` included.  So one stacked
-    ``nullspace`` of the two ``_angle_blocks`` (padding keeps the right
-    null vectors too) counts the angles with ``cos <= rank_rtol``
-    (crossed) and with ``sin <= rank_rtol`` (aligned).
+    Golub 1973), forced directions of ``R(Q)`` included.  So the upper
+    block's SVD, which the CS step starts from, counts the angles with ``cos
+    <= rank_rtol`` (crossed), and the lower block's ``nullspace`` those with
+    ``sin <= rank_rtol`` (aligned).
     """
-    n, pair = p.shape[0], np.array([p, q])
+    n = pair.shape[-1]
     r, s = _rank(pair).tolist()
     a, b, c, e = max(0, r + s - n), max(0, n - r - s), max(0, r - s), max(0, s - r)
     k = r - a - c
     vp, vq = herm_eig(pair).eigenvectors[..., ::-1]
     x = _adjoint(vp) @ vq
-    cos_null, sin_null = nullspace(_angle_blocks(x[:, :s], r), tol)
-    aligned = min(max(sin_null.shape[1] - a, 0), k)
-    crossed = min(max(cos_null.shape[1] - e, 0), k - aligned)
-    return _Split(r, s, a, b, c, e, k, aligned, crossed, vp, vq, x)
+    x11 = _svd(x[:r, :s])
+    aligned = min(max(nullspace(x[r:, :s], tol).shape[1] - a, 0), k)
+    crossed = min(max(s - int(tol.rank(x11[1])) - e, 0), k - aligned)
+    return _Split(r, s, a, b, c, e, k, aligned, crossed, vp, vq, x, x11)
 
 
 def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
@@ -297,13 +288,13 @@ def halmos_decompose(p, q, tol: Tolerance = Tolerance()) -> FiveSpace:
     aligned or crossed, so the dimensions and the angles agree by
     construction.
     """
-    p, q = _pair(p, q)
-    return _five_space(p, q, _split(p, q, tol))
+    pair = _pair(p, q)
+    return _five_space(*pair, _split(pair, tol))
 
 
 def _five_space(p: np.ndarray, q: np.ndarray, sp: _Split) -> FiveSpace:
     """``halmos_decompose`` of a validated pair and its ``_split``."""
-    u1, u2, theta = cs_decompose(sp.x, sp.r, sp.s)
+    u1, u2, theta = cs_decompose(sp.x, sp.r, sp.s, sp.x11)
     x1 = sp.vp[:, :sp.r] @ u1
     x2 = sp.vp[:, sp.r:] @ u2
     lo, hi = sp.aligned, sp.k - sp.crossed
@@ -323,7 +314,7 @@ def _five_space(p: np.ndarray, q: np.ndarray, sp: _Split) -> FiveSpace:
 def index_pair(p, q, tol: Tolerance = Tolerance()) -> IndexPair:
     """Crossed-intersection dimensions, by the rank decisions of ``_split``:
     the nullities of the two blocks of ``V_P* V_Q``, as in ``halmos_decompose``."""
-    return _split(*_pair(p, q), tol).index
+    return _split(_pair(p, q), tol).index
 
 
 def fivespace_report(fs: FiveSpace) -> dict:

@@ -93,7 +93,7 @@ def _balanced_pair(rng, k: int, hi: float = np.pi / 2 - 0.15):
 def random_equal_index_pair(seed):
     """Projection pair with equal index, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    return _balanced_pair(rng, int(rng.choice([0, 0, 0, 1, 1, 2])))
+    return _balanced_pair(rng, (0, 0, 0, 1, 1, 2)[rng.integers(0, 6)])
 
 
 def random_generic_pair(seed):
@@ -146,7 +146,7 @@ def random_projection_blocks(rng, d: int, count: int) -> np.ndarray:
     """``count`` projections of size ``d`` and random rank, as one ``(count, d, d)``
     complex stack, drawn per block: its rank, then for ``0 < rank < d`` the Gaussian
     of its Haar unitary; one QR factors all the Gaussians.  No report reads a block;
-    a test pins this order, and at a lift's 0-3 blocks it beats ``_fiber_norms``' pool."""
+    a test pins this order, and at a lift's 0-3 blocks it beats ``_fiber_pool``'s batch."""
     ranks, draws = [], []
     for _ in range(count):
         ranks.append(int(rng.integers(0, d + 1)))

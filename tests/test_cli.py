@@ -358,6 +358,17 @@ class TestGeodesicCommand:
         assert (out, err) == ("", f"error: --samples must be >= 2, got {samples}\n")
         assert not csv_path.exists()
 
+    def test_samples_past_the_float_range_is_usage_error(self, tmp_path, capsys):
+        # the grid's refusal is a ValueError: exit 2, not a traceback and the
+        # suite-failure code
+        pair = self.make_pair(tmp_path, "0,0,0,0,2", "0.9")
+        capsys.readouterr()
+        rc = main(["geodesic", "--in", str(pair), "--samples", str(2**1024)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: grid must lie in the float range, got a 1025-bit integer\n"
+
     def test_too_few_samples_is_refused_before_reading(self, tmp_path, capsys):
         # the flag is refused before any I/O, so a missing --in file is not read
         csv_path = tmp_path / "samples.csv"

@@ -295,6 +295,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"^t \* w overflows at t = -1.7e\+308$"):
             list(sample_curve(seg, [0.0, 0.5, -1.7e308]))
 
+    def test_integer_t_past_the_float_range_is_refused(self):
+        # 10**400 has no float: the refusal is the documented ValueError,
+        # not the OverflowError of its conversion
+        seg = minimal_exponent(*rotation_pair(np.pi / 3))
+        for t in 10**400, [0.0, -10**400]:
+            with pytest.raises(ValueError, match="^t must be finite: int too large"):
+                evaluate(seg, t)
+
 
 class TestBatchedEvaluate:
     def test_stack_equals_scalar_calls(self, exactness_segments):
@@ -434,6 +442,12 @@ class TestCurveLength:
             curve_length(seg, 2.5)
         with pytest.raises(ValueError):
             curve_length(seg, 1)
+
+    def test_grid_past_the_float_range_is_refused(self):
+        seg = minimal_exponent(*rotation_pair(np.pi / 3))
+        assert np.isfinite(curve_length(seg, 2**1023))
+        with pytest.raises(ValueError, match="^grid must lie in the float range, got a 1025-bit"):
+            curve_length(seg, 2**1024)
 
     def test_rotation_length(self):
         theta = np.pi / 3
@@ -658,9 +672,9 @@ class TestStackedCompetitors:
 
     def test_no_midpoint_is_formed_or_factored(self, monkeypatch):
         # the legs come from the Haar factors and the split's eigenbases:
-        # past the split, one QR of the unitaries and one SVD of the padded
-        # blocks, with no eigensolve of the pair or of a midpoint and no
-        # n x n SVD of P - R or R - Q
+        # past the split, one QR of the unitaries and one singular-value
+        # call for each row block, with no eigensolve of the pair or of a
+        # midpoint and no n x n SVD of P - R or R - Q
         p, q = random_equal_index_pair(3)
         n, rank = p.shape[0], int(round(np.trace(p).real))
         calls = []
@@ -672,13 +686,14 @@ class TestStackedCompetitors:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        projections._split(*projections._pair(p, q), Tolerance())
+        projections._split(projections._pair(p, q), Tolerance())
         split_calls = calls[:]
         calls.clear()
         minimality_competitors(p, q, 10, 17)
         assert sorted(calls) == sorted(split_calls + [
             ("qr", (10, n, n)),
-            ("svd", (2, 10, 2, max(rank, n - rank), rank)),
+            ("svd", (2, 10, rank, rank)),
+            ("svd", (2, 10, n - rank, rank)),
         ])
 
 

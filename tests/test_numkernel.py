@@ -6,6 +6,7 @@ from projgeo.blockmodel import BlockOperator, lift_geodesic
 from projgeo.errors import NoConvergence, NotAProjection, NotCodiagonal, NotHermitian, NotUnitary
 from projgeo.numkernel import (
     Tolerance,
+    _svd,
     cs_decompose,
     herm_eig,
     nullspace,
@@ -185,11 +186,16 @@ def _unitary_with_angles(n, p, q, theta, seed):
     return u @ d @ v.conj().T
 
 
+def _cs(x, p, q):
+    """``cs_decompose`` from the SVD of ``x[:p, :q]``, as ``_split`` takes it."""
+    return cs_decompose(x, p, q, _svd(x[:p, :q]))
+
+
 class TestCSDecompose:
     @pytest.mark.parametrize("n,p,q", [(6, 2, 3), (6, 4, 3), (7, 5, 5), (5, 1, 4), (8, 4, 4)])
     def test_structure(self, n, p, q):
         x = random_unitary(n, n + 10 * p + q)
-        u1, u2, theta = cs_decompose(x, p, q)
+        u1, u2, theta = _cs(x, p, q)
         k = min(p, n - p, q, n - q)
         a, b = max(0, p + q - n), max(0, n - p - q)
         assert theta.shape == (k,)
@@ -213,13 +219,13 @@ class TestCSDecompose:
         e = np.eye(6)
         v = e[:, [0, 2, 4, 1, 3, 5]]
         w = np.column_stack([c * e[4] + s * e[5], e[3], e[0], e[2], c * e[5] - s * e[4], e[1]])
-        _, _, theta = cs_decompose(v.T @ w, 3, 3)
+        _, _, theta = _cs(v.T @ w, 3, 3)
         assert np.allclose(theta, [0.0, 0.3, np.pi / 2], atol=1e-15)
 
     @pytest.mark.parametrize("n,p,q", [(6, 2, 3), (6, 4, 3), (7, 5, 5), (5, 1, 4), (8, 4, 4)])
     def test_against_cossin(self, n, p, q):
         x = random_unitary(n, n + 10 * p + q)
-        u1, u2, theta = cs_decompose(x, p, q)
+        u1, u2, theta = _cs(x, p, q)
         _, reference, _ = scipy.linalg.cossin(x, p=p, q=q, separate=True, compute_vh=False)
         assert np.abs(theta - reference).max() <= 1e-14
         assert _cs_residual(x, p, q, u1, u2, theta) <= 1e-13
@@ -229,7 +235,7 @@ class TestCSDecompose:
         # scipy's cossin requires 0 < p, q < n; here every direction is
         # forced aligned or crossed, and there is no angle
         x = random_unitary(5, 10 * p + q)
-        u1, u2, theta = cs_decompose(x, p, q)
+        u1, u2, theta = _cs(x, p, q)
         assert (u1.shape, u2.shape, theta.shape) == ((p, p), (5 - p, 5 - p), (0,))
         assert _cs_residual(x, p, q, u1, u2, theta) <= 1e-13
 
@@ -239,7 +245,7 @@ class TestCSDecompose:
         edges = [3e-10, 1e-9, np.pi / 2 - 1e-9, np.pi / 2 - 3e-10]
         angles = np.sort(np.concatenate([edges, np.linspace(0.2, 1.4, k - 4)]))
         x = _unitary_with_angles(n, p, q, angles, seed=n + p + q)
-        u1, u2, theta = cs_decompose(x, p, q)
+        u1, u2, theta = _cs(x, p, q)
         _, reference, _ = scipy.linalg.cossin(x, p=p, q=q, separate=True, compute_vh=False)
         assert np.abs(theta - reference).max() <= 1e-14
         assert np.abs(theta - angles).max() <= 1e-14
@@ -251,7 +257,7 @@ class TestCSDecompose:
     [
         op_norm,
         nullspace,
-        lambda m: cs_decompose(m, 2, 2),
+        lambda m: _cs(m, 2, 2),
     ],
     ids=["op_norm", "nullspace", "cs_decompose"],
 )

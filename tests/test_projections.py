@@ -357,21 +357,31 @@ def test_pair_whose_full_svd_did_not_converge():
 
 def test_split_factors_no_n_by_n_matrix(monkeypatch):
     """The rank decisions and the CS split factor blocks of ``V_P* V_Q``: no
-    SVD with vectors of a matrix larger than ``max(r, n - r) x s``."""
-    n, r, s = 32, 16, 16
-    p, q = pair_with_dims(2, 2, 1, 1, 26, np.linspace(0.1, 1.4, 13), seed=9)
-    shapes = []
+    SVD with vectors of a matrix larger than ``max(r, n - r) x s``, none of
+    a zero-padded block (``r = 7`` against ``n - r = 3`` in the second
+    pair), and ``X[:r, :s]`` once, its factors shared by the rank decisions
+    and the CS step."""
+    inputs = []
     real = np.linalg.svd
 
     def recorded(m, full_matrices=True, compute_uv=True, **kwargs):
         if compute_uv:
-            shapes.append(np.shape(m)[-2:])
+            inputs.extend(np.reshape(m, (-1,) + np.shape(m)[-2:]))
         return real(m, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recorded)
-    assert halmos_decompose(p, q).dims == (2, 2, 1, 1, 26)
-    assert shapes
-    assert all(rows <= max(r, n - r) and cols <= s for rows, cols in shapes), shapes
+    for dims in (2, 2, 1, 1, 26), (3, 1, 2, 0, 4):
+        n, r, s = sum(dims), dims[0] + dims[2] + dims[4] // 2, dims[0] + dims[3] + dims[4] // 2
+        p, q = pair_with_dims(*dims, np.linspace(0.1, 1.4, dims[4] // 2), seed=9)
+        x11 = projections._split(projections._pair(p, q), Tolerance()).x[:r, :s]
+        inputs.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", recorded)
+            assert halmos_decompose(p, q).dims == dims
+        shapes = [m.shape for m in inputs]
+        assert shapes
+        assert all(rows <= max(r, n - r) and cols <= s for rows, cols in shapes), shapes
+        assert sum(np.array_equal(m, x11) for m in inputs) == 1
+        assert not any((m == 0).all(axis=-1).any() for m in inputs)
 
 
 class TestIndexPair:
