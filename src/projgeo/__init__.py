@@ -22,7 +22,6 @@ from .projections import (
 )
 from .geodesics import (
     GeodesicSegment,
-    UniquenessReport,
     curve_length,
     evaluate,
     exists_geodesic,
@@ -31,7 +30,6 @@ from .geodesics import (
     minimality_competitors,
     multi_geodesic_family,
     sample_curve,
-    unique_minimal_check,
 )
 from .blockmodel import (
     BlockOperator,

@@ -57,7 +57,6 @@ from .projections import (
     _split,
     halmos_decompose,
     index_pair,
-    random_unitary,
 )
 
 # size of one stack of the points of a segment's grid or of the midpoints
@@ -92,14 +91,6 @@ class GeodesicSegment:
         uses: the check that they belong to ``Z``."""
         w, u = _segment_eig(self)
         return float(np.linalg.norm(-1j * (self.exponent @ u) - u * w[..., None, :]))
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    unique: bool
-    witness: tuple[np.ndarray, np.ndarray] | None
-    rederivation_error: float | None
-    witness_separation: float | None
 
 
 def codiagonal_residual(p: np.ndarray, z: np.ndarray) -> float:
@@ -232,17 +223,21 @@ def curve_length(seg: GeodesicSegment, grid: int) -> float:
 
     Every chord of the grid is a unitary conjugate of the first,
     ``exp(tZ) (gamma(h) - P) exp(-tZ)``, so they all have the norm of the
-    first and the sum is ``grid`` times it: one stacked ``evaluate`` of two
-    points and one ``op_norm``.  For ``|Z| <= pi/2`` that is
-    ``grid sin(|Z| / grid)``.  A ``grid`` below 2 or past the float range raises ``ValueError``.
+    first and the sum is ``grid`` times it.  With ``exp(hZ) = 1 + E``, the
+    first chord is ``EP + PE* + EPE*``, and ``E = U diag(expm1(i h w)) U*``
+    from the eigenpairs of ``-iZ`` carries no cancellation at any grid: one
+    ``op_norm``.  For ``|Z| <= pi/2`` that is ``grid sin(|Z| / grid)``.  A
+    ``grid`` below 2 or past the float range raises ``ValueError``.
     """
     grid = operator.index(grid)
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
     if grid > sys.float_info.max:
         raise ValueError(f"grid must lie in the float range, got a {grid.bit_length()}-bit integer")
-    start, step = evaluate(seg, [0.0, 1.0 / grid])
-    return grid * op_norm(step - start)
+    w, u = _segment_eig(seg)
+    e = (u * np.expm1(1j * w / float(grid))[..., None, :]) @ _adjoint(u)
+    ep = e @ seg.base
+    return grid * op_norm(ep + _adjoint(ep) + ep @ _adjoint(e))
 
 
 def minimality_competitors(
@@ -299,38 +294,6 @@ def _lower_bound(fs: FiveSpace) -> float:
     return float(end - start)
 
 
-# fixed probe seed: the uniqueness re-derivation must be a deterministic
-# function of its inputs
-_REDERIVE_SEED = 0x5EED
-
-
-def unique_minimal_check(p, q, tol: Tolerance = Tolerance()) -> UniquenessReport:
-    """Uniqueness of the normalized segment, decided by the index pair.
-
-    Index ``(0, 0)``: unique; the exponent is re-derived from conjugated
-    inputs (an independent eigensolve path) and compared.  Index ``(k, k)``
-    with ``k > 0``: not unique; two distinct exponents obtained from two
-    crossed pairings are returned as a witness.
-    """
-    fs = halmos_decompose(p, q, tol)
-    _require_balanced(fs.index)
-    z = _exponent(fs, None)
-    k = fs.index.d_plus
-    if k == 0:
-        u = random_unitary(fs.p.shape[0], _REDERIVE_SEED)
-        pc, qc = (_hermitize(u.conj().T @ m @ u) for m in (fs.p, fs.q))
-        seg_c = minimal_exponent(pc, qc, tol)
-        back = u @ seg_c.exponent @ u.conj().T
-        err = op_norm(back - z)
-        return UniquenessReport(unique=True, witness=None, rederivation_error=err,
-                                witness_separation=None)
-    twist = 1j * np.eye(k, dtype=np.complex128)  # exp(i pi/2) rotation of the pairing
-    # the canonical exponent z has the identity pairing
-    z2 = _exponent(fs, twist)
-    return UniquenessReport(unique=False, witness=(z, z2), rederivation_error=None,
-                            witness_separation=op_norm(z - z2))
-
-
 def multi_geodesic_family(
     p,
     q,
@@ -361,8 +324,8 @@ def minimal_geodesic(
 
     The pair is validated and decomposed once; the report's index, segment
     and uniqueness verdict all come from that one decomposition.  The
-    segment is unique exactly when the index pair is ``(0, 0)`` (see
-    ``unique_minimal_check``).
+    segment is unique exactly when the index pair is ``(0, 0)``; otherwise
+    ``multi_geodesic_family`` gives others.
 
     Raises
     ------

@@ -37,7 +37,7 @@ from projgeo.geodesics import (
     GeodesicSegment,
     evaluate,
     minimal_exponent,
-    unique_minimal_check,
+    minimal_geodesic,
 )
 from projgeo.numkernel import Tolerance, _skewize, herm_eig, nullspace, op_norm
 from projgeo.projections import (
@@ -1027,7 +1027,7 @@ class TestQuotientGeodesic:
         finite = result.case is DichotomyCase.FINITE_FINITE
         assert index_pair(p, q) == index
         assert finite is (index == (0, 0))
-        assert result.unique == unique_minimal_check(p, q).unique == finite
+        assert result.unique == minimal_geodesic(p, q, 2)[1]["unique"] == finite
 
     def test_balanced_crossed_quotient(self):
         p = np.diag([1.0, 0.0]).astype(complex)

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from projgeo import projections, serialize
+from projgeo import geodesics, projections, serialize
 from projgeo.cli import main
 from projgeo.geodesics import evaluate, minimal_exponent
 from projgeo.projections import pair_with_dims
@@ -595,6 +595,24 @@ class TestVerifyCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["trials"] == 0 and report["failures"] == 0
+
+    def test_a_trial_that_raises_fails_its_record(self, monkeypatch, capsys):
+        # an exponent scaled past pi/2 is a fault of the library, not of the
+        # command line: each trial that meets it is a failed record naming
+        # the refusal, and the run still writes its report
+        real = geodesics._exponent
+        monkeypatch.setattr(geodesics, "_exponent", lambda fs, pairing: real(fs, pairing) * (1 + 1e-9))
+        rc = main(["verify", "--suite", "lifting", "--trials", "200", "--seed", "11"])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().out)
+        raised = [r for r in report["records"] if "error" in r]
+        assert raised and all(
+            set(r) == {"trial", "seed", "error", "residual", "ok"}
+            and r["error"].startswith("NormTooLarge: |z| = ")
+            and r["residual"] == 1.0 and not r["ok"]
+            for r in raised
+        )
+        assert report["failures"] >= len(raised)
 
     def test_unknown_suite_exit_64(self, capsys):
         rc = main(["verify", "--suite", "nope"])

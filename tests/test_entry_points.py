@@ -26,7 +26,6 @@ from projgeo.geodesics import (
     minimal_geodesic,
     minimality_competitors,
     multi_geodesic_family,
-    unique_minimal_check,
 )
 from projgeo.projections import (
     diff_sum,
@@ -42,7 +41,6 @@ ENTRIES = {
     "halmos_decompose": halmos_decompose,
     "minimal_exponent": minimal_exponent,
     "minimal_geodesic": lambda p, q: minimal_geodesic(p, q, samples=4),
-    "unique_minimal_check": unique_minimal_check,
     "multi_geodesic_family": lambda p, q: multi_geodesic_family(p, q, [np.eye(1)]),
     "minimality_competitors": lambda p, q: minimality_competitors(p, q, 3, 0),
     "diff_sum": diff_sum,

@@ -19,6 +19,7 @@ from projgeo.blockmodel import (
 from projgeo.errors import NoGeodesic, NotPeriodic
 from projgeo.numkernel import Tolerance, op_norm
 from projgeo.suites import (
+    BOUNDS,
     TRUNCATION_BLOCKS,
     classify_by_truncation,
     random_crossed_pair,
@@ -163,12 +164,8 @@ def test_minimality_records_match_the_public_functions():
         assert record["lower_bound"] == geodesics.minimal_geodesic(p, q, 2)[1]["lower_bound"]
 
 
-@pytest.mark.parametrize("shift", [1e-9, -1e-9], ids=["longer", "shorter"])
-def test_minimality_certificate_fails_a_moved_largest_angle(monkeypatch, shift):
-    # a largest angle moved by 1e-9 moves |Z|, the exponent and its
-    # eigenpairs alike, so the chord checks and the eigen-residual still
-    # pass; the certificate reads the angle off the pair itself and fails
-    # every trial whose largest angle is a generic one, on either sign
+def _move_largest_angle(monkeypatch, shift):
+    """Make the split add ``shift`` to each pair's largest principal angle."""
     true_five_space = projections._five_space
 
     def moved(p, q, sp):
@@ -177,11 +174,41 @@ def test_minimality_certificate_fails_a_moved_largest_angle(monkeypatch, shift):
         return dataclasses.replace(fs, angles=fs.angles + shift * last)
 
     monkeypatch.setattr(projections, "_five_space", moved)
+
+
+@pytest.mark.parametrize("shift", [1e-9, -1e-9], ids=["longer", "shorter"])
+def test_minimality_certificate_fails_a_moved_largest_angle(monkeypatch, shift):
+    # a largest angle moved by 1e-9 moves |Z|, the exponent and its
+    # eigenpairs alike, so the chord checks and the eigen-residual still
+    # pass; the certificate reads the angle off the pair itself and fails
+    # every trial whose largest angle is a generic one, on either sign
+    _move_largest_angle(monkeypatch, shift)
     report = suites.run_suite("minimality", 200, 11)
     generic = {r["trial"] for r in report.records if 0 < r["norm_Z"] < np.pi / 2}
     assert {r["trial"] for r in report.records if not r["ok"]} == generic
     assert report.failures == len(generic) == 92
     assert report.worst_residual >= 0.9e-9
+
+
+@pytest.mark.parametrize("shift", [1e-9, -1e-9], ids=["longer", "shorter"])
+def test_direct_rotation_fails_a_moved_largest_angle(monkeypatch, shift):
+    # the closed form reads the pair alone, so a largest angle moved by 1e-9
+    # in the split moves the solve off it by about 1e-9 on every
+    # direct-rotation trial, a hundred times the bound
+    _move_largest_angle(monkeypatch, shift)
+    report = suites.run_suite("uniqueness", 200, 11)
+    direct = [r for r in report.records if r["kind"] == "direct_rotation"]
+    assert len(direct) == 160
+    assert not any(r["ok"] for r in direct)
+    assert min(r["residual"] for r in direct) >= 0.9e-9
+
+
+def test_uniqueness_passes_far_inside_its_bound():
+    # the solve meets the closed form two orders of magnitude inside the bound
+    report = suites.run_suite("uniqueness", 200, 11)
+    direct = [r["residual"] for r in report.records if r["kind"] == "direct_rotation"]
+    assert report.failures == 0 and len(direct) == 160
+    assert max(direct) <= BOUNDS["uniqueness.direct_rotation"] / 100
 
 
 def test_lifting_validates_each_draw_once(monkeypatch):
@@ -322,7 +349,8 @@ def test_family_trial_stacks_its_norms(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(suites, "op_norm", counted)
-    fields, _, ok = suites._trial_uniqueness(4, 11, Tolerance())
+    fields, _, ok = suites._trial_uniqueness(14, Tolerance())
+    assert fields["kind"] == "family"
     n = fields["n"]
     assert ok and calls == [(28, n, n), (8, n, n), (8, n, n)]
 
@@ -570,10 +598,10 @@ def test_normlift_adds_one_sequence_per_trial(monkeypatch):
     assert len(calls) == 20
 
 
-@pytest.mark.parametrize("name", sorted(set(suites.SUITES) - {"uniqueness"}))
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
 def test_one_trial_run_is_a_trial_of_the_long_run(name):
     # a trial draws from its own seed alone, so a one-trial run at s + i
-    # gives the record of trial i; uniqueness also reads i, to pick its kind
+    # gives the record of trial i
     s = 40
     long_run = suites.run_suite(name, 25, s).records
     for i, record in enumerate(long_run):
@@ -581,9 +609,23 @@ def test_one_trial_run_is_a_trial_of_the_long_run(name):
         assert {**alone, "trial": i} == record
 
 
+def test_only_a_library_error_becomes_a_failed_record(monkeypatch):
+    def raising(seed, tol):
+        raise (NotPeriodic if seed % 2 else RuntimeError)(f"at {seed}")
+
+    monkeypatch.setitem(suites.SUITES, "identities", raising)
+    report = suites.run_suite("identities", 1, 3)
+    assert report.failures == 1 and report.worst_residual == 1.0
+    assert report.records == [
+        {"trial": 0, "seed": 3, "error": "NotPeriodic: at 3", "residual": 1.0, "ok": False}
+    ]
+    with pytest.raises(RuntimeError, match="^at 4$"):
+        suites.run_suite("identities", 1, 4)
+
+
 def test_every_suite_is_a_function_of_one_trial():
     for name, trial in suites.SUITES.items():
-        assert list(inspect.signature(trial).parameters) == ["i", "seed", "tol"], name
+        assert list(inspect.signature(trial).parameters) == ["seed", "tol"], name
 
 
 def test_only_run_suite_builds_a_report():
