@@ -27,7 +27,6 @@ from .geodesics import (
     exists_geodesic,
     minimal_exponent,
     minimal_geodesic,
-    minimality_competitors,
     multi_geodesic_family,
     sample_curve,
 )

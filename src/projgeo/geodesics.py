@@ -43,7 +43,6 @@ from .numkernel import (
     Tolerance,
     _adjoint,
     _hermitize,
-    _svd,
     as_cmatrix,
     herm_eig,
     op_norm,
@@ -52,16 +51,12 @@ from .projections import (
     FiveSpace,
     IndexPair,
     _SQRT2,
-    _haar_unitaries,
-    _pair,
-    _split,
     halmos_decompose,
     index_pair,
 )
 
-# size of one stack of the points of a segment's grid or of the midpoints
-# of minimality_competitors: bounds the memory a grid or a competitor batch
-# costs at large n while keeping the per-call overhead low at small n
+# size of one stack of the points of a segment's grid: bounds the memory a
+# grid costs at large n while keeping the per-call overhead low at small n
 _CHUNK_BYTES = 1 << 20
 
 
@@ -238,46 +233,6 @@ def curve_length(seg: GeodesicSegment, grid: int) -> float:
     e = (u * np.expm1(1j * w / float(grid))[..., None, :]) @ _adjoint(u)
     ep = e @ seg.base
     return grid * op_norm(ep + _adjoint(ep) + ep @ _adjoint(e))
-
-
-def minimality_competitors(
-    p,
-    q,
-    trials: int,
-    seed,
-    tol: Tolerance = Tolerance(),
-) -> list[float]:
-    """Lengths of two-leg piecewise geodesics ``P -> R -> Q`` through random
-    midpoints ``R``; each length is the sum of the two leg norms and never
-    beats the direct segment.  The midpoint of competitor ``i`` is
-    ``random_projection(n, rank P, (seed + i, 5, 1))``, the range of the first
-    columns ``V_R`` of that key's Haar unitary (a key with a non-zero last word
-    is a stream of its own, where ``(s, 0)`` is a suite sampler's
-    ``default_rng(s)``).  Both legs are balanced, as a pair's index differs by
-    its rank difference.  A leg is as long as its largest principal angle (Porta
-    & Recht, Proc. AMS 100, 1987): for an end's eigenvectors ``V_E`` (the
-    split's ``vp`` or ``vq``), the first ``rank P`` rows of ``V_E* V_R`` have the
-    leg's cosines as singular values and the others its sines, so the leg is
-    ``atan2(smax(sines), smin(cosines))``: no midpoint is formed and the pair is
-    not solved again; a 1 MB stack costs a QR and two singular-value calls.
-    """
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
-    sp = _split(_pair(p, q), tol)
-    _require_balanced(sp.index)
-    n, rank = sp.vp.shape[0], sp.r
-    if rank in (0, n):
-        return [0.0] * trials  # P = Q = R
-    ends = _adjoint(np.array([sp.vp, sp.vq])[:, None])
-    step = max(1, _CHUNK_BYTES // sp.vp.nbytes)
-    lengths = []
-    for start in range(0, trials, step):
-        seeds = [(seed + i, 5, 1) for i in range(start, min(start + step, trials))]
-        x = ends @ _haar_unitaries(n, seeds)[..., :rank]
-        cos, sin = (_svd(rows, compute_uv=False) for rows in (x[..., :rank, :], x[..., rank:, :]))
-        legs = np.arctan2(sin[..., 0], cos[..., -1])  # the largest sine, the smallest cosine
-        lengths.extend((legs[0] + legs[1]).tolist())
-    return lengths
 
 
 def _lower_bound(fs: FiveSpace) -> float:

@@ -8,14 +8,12 @@ raise ``NoConvergence``; the principal angles of a subspace pair come from
 two SVDs, with cosines and sines each accurate at its own end of ``[0, pi/2]``.
 
 The spectral and singular-value kernels also take a stack ``(..., n, n)``
-of matrices, ``nullspace`` a stack ``(..., m, n)``, and factor it with one
-LAPACK call; each matrix of the stack gets the same bits as a call on that
-matrix alone.
+of matrices and factor it with one LAPACK call; each matrix of the stack
+gets the same bits as a call on that matrix alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -174,9 +172,7 @@ def herm_eig(a) -> HermEig:
 
 
 def nullspace(a, tol: Tolerance = Tolerance()):
-    """Orthonormal basis (columns) of the numerical nullspace of ``a``; for
-    a stack ``(..., m, n)`` of matrices, the list of the bases of each
-    matrix, in order, from one SVD.
+    """Orthonormal basis (columns) of the numerical nullspace of the matrix ``a``.
 
     A direction ``v`` belongs to the nullspace when ``|a v| <= rank_rtol *
     |v|``.  The rule is absolute, for operators of natural scale 1 such as
@@ -184,11 +180,8 @@ def nullspace(a, tol: Tolerance = Tolerance()):
     to roundoff has the whole space as its nullspace, and a matrix of full
     rank yields a basis with zero columns.
     """
-    m = as_cstack(a)
-    stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
-    _, s, vh = _svd(stack)
-    bases = [v[rank:].conj().T for v, rank in zip(vh, tol.rank(s).tolist())]
-    return bases[0] if m.ndim == 2 else bases
+    _, s, vh = _svd(as_cmatrix(a))
+    return vh[int(tol.rank(s)):].conj().T
 
 
 def cs_decompose(x, p: int, q: int, x11):

@@ -87,21 +87,13 @@ def _haar(draws) -> np.ndarray:
 
 
 def _range_projection(u: np.ndarray, r: int) -> np.ndarray:
-    """Projection onto the first ``r`` columns of a unitary, or of each of a stack."""
-    return _hermitize(u[..., :r] @ _adjoint(u[..., :r]))
-
-
-def _haar_unitaries(n: int, seeds) -> np.ndarray:
-    """Stack of ``random_unitary(n, seed)`` over ``seeds``: one buffer, one QR call."""
-    draws = np.empty((len(seeds), 2, n, n))
-    for draw, s in zip(draws, seeds):
-        np.random.default_rng(s).standard_normal(out=draw)
-    return _haar(draws)
+    """Projection onto the first ``r`` columns of a unitary."""
+    return _hermitize(u[:, :r] @ _adjoint(u[:, :r]))
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed unitary (QR of a complex Gaussian, phases fixed)."""
-    return _haar_unitaries(n, [seed])[0]
+    return _haar(np.random.default_rng(seed).standard_normal((1, 2, n, n)))[0]
 
 
 def random_projection(n: int, r: int, seed) -> np.ndarray:
@@ -112,7 +104,7 @@ def random_projection(n: int, r: int, seed) -> np.ndarray:
         raise InconsistentDims(f"rank {r} outside [0, {n}]")
     if r in (0, n):
         return np.eye(n, dtype=np.complex128) * (r == n)
-    return _range_projection(_haar_unitaries(n, [seed]), r)[0]
+    return _range_projection(random_unitary(n, seed), r)
 
 
 def pair_with_dims(

@@ -76,12 +76,15 @@ def _early_matrix(obj: dict):
 def read_pair(path) -> tuple[np.ndarray, np.ndarray]:
     """The matrices ``P`` and ``Q`` of a pair file.  The parse pauses the cyclic
     collector, whose passes over its many small lists could free nothing: JSON
-    makes no reference cycles.  The caller's setting is restored afterwards."""
+    makes no reference cycles.  The caller's setting is restored afterwards.  A
+    file that nests past the parser's recursion limit raises ``ValueError``."""
     text = Path(path).read_text()
     enabled = gc.isenabled()
     gc.disable()
     try:
         obj = json.loads(text, object_hook=_early_matrix)
+    except RecursionError:
+        raise ValueError("pair file nests deeper than the JSON parser allows") from None
     finally:
         if enabled:
             gc.enable()

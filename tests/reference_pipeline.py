@@ -18,8 +18,14 @@ block, and one QR, at a time: the stacked sampler must give its blocks and
 leave its generator in the same state.
 
 ``reference_haar_unitaries`` is the Haar stack drawn one complex Gaussian
-temporary per key before the one QR: the stack drawn into one buffer must
-give the same unitaries.
+temporary per key before the one QR: ``random_unitary`` must give the same
+unitary for each key.
+
+``minimality_competitors`` is the sampled oracle of the paper's minimality
+claim, two-leg curves through random midpoints, that acceptance criterion 3
+holds the geodesic against; it draws its midpoints through
+``reference_haar_unitaries``, and ``reference_competitors`` is the same
+lengths one midpoint, one split and one leg at a time.
 
 ``reference_block_geodesic_instance`` is the lifting suite's sampler that
 built and solved every drawn quotient pair and skipped the ones the solver
@@ -64,16 +70,26 @@ import scipy.linalg
 
 from projgeo.blockmodel import SPECTRAL_GAP, BlockOperator, quotient_geodesic
 from projgeo.errors import NoGeodesic, NoSpectralGap, NotHermitian, NotPeriodic, NotUnitary
+from projgeo.geodesics import _CHUNK_BYTES, _require_balanced
 from projgeo.numkernel import (
     RECON_RTOL,
     Tolerance,
+    _adjoint,
+    _svd,
     as_cmatrix,
     herm_eig,
     nullspace,
     op_norm,
     require_square,
 )
-from projgeo.projections import IndexPair, make_projection, pair_with_dims, random_projection
+from projgeo.projections import (
+    IndexPair,
+    _pair,
+    _split,
+    make_projection,
+    pair_with_dims,
+    random_projection,
+)
 from projgeo.suites import random_projection_blocks, random_quotient_pair
 
 HALF_PI_BOUND = np.pi / 2 + 1e-12
@@ -250,6 +266,46 @@ def reference_haar_unitaries(n, seeds):
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d = np.where(np.abs(d) == 0.0, 1.0, d / np.abs(d))
     return q * d[..., None, :]
+
+
+def minimality_competitors(
+    p,
+    q,
+    trials: int,
+    seed,
+    tol: Tolerance = Tolerance(),
+) -> list[float]:
+    """Lengths of two-leg piecewise geodesics ``P -> R -> Q`` through random
+    midpoints ``R``; each length is the sum of the two leg norms and never
+    beats the direct segment.  The midpoint of competitor ``i`` is
+    ``random_projection(n, rank P, (seed + i, 5, 1))``, the range of the first
+    columns ``V_R`` of that key's Haar unitary (a key with a non-zero last word
+    is a stream of its own, where ``(s, 0)`` is a suite sampler's
+    ``default_rng(s)``).  Both legs are balanced, as a pair's index differs by
+    its rank difference.  A leg is as long as its largest principal angle (Porta
+    & Recht, Proc. AMS 100, 1987): for an end's eigenvectors ``V_E`` (the
+    split's ``vp`` or ``vq``), the first ``rank P`` rows of ``V_E* V_R`` have the
+    leg's cosines as singular values and the others its sines, so the leg is
+    ``atan2(smax(sines), smin(cosines))``: no midpoint is formed and the pair is
+    not solved again; a 1 MB stack costs a QR and two singular-value calls.
+    """
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
+    sp = _split(_pair(p, q), tol)
+    _require_balanced(sp.index)
+    n, rank = sp.vp.shape[0], sp.r
+    if rank in (0, n):
+        return [0.0] * trials  # P = Q = R
+    ends = _adjoint(np.array([sp.vp, sp.vq])[:, None])
+    step = max(1, _CHUNK_BYTES // sp.vp.nbytes)
+    lengths = []
+    for start in range(0, trials, step):
+        seeds = [(seed + i, 5, 1) for i in range(start, min(start + step, trials))]
+        x = ends @ reference_haar_unitaries(n, seeds)[..., :rank]
+        cos, sin = (_svd(rows, compute_uv=False) for rows in (x[..., :rank, :], x[..., rank:, :]))
+        legs = np.arctan2(sin[..., 0], cos[..., -1])  # the largest sine, the smallest cosine
+        lengths.extend((legs[0] + legs[1]).tolist())
+    return lengths
 
 
 def reference_block_geodesic_instance(seed, tol):

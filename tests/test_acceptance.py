@@ -26,7 +26,6 @@ from projgeo.geodesics import (
     evaluate,
     minimal_exponent,
     minimal_geodesic,
-    minimality_competitors,
     multi_geodesic_family,
 )
 from projgeo.numkernel import Tolerance, op_norm
@@ -37,6 +36,8 @@ from projgeo.projections import (
     random_unitary,
 )
 from projgeo.suites import (
+    BOUNDS,
+    _direct_rotation,
     classify_by_truncation,
     random_crossed_pair,
     random_equal_index_pair,
@@ -45,6 +46,7 @@ from projgeo.suites import (
     random_quotient_pair,
     _block_geodesic_instance,
 )
+from reference_pipeline import minimality_competitors
 
 
 def report(number, label, ok, details):
@@ -148,8 +150,13 @@ def test_criterion_4_existence_dichotomy():
     report(4, "existence dichotomy vs truncation oracle", ok, f"{agreements}/200 agree")
 
 
-def test_criterion_5_uniqueness():
-    worst_rederive = 0.0
+def uniqueness_residuals() -> tuple[list[float], list[float]]:
+    """For each of criterion 5's 200 index-(0, 0) pairs, the gap between its
+    exponent and the one re-derived from a conjugated copy of the pair, and
+    its distance to the direct rotation, a closed form that reads the pair
+    alone: a fault in the split moves both exponents of the first alike, but
+    not the second."""
+    rederive, direct = [], []
     for trial in range(200):
         p, q = random_generic_pair((30_000, trial))
         n = p.shape[0]
@@ -158,7 +165,14 @@ def test_criterion_5_uniqueness():
         pc = make_projection((u.conj().T @ p @ u + (u.conj().T @ p @ u).conj().T) / 2)
         qc = make_projection((u.conj().T @ q @ u + (u.conj().T @ q @ u).conj().T) / 2)
         recovered = u @ minimal_exponent(pc, qc).exponent @ u.conj().T
-        worst_rederive = max(worst_rederive, op_norm(recovered - seg.exponent))
+        rederive.append(op_norm(recovered - seg.exponent))
+        direct.append(op_norm(seg.exponent - _direct_rotation(p, q)))
+    return rederive, direct
+
+
+def test_criterion_5_uniqueness():
+    rederive, direct = uniqueness_residuals()
+    worst_rederive, worst_direct = max(rederive), max(direct)
 
     worst_sep = np.inf
     worst_endpoint = worst_norm = 0.0
@@ -175,6 +189,7 @@ def test_criterion_5_uniqueness():
                 worst_sep = min(worst_sep, op_norm(a.exponent - b.exponent))
     ok = (
         worst_rederive <= 1e-8
+        and worst_direct <= BOUNDS["uniqueness.direct_rotation"]
         and worst_sep > 1e-8
         and worst_endpoint <= 1e-9
         and worst_norm <= 1e-10
@@ -183,7 +198,8 @@ def test_criterion_5_uniqueness():
         5,
         "uniqueness + multi-geodesic families",
         ok,
-        f"rederive {worst_rederive:.2e}, min separation {worst_sep:.2e}, "
+        f"rederive {worst_rederive:.2e}, direct rotation {worst_direct:.2e}, "
+        f"min separation {worst_sep:.2e}, "
         f"endpoint {worst_endpoint:.2e}, norm gap {worst_norm:.2e}",
     )
 

@@ -811,13 +811,13 @@ def dense_truncation(lift, n_blocks):
 
 
 def dense_truncated_index_pairs(lift_p, lift_q, lengths):
-    """Nullities of dense truncations, one SVD per length."""
+    """Nullities of dense truncations, two SVDs per length."""
     out = []
     for n_blocks in lengths:
         tp = dense_truncation(lift_p, n_blocks)
         tq = dense_truncation(lift_q, n_blocks)
         eye = np.eye(tp.shape[0])
-        plus, minus = nullspace(np.array([tp - tq - eye, tp - tq + eye]))
+        plus, minus = nullspace(tp - tq - eye), nullspace(tp - tq + eye)
         out.append(IndexPair(d_plus=plus.shape[1], d_minus=minus.shape[1]))
     return out
 

@@ -429,9 +429,12 @@ class TestGeodesicCommand:
              "a pair must be an object with P and Q"),
             ('{"P": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}',
              "a pair must be an object with P and Q"),
+            ("[" * 100_000 + "]" * 100_000,
+             "pair file nests deeper than the JSON parser allows"),
         ],
         ids=["empty-list", "bare-number-entry", "null-rows", "boolean-entries",
-             "invalid-q-after-valid-p", "p-judged-before-q", "top-level-matrix", "no-q"],
+             "invalid-q-after-valid-p", "p-judged-before-q", "top-level-matrix", "no-q",
+             "too-deep"],
     )
     def test_malformed_pair_file_is_usage_error(self, tmp_path, capsys, text, message):
         pair = tmp_path / "pair.json"
@@ -493,8 +496,9 @@ class TestPairFiles:
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize(
         "text",
-        [None, '{"P": {"rows": 1, "cols": 1, "data": [[true, 0.0]]}, "Q": 1}', '{"P": [1,'],
-        ids=["valid", "invalid-matrix", "invalid-json"],
+        [None, '{"P": {"rows": 1, "cols": 1, "data": [[true, 0.0]]}, "Q": 1}', '{"P": [1,',
+         "[" * 100_000 + "]" * 100_000],
+        ids=["valid", "invalid-matrix", "invalid-json", "too-deep"],
     )
     def test_read_restores_the_collector(self, tmp_path, enabled, text):
         path = tmp_path / "pair.json"

@@ -24,7 +24,6 @@ from projgeo.geodesics import (
     exists_geodesic,
     minimal_exponent,
     minimal_geodesic,
-    minimality_competitors,
     multi_geodesic_family,
 )
 from projgeo.projections import (
@@ -42,7 +41,6 @@ ENTRIES = {
     "minimal_exponent": minimal_exponent,
     "minimal_geodesic": lambda p, q: minimal_geodesic(p, q, samples=4),
     "multi_geodesic_family": lambda p, q: multi_geodesic_family(p, q, [np.eye(1)]),
-    "minimality_competitors": lambda p, q: minimality_competitors(p, q, 3, 0),
     "diff_sum": diff_sum,
     "existence_dichotomy": existence_dichotomy,
     "quotient_geodesic": quotient_geodesic,
@@ -211,7 +209,6 @@ def test_one_index_everywhere(pair):
     assert exists_geodesic(p, q) is balanced
     matrix_outcome = None if balanced else NoGeodesic
     assert _raised(lambda: minimal_exponent(p, q)) is matrix_outcome
-    assert _raised(lambda: minimality_competitors(p, q, 1, 0)) is matrix_outcome
     # in the quotient, an unbalanced pair of infinite crossed nullities has a
     # geodesic that the block-periodic model cannot represent
     if balanced:

@@ -183,7 +183,6 @@ def test_no_module_reads_the_environment():
 # public names (exports, module functions and methods of exported classes)
 # that no package module calls, each with the reason it stays
 TEST_ONLY_EXPORTS = {
-    "minimality_competitors": "acceptance criterion 3 calls it",
     "lift_projection": "it states the paper's first claim: a Calkin "
     "projection lifts to a projection",
     "exists_geodesic": "the documented predicate of the existence criterion",

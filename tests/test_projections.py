@@ -492,9 +492,10 @@ def _haar_keys(kind, count):
 @pytest.mark.parametrize("count", [1, 10])
 @pytest.mark.parametrize("n", [1, 2, 7, 14, 128])
 def test_haar_unitaries_match_one_gaussian_per_key(n, count, kind):
-    # each key's stream fills its slot of one buffer, as its own
-    # _gaussian temporary did: the unitaries agree bit for bit
-    got = projections._haar_unitaries(n, _haar_keys(kind, count))
+    # random_unitary draws and factors each key alone, the reference one
+    # Gaussian temporary per key and one QR of their stack: the unitaries
+    # agree bit for bit
+    got = np.array([random_unitary(n, key) for key in _haar_keys(kind, count)])
     ref = reference_haar_unitaries(n, _haar_keys(kind, count))
     assert got.shape == ref.shape == (count, n, n)
     assert got.tobytes() == ref.tobytes()

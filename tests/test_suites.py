@@ -34,6 +34,7 @@ from reference_pipeline import (
     reference_projection_blocks,
     reference_quotient_dims,
 )
+from test_acceptance import uniqueness_residuals
 
 
 def test_generic_pair_gap_holds_at_first_draw():
@@ -203,6 +204,16 @@ def test_direct_rotation_fails_a_moved_largest_angle(monkeypatch, shift):
     assert min(r["residual"] for r in direct) >= 0.9e-9
 
 
+@pytest.mark.parametrize("shift", [1e-9, -1e-9], ids=["longer", "shorter"])
+def test_criterion_5_direct_rotation_fails_a_moved_largest_angle(monkeypatch, shift):
+    # acceptance criterion 5's conjugated re-derivation moves with the split
+    # and stays inside its bound; its direct rotation is off on every pair
+    _move_largest_angle(monkeypatch, shift)
+    rederive, direct = uniqueness_residuals()
+    assert max(rederive) <= 1e-8
+    assert min(direct) > BOUNDS["uniqueness.direct_rotation"]
+
+
 def test_uniqueness_passes_far_inside_its_bound():
     # the solve meets the closed form two orders of magnitude inside the bound
     report = suites.run_suite("uniqueness", 200, 11)
@@ -223,7 +234,7 @@ def test_lifting_validates_each_draw_once(monkeypatch):
 
         monkeypatch.setattr(module, name, call)
 
-    for module in (projections, geodesics, blockmodel):
+    for module in (projections, blockmodel):
         counted(module, "_pair")
     counted(suites, "pair_with_dims")
     counted(suites, "_quotient_dims")
