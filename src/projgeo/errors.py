@@ -22,7 +22,12 @@ class NotUnitary(ProjGeoError):
 # projections and pairs
 
 class NotAProjection(ProjGeoError):
-    pass
+    """A matrix is not a selfadjoint projection; ``defects`` is ``(|P - P*|,
+    |P^2 - P|)`` of the first refused matrix, when ``make_projection`` measured it."""
+
+    def __init__(self, message: str, defects=None):
+        ProjGeoError.__init__(self, message)
+        self.defects = defects
 
 
 class DimMismatch(ProjGeoError):

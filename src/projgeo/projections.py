@@ -43,11 +43,14 @@ def make_projection(m) -> np.ndarray:
     """Validate that ``m`` is a selfadjoint projection and return its exact
     Hermitian part.
 
-    ``m`` is a matrix or a stack ``(..., n, n)`` of matrices; both defect
-    norms of every matrix come from one singular-value call.  A matrix that
-    violates ``P = P*`` or ``P^2 = P`` beyond ``PROJECTION_ATOL`` raises
+    ``m`` is a matrix or a stack ``(..., n, n)`` of matrices.  A defect
+    whose Frobenius norm is within ``PROJECTION_ATOL`` is within it in the
+    operator norm too (``|A| <= |A|_F``); only the others, in one
+    singular-value call, get their operator norm.  A matrix that violates
+    ``P = P*`` or ``P^2 = P`` beyond ``PROJECTION_ATOL`` raises
     ``NotAProjection`` with the violated bound (for a stack, that of the
-    first such matrix; a defect that overflows is ``inf``).  An accepted
+    first such matrix; a defect that overflows is ``inf``), carrying the
+    operator norms of both its defects as ``defects``.  An accepted
     matrix is returned as its exact Hermitian part ``(P + P*) / 2``, so
     every check past this door sees a bitwise Hermitian matrix: a bitwise
     Hermitian stack comes back as the same array, which may alias ``m``.
@@ -55,18 +58,19 @@ def make_projection(m) -> np.ndarray:
     """
     p = as_cstack(m)
     require_square(p)
-    if hermitian := np.array_equal(p, _adjoint(p)):
+    hermitian = np.array_equal(p, _adjoint(p))
+    with np.errstate(over="ignore", invalid="ignore"):
         # a bitwise Hermitian stack has no symmetry defect to measure
-        idem_defects = _defect_norms(lambda: p @ p - p)
-        sym_defects = np.zeros_like(idem_defects)
-    else:
-        sym_defects, idem_defects = _defect_norms(lambda: np.array([p - _adjoint(p), p @ p - p]))
-    i = _first((sym_defects > PROJECTION_ATOL) | (idem_defects > PROJECTION_ATOL))
+        defects = (p @ p - p)[None] if hermitian else np.array([p - _adjoint(p), p @ p - p])
+        norms = np.linalg.norm(defects, axis=(-2, -1))  # >= each operator norm
+    unsure = ~(norms <= PROJECTION_ATOL)  # nan and inf count as unsure
+    norms[unsure] = _defect_norms(lambda: defects[unsure])
+    i = _first((norms > PROJECTION_ATOL).any(axis=0))
     if i is not None:
-        sym_defect, idem_defect = np.ravel(sym_defects)[i], np.ravel(idem_defects)[i]
-        if sym_defect > PROJECTION_ATOL:
-            raise NotAProjection(f"|P - P*| = {sym_defect:.3e} > {PROJECTION_ATOL:.1e}")
-        raise NotAProjection(f"|P^2 - P| = {idem_defect:.3e} > {PROJECTION_ATOL:.1e}")
+        exact = _defect_norms(lambda: defects.reshape(len(defects), -1, *p.shape[-2:])[:, i])
+        sym, idem = [0.0, *exact.tolist()] if hermitian else exact.tolist()
+        name, defect = ("P - P*", sym) if sym > PROJECTION_ATOL else ("P^2 - P", idem)
+        raise NotAProjection(f"|{name}| = {defect:.3e} > {PROJECTION_ATOL:.1e}", (sym, idem))
     return p if hermitian else _hermitize(p)
 
 

@@ -49,7 +49,6 @@ from .projections import (
     halmos_decompose,
     pair_with_dims,
     random_projection,
-    random_unitary,
 )
 
 
@@ -266,8 +265,7 @@ def _trial_uniqueness(seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
         return {"kind": "direct_rotation", "n": p.shape[0]}, residual, ok
     (p, q), k = random_crossed_pair(seed)
     rng = np.random.default_rng((seed, 1))
-    twists = [random_unitary(k, rng) for _ in range(8)]
-    segments = multi_geodesic_family(p, q, twists, tol)
+    segments = multi_geodesic_family(p, q, _haar(rng.standard_normal((8, 2, k, k))), tol)
     exponents = np.array([s.exponent for s in segments])
     a, b = np.triu_indices(len(segments), 1)  # the pairs (a, b), a < b, row by row
     sep = op_norm(exponents[a] - exponents[b]).min()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from projgeo import numkernel, projections, suites
@@ -8,6 +8,7 @@ from projgeo.cli import main
 from projgeo.errors import DimMismatch, InconsistentDims, NotAProjection
 from projgeo.numkernel import Tolerance, _adjoint, _hermitize, op_norm
 from projgeo.projections import (
+    PROJECTION_ATOL,
     diff_sum,
     fivespace_report,
     halmos_decompose,
@@ -93,8 +94,9 @@ class TestMakeProjection:
         with pytest.raises(NotAProjection) as raised:
             make_projection(p)
         assert str(raised.value) == f"|{name}| = {defect:.3e} > 1.0e-10"
+        assert raised.value.defects == (sym, idem)
 
-    def test_hermitian_input_measures_idempotency_alone(self, monkeypatch):
+    def test_svd_measures_only_what_frobenius_cannot_clear(self, monkeypatch):
         shapes = []
         real = numkernel.op_norm
 
@@ -109,7 +111,72 @@ class TestMakeProjection:
         off = stack.copy()
         off[1, 0, 1] += 3e-11
         make_projection(off)
-        assert shapes == [(3, 5, 5), (2, 3, 5, 5)]
+        assert shapes == [(0, 5, 5), (0, 5, 5)]
+        # |P^2 - P| is 0.6 of the bound, its Frobenius norm 1.34 of it
+        p = random_projection(5, 2, 0) + 0.6 * PROJECTION_ATOL * np.eye(5)
+        shapes.clear()
+        assert make_projection(p) is p
+        assert shapes == [(1, 5, 5)]
+
+    def test_valid_pair_takes_no_defect_svd(self, monkeypatch):
+        shapes = []
+        real = numkernel._svd
+
+        def measured(a, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(numkernel, "_svd", measured)
+        pair = pair_with_dims(32, 32, 0, 0, 64, np.linspace(0.1, 1.4, 32), seed=4)
+        make_projection(np.array(pair))
+        assert shapes and all(shape[0] == 0 for shape in shapes)
+
+
+def full_svd_verdict(stack):
+    """The refusal message of the first matrix whose operator-norm defect
+    exceeds the bound, with both defects, or None: the rule with no
+    Frobenius clearing; and the smallest relative distance of a defect from
+    the bound."""
+    defects = op_norm(np.array([stack - _adjoint(stack), stack @ stack - stack]))
+    edge = np.min(np.abs(defects / PROJECTION_ATOL - 1))
+    for sym, idem in zip(*defects):
+        if sym > PROJECTION_ATOL:
+            return f"|P - P*| = {sym:.3e} > 1.0e-10", (sym, idem), edge
+        if idem > PROJECTION_ATOL:
+            return f"|P^2 - P| = {idem:.3e} > 1.0e-10", (sym, idem), edge
+    return None, None, edge
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    perturbations=st.lists(
+        st.tuples(st.integers(1, 8), st.floats(-1, 1), st.booleans()), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frobenius_clearing_keeps_the_full_svd_verdict(n, perturbations, seed):
+    # each projection gets a perturbation of rank 1..n and operator norm
+    # 10^(-1..1) of the bound, Hermitian or not
+    rng = np.random.default_rng(seed)
+    stack = []
+    for rank, size, hermitian in perturbations:
+        rank = min(rank, n)
+        u, v = rng.standard_normal((2, n, rank)) + 1j * rng.standard_normal((2, n, rank))
+        e = u @ _adjoint(v)
+        e = _hermitize(e) if hermitian else e
+        e *= 10.0**size * PROJECTION_ATOL / op_norm(e)
+        stack.append(random_projection(n, int(rng.integers(0, n + 1)), rng) + e)
+    stack = np.array(stack)
+    message, defects, edge = full_svd_verdict(stack)
+    assume(edge > 1e-12)
+    if message is None:
+        make_projection(stack)
+        return
+    with pytest.raises(NotAProjection) as raised:
+        make_projection(stack)
+    assert str(raised.value) == message
+    assert raised.value.defects == defects
 
 
 # the constructions return projections without checking them at run time;
