@@ -3,8 +3,9 @@ verification suites.
 
 Machine-readable JSON goes to stdout (floats pinned to 17 significant
 digits, so identical flags and seed reproduce identical bytes); human
-messages go to stderr.  Exit codes: 0 success, 1 suite failures, 2 usage
-or no-geodesic, 64 unknown suite.
+messages go to stderr, where ``verify`` counts its failed trials by failed
+check, or by error type for a trial that raised.  Exit codes: 0 success,
+1 suite failures, 2 usage or no-geodesic, 64 unknown suite.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -140,11 +142,12 @@ def cmd_verify(args) -> int:
     tol = _tolerance_from_args(args)
     report = run_suite(args.suite, args.trials, args.seed, tol)
     _emit(args, report.to_json())
-    print(
-        f"suite {args.suite}: {report.trials} trials, {report.failures} failures, "
-        f"worst residual {report.worst_residual:.3e}",
-        file=sys.stderr,
-    )
+    failed = Counter(name for r in report.records if not r["ok"]
+                     for name in r.get("failed") or [r["error"].partition(":")[0]])
+    line = f"suite {args.suite}: {report.trials} trials, {report.failures} failures"
+    if failed:
+        line += "; failed: " + ", ".join(f"{name} {count}" for name, count in failed.most_common())
+    print(line, file=sys.stderr)
     return EXIT_OK if report.failures == 0 else EXIT_FAILURES
 
 

@@ -1,19 +1,19 @@
 """Batch verification suites behind ``projgeo verify``.
 
-A suite is a function of one trial, ``_trial_X(seed, tol)``: it draws
-its instance from that trial's own ``seed`` alone, checks one family of
-properties against ``BOUNDS``, and returns the record's fields, the
-trial's residual and whether it passed.  ``run_suite`` is the one loop:
-trial ``i`` of a run at base seed ``s`` runs at ``s + i`` and is recorded
-as ``{"trial": i, "seed": s + i, **fields}``, so a one-trial run at
-``s + i`` gives that record again.  A trial that raises a ``ProjGeoError``
-is recorded as failed, with the error in place of its fields.  The report
-keeps the worst residual, and the suite passes when no trial fails.
+A suite is a function of one trial, ``_trial_X(seed, tol)``: it draws its
+instance from that trial's own ``seed`` alone and returns the record's fields
+and its checks, ``{BOUNDS name: measured value}``.  ``run_suite`` is the one
+loop and the one judge: trial ``i`` at base seed ``s`` runs at ``s + i`` and is
+recorded as ``{"trial": i, "seed": s + i, **fields, "ok": ...}``, with the
+names of its checks past their bounds as ``"failed"`` before ``"ok"``; so a
+one-trial run at ``s + i`` gives that record again.  A trial that raises a
+``ProjGeoError`` fails, with the error in place of its fields.  The report
+keeps each check's worst value; the suite passes when no trial fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -52,30 +52,16 @@ from .projections import (
 )
 
 
-@dataclass
+@dataclasses.dataclass
 class SuiteReport:
     suite: str
     trials: int
     failures: int = 0
-    worst_residual: float = 0.0
-    records: list[dict] = field(default_factory=list)
-
-    def add(self, record: dict, residual: float, ok: bool) -> None:
-        record["residual"] = float(residual)
-        record["ok"] = bool(ok)
-        self.records.append(record)
-        self.worst_residual = max(self.worst_residual, float(residual))
-        if not ok:
-            self.failures += 1
+    checks: dict[str, float] = dataclasses.field(default_factory=dict)  # name: worst value
+    records: list[dict] = dataclasses.field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_residual": self.worst_residual,
-            "records": self.records,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 # -- instance samplers ---------------------------------------------------------
@@ -196,10 +182,12 @@ def classify_by_truncation(
 
 # -- suites ---------------------------------------------------------------------
 
-# acceptance bounds of the suites' trials: a trial fails when a residual
-# exceeds its bound (or, for the bounds named "min", falls below it)
+# acceptance bounds of the suites' checks: a value passes at or below its bound
+# (above it, for a ".min_" bound); a yes/no check is a 0/1 mismatch, bound 0
 BOUNDS = {
     "identities.residual": 1e-11,
+    "existence.oracle": 0,
+    "existence.witness_index": 0,
     "uniqueness.min_separation": 1e-8,
     "uniqueness.endpoint": 1e-9,
     "uniqueness.norm_error": 1e-10,
@@ -210,19 +198,21 @@ BOUNDS = {
     "minimality.eig_residual": 1e-12,
     "lifting.norm_gap": 1e-12,
     "lifting.fiber_norm_gap": 1e-12,
+    "lifting.quotient_exact": 0,
+    "lifting.tails_exact": 0,
+    "normlift.level_gap": 0.0,
 }
 
 
-def _trial_identities(seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+def _trial_identities(seed: int, tol: Tolerance) -> tuple[dict, dict]:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 17))
     p = random_projection(n, int(rng.integers(0, n + 1)), rng)
     q = random_projection(n, int(rng.integers(0, n + 1)), rng)
-    residual = diff_sum(p, q).residual
-    return {"n": n}, residual, residual <= BOUNDS["identities.residual"]
+    return {"n": n}, {"identities.residual": diff_sum(p, q).residual}
 
 
-def _trial_existence(seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+def _trial_existence(seed: int, tol: Tolerance) -> tuple[dict, dict]:
     # not the sampler's stream: default_rng(s), (s, 0) and (s, 0, 0) are one
     rng = np.random.default_rng((seed, 3, 1))
     p, q = random_quotient_pair(seed)
@@ -234,13 +224,14 @@ def _trial_existence(seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
     result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
     probe = result.witnesses if result.witnesses is not None else lifts
     oracle, final = classify_by_truncation(*probe, tol=tol)
-    ok = oracle is result.case
-    if ok and result.case is DichotomyCase.FINITE_FINITE:
-        # surgery must leave the witnesses (the probe) with balanced truncated index
-        ok = final.d_plus == final.d_minus
     index = list(result.quotient_index)
     fields = {"d": d, "index": index, "case": result.case.value, "oracle": oracle.value}
-    return fields, 0.0 if ok else 1.0, ok
+    return fields, {
+        "existence.oracle": oracle is not result.case,
+        # surgery must leave the witnesses (the probe) with balanced truncated index
+        "existence.witness_index": result.case is DichotomyCase.FINITE_FINITE
+        and final.d_plus != final.d_minus,
+    }
 
 
 def _direct_rotation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -255,51 +246,44 @@ def _direct_rotation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (u * g) @ _adjoint(u) @ (q @ p - p @ q)
 
 
-def _trial_uniqueness(seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+def _trial_uniqueness(seed: int, tol: Tolerance) -> tuple[dict, dict]:
     if seed % 5 != 4:
         # the split's exponent against a closed form that shares none of its
         # steps: a wrong index moves it by at least pi/2 - arccos(0.12) here
         p, q = random_generic_pair(seed)
-        residual = op_norm(minimal_exponent(p, q, tol).exponent - _direct_rotation(p, q))
-        ok = residual <= BOUNDS["uniqueness.direct_rotation"]
-        return {"kind": "direct_rotation", "n": p.shape[0]}, residual, ok
+        error = op_norm(minimal_exponent(p, q, tol).exponent - _direct_rotation(p, q))
+        return {"kind": "direct_rotation", "n": p.shape[0]}, {"uniqueness.direct_rotation": error}
     (p, q), k = random_crossed_pair(seed)
     rng = np.random.default_rng((seed, 1))
     segments = multi_geodesic_family(p, q, _haar(rng.standard_normal((8, 2, k, k))), tol)
     exponents = np.array([s.exponent for s in segments])
     a, b = np.triu_indices(len(segments), 1)  # the pairs (a, b), a < b, row by row
     sep = op_norm(exponents[a] - exponents[b]).min()
-    endpoint = op_norm(np.array([evaluate(s, 1.0) for s in segments]) - q).max()
-    norm_err = np.abs(op_norm(exponents) - np.pi / 2).max()
-    ok = (
-        sep > BOUNDS["uniqueness.min_separation"]
-        and endpoint <= BOUNDS["uniqueness.endpoint"]
-        and norm_err <= BOUNDS["uniqueness.norm_error"]
-    )
     fields = {"kind": "family", "n": p.shape[0], "k": k, "separation": float(sep)}
-    return fields, max(endpoint, norm_err), ok
+    return fields, {
+        "uniqueness.min_separation": sep,
+        "uniqueness.endpoint": op_norm(np.array([evaluate(s, 1.0) for s in segments]) - q).max(),
+        "uniqueness.norm_error": np.abs(op_norm(exponents) - np.pi / 2).max(),
+    }
 
 
 CHORD_GRID = 500  # pieces of a minimality trial's chordal length
 
 
-def _trial_minimality(seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
-    # a certificate equal to |Z| proves the segment minimal, so its gap is the
-    # residual; the chord sum's |Z|^3 / (6 grid^2) below |Z| is discretization
+def _trial_minimality(seed: int, tol: Tolerance) -> tuple[dict, dict]:
+    # a certificate equal to |Z| proves the segment minimal; the chord sum's
+    # |Z|^3 / (6 grid^2) below |Z| is discretization
     fs = halmos_decompose(*random_equal_index_pair(seed), tol)
     seg = _segment(fs, None)
     norm_z, lower_bound = seg.norm, _lower_bound(fs)
-    gap = abs(norm_z - lower_bound)
     chord = curve_length(seg, CHORD_GRID)
-    # the chord sum of a segment with |Z| <= pi/2 is grid sin(|Z| / grid)
-    chord_identity = abs(chord - CHORD_GRID * np.sin(norm_z / CHORD_GRID))
-    ok = (
-        gap <= BOUNDS["minimality.certificate_gap"]
-        and abs(chord - norm_z) <= BOUNDS["minimality.chord_gap"]
-        and chord_identity <= BOUNDS["minimality.chord_identity"]
-        and seg.eig_residual <= BOUNDS["minimality.eig_residual"]
-    )
-    return {"n": fs.p.shape[0], "norm_Z": float(norm_z), "lower_bound": lower_bound}, gap, ok
+    return {"n": fs.p.shape[0], "norm_Z": float(norm_z), "lower_bound": lower_bound}, {
+        "minimality.certificate_gap": abs(norm_z - lower_bound),
+        "minimality.chord_gap": abs(chord - norm_z),
+        # the chord sum of a segment with |Z| <= pi/2 is grid sin(|Z| / grid)
+        "minimality.chord_identity": abs(chord - CHORD_GRID * np.sin(norm_z / CHORD_GRID)),
+        "minimality.eig_residual": seg.eig_residual,
+    }
 
 
 def _block_geodesic_instance(seed: int, tol: Tolerance):
@@ -338,14 +322,12 @@ def _fiber_pool(p: np.ndarray, z: np.ndarray, rng) -> tuple[np.ndarray, np.ndarr
     return blockmodel._compress(stack, z), counts
 
 
-def _trial_lifting(seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+def _trial_lifting(seed: int, tol: Tolerance) -> tuple[dict, dict]:
     p, q, z, lift_p = _block_geodesic_instance(seed, tol)
     big_z = lift_geodesic(p, z, lift_p)
-    quotient_exact = np.array_equal(quotient(big_z), z)
     times = (0.25, 0.5, 1.0)
     points = blockmodel.evaluate_block_geodesic(lift_p, big_z)(times)
     small = evaluate(GeodesicSegment(base=p, exponent=z), times)
-    tails_exact = all(np.array_equal(quotient(point), want) for point, want in zip(points, small))
     # a non-zero third word keeps the fibers off the sampler's (seed,
     # attempt) streams; a trailing zero word would not change the stream
     pool, counts = _fiber_pool(p, z, np.random.default_rng((seed, 2, 1)))
@@ -353,22 +335,23 @@ def _trial_lifting(seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
     norms = op_norm(np.concatenate([big_z.blocks, pool]))
     k = len(big_z.blocks)
     norm_z = float(norms[k - 1])
-    norm_gap = abs(norms[:k].max() - norm_z)
     fiber_norms = np.full(len(counts), norm_z)
     np.maximum.at(fiber_norms, np.repeat(np.arange(len(counts)), counts), norms[k:])
-    fiber_ok = all(abs(fiber_norms - norm_z) <= BOUNDS["lifting.fiber_norm_gap"])
-    exact = quotient_exact and tails_exact and fiber_ok
-    ok = norm_gap <= BOUNDS["lifting.norm_gap"] and exact
-    return {"d": p.shape[0], "norm_z": norm_z}, norm_gap if exact else 1.0, ok
+    return {"d": p.shape[0], "norm_z": norm_z}, {
+        "lifting.norm_gap": abs(norms[:k].max() - norm_z),
+        "lifting.fiber_norm_gap": np.abs(fiber_norms - norm_z).max(),
+        "lifting.quotient_exact": not np.array_equal(quotient(big_z), z),
+        "lifting.tails_exact": not np.array_equal([quotient(point) for point in points], small),
+    }
 
 
-def _trial_normlift(seed: int, tol: Tolerance) -> tuple[dict, float, bool]:
+def _trial_normlift(seed: int, tol: Tolerance) -> tuple[dict, dict]:
     rng = np.random.default_rng(seed)
     d = random_diagonal_sequence(rng)
     level = d.limsup_abs()
     achieved = (d + minimal_norm_lift(d)).sup_abs()
     fields = {"level": float(level), "achieved": float(achieved)}
-    return fields, abs(achieved - level), achieved == level
+    return fields, {"normlift.level_gap": abs(achieved - level)}
 
 
 SUITES = {
@@ -393,10 +376,23 @@ def run_suite(
         raise ValueError("trials must be non-negative")
     trial = SUITES[name]
     report = SuiteReport(name, trials)
+    measured: dict[str, list] = {}
     for i in range(trials):
         try:
-            fields, residual, ok = trial(seed + i, tol)
+            fields, checks = trial(seed + i, tol)
         except ProjGeoError as exc:  # a library fault fails its trial, not the run
-            fields, residual, ok = {"error": f"{type(exc).__name__}: {exc}"}, 1.0, False
-        report.add({"trial": i, "seed": seed + i, **fields}, residual, ok)
+            fields, checks = {"error": f"{type(exc).__name__}: {exc}"}, {}
+        record = {"trial": i, "seed": seed + i, **fields}
+        # the one comparison of a value with its bound; a NaN passes neither
+        failed = [check for check, value in checks.items()
+                  if not (value > BOUNDS[check] if ".min_" in check else value <= BOUNDS[check])]
+        if failed:
+            record["failed"] = failed
+        record["ok"] = not failed and "error" not in fields
+        report.failures += not record["ok"]
+        report.records.append(record)
+        for check, value in checks.items():
+            measured.setdefault(check, []).append(value)
+    report.checks = {check: float((min if ".min_" in check else max)(measured[check]))
+                     for check in BOUNDS if check in measured}
     return report

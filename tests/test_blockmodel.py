@@ -966,8 +966,8 @@ class TestQuotientSuites:
     @pytest.mark.parametrize(
         "suite, digest",
         [
-            ("existence", "1bb3d3eb8f23ea81caf8b8836c811ea520e609b51109207548cb722ff59e6b23"),
-            ("normlift", "d2b7e0456649dd62c77f38c5d5e0235fc57a6f887abbf4219a0d6fd43ea50ad4"),
+            ("existence", "e87933d59d5c13590979d69a6324fd2ba0740a4f29ae38110f466a75cda4bd16"),
+            ("normlift", "ec5e477f5d80242d3f2ca81a31300fb1b4b1e1b7b2e4c59cbaab3b6e1f949dd5"),
         ],
     )
     def test_report_bytes_pinned(self, suite, digest):

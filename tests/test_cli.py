@@ -591,7 +591,8 @@ class TestVerifyCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["failures"] == 0
-        assert report["worst_residual"] <= 1e-11
+        assert list(report["checks"]) == ["identities.residual"]
+        assert report["checks"]["identities.residual"] <= 1e-11
         assert len(report["records"]) == 50
 
     def test_zero_trials_vacuous(self, capsys):
@@ -599,6 +600,7 @@ class TestVerifyCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["trials"] == 0 and report["failures"] == 0
+        assert report["checks"] == {} and report["records"] == []
 
     def test_a_trial_that_raises_fails_its_record(self, monkeypatch, capsys):
         # an exponent scaled past pi/2 is a fault of the library, not of the
@@ -608,15 +610,17 @@ class TestVerifyCommand:
         monkeypatch.setattr(geodesics, "_exponent", lambda fs, pairing: real(fs, pairing) * (1 + 1e-9))
         rc = main(["verify", "--suite", "lifting", "--trials", "200", "--seed", "11"])
         assert rc == 1
-        report = json.loads(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        report = json.loads(out)
         raised = [r for r in report["records"] if "error" in r]
         assert raised and all(
-            set(r) == {"trial", "seed", "error", "residual", "ok"}
+            set(r) == {"trial", "seed", "error", "ok"}
             and r["error"].startswith("NormTooLarge: |z| = ")
-            and r["residual"] == 1.0 and not r["ok"]
+            and not r["ok"]
             for r in raised
         )
         assert report["failures"] >= len(raised)
+        assert f"NormTooLarge {len(raised)}" in err
 
     def test_unknown_suite_exit_64(self, capsys):
         rc = main(["verify", "--suite", "nope"])

@@ -1,15 +1,17 @@
 """The fault table: each entry plants one named fault in the package and
-pins how many of the 200 trials at seed 11 each suite then fails.  A fault
-that no suite fails is listed in ``UNCAUGHT`` with the check that would
-catch it, so the table fails both when a suite stops catching a fault and
-when a listed fault starts being caught."""
+pins, for each suite, how many of the 200 trials at seed 11 each check
+fails, or each error type ends.  A fault that no suite fails is listed in
+``UNCAUGHT`` with the check that would catch it, so the table fails both
+when a suite stops catching a fault and when a listed fault starts being
+caught."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from projgeo import blockmodel, geodesics, numkernel, projections, suites
+from projgeo import blockmodel, cli, geodesics, numkernel, projections, suites
 from projgeo.blockmodel import BlockOperator, DiagonalSequence
 
 MODULES = (numkernel, projections, geodesics, blockmodel, suites)
@@ -43,21 +45,24 @@ def _one_crossed_fewer(real):
 
 
 # name: (defining module, function, the fault as a wrapper of the real
-# function, failed trials per suite where there are any)
+# function, {suite: {failed check or error type: trials}} where any fail)
 FAULTS = {
     "largest angle + 1e-9 in _five_space": (
         projections, "_five_space", _largest_angle_moved,
-        {"uniqueness": 195, "minimality": 92},
+        {"uniqueness": {"uniqueness.direct_rotation": 160, "uniqueness.endpoint": 35},
+         "minimality": {"minimality.certificate_gap": 92}},
     ),
     "_exponent x (1 + 1e-9)": (
         geodesics, "_exponent",
         lambda real: lambda *args, **kwargs: real(*args, **kwargs) * (1 + 1e-9),
-        {"uniqueness": 200, "minimality": 200, "lifting": 67},
+        {"uniqueness": {"uniqueness.direct_rotation": 160, "uniqueness.norm_error": 40},
+         "minimality": {"minimality.eig_residual": 200},
+         "lifting": {"NormTooLarge": 67}},
     ),
     "evaluate at t (1 + 1e-9)": (
         geodesics, "evaluate",
         lambda real: lambda seg, t: real(seg, np.multiply(t, 1 + 1e-9)),
-        {"uniqueness": 40},
+        {"uniqueness": {"uniqueness.endpoint": 40}},
     ),
     "quotient_geodesic always unique": (
         blockmodel, "quotient_geodesic",
@@ -71,16 +76,17 @@ FAULTS = {
     "lifting_surgery does nothing": (
         blockmodel, "lifting_surgery",
         lambda real: lambda lift_p, lift_q, **kwargs: (lift_p, lift_q),
-        {"existence": 49},
+        {"existence": {"existence.witness_index": 49}},
     ),
     "_split counts one crossed angle fewer": (
         projections, "_split", _one_crossed_fewer,
-        {"existence": 48, "uniqueness": 40},
+        {"existence": {"existence.oracle": 48},
+         "uniqueness": {"DimMismatch": 21, "BadIndex": 19}},
     ),
     "minimal_norm_lift returns 0": (
         blockmodel, "minimal_norm_lift",
         lambda real: lambda d: DiagonalSequence((0.0,) * len(d.prefix), (0.0,) * len(d.tail_cycle)),
-        {"normlift": 161},
+        {"normlift": {"normlift.level_gap": 161}},
     ),
 }
 
@@ -102,14 +108,34 @@ def _plant(monkeypatch, module, name, make):
             monkeypatch.setattr(m, name, fake)
 
 
+def _failed(report) -> dict:
+    """The failed trials by failed check, or by error type for a trial that raised."""
+    return dict(Counter(name for r in report.records if not r["ok"]
+                        for name in r.get("failed") or [r["error"].partition(":")[0]]))
+
+
 @pytest.mark.parametrize("fault", FAULTS)
 def test_fault_fails_its_pinned_trials(monkeypatch, fault):
     module, name, make, expected = FAULTS[fault]
     _plant(monkeypatch, module, name, make)
-    failures = {s: suites.run_suite(s, TRIALS, SEED).failures for s in suites.SUITES}
-    assert failures == {**dict.fromkeys(suites.SUITES, 0), **expected}
+    reports = {s: suites.run_suite(s, TRIALS, SEED) for s in suites.SUITES}
+    assert {s: _failed(r) for s, r in reports.items() if r.failures} == expected
     assert (fault in UNCAUGHT) == (not expected)
+    # "failed" is on exactly the failing records that did not raise, just before "ok"
+    for record in (r for report in reports.values() for r in report.records):
+        assert ("failed" in record) == (not record["ok"] and "error" not in record)
+        keys = list(record)
+        assert keys[-1] == "ok" and ("failed" not in record or keys[-2] == "failed")
 
 
 def test_uncaught_faults_are_in_the_table():
     assert set(UNCAUGHT) <= set(FAULTS)
+
+
+def test_verify_names_the_check_that_failed(monkeypatch, capsys):
+    module, name, make, _ = FAULTS["minimal_norm_lift returns 0"]
+    _plant(monkeypatch, module, name, make)
+    assert cli.main(["verify", "--suite", "normlift", "--trials", str(TRIALS), "--seed", str(SEED)]) == 1
+    assert capsys.readouterr().err == (
+        "suite normlift: 200 trials, 161 failures; failed: normlift.level_gap 161\n"
+    )

@@ -521,7 +521,8 @@ class TestDiffSum:
         report = suites.run_suite("identities", 2, 0)
         assert report.failures == 2
         assert [r["ok"] for r in report.records] == [False, False]
-        assert report.worst_residual > 1e-11
+        assert all(r["failed"] == ["identities.residual"] for r in report.records)
+        assert report.checks["identities.residual"] > 1e-11
         rc = main(["verify", "--suite", "identities", "--trials", "1", "--seed", "0"])
         assert rc == 1
         assert '"ok": false' in capsys.readouterr().out

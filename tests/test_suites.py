@@ -109,7 +109,9 @@ def test_minimality_fails_a_chord_off_the_sine_identity(monkeypatch):
     )
     report = suites.run_suite("minimality", 1, seed=123)
     assert report.failures == 1
-    assert report.worst_residual <= suites.BOUNDS["minimality.chord_gap"]
+    assert report.records[0]["failed"] == ["minimality.chord_identity"]
+    checks = suites._trial_minimality(123, Tolerance())[1]
+    assert checks["minimality.chord_gap"] <= BOUNDS["minimality.chord_gap"]
 
 
 def test_minimality_fails_an_exponent_off_its_eigenpairs(monkeypatch):
@@ -125,7 +127,7 @@ def test_minimality_fails_an_exponent_off_its_eigenpairs(monkeypatch):
     monkeypatch.setattr(suites, "_segment", moved)
     report = suites.run_suite("minimality", 1, seed=123)
     assert report.failures == 1
-    assert report.worst_residual <= suites.BOUNDS["minimality.chord_gap"]
+    assert report.records[0]["failed"] == ["minimality.eig_residual"]
 
 
 def test_minimality_trial_lapack_calls(monkeypatch):
@@ -187,8 +189,9 @@ def test_minimality_certificate_fails_a_moved_largest_angle(monkeypatch, shift):
     report = suites.run_suite("minimality", 200, 11)
     generic = {r["trial"] for r in report.records if 0 < r["norm_Z"] < np.pi / 2}
     assert {r["trial"] for r in report.records if not r["ok"]} == generic
+    assert all(r["failed"] == ["minimality.certificate_gap"] for r in report.records if not r["ok"])
     assert report.failures == len(generic) == 92
-    assert report.worst_residual >= 0.9e-9
+    assert report.checks["minimality.certificate_gap"] >= 0.9e-9
 
 
 @pytest.mark.parametrize("shift", [1e-9, -1e-9], ids=["longer", "shorter"])
@@ -200,8 +203,9 @@ def test_direct_rotation_fails_a_moved_largest_angle(monkeypatch, shift):
     report = suites.run_suite("uniqueness", 200, 11)
     direct = [r for r in report.records if r["kind"] == "direct_rotation"]
     assert len(direct) == 160
-    assert not any(r["ok"] for r in direct)
-    assert min(r["residual"] for r in direct) >= 0.9e-9
+    assert all(r["failed"] == ["uniqueness.direct_rotation"] for r in direct)
+    errors = [suites._trial_uniqueness(r["seed"], Tolerance())[1] for r in direct]
+    assert min(e["uniqueness.direct_rotation"] for e in errors) >= 0.9e-9
 
 
 @pytest.mark.parametrize("shift", [1e-9, -1e-9], ids=["longer", "shorter"])
@@ -217,9 +221,9 @@ def test_criterion_5_direct_rotation_fails_a_moved_largest_angle(monkeypatch, sh
 def test_uniqueness_passes_far_inside_its_bound():
     # the solve meets the closed form two orders of magnitude inside the bound
     report = suites.run_suite("uniqueness", 200, 11)
-    direct = [r["residual"] for r in report.records if r["kind"] == "direct_rotation"]
+    direct = [r for r in report.records if r["kind"] == "direct_rotation"]
     assert report.failures == 0 and len(direct) == 160
-    assert max(direct) <= BOUNDS["uniqueness.direct_rotation"] / 100
+    assert report.checks["uniqueness.direct_rotation"] <= BOUNDS["uniqueness.direct_rotation"] / 100
 
 
 def test_lifting_validates_each_draw_once(monkeypatch):
@@ -360,10 +364,10 @@ def test_family_trial_stacks_its_norms(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(suites, "op_norm", counted)
-    fields, _, ok = suites._trial_uniqueness(14, Tolerance())
-    assert fields["kind"] == "family"
-    n = fields["n"]
-    assert ok and calls == [(28, n, n), (8, n, n), (8, n, n)]
+    (record,) = suites.run_suite("uniqueness", 1, 14).records
+    assert record["kind"] == "family"
+    n = record["n"]
+    assert record["ok"] and calls == [(28, n, n), (8, n, n), (8, n, n)]
 
 
 def test_lifting_lifts_once_and_factors_once_per_sampler_call(monkeypatch):
@@ -590,7 +594,8 @@ def test_lifting_records_match_the_public_functions():
         p, _, z, lift_p = suites._block_geodesic_instance(seed + i, tol)
         norm_z = op_norm(z)
         assert record["norm_z"] == norm_z
-        assert record["residual"] == abs(lift_geodesic(p, z, lift_p).norm() - norm_z)
+        norm_gap = suites._trial_lifting(seed + i, tol)[1]["lifting.norm_gap"]
+        assert norm_gap == abs(lift_geodesic(p, z, lift_p).norm() - norm_z)
         assert record["ok"]
 
 
@@ -626,10 +631,8 @@ def test_only_a_library_error_becomes_a_failed_record(monkeypatch):
 
     monkeypatch.setitem(suites.SUITES, "identities", raising)
     report = suites.run_suite("identities", 1, 3)
-    assert report.failures == 1 and report.worst_residual == 1.0
-    assert report.records == [
-        {"trial": 0, "seed": 3, "error": "NotPeriodic: at 3", "residual": 1.0, "ok": False}
-    ]
+    assert report.failures == 1 and report.checks == {}
+    assert report.records == [{"trial": 0, "seed": 3, "error": "NotPeriodic: at 3", "ok": False}]
     with pytest.raises(RuntimeError, match="^at 4$"):
         suites.run_suite("identities", 1, 4)
 
@@ -649,3 +652,33 @@ def test_only_run_suite_builds_a_report():
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "SuiteReport"
     ]
     assert callers == ["run_suite"]
+
+
+@pytest.fixture(scope="module")
+def reports_at_200():
+    return {name: suites.run_suite(name, 200, 11) for name in suites.SUITES}
+
+
+# the checks, bound above 0, whose worst at 200 trials, seed 11, is exactly 0,
+# each with why: a check that cannot read other than 0 can catch nothing
+ZERO_WORST = {
+    "lifting.norm_gap": "the lift's tail is z and no compression of z out-norms it, so "
+    "the largest block norm is op_norm(z) itself (ROADMAP items 5 and 9(b))",
+    "lifting.fiber_norm_gap": "a fiber lift's norm is the largest of op_norm(z) and its "
+    "blocks' compressions of z, so it too is op_norm(z) itself (ROADMAP items 5 and 9(b))",
+}
+
+
+def test_no_check_reads_a_worst_of_exactly_zero(reports_at_200):
+    # like UNCAUGHT, the list fails both ways: a new zero, or a listed check
+    # that starts to read a value
+    zero = {name for report in reports_at_200.values() for name, worst in report.checks.items()
+            if BOUNDS[name] > 0 and worst == 0}
+    assert zero == set(ZERO_WORST)
+
+
+def test_every_bound_is_measured_and_reported_in_order(reports_at_200):
+    measured = [name for report in reports_at_200.values() for name in report.checks]
+    assert sorted(measured) == sorted(BOUNDS)
+    for report in reports_at_200.values():
+        assert list(report.checks) == [name for name in BOUNDS if name in report.checks]
