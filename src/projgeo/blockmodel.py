@@ -50,7 +50,6 @@ from .numkernel import (
 from .projections import (
     PROJECTION_ATOL,
     IndexPair,
-    _five_space,
     _pair,
     _rank,
     _split,
@@ -180,7 +179,7 @@ def lift_projection(t: BlockOperator) -> BlockOperator:
     Each block is pushed through the step function that sends eigenvalues
     ``>= 1/2`` to one and the rest to zero.  Exceptional blocks must keep
     their spectrum out of the band of half-width ``SPECTRAL_GAP`` around
-    1/2; the tail must already be a projection up to 1e-10.
+    1/2; the tail must already be a projection up to ``PROJECTION_ATOL``.
 
     Raises
     ------
@@ -190,7 +189,7 @@ def lift_projection(t: BlockOperator) -> BlockOperator:
         If an exceptional eigenvalue falls inside the forbidden band,
         reporting the offending eigenvalue.
     NotAProjection
-        If the tail is not a projection within 1e-10.
+        If the tail is not a projection within ``PROJECTION_ATOL``.
     """
     i = _first((t.blocks != _adjoint(t.blocks)).any(axis=(1, 2)))
     if i is not None:
@@ -373,11 +372,13 @@ def lifting_surgery(
 ) -> tuple[BlockOperator, BlockOperator]:
     """Remove crossed intersections from every exceptional block pair.
 
-    Each exceptional pair ``(P_i, Q_i)`` with a crossed intersection is
-    replaced by ``(P_i - M10 M10*, Q_i - M01 M01*)``, for the bases ``M10,
-    M01`` of its crossed intersections ``R(P_i) & N(Q_i)`` and ``N(P_i) &
-    R(Q_i)``.  This changes nothing modulo the ideal (the tails are
-    untouched) and leaves every exceptional pair with index ``(0, 0)``.
+    The kernel ``K`` of ``P_i + Q_i - 1`` is ``(R(P_i) & N(Q_i)) + (N(P_i) &
+    R(Q_i))`` and reduces both (Halmos 1969): the ranges off ``K`` make a pair
+    of index ``(0, 0)``, spanned by the right and left singular vectors of
+    ``Q_i P_i = (P_i + Q_i - 1) P_i`` above ``rank_rtol``.  One stacked SVD
+    shows each plane once, for both sides, in orthonormal bases, so the
+    witnesses are projections even at the threshold.  A side with nothing
+    crossed keeps its raw bits; the tails, and so the class modulo the ideal, stay.
     """
     m = lift_p._aligned(lift_q)
     if not m:
@@ -387,15 +388,11 @@ def lifting_surgery(
     k = min(len(lift_p.blocks), m)
     rows = np.minimum(np.arange(m)[:, None], [k - 1, len(raw) - k - 1]) + [0, k]
     pairs, blocks = make_projection(raw)[rows], raw[rows]
-    for pair, out in zip(pairs, blocks):
-        sp = _split(pair, tol)
-        if any(sp.index):  # only a crossed pair needs its bases
-            fs = _five_space(*pair, sp)
-            # M01 may miss R(Q_i) by the cosine of a plane counted as
-            # crossed; the range of Q_i M01 lies in R(Q_i)
-            y = np.linalg.qr(fs.q @ fs.m01)[0]
-            crossed = np.array([fs.m10 @ _adjoint(fs.m10), y @ _adjoint(y)])
-            out[:] = _hermitize(pair - crossed)
+    u, s, vh = _svd(pairs[:, 1] @ pairs[:, 0])  # Q_i P_i = (P_i + Q_i - 1) P_i
+    kept = s > tol.rank_rtol  # the singular vectors off K, by the rule of Tolerance.rank
+    bases = np.stack([_adjoint(vh), u], 1) * kept[:, None, None]
+    cut = (_rank(pairs) > kept.sum(1)[:, None])[..., None, None]  # raw bits if none crossed
+    blocks = np.where(cut, _hermitize(bases @ _adjoint(bases)), blocks)
     return (BlockOperator(lift_p.block_dim, blocks[:, 0], lift_p.tail),
             BlockOperator(lift_q.block_dim, blocks[:, 1], lift_q.tail))
 

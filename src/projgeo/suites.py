@@ -57,7 +57,7 @@ class SuiteReport:
     suite: str
     trials: int
     failures: int = 0
-    checks: dict[str, float] = dataclasses.field(default_factory=dict)  # name: worst value
+    checks: dict[str, float | None] = dataclasses.field(default_factory=dict)  # name: worst
     records: list[dict] = dataclasses.field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -393,6 +393,8 @@ def run_suite(
         report.records.append(record)
         for check, value in checks.items():
             measured.setdefault(check, []).append(value)
+    # null if any value is no finite number: max and min keep a NaN only when it comes first
     report.checks = {check: float((min if ".min_" in check else max)(measured[check]))
+                     if all(abs(v) < np.inf for v in measured[check]) else None
                      for check in BOUNDS if check in measured}
     return report

@@ -41,6 +41,7 @@ from projgeo.geodesics import (
 )
 from projgeo.numkernel import Tolerance, _skewize, herm_eig, nullspace, op_norm
 from projgeo.projections import (
+    PROJECTION_ATOL,
     IndexPair,
     halmos_decompose,
     index_pair,
@@ -719,26 +720,33 @@ class TestExistenceDichotomy:
         assert np.array_equal(result.witnesses[0].tail, p)
         assert np.array_equal(result.witnesses[1].tail, q)
 
-    def test_surgery_factors_only_crossed_block_pairs(self, monkeypatch):
-        # of three block pairs only the middle one is crossed: one CS
-        # decomposition and one QR, both for it
-        calls = {"cs_decompose": 0, "qr": 0}
-        real_cs, real_qr = projections.cs_decompose, np.linalg.qr
+    def test_surgery_takes_one_svd_for_all_block_pairs(self, monkeypatch):
+        # of three block pairs only the middle one is crossed: one SVD of
+        # the whole stack, and no split, CS decomposition or QR for it
+        calls = {"svd": [], "cs_decompose": 0, "qr": 0, "_split": 0}
+        real_svd = np.linalg.svd
 
-        def cs(*args):
-            calls["cs_decompose"] += 1
-            return real_cs(*args)
+        def svd(a, *args, **kwargs):
+            if np.size(a):  # the door's empty stack of unsure defects factors nothing
+                calls["svd"].append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
 
-        def qr(*args):
-            calls["qr"] += 1
-            return real_qr(*args)
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(projections, "cs_decompose", cs)
-        monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        real_cs = projections.cs_decompose
+        monkeypatch.setattr(projections, "cs_decompose", counted("cs_decompose", real_cs))
+        for module in (projections, blockmodel):
+            monkeypatch.setattr(module, "_split", counted("_split", projections._split))
         e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         lifts = (BlockOperator(2, (e1, e1, e2), e1), BlockOperator(2, (e1, e2, e2), e1))
         witnesses = blockmodel.lifting_surgery(*lifts)
-        assert calls == {"cs_decompose": 1, "qr": 1}
+        assert calls == {"svd": [(3, 2, 2)], "cs_decompose": 0, "qr": 0, "_split": 0}
         assert truncated_index_pairs(*witnesses, [3])[0] == (0, 0)
         assert np.array_equal(witnesses[0].exceptional[0], e1)
         assert np.array_equal(witnesses[1].exceptional[2], e2)
@@ -756,6 +764,55 @@ class TestExistenceDichotomy:
         assert truncated_index_pairs(*result.witnesses, [8], tol)[0] == (0, 0)
         for block in (witness_p, witness_q):
             assert op_norm(block @ block - block) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        drawn=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # d10
+                st.integers(0, 2),  # d01
+                # planes: generic, or sin theta or cos theta at f rank_rtol
+                st.lists(st.tuples(st.sampled_from(["generic", "zero", "half_pi"]),
+                                   st.floats(0.2, 5.0)), max_size=2),
+                st.floats(0.0, 1.0),  # Hermitian noise, in units of PROJECTION_ATOL / 2
+            ),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_surgery_at_the_edges(self, seed, drawn):
+        d, rtol = 8, Tolerance().rank_rtol
+        rng = np.random.default_rng(seed)
+        raw, plain, crossed = [], [], []
+        for d10, d01, planes, noise in drawn:
+            angles = [rng.uniform(0.3, 1.2) if kind == "generic" else
+                      np.arcsin(f * rtol) if kind == "zero" else np.arccos(f * rtol)
+                      for kind, f in planes]
+            rest = d - d10 - d01 - 2 * len(angles)
+            d11 = int(rng.integers(0, rest + 1))
+            for m in pair_with_dims(d11, rest - d11, d10, d01, 2 * len(angles), angles, seed=rng):
+                h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                h += h.conj().T
+                raw.append(m + noise * PROJECTION_ATOL / 2 * h / op_norm(h))
+            plain.append(d10 == d01 == 0 and all(kind != "half_pi" for kind, _ in planes))
+            crossed.append((d10 > 0, d01 > 0))
+        raw = np.array(raw).reshape(-1, 2, d, d)
+        tails = random_projection(d, 4, rng), random_projection(d, 4, rng)
+        lifts = tuple(BlockOperator(d, raw[:, side], tails[side]) for side in (0, 1))
+        witnesses = blockmodel.lifting_surgery(*lifts)
+        final = truncated_index_pairs(*witnesses, [len(raw)])[0]
+        assert final.d_plus == final.d_minus
+        for side, (w, lift) in enumerate(zip(witnesses, lifts)):
+            assert w.tail.tobytes() == lift.tail.tobytes()
+            for i, (block, before) in enumerate(zip(w.exceptional, lift.exceptional)):
+                # a pair with nothing crossed keeps its raw bits; a crossed
+                # side is rebuilt, a projection however near its angles lie
+                rebuilt = not np.array_equal(block, before)
+                assert rebuilt or not crossed[i][side]
+                assert not (rebuilt and plain[i])
+                if rebuilt:
+                    assert np.array_equal(block, block.conj().T)
+                    assert op_norm(block @ block - block) <= 1e-13
 
     def test_truncation_oracle_agreement(self):
         rng = np.random.default_rng(15)
@@ -989,6 +1046,36 @@ class TestQuotientSuites:
         assert run_suite("existence", 40, 11).failures == 0
         monkeypatch.setattr(suites, "existence_dichotomy", swapped)
         assert run_suite("existence", 40, 11).failures > 0
+
+
+class TestBlockModelAtBlockDim32:
+    # past the suites' d <= 6: 16 exceptional blocks per lift, checked as the
+    # existence and lifting suites check theirs
+    @pytest.mark.parametrize("dims, case", [
+        ((6, 4, 0, 0, 22), DichotomyCase.FINITE_FINITE),
+        ((6, 0, 2, 2, 22), DichotomyCase.INFINITE_INFINITE),
+    ])
+    def test_dichotomy_oracle_and_lifted_geodesic(self, dims, case):
+        d, rng = 32, np.random.default_rng(32)
+        angles = rng.uniform(0.2, np.pi / 2 - 0.2, dims[-1] // 2)
+        p, q = pair_with_dims(*dims, angles, seed=rng)
+        lifts = tuple(BlockOperator(d, random_projection_blocks(rng, d, 16), m) for m in (p, q))
+        result = existence_dichotomy(p, q, lifts=lifts)
+        assert result.case is case
+        verdict = classify_by_truncation(*result.witnesses)
+        assert verdict.case is case
+        if case is DichotomyCase.FINITE_FINITE:  # the surgery balances what the lifts do not
+            assert truncated_index_pairs(*lifts, [16])[0] == (86, 75)
+            assert verdict.final.d_plus == verdict.final.d_minus
+        z = quotient_geodesic(p, q).segment.exponent
+        lift_p = result.witnesses[0]
+        big_z = lift_geodesic(p, z, lift_p)
+        assert len(big_z.exceptional) == 16 and big_z.norm() == op_norm(z)
+        times = (0.5, 1.0)
+        points = evaluate_block_geodesic(lift_p, big_z)(times)
+        small = evaluate(GeodesicSegment(base=p, exponent=z), times)
+        assert all(np.array_equal(point.tail, t) for point, t in zip(points, small))
+        assert op_norm(points[-1].tail - q) <= 1e-13
 
 
 class TestQuotientGeodesic:

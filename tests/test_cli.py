@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from projgeo import geodesics, projections, serialize
+from projgeo import geodesics, projections, serialize, suites
 from projgeo.cli import main
 from projgeo.geodesics import evaluate, minimal_exponent
 from projgeo.projections import pair_with_dims
@@ -621,6 +621,26 @@ class TestVerifyCommand:
         )
         assert report["failures"] >= len(raised)
         assert f"NormTooLarge {len(raised)}" in err
+
+    @pytest.mark.parametrize("check", ["identities.residual", "uniqueness.min_separation"])
+    def test_a_nan_anywhere_reports_one_worst(self, monkeypatch, capsys, check):
+        # a NaN measured at seed 5, the first trial of one run and the second
+        # of the other, is the same null worst in both reports, and fails
+        passing = 1.0 if ".min_" in check else 0.0
+
+        def nan_at_5(seed, tol):
+            return {}, {check: np.nan if seed == 5 else passing}
+
+        monkeypatch.setitem(suites.SUITES, "identities", nan_at_5)
+        entries = []
+        for seed in ("5", "4"):
+            assert main(["verify", "--suite", "identities", "--trials", "3", "--seed", seed]) == 1
+            out, err = capsys.readouterr()
+            records = json.loads(out)["records"]
+            assert [r["ok"] for r in records] == [r["seed"] != 5 for r in records]
+            assert err.endswith(f"1 failures; failed: {check} 1\n")
+            entries.append(json.loads(out)["checks"])
+        assert entries == [{check: None}] * 2
 
     def test_unknown_suite_exit_64(self, capsys):
         rc = main(["verify", "--suite", "nope"])

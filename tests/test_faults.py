@@ -44,8 +44,21 @@ def _one_crossed_fewer(real):
     return split
 
 
-# name: (defining module, function, the fault as a wrapper of the real
-# function, {suite: {failed check or error type: trials}} where any fail)
+def _kernel_one_short(real):
+    def svd(m, **kwargs):
+        if kwargs.get("compute_uv") is False:  # the truncation oracle's values stay true
+            return real(m, **kwargs)
+        u, s, vh = real(m, **kwargs)
+        s = s.copy()
+        s[..., -1] = 1.0  # the smallest singular direction leaves the kernel
+        return u, s, vh
+
+    return svd
+
+
+# name: (defining module, or a 1-tuple of the one module to plant it in,
+# function, the fault as a wrapper of the real function,
+# {suite: {failed check or error type: trials}} where any fail)
 FAULTS = {
     "largest angle + 1e-9 in _five_space": (
         projections, "_five_space", _largest_angle_moved,
@@ -78,6 +91,11 @@ FAULTS = {
         lambda real: lambda lift_p, lift_q, **kwargs: (lift_p, lift_q),
         {"existence": {"existence.witness_index": 49}},
     ),
+    # blockmodel alone: its truncation oracle reads the same kind of singular values
+    "surgery kernel one dimension short": (
+        (blockmodel,), "_svd", _kernel_one_short,
+        {"existence": {"existence.witness_index": 43}},
+    ),
     "_split counts one crossed angle fewer": (
         projections, "_split", _one_crossed_fewer,
         {"existence": {"existence.oracle": 48},
@@ -100,10 +118,14 @@ UNCAUGHT = {
 
 
 def _plant(monkeypatch, module, name, make):
-    """Replace ``module.name`` by ``make(real)`` in every module that binds it."""
+    """Replace ``module.name`` by ``make(real)`` in every module that binds
+    it; for a 1-tuple ``(module,)``, in that module alone."""
+    modules = MODULES
+    if isinstance(module, tuple):
+        modules, (module,) = module, module
     real = getattr(module, name)
     fake = make(real)
-    for m in MODULES:
+    for m in modules:
         if getattr(m, name, None) is real:
             monkeypatch.setattr(m, name, fake)
 
