@@ -411,7 +411,8 @@ def existence_dichotomy(
     infinite-dimensional (InfiniteInfinite).  Exactly one trivial: the
     characters can never match (Mixed), and no geodesic exists.
 
-    When lifts are supplied their tails must equal ``p`` and ``q``; in the
+    When lifts are supplied their block dim must be the pair's size (else
+    ``DimMismatch``) and their tails must equal ``p`` and ``q``; in the
     FiniteFinite case their exceptional discrepancies are removed by
     ``lifting_surgery`` so the returned witnesses have balanced index on
     every block.
@@ -424,6 +425,9 @@ def existence_dichotomy(
         lifts = tuple(BlockOperator(len(m), (), m) for m in pair)
     else:
         lp, lq = lifts
+        lp._aligned(lq)
+        if lp.block_dim != pair.shape[-1]:
+            raise DimMismatch(f"lifts of block dim {lp.block_dim}, a pair of size {pair.shape[-1]}")
         # the caller's tails, not the door's Hermitian part of them
         if not (np.array_equal(lp.tail, p) and np.array_equal(lq.tail, q)):
             raise NotAProjection("supplied lifts do not have tails p, q")
@@ -448,42 +452,24 @@ def truncated_index_pairs(
     """Index pairs of the truncations to the first ``n`` blocks, for each
     ``n`` in ``lengths``.
 
-    A block's crossed directions span the kernel ``K`` of ``P + Q - 1``
-    (singular values ``cos theta``, so decided at linear scale).  Off ``K``
-    the ranks of ``P`` and ``Q`` agree (Halmos 1969), so with ``k = dim K``
-    and ranks ``r, s`` the block's pair is ``((k + r - s)/2, (k - r + s)/2)``.
-    A plane gives an equal pair of singular values, so when ``k + r - s`` is
-    odd and ``0 < k < d`` the pair around the threshold, ``sv[d-k-1]`` and
-    ``sv[d-k]``, may be one plane with ``cos theta`` at ``rank_rtol`` split
-    by roundoff: if the two differ by at most ``rank_rtol``, their mean
-    decides them as one.  Any other ``k`` raises ``NotAProjection``: the
-    block is no projection pair.  A truncation sums the index pairs of its
-    blocks, and past the ``m`` exceptional ones holds ``n - m`` tails: one
-    stacked singular-value call gives every length.  Different block dims
-    raise ``DimMismatch``, a negative length ``ValueError``.
+    Every block of the two lifts is validated once, as one stack, by
+    ``make_projection``.  ``Q P`` has one singular value ``cos theta`` per
+    plane of a block pair (Halmos 1969), so with ranks ``r, s`` and ``c``
+    cosines above ``rank_rtol`` (at most ``min(r, s)``) the block's pair is
+    ``(r - c, s - c)``.  A truncation sums the index pairs of its blocks,
+    and past the ``m`` exceptional ones holds ``n - m`` tails: one stacked
+    singular-value call gives every length.  Different block dims raise
+    ``DimMismatch``, a negative length ``ValueError``.
     """
     m = lift_p._aligned(lift_q)
     lengths = list(lengths)
     if any(n < 0 for n in lengths):
         raise ValueError(f"truncation lengths must be non-negative, got {lengths}")
-    bp, bq = _padded(lift_p.blocks, m), _padded(lift_q.blocks, m)
-    d = lift_p.block_dim
-    sv = _svd(bp + bq - np.eye(d), compute_uv=False)  # descending
-    nullity = d - tol.rank(sv)
-    diff = _rank(bp) - _rank(bq)
-    # the pair around the threshold: one plane's when a roundoff split it
-    rows = np.arange(m + 1)
-    above = sv[rows, np.maximum(d - nullity - 1, 0)]
-    below = sv[rows, np.minimum(d - nullity, d - 1)]
-    straddle = ((nullity + diff) % 2 == 1) & (0 < nullity) & (nullity < d)
-    straddle &= above - below <= tol.rank_rtol
-    nullity = nullity + straddle * np.where((above + below) / 2 > tol.rank_rtol, -1, 1)
-    i = _first(((nullity + diff) % 2 == 1) | (np.abs(diff) > nullity))
-    if i is not None:
-        name = "the tail" if i == m else f"exceptional block {i}"
-        raise NotAProjection(f"{name}: nullity {nullity[i]} of P + Q - 1 and rank "
-                             f"difference {diff[i]} give no index pair")
-    crossed = np.array([nullity + diff, nullity - diff]) // 2
+    k = len(lift_p.blocks)
+    blocks = make_projection(np.concatenate([lift_p.blocks, lift_q.blocks]))
+    bp, bq = _padded(blocks[:k], m), _padded(blocks[k:], m)
+    ranks = _rank(np.stack([bp, bq]))
+    crossed = ranks - np.minimum(tol.rank(_svd(bq @ bp, compute_uv=False)), ranks.min(0))
     head, tail = crossed[:, :m], crossed[:, m]
     return [
         IndexPair(*(head[:, :n].sum(axis=1) + max(n - m, 0) * tail).tolist())

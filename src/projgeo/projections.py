@@ -144,28 +144,20 @@ def pair_with_dims(
     if n == 0:
         raise InconsistentDims("total dimension is zero")
 
-    p0 = np.zeros((n, n), dtype=np.complex128)
-    q0 = np.zeros((n, n), dtype=np.complex128)
-    i = 0
-    for _ in range(dim11):
-        p0[i, i] = 1.0
-        q0[i, i] = 1.0
-        i += 1
-    i += dim00
-    for _ in range(dim10):
-        p0[i, i] = 1.0
-        i += 1
-    for _ in range(dim01):
-        q0[i, i] = 1.0
-        i += 1
-    for theta in angles:
-        c, s = np.cos(theta), np.sin(theta)
-        p0[i, i] = 1.0
-        q0[i:i + 2, i:i + 2] = [[c * c, c * s], [c * s, s * s]]
-        i += 2
+    # the canonical pair as two rows of n * n entries, where a diagonal is every
+    # (n + 1)-th entry and a plane's c s corners lie 1 and n past its first one
+    c, s = np.cos(angles), np.sin(angles)
+    g = (n - dimgen) * (n + 1)  # the first plane's first diagonal entry
+    pq = np.zeros((2, n * n), dtype=np.complex128)
+    pq[:, ::n + 1] = [
+        [1.0] * dim11 + [0.0] * dim00 + [1.0] * dim10 + [0.0] * dim01 + [1.0, 0.0] * len(angles),
+        [1.0] * dim11 + [0.0] * (dim00 + dim10) + [1.0] * dim01 + [0.0] * dimgen,
+    ]
+    pq[1, g::n + 1] = np.ravel([c * c, s * s], order="F")
+    pq[1, g + 1::2 * (n + 1)] = pq[1, g + n::2 * (n + 1)] = c * s
 
     u = random_unitary(n, seed)
-    return tuple(_hermitize(u @ np.array([p0, q0]) @ u.conj().T))
+    return tuple(_hermitize(u @ pq.reshape(2, n, n) @ u.conj().T))
 
 
 class IndexPair(NamedTuple):

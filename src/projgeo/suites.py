@@ -170,7 +170,7 @@ def classify_by_truncation(
     tol: Tolerance = Tolerance(),
 ) -> TruncationVerdict:
     """Brute-force classification from the index pairs of truncations, summed
-    from per-block nullities.  Each block past the ``m`` exceptional ones is a
+    from per-block cosine counts.  Each block past the ``m`` exceptional ones is a
     tail, so the growth from ``m`` to ``m + 1`` blocks is the crossed nullities'
     growth per block: ``_dichotomy_case`` of it is the case, never undecided."""
     m = lift_p._aligned(lift_q)

@@ -42,8 +42,8 @@ state.
 
 ``reference_truncated_index_pairs`` is the truncation oracle that counted
 each block's crossed dims as the positive and negative eigenvalues of
-``K*(P - Q)K`` on the kernel ``K`` of ``P + Q - 1``: the count read off
-``dim K`` and the rank difference must agree with it.
+``K*(P - Q)K`` on the kernel ``K`` of ``P + Q - 1``: the ranks less the
+count of cosines of ``Q P`` must agree with it.
 
 ``block_at`` is a block operator's block on one summand, and
 ``reference_lift_projection`` the spectral-threshold lift that checked and

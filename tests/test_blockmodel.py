@@ -681,6 +681,12 @@ class TestExistenceDichotomy:
         with pytest.raises(NotAProjection):
             existence_dichotomy(np.diag([0.5, 0.0]), np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2)])
+    def test_lifts_of_another_block_dim_raise_dim_mismatch(self, dims):
+        lifts = tuple(BlockOperator(d, (), np.eye(d)) for d in dims)
+        with pytest.raises(DimMismatch):
+            existence_dichotomy(np.eye(2), np.eye(2), lifts=lifts)
+
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize(
         "dims,case",
@@ -879,6 +885,30 @@ def dense_truncated_index_pairs(lift_p, lift_q, lengths):
     return out
 
 
+# a quotient pair, generic or with planes at an offset from an edge, and its lifts
+SEEDS = st.integers(0, 2**32 - 1)
+EDGES = st.sampled_from([None, "zero", "half_pi"])
+EXPONENTS = st.lists(st.floats(-12.0, -3.0), min_size=1, max_size=2)
+
+
+def edge_lifts(seed, edge, offsets):
+    """Lifts of ``random_quotient_pair(seed)`` for no ``edge``, else of a pair
+    with planes at ``offsets`` from angle 0 or pi/2, and the rng that drew them."""
+    rng = np.random.default_rng(seed)
+    if edge is None:
+        p, q = random_quotient_pair(seed)
+    else:
+        angles = offsets if edge == "zero" else np.pi / 2 - offsets
+        d11, d00, d10, d01 = rng.integers(0, [2, 2, 3, 3]).tolist()
+        p, q = pair_with_dims(d11, d00, d10, d01, 2 * len(angles), angles, seed=rng)
+    d = p.shape[0]
+    lifts = tuple(
+        BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 4))), m)
+        for m in (p, q)
+    )
+    return lifts, rng
+
+
 class TestTruncatedIndexPairs:
     def test_matches_dense_reference(self):
         lengths = list(range(15))
@@ -897,29 +927,14 @@ class TestTruncatedIndexPairs:
         assert seen == {0, 1, 2, 3}
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        edge=st.sampled_from([None, "zero", "half_pi"]),
-        exponents=st.lists(st.floats(-12.0, -3.0), min_size=1, max_size=2),
-    )
+    @given(seed=SEEDS, edge=EDGES, exponents=EXPONENTS)
     def test_matches_the_sign_count_near_the_edges(self, seed, edge, exponents):
         rtol = Tolerance().rank_rtol
-        rng = np.random.default_rng(seed)
         offsets = 10.0 ** np.array(exponents)
-        if edge is None:
-            p, q = random_quotient_pair(seed)
-        else:
-            # at cos theta = rank_rtol, within roundoff, the two directions of
-            # the plane can fall on both sides of the threshold
-            assume(all(abs(e - math.log10(rtol)) > 1e-3 for e in exponents))
-            angles = offsets if edge == "zero" else np.pi / 2 - offsets
-            d11, d00, d10, d01 = rng.integers(0, [2, 2, 3, 3]).tolist()
-            p, q = pair_with_dims(d11, d00, d10, d01, 2 * len(angles), angles, seed=rng)
-        d = p.shape[0]
-        lifts = tuple(
-            BlockOperator(d, random_projection_blocks(rng, d, int(rng.integers(0, 4))), m)
-            for m in (p, q)
-        )
+        # at cos theta = rank_rtol, within roundoff, the two directions of
+        # the plane can fall on both sides of the threshold
+        assume(edge is None or all(abs(e - math.log10(rtol)) > 1e-3 for e in exponents))
+        lifts, _ = edge_lifts(seed, edge, offsets)
         lengths = list(range(10))
         got = truncated_index_pairs(*lifts, lengths)
         assert got == reference_truncated_index_pairs(*lifts, lengths)
@@ -928,6 +943,28 @@ class TestTruncatedIndexPairs:
         # sqrt(2 rank_rtol), not up to rank_rtol
         if edge != "half_pi" or not ((offsets > rtol / 2) & (offsets < 4e-5)).any():
             assert got == dense_truncated_index_pairs(*lifts, lengths)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, edge=EDGES, exponents=EXPONENTS, noise=st.floats(0.1, 1.0))
+    def test_matches_the_sign_count_on_noisy_blocks(self, seed, edge, exponents, noise):
+        # Hermitian noise of norm at most eta on every block, not bitwise
+        # Hermitian, so that the door's Hermitian part of it is what Q_i P_i
+        # reads; it moves each cosine by at most 2 eta
+        rtol, eta = Tolerance().rank_rtol, noise * 0.1 * PROJECTION_ATOL
+        offsets = 10.0 ** np.array(exponents)
+        assume(edge != "half_pi" or (np.abs(np.sin(offsets) - rtol) > 2 * eta).all())
+        lifts, rng = edge_lifts(seed, edge, offsets)
+        noisy = []
+        for lift in lifts:
+            shape = lift.blocks.shape
+            u = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+            w = rng.uniform(-eta, eta, shape[:2])
+            blocks = lift.blocks + (u * w[:, None, :]) @ u.conj().swapaxes(-1, -2)
+            noisy.append(BlockOperator(lift.block_dim, blocks[:-1], blocks[-1]))
+        assert not all(np.array_equal(b, b.conj().T) for lift in noisy for b in lift.blocks)
+        lengths = list(range(10))
+        got = truncated_index_pairs(*noisy, lengths)
+        assert got == reference_truncated_index_pairs(*noisy, lengths)
 
     def test_runs_no_eigensolve(self, monkeypatch):
         calls = []
@@ -951,39 +988,44 @@ class TestTruncatedIndexPairs:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "blocks_p, blocks_q, tail_p, tail_q, name",
+        "blocks_p, blocks_q, tail_p, tail_q",
         [
-            # P + Q - 1 = 0.5 has no kernel, yet the ranks differ by one
-            ((), (), [[1.0]], [[0.5]], "the tail"),
-            # ranks 2 and 0, but P + Q - 1 = -0.8 has no kernel
-            ((np.eye(2),), (0.2 * np.eye(2),), np.eye(2), np.eye(2), "exceptional block 0"),
-            # nullity 1 and ranks 1, 1: the pair (0.1, 0) around the threshold
-            # is a gap of 0.1, no plane split by roundoff
-            ((), (), np.diag([1.0, 0.0]), np.diag([0.0, 0.9]), "the tail"),
-            # P + Q - 1 = 0 has nullity 3, yet traces 1.5 round to ranks 2, 2:
-            # there is no pair around the threshold to decide as one
-            ((), (), 0.5 * np.eye(3), 0.5 * np.eye(3), "the tail"),
+            ((), (), [[1.0]], [[0.5]]),
+            ((np.eye(2),), (0.2 * np.eye(2),), np.eye(2), np.eye(2)),
+            ((), (), np.diag([1.0, 0.0]), np.diag([0.0, 0.9])),
+            ((), (), 0.5 * np.eye(3), 0.5 * np.eye(3)),
+            ((), (), 0.5 * np.eye(2), 0.5 * np.eye(2)),
+            ((), (), np.diag([1.0, 0.0]), 0.5 * np.eye(2)),
         ],
     )
-    def test_blocks_that_are_no_projections_raise(self, blocks_p, blocks_q, tail_p,
-                                                  tail_q, name):
+    def test_blocks_that_are_no_projections_raise(self, blocks_p, blocks_q, tail_p, tail_q):
         d = len(tail_p)
         lifts = (BlockOperator(d, blocks_p, tail_p), BlockOperator(d, blocks_q, tail_q))
-        with pytest.raises(NotAProjection, match=f"^{name}: "):
+        with pytest.raises(NotAProjection) as raised:
             truncated_index_pairs(*lifts, [1])
+        assert max(raised.value.defects) > PROJECTION_ATOL
 
     def test_a_plane_at_the_threshold_is_decided_as_one(self):
-        # cos theta = sin(1e-10) sits on rank_rtol: roundoff puts the plane's
-        # two singular values on either side of it, and their mean decides
+        # cos theta = sin(1e-10) sits on rank_rtol: Q P shows the plane as
+        # one singular value, which decides it on either side
         found = set()
         for seed in range(2000):
             p, q = pair_with_dims(0, 0, 0, 0, 2, [np.pi / 2 - 1e-10], seed=seed)
             lifts = (BlockOperator(2, (), p), BlockOperator(2, (), q))
             got = tuple(truncated_index_pairs(*lifts, [1])[0])
-            mean = np.linalg.svd(p + q - np.eye(2), compute_uv=False).mean()
-            assert got == ((1, 1) if mean <= Tolerance().rank_rtol else (0, 0))
+            cosine = np.linalg.svd(q @ p, compute_uv=False)[0]
+            assert got == ((1, 1) if cosine <= Tolerance().rank_rtol else (0, 0))
             found.add(got)
         assert found == {(0, 0), (1, 1)}
+
+    def test_noise_in_a_null_direction_counts_no_cosine(self):
+        # P's null direction carries 1e-11, within PROJECTION_ATOL, which
+        # rank_rtol = 1e-12 reads as a cosine: the count stops at min(r, s)
+        p = np.diag([1.0, 1e-11]).astype(complex)
+        lifts = (BlockOperator(2, (), p), BlockOperator(2, (), np.eye(2)))
+        tol = Tolerance(rank_rtol=1e-12)
+        assert truncated_index_pairs(*lifts, [1], tol)[0] == (0, 1)
+        assert index_pair(p, np.eye(2), tol) == (0, 1)
 
     @pytest.mark.parametrize("offset", [1e-8, 1e-12])
     def test_planes_clear_of_the_threshold_match_index_pair(self, offset):
@@ -996,15 +1038,18 @@ class TestTruncatedIndexPairs:
         calls = []
         real = np.linalg.svd
 
-        def svd(*args, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
-            return real(*args, **kwargs)
+        def svd(a, *args, **kwargs):
+            calls.append((kwargs.get("compute_uv", True), np.shape(a)))
+            return real(a, *args, **kwargs)
 
         p, q = random_quotient_pair(3)
-        lifts = (BlockOperator(p.shape[0], (), p), BlockOperator(p.shape[0], (), q))
+        d = p.shape[0]
+        lifts = (BlockOperator(d, (p, q), p), BlockOperator(d, (q,), q))
         monkeypatch.setattr(np.linalg, "svd", svd)
         truncated_index_pairs(*lifts, [4])
-        assert calls == [False]
+        # the door's empty stack of unsure defects, then Q_i P_i for m = 2
+        assert [uv for uv, _ in calls] == [False, False]
+        assert calls[1][1] == (3, d, d)
 
     def test_block_dim_mismatch(self):
         with pytest.raises(DimMismatch):

@@ -123,6 +123,7 @@ VALIDATING_FUNCTIONS = {
     "lift_geodesic": "p and the exceptional blocks of lift_p, as one stack",
     "existence_dichotomy": "the supplied lifts' blocks outside the FiniteFinite case",
     "lifting_surgery": "each block of the two lifts that it reads, once, as one stack",
+    "truncated_index_pairs": "every block of the two lifts, once, as one stack",
 }
 
 

@@ -56,6 +56,17 @@ def _kernel_one_short(real):
     return svd
 
 
+def _oracle_one_plane_short(real):
+    def svd(m, **kwargs):
+        s = real(m, **kwargs)
+        if kwargs.get("compute_uv") is False:  # the truncation oracle's cosines
+            s = s.copy()
+            s[..., 0] = 0.0  # each block's largest one, and so one plane, is lost
+        return s
+
+    return svd
+
+
 # name: (defining module, or a 1-tuple of the one module to plant it in,
 # function, the fault as a wrapper of the real function,
 # {suite: {failed check or error type: trials}} where any fail)
@@ -91,10 +102,14 @@ FAULTS = {
         lambda real: lambda lift_p, lift_q, **kwargs: (lift_p, lift_q),
         {"existence": {"existence.witness_index": 49}},
     ),
-    # blockmodel alone: its truncation oracle reads the same kind of singular values
+    # blockmodel alone: the surgery and the truncation oracle each read singular values of Q P
     "surgery kernel one dimension short": (
         (blockmodel,), "_svd", _kernel_one_short,
         {"existence": {"existence.witness_index": 43}},
+    ),
+    "truncation oracle one plane short": (
+        (blockmodel,), "_svd", _oracle_one_plane_short,
+        {"existence": {"existence.oracle": 123}},
     ),
     "_split counts one crossed angle fewer": (
         projections, "_split", _one_crossed_fewer,
