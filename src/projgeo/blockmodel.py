@@ -374,11 +374,12 @@ def lifting_surgery(
 
     The kernel ``K`` of ``P_i + Q_i - 1`` is ``(R(P_i) & N(Q_i)) + (N(P_i) &
     R(Q_i))`` and reduces both (Halmos 1969): the ranges off ``K`` make a pair
-    of index ``(0, 0)``, spanned by the right and left singular vectors of
-    ``Q_i P_i = (P_i + Q_i - 1) P_i`` above ``rank_rtol``.  One stacked SVD
-    shows each plane once, for both sides, in orthonormal bases, so the
-    witnesses are projections even at the threshold.  A side with nothing
-    crossed keeps its raw bits; the tails, and so the class modulo the ideal, stay.
+    of index ``(0, 0)``, spanned by the first ``c`` right and left singular
+    vectors of ``Q_i P_i = (P_i + Q_i - 1) P_i``, ``c`` its planes as
+    ``truncated_index_pairs`` counts them: ``tol.rank`` of its values, capped at
+    ``min(r, s)``.  A side of rank ``c`` keeps its raw bits, a larger one becomes
+    the projection onto its ``c`` orthonormal vectors: each block's witnesses are
+    projections of rank ``c``, balanced at every ``rank_rtol``.  The tails stay.
     """
     m = lift_p._aligned(lift_q)
     if not m:
@@ -389,9 +390,10 @@ def lifting_surgery(
     rows = np.minimum(np.arange(m)[:, None], [k - 1, len(raw) - k - 1]) + [0, k]
     pairs, blocks = make_projection(raw)[rows], raw[rows]
     u, s, vh = _svd(pairs[:, 1] @ pairs[:, 0])  # Q_i P_i = (P_i + Q_i - 1) P_i
-    kept = s > tol.rank_rtol  # the singular vectors off K, by the rule of Tolerance.rank
-    bases = np.stack([_adjoint(vh), u], 1) * kept[:, None, None]
-    cut = (_rank(pairs) > kept.sum(1)[:, None])[..., None, None]  # raw bits if none crossed
+    ranks = _rank(pairs)
+    count = tol.rank(s, ranks.min(1))[:, None]  # planes off K, as truncated_index_pairs counts
+    bases = np.stack([_adjoint(vh), u], 1) * (np.arange(s.shape[1]) < count)[:, None, None]
+    cut = (ranks > count)[..., None, None]  # raw bits if none crossed
     blocks = np.where(cut, _hermitize(bases @ _adjoint(bases)), blocks)
     return (BlockOperator(lift_p.block_dim, blocks[:, 0], lift_p.tail),
             BlockOperator(lift_q.block_dim, blocks[:, 1], lift_q.tail))
@@ -413,9 +415,9 @@ def existence_dichotomy(
 
     When lifts are supplied their block dim must be the pair's size (else
     ``DimMismatch``) and their tails must equal ``p`` and ``q``; in the
-    FiniteFinite case their exceptional discrepancies are removed by
-    ``lifting_surgery`` so the returned witnesses have balanced index on
-    every block.
+    FiniteFinite case ``lifting_surgery`` cuts each block pair to its planes,
+    counted by ``tol.rank`` capped at ``min(r, s)``, so the returned witnesses
+    have balanced index on every block at every ``rank_rtol``.
     """
     pair = _pair(p, q)
     ip = _split(pair, tol).index
@@ -469,7 +471,7 @@ def truncated_index_pairs(
     blocks = make_projection(np.concatenate([lift_p.blocks, lift_q.blocks]))
     bp, bq = _padded(blocks[:k], m), _padded(blocks[k:], m)
     ranks = _rank(np.stack([bp, bq]))
-    crossed = ranks - np.minimum(tol.rank(_svd(bq @ bp, compute_uv=False)), ranks.min(0))
+    crossed = ranks - tol.rank(_svd(bq @ bp, compute_uv=False), ranks.min(0))
     head, tail = crossed[:, :m], crossed[:, m]
     return [
         IndexPair(*(head[:, :n].sum(axis=1) + max(n - m, 0) * tail).tolist())

@@ -106,10 +106,8 @@ def _exponent(fs: FiveSpace, pairing: np.ndarray | None) -> np.ndarray:
     x, g = fs.h0[:, 0::2], fs.h0[:, 1::2]
     z = (g * fs.angles) @ _adjoint(x)
     z = z - _adjoint(z)
-    k = fs.m10.shape[1]
-    if k:
-        twist = np.eye(k, dtype=np.complex128) if pairing is None else pairing
-        v = fs.m10 @ twist @ _adjoint(fs.m01)
+    if fs.m10.shape[1]:
+        v = (fs.m10 if pairing is None else fs.m10 @ pairing) @ _adjoint(fs.m01)
         z = z + 1j * (np.pi / 2) * (v + _adjoint(v))
     return z
 

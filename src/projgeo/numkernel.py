@@ -37,9 +37,10 @@ class Tolerance:
         if not (0.0 < self.rank_rtol < 1e-2):
             raise ValueError(f"rank_rtol must lie in (0, 1e-2), got {self.rank_rtol!r}")
 
-    def rank(self, values) -> np.ndarray:
-        """The rank singular values give: how many (on the last axis) exceed ``rank_rtol``."""
-        return (values > self.rank_rtol).sum(axis=-1)
+    def rank(self, values, cap=None) -> np.ndarray:
+        """How many singular values (on the last axis) exceed ``rank_rtol``, at most ``cap``."""
+        count = (values > self.rank_rtol).sum(axis=-1)
+        return count if cap is None else np.minimum(count, cap)
 
 
 def _as_complex(a, stack: bool) -> np.ndarray:

@@ -260,8 +260,8 @@ def _split(pair: np.ndarray, tol: Tolerance) -> _Split:
     vp, vq = herm_eig(pair).eigenvectors[..., ::-1]
     x = _adjoint(vp) @ vq
     x11 = _svd(x[:r, :s])
-    aligned = min(max(nullspace(x[r:, :s], tol).shape[1] - a, 0), k)
-    crossed = min(max(s - int(tol.rank(x11[1])) - e, 0), k - aligned)
+    aligned = min(nullspace(x[r:, :s], tol).shape[1] - a, k)
+    crossed = min(s - int(tol.rank(x11[1])) - e, k - aligned)
     return _Split(r, s, a, b, c, e, k, aligned, crossed, vp, vq, x, x11)
 
 

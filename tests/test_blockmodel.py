@@ -820,6 +820,66 @@ class TestExistenceDichotomy:
                     assert np.array_equal(block, block.conj().T)
                     assert op_norm(block @ block - block) <= 1e-13
 
+    def test_surgery_cuts_what_the_oracle_counts(self):
+        # P's null direction carries 1e-11, which the door accepts and rank_rtol =
+        # 1e-12 reads as a cosine; capped at min(r, s) = 1, the pair has one plane,
+        # so Q's second direction is crossed and cut, and P keeps its raw bits
+        tail = np.diag([1.0, 0.0]).astype(complex)
+        lifts = (BlockOperator(2, (np.diag([1.0, 1e-11]),), tail),
+                 BlockOperator(2, (np.eye(2),), tail))
+        tol = Tolerance(rank_rtol=1e-12)
+        result = existence_dichotomy(tail, tail, lifts=lifts, tol=tol)
+        assert result.case is DichotomyCase.FINITE_FINITE
+        witness_p, witness_q = result.witnesses
+        # the index pairs of both lengths are sums of non-negative per-block pairs
+        assert truncated_index_pairs(witness_p, witness_q, [1, 2], tol) == [(0, 0), (0, 0)]
+        assert np.array_equal(witness_p.blocks, lifts[0].blocks)
+        assert projections._rank(witness_p.exceptional[0]) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-13.0, -3.0),  # rank_rtol, log-uniform
+        drawn=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # d10
+                st.integers(0, 2),  # d01
+                st.integers(0, 2),  # generic planes
+                st.floats(0.0, 1.0),  # Hermitian noise, in units of 0.9 PROJECTION_ATOL
+            ),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_surgery_at_the_noise_floor(self, seed, exponent, drawn):
+        # noise up to the door's bound lifts a crossed direction's singular value
+        # past a rank_rtol below it; capped at min(r, s), it counts as no plane
+        d, tol = 8, Tolerance(rank_rtol=10.0 ** exponent)
+        rng = np.random.default_rng(seed)
+        raw = []
+        for d10, d01, planes, noise in drawn:
+            rest = d - d10 - d01 - 2 * planes
+            d11 = int(rng.integers(0, rest + 1))
+            angles = rng.uniform(0.3, 1.2, planes)
+            for m in pair_with_dims(d11, rest - d11, d10, d01, 2 * planes, angles, seed=rng):
+                h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                h += h.conj().T
+                raw.append(m + noise * 0.9 * PROJECTION_ATOL * h / op_norm(h))
+        raw = np.array(raw).reshape(-1, 2, d, d)
+        p, q = random_projection(d, 4, rng), random_projection(d, 4, rng)
+        lifts = (BlockOperator(d, raw[:, 0], p), BlockOperator(d, raw[:, 1], q))
+        result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
+        assert result.case is DichotomyCase.FINITE_FINITE
+        witnesses = result.witnesses
+        make_projection(np.concatenate([w.blocks for w in witnesses]))
+        sums = truncated_index_pairs(*witnesses, range(len(raw) + 2), tol)
+        for before, after in zip(sums, sums[1:]):
+            assert after.d_plus - before.d_plus == after.d_minus - before.d_minus
+        for side, (w, lift) in enumerate(zip(witnesses, lifts)):
+            assert w.tail.tobytes() == lift.tail.tobytes()
+            for i, dims in enumerate(drawn):
+                if dims[side] == 0:  # nothing crossed on this side
+                    assert block_at(w, i).tobytes() == block_at(lift, i).tobytes()
+
     def test_truncation_oracle_agreement(self):
         rng = np.random.default_rng(15)
         cases = {

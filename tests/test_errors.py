@@ -1,6 +1,7 @@
 """Static guards over the package source: every typed error is raised
 somewhere, no check relies on an ``assert`` that ``-O`` strips, every
-tolerance literal sits in a named home, the 17-digit float format is
+tolerance literal sits in a named home, only ``numkernel`` reads
+``rank_rtol``, the 17-digit float format is
 spelled only in ``serialize``, projections are validated only where they
 enter, no module imports SciPy (nor does ``import projgeo`` load it), no
 module reads the environment, every exported name has a caller in the
@@ -99,6 +100,19 @@ def test_tolerance_literals_have_homes():
         and 0.0 < node.value < 1e-2
     ]
     assert found == []
+
+
+def test_only_numkernel_reads_rank_rtol():
+    # every rank decision goes through Tolerance.rank; the CLI only hands the
+    # threshold over, as the --tol-rank default and the Tolerance keyword
+    reads = [
+        f"{module}:{ast.unparse(node)}"
+        for module, tree in TREES.items()
+        if module != "numkernel.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "rank_rtol"
+    ]
+    assert reads == ["cli.py:Tolerance.rank_rtol"]
 
 
 def test_float_format_is_spelled_only_in_serialize():
