@@ -365,6 +365,19 @@ class DichotomyResult:
     quotient_index: IndexPair
 
 
+def _block_pairs(lift_p: BlockOperator, lift_q: BlockOperator):
+    """The door of a pair of lifts: every block of both, tails included, is
+    validated once, as one stack, by ``make_projection``.  Returns the raw and
+    the validated ``(m + 1, 2, d, d)`` stacks of block pairs, each lift padded
+    with its tail, tail pair last, and their ``(m + 1, 2)`` ranks."""
+    m = lift_p._aligned(lift_q)
+    k = len(lift_p.blocks)
+    raw = np.concatenate([lift_p.blocks, lift_q.blocks])
+    raw, pairs = (np.stack([_padded(s[:k], m), _padded(s[k:], m)], 1)
+                  for s in (raw, make_projection(raw)))
+    return raw, pairs, _rank(pairs)
+
+
 def lifting_surgery(
     lift_p: BlockOperator,
     lift_q: BlockOperator,
@@ -372,6 +385,7 @@ def lifting_surgery(
 ) -> tuple[BlockOperator, BlockOperator]:
     """Remove crossed intersections from every exceptional block pair.
 
+    Every block of both lifts, tails included, is validated once, as one stack.
     The kernel ``K`` of ``P_i + Q_i - 1`` is ``(R(P_i) & N(Q_i)) + (N(P_i) &
     R(Q_i))`` and reduces both (Halmos 1969): the ranges off ``K`` make a pair
     of index ``(0, 0)``, spanned by the first ``c`` right and left singular
@@ -381,20 +395,15 @@ def lifting_surgery(
     the projection onto its ``c`` orthonormal vectors: each block's witnesses are
     projections of rank ``c``, balanced at every ``rank_rtol``.  The tails stay.
     """
-    m = lift_p._aligned(lift_q)
-    if not m:
+    # the m exceptional block pairs, the tail pair cut
+    raw, pairs, ranks = (a[:-1] for a in _block_pairs(lift_p, lift_q))
+    if not len(raw):
         return lift_p, lift_q
-    # the blocks it reads, each validated once: a tail where the other list is longer
-    raw = np.concatenate([lift_p.blocks[:m], lift_q.blocks[:m]])
-    k = min(len(lift_p.blocks), m)
-    rows = np.minimum(np.arange(m)[:, None], [k - 1, len(raw) - k - 1]) + [0, k]
-    pairs, blocks = make_projection(raw)[rows], raw[rows]
     u, s, vh = _svd(pairs[:, 1] @ pairs[:, 0])  # Q_i P_i = (P_i + Q_i - 1) P_i
-    ranks = _rank(pairs)
     count = tol.rank(s, ranks.min(1))[:, None]  # planes off K, as truncated_index_pairs counts
     bases = np.stack([_adjoint(vh), u], 1) * (np.arange(s.shape[1]) < count)[:, None, None]
     cut = (ranks > count)[..., None, None]  # raw bits if none crossed
-    blocks = np.where(cut, _hermitize(bases @ _adjoint(bases)), blocks)
+    blocks = np.where(cut, _hermitize(bases @ _adjoint(bases)), raw)
     return (BlockOperator(lift_p.block_dim, blocks[:, 0], lift_p.tail),
             BlockOperator(lift_q.block_dim, blocks[:, 1], lift_q.tail))
 
@@ -414,10 +423,11 @@ def existence_dichotomy(
     characters can never match (Mixed), and no geodesic exists.
 
     When lifts are supplied their block dim must be the pair's size (else
-    ``DimMismatch``) and their tails must equal ``p`` and ``q``; in the
-    FiniteFinite case ``lifting_surgery`` cuts each block pair to its planes,
-    counted by ``tol.rank`` capped at ``min(r, s)``, so the returned witnesses
-    have balanced index on every block at every ``rank_rtol``.
+    ``DimMismatch``), their tails must equal ``p`` and ``q``, and every block
+    of both is validated once, as one stack, as ``lifting_surgery`` reads
+    them; in the FiniteFinite case the surgery cuts each block pair to its
+    planes, counted by ``tol.rank`` capped at ``min(r, s)``, so the returned
+    witnesses have balanced index on every block at every ``rank_rtol``.
     """
     pair = _pair(p, q)
     ip = _split(pair, tol).index
@@ -433,9 +443,8 @@ def existence_dichotomy(
         # the caller's tails, not the door's Hermitian part of them
         if not (np.array_equal(lp.tail, p) and np.array_equal(lq.tail, q)):
             raise NotAProjection("supplied lifts do not have tails p, q")
-        # their exceptional blocks, if any; in the FiniteFinite case lifting_surgery validates them
-        if case is not DichotomyCase.FINITE_FINITE and len(lp.blocks) + len(lq.blocks) > 2:
-            make_projection(np.concatenate([lp.exceptional, lq.exceptional]))
+        if case is not DichotomyCase.FINITE_FINITE:  # else lifting_surgery reads them
+            _block_pairs(lp, lq)
 
     if case is DichotomyCase.MIXED:
         return DichotomyResult(False, case, None, ip)
@@ -454,29 +463,24 @@ def truncated_index_pairs(
     """Index pairs of the truncations to the first ``n`` blocks, for each
     ``n`` in ``lengths``.
 
-    Every block of the two lifts is validated once, as one stack, by
-    ``make_projection``.  ``Q P`` has one singular value ``cos theta`` per
-    plane of a block pair (Halmos 1969), so with ranks ``r, s`` and ``c``
-    cosines above ``rank_rtol`` (at most ``min(r, s)``) the block's pair is
-    ``(r - c, s - c)``.  A truncation sums the index pairs of its blocks,
-    and past the ``m`` exceptional ones holds ``n - m`` tails: one stacked
-    singular-value call gives every length.  Different block dims raise
-    ``DimMismatch``, a negative length ``ValueError``.
+    Every block of both lifts, tails included, is validated once, as one
+    stack, as ``lifting_surgery`` reads them.  ``Q P`` has one singular value
+    ``cos theta`` per plane of a block pair (Halmos 1969), so with ranks ``r, s``
+    and ``c`` cosines above ``rank_rtol`` (at most ``min(r, s)``) the block's
+    pair is ``(r - c, s - c)``.  A truncation sums the index pairs of its
+    blocks, and past the ``m`` exceptional ones holds ``n - m`` tails: one
+    stacked singular-value call of the ``m + 1`` pairs gives every length.
+    Different block dims raise ``DimMismatch``, a negative length ``ValueError``.
     """
-    m = lift_p._aligned(lift_q)
+    _, pairs, ranks = _block_pairs(lift_p, lift_q)
     lengths = list(lengths)
     if any(n < 0 for n in lengths):
         raise ValueError(f"truncation lengths must be non-negative, got {lengths}")
-    k = len(lift_p.blocks)
-    blocks = make_projection(np.concatenate([lift_p.blocks, lift_q.blocks]))
-    bp, bq = _padded(blocks[:k], m), _padded(blocks[k:], m)
-    ranks = _rank(np.stack([bp, bq]))
-    crossed = ranks - tol.rank(_svd(bq @ bp, compute_uv=False), ranks.min(0))
-    head, tail = crossed[:, :m], crossed[:, m]
-    return [
-        IndexPair(*(head[:, :n].sum(axis=1) + max(n - m, 0) * tail).tolist())
-        for n in lengths
-    ]
+    cosines = _svd(pairs[:, 1] @ pairs[:, 0], compute_uv=False)
+    crossed = ranks - tol.rank(cosines, ranks.min(1))[:, None]
+    head, tail = crossed[:-1], crossed[-1]
+    m = len(head)
+    return [IndexPair(*(head[:n].sum(axis=0) + max(n - m, 0) * tail).tolist()) for n in lengths]
 
 
 # -- quotient geodesics --------------------------------------------------------

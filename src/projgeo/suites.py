@@ -153,12 +153,8 @@ def random_diagonal_sequence(rng) -> DiagonalSequence:
 
 # -- truncation oracle (existence suite) ----------------------------------------
 
-# the shortest final truncation the oracle reads, in blocks
-TRUNCATION_BLOCKS = 12
-
-
 class TruncationVerdict(NamedTuple):
-    """The oracle's case; ``final``, the index pair of ``max(m + 1, TRUNCATION_BLOCKS)`` blocks."""
+    """The oracle's case; ``final``, the index pair of the ``m`` exceptional blocks and a tail."""
 
     case: DichotomyCase
     final: IndexPair
@@ -174,9 +170,8 @@ def classify_by_truncation(
     tail, so the growth from ``m`` to ``m + 1`` blocks is the crossed nullities'
     growth per block: ``_dichotomy_case`` of it is the case, never undecided."""
     m = lift_p._aligned(lift_q)
-    lengths = [m, m + 1, max(m + 1, TRUNCATION_BLOCKS)]
-    head, step, final = truncated_index_pairs(lift_p, lift_q, lengths, tol)
-    growth = IndexPair(step.d_plus - head.d_plus, step.d_minus - head.d_minus)
+    head, final = truncated_index_pairs(lift_p, lift_q, [m, m + 1], tol)
+    growth = IndexPair(final.d_plus - head.d_plus, final.d_minus - head.d_minus)
     return TruncationVerdict(blockmodel._dichotomy_case(growth), final)
 
 

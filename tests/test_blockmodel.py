@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from projgeo import blockmodel, projections, suites
@@ -648,13 +648,30 @@ class TestOneDoor:
 
         monkeypatch.setattr(blockmodel, "make_projection", measured)
         e1, e2 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
-        # three pairs: P's three blocks, Q's one block and its tail, once
+        # every block of both lifts, tails included, once: P's four, Q's two
         lifts = (BlockOperator(2, (e1, e2, e2), e1), BlockOperator(2, (e2,), e1))
         witnesses = blockmodel.lifting_surgery(*lifts)
-        assert shapes == [(5, 2, 2)]
+        assert shapes == [(6, 2, 2)]
         assert truncated_index_pairs(*witnesses, [3])[0] == (0, 0)
         for w, lift in zip(witnesses, lifts):
             assert w.tail.tobytes() == lift.tail.tobytes()
+
+    @pytest.mark.parametrize("place", ["longer tail", "shorter tail", "equal tails", "m = 0"])
+    def test_a_bad_block_anywhere_is_refused(self, place):
+        # the surgery reads only the exceptional pairs, yet refuses a bad tail as
+        # the truncation oracle, which reads every pair, does
+        e1, e2, bad = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([0.5, 0.0])
+        blocks_p, tail_p, blocks_q, tail_q = {
+            "longer tail": ((e1, e2), bad, (e1,), e1),
+            "shorter tail": ((e1, e2), e1, (), bad),
+            "equal tails": ((e2,), bad, (e1,), e2),
+            "m = 0": ((), bad, (), e1),
+        }[place]
+        lifts = (BlockOperator(2, blocks_p, tail_p), BlockOperator(2, blocks_q, tail_q))
+        for door in (lambda: blockmodel.lifting_surgery(*lifts),
+                     lambda: truncated_index_pairs(*lifts, [1])):
+            with pytest.raises(NotAProjection, match="P\\^2 - P"):
+                door()
 
 
 class TestExistenceDichotomy:
@@ -1006,10 +1023,14 @@ class TestTruncatedIndexPairs:
 
     @settings(max_examples=150, deadline=None)
     @given(seed=SEEDS, edge=EDGES, exponents=EXPONENTS, noise=st.floats(0.1, 1.0))
+    # lifts of tails alone, whose Hermitian noise the BLAS returned bitwise Hermitian
+    @example(seed=2_999_951_990, edge=None, exponents=[-3.0], noise=0.8175792436567645)
+    @example(seed=84868, edge="zero", exponents=[-3.0], noise=0.3141169839507889)
     def test_matches_the_sign_count_on_noisy_blocks(self, seed, edge, exponents, noise):
-        # Hermitian noise of norm at most eta on every block, not bitwise
-        # Hermitian, so that the door's Hermitian part of it is what Q_i P_i
-        # reads; it moves each cosine by at most 2 eta
+        # Hermitian noise of norm at most eta on every block, and an
+        # anti-Hermitian part of norm at most eta, so that no block is bitwise
+        # Hermitian: the door drops that part, and Q_i P_i reads the Hermitian
+        # part, in which the noise moves each cosine by at most 2 eta
         rtol, eta = Tolerance().rank_rtol, noise * 0.1 * PROJECTION_ATOL
         offsets = 10.0 ** np.array(exponents)
         assume(edge != "half_pi" or (np.abs(np.sin(offsets) - rtol) > 2 * eta).all())
@@ -1020,6 +1041,9 @@ class TestTruncatedIndexPairs:
             u = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
             w = rng.uniform(-eta, eta, shape[:2])
             blocks = lift.blocks + (u * w[:, None, :]) @ u.conj().swapaxes(-1, -2)
+            v = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+            x = rng.uniform(-eta, eta, shape[:2])
+            blocks += (v * 1j * x[:, None, :]) @ v.conj().swapaxes(-1, -2)
             noisy.append(BlockOperator(lift.block_dim, blocks[:-1], blocks[-1]))
         assert not all(np.array_equal(b, b.conj().T) for lift in noisy for b in lift.blocks)
         lengths = list(range(10))

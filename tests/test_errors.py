@@ -135,9 +135,8 @@ VALIDATING_FUNCTIONS = {
     "_pair": "the pair of every pair-level entry point",
     "lift_projection": "the tail of the almost-projection it lifts",
     "lift_geodesic": "p and the exceptional blocks of lift_p, as one stack",
-    "existence_dichotomy": "the supplied lifts' blocks outside the FiniteFinite case",
-    "lifting_surgery": "each block of the two lifts that it reads, once, as one stack",
-    "truncated_index_pairs": "every block of the two lifts, once, as one stack",
+    "_block_pairs": "every block of both lifts, tails included, once, as one stack: "
+    "the door of lifting_surgery, truncated_index_pairs and existence_dichotomy's lifts",
 }
 
 

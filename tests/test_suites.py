@@ -20,7 +20,6 @@ from projgeo.errors import NoGeodesic, NotPeriodic
 from projgeo.numkernel import Tolerance, op_norm
 from projgeo.suites import (
     BOUNDS,
-    TRUNCATION_BLOCKS,
     classify_by_truncation,
     random_crossed_pair,
     random_equal_index_pair,
@@ -319,7 +318,8 @@ def test_oracle_returns_its_last_truncation():
         result = existence_dichotomy(p, q, lifts=lifts, tol=tol)
         probe = result.witnesses or lifts
         final = classify_by_truncation(*probe, tol=tol).final
-        assert final == truncated_index_pairs(*probe, [TRUNCATION_BLOCKS], tol)[0]
+        m = probe[0]._aligned(probe[1])
+        assert final == truncated_index_pairs(*probe, [m + 1], tol)[0]
 
 
 E1, E2, ZERO = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))
